@@ -2,14 +2,14 @@
 //!
 //! Dropped-marked samples (destination MAC = blackhole MAC) must coincide
 //! with a control-plane interval in which a blackhole covering their
-//! destination was announced; scanning a grid of candidate offsets and
+//! destination was announced; voting over a grid of candidate offsets and
 //! maximising that coincidence recovers the inter-recorder clock skew (the
 //! paper: 99.36% overlap at −0.04 s).
 
 use rtbh_bgp::{blackhole_intervals, UpdateLog};
 use rtbh_fabric::{FlowLog, FlowSample};
 use rtbh_net::{FrozenLpm, Interval, TimeDelta, Timestamp};
-use rtbh_stats::offset::{offset_scan_with_workers, ExplainableSample, OffsetScan};
+use rtbh_stats::offset::{OffsetScan, OffsetVotes};
 
 use crate::shard;
 
@@ -36,10 +36,11 @@ impl Alignment {
     }
 }
 
-/// Estimates the clock offset between the flow log and the update log by
-/// scanning `[-half_range, +half_range]` in `step` increments.
+/// Estimates the clock offset between the flow log and the update log over
+/// the grid `[-half_range, +half_range]` in `step` increments.
 ///
-/// Returns `None` when there are no dropped samples to align.
+/// Returns `None` when there are no dropped samples to align or the grid
+/// is invalid (see [`OffsetVotes::new`]).
 pub fn estimate_offset(
     updates: &UpdateLog,
     flows: &FlowLog,
@@ -50,14 +51,13 @@ pub fn estimate_offset(
     estimate_offset_with_workers(updates, flows, corpus_end, half_range, step, 1)
 }
 
-/// [`estimate_offset`] with the likelihood grid scanned on `workers` scoped
+/// [`estimate_offset`] with the dropped samples voting on `workers` scoped
 /// threads (`0` = one per available core).
 ///
-/// The per-sample interval lookup goes through a [`FrozenLpm`] compiled
-/// from the blackhole activity intervals, and the offset grid is evaluated
-/// chunk-parallel with a deterministic ordered merge
-/// ([`rtbh_stats::offset::offset_scan_with_workers`]) — the resulting curve
-/// and argmax are identical for every worker count.
+/// Each contiguous chunk of the log looks its dropped samples up in a
+/// [`FrozenLpm`] of the blackhole activity intervals and counts their
+/// [`OffsetVotes`]; the chunks' integer votes add exactly, so the curve and
+/// argmax are identical for every worker count.
 pub fn estimate_offset_with_workers(
     updates: &UpdateLog,
     flows: &FlowLog,
@@ -66,39 +66,28 @@ pub fn estimate_offset_with_workers(
     step: TimeDelta,
     workers: usize,
 ) -> Option<Alignment> {
+    let empty = OffsetVotes::new(half_range, step)?;
     let intervals = blackhole_intervals(updates.updates().iter(), corpus_end);
     let lpm: FrozenLpm<Vec<Interval>> = FrozenLpm::from_entries(intervals);
-    static EMPTY: &[Interval] = &[];
-    // The per-sample LPM lookups dominate the setup cost on large corpora;
-    // shard them over the same worker pool as the scan itself. Contiguous
-    // chunks concatenated in order keep the sample order — and therefore
-    // the scan input — identical for every worker count.
-    let dropped: Vec<&FlowSample> = flows.dropped().collect();
-    let chunks = shard::map_chunks(&dropped, shard::resolve_workers(workers), |_, chunk| {
-        chunk
-            .iter()
-            .map(|s| {
-                let intervals = lpm
-                    .longest_match(s.dst_ip)
-                    .map(|(_, ivs)| ivs.as_slice())
-                    .unwrap_or(EMPTY);
-                ExplainableSample {
-                    at: s.at,
-                    intervals,
-                }
-            })
-            .collect::<Vec<_>>()
-    });
-    let mut samples: Vec<ExplainableSample<'_>> = Vec::with_capacity(dropped.len());
-    for mut chunk in chunks {
-        samples.append(&mut chunk);
-    }
-    let dropped_samples = samples.len();
-    let scan =
-        offset_scan_with_workers(&samples, half_range, step, shard::resolve_workers(workers))?;
+    let chunks = shard::map_chunks(
+        flows.samples(),
+        shard::resolve_workers(workers),
+        |_, chunk| {
+            let mut votes = empty.clone();
+            for s in chunk.iter().filter(|s| s.is_dropped()) {
+                let intervals = lpm.longest_match(s.dst_ip).map(|(_, ivs)| ivs.as_slice());
+                votes.observe(s.at, intervals.unwrap_or_default());
+            }
+            votes
+        },
+    );
+    let votes = chunks.into_iter().reduce(|mut all, chunk| {
+        all.merge(&chunk);
+        all
+    })?;
     Some(Alignment {
-        scan,
-        dropped_samples,
+        scan: votes.scan()?,
+        dropped_samples: votes.samples(),
     })
 }
 

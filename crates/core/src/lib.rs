@@ -29,7 +29,7 @@
 //! [`pipeline`] wires everything into a single [`pipeline::Analyzer`]
 //! facade, running the independent analyses on scoped worker threads;
 //! [`shard`] is the chunk-parallel scaffold behind the data-parallel sample
-//! kernels (enrichment, index build, clock shift, offset scan); [`profile`]
+//! kernels (enrichment, index build, clock shift, offset votes); [`profile`]
 //! records per-stage wall times, worker counts and input footprints (`rtbh
 //! analyze --timings`, `BENCH_pipeline.json`); [`serve`] promotes the
 //! analyzer into the `rtbhd` multi-client query server (length-prefixed

@@ -64,19 +64,20 @@ pub struct AnalyzerConfig {
     pub host: HostConfig,
     /// Final-classification thresholds.
     pub classify: ClassifyConfig,
-    /// Clock-offset scan half-range.
+    /// Clock-offset grid half-range (negative: no alignment).
     pub offset_half_range: TimeDelta,
-    /// Clock-offset scan step.
+    /// Clock-offset grid step (zero or negative: no alignment).
     pub offset_step: TimeDelta,
     /// Grid step of the visibility series (Fig. 4).
     pub visibility_step: TimeDelta,
     /// Grid step of the load series (Fig. 3; paper: 1 minute).
     pub load_step: TimeDelta,
     /// Worker threads for the data-parallel sample kernels (clean,
-    /// enrichment, index build, clock shift, offset scan, acceptance,
+    /// enrichment, index build, clock shift, offset votes, acceptance,
     /// provenance): `0` = one per available core. The kernels
-    /// merge per-chunk results in chunk order, so every worker count
-    /// produces byte-identical reports (`rtbh analyze --threads N`).
+    /// merge per-chunk results in chunk order (or, for the offset votes,
+    /// by exact integer sums), so every worker count produces
+    /// byte-identical reports (`rtbh analyze --threads N`).
     pub workers: usize,
     /// Sealed-chunk capacity for the columnar flow store (rows per chunk;
     /// `0` = the ABI default, [`crate::columns::abi::DEFAULT_CHUNK_CAPACITY`]).
@@ -166,7 +167,7 @@ impl Analyzer {
     /// Prepares a corpus: cleans, aligns clocks, infers events, enriches
     /// the columnar store, indexes.
     ///
-    /// The sample-scan kernels (clean, clock-offset scan, clock shift,
+    /// The sample-scan kernels (clean, clock-offset votes, clock shift,
     /// enrichment, index build) run chunk-parallel on `config.workers`
     /// scoped threads with a deterministic ordered merge — any worker
     /// count yields the same analyzer state.

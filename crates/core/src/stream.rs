@@ -9,8 +9,9 @@
 //! * incremental per-prefix blackhole *runs* (the streaming counterpart of
 //!   batch Δ-merged [`RtbhEvent`](crate::events::RtbhEvent)s) with EWMA
 //!   anomaly backfill over the ring at run start;
-//! * a watermark-based [`OffsetTracker`] that sharpens the clock-offset
-//!   estimate with every dropped sample instead of one global scan;
+//! * a live clock-offset estimate: every dropped sample votes into the
+//!   batch estimator's [`OffsetVotes`] as it is applied, so the estimate
+//!   sharpens with the watermark instead of waiting for the end of the feed;
 //! * continuous emission of per-prefix RTBH verdicts (anomaly-backed /
 //!   zombie / squatting) as a journaled event log ([`VerdictRecord`]).
 //!
@@ -55,7 +56,7 @@ use rtbh_fabric::{FlowLog, FlowSample};
 use rtbh_net::{
     Asn, Interval, Ipv4Addr, MacAddr, Prefix, PrefixTrie, Protocol, TimeDelta, Timestamp,
 };
-use rtbh_stats::EwmaDetector;
+use rtbh_stats::{EwmaDetector, OffsetVotes};
 
 use crate::classify::UseCase;
 use crate::clean::CleanReport;
@@ -177,95 +178,6 @@ struct PrefixState {
     anomaly: bool,
 }
 
-/// Incremental clock-offset tracker over dropped samples.
-///
-/// The batch estimator ([`crate::align`]) scans the whole corpus once: for
-/// every dropped sample it votes for every grid offset that would move the
-/// sample *inside* a blackhole interval of its covering prefix, and takes
-/// the argmax. This tracker maintains the same vote histogram
-/// incrementally as a difference array over the offset grid — each dropped
-/// sample contributes one `O(1)` range update for the covering prefix's
-/// most recent activity interval — so a live estimate is available at any
-/// watermark, not only at end of corpus.
-///
-/// The estimate is **live observability only**: the finalizer re-runs the
-/// batch scan over the full accumulated log, so streaming and batch
-/// reports stay byte-identical regardless of what this tracker converged
-/// to mid-stream.
-#[derive(Debug, Clone)]
-pub struct OffsetTracker {
-    half_range_ms: i64,
-    step_ms: i64,
-    /// Difference array: `diff[i] - diff[i+1]` bracketing per-offset votes;
-    /// `n_offsets + 1` entries.
-    diff: Vec<i64>,
-    dropped_seen: u64,
-}
-
-impl OffsetTracker {
-    fn new(half_range: TimeDelta, step: TimeDelta) -> Self {
-        let half_range_ms = half_range.as_millis().max(0);
-        let step_ms = step.as_millis().max(1);
-        let n = (2 * half_range_ms / step_ms) as usize + 1;
-        Self {
-            half_range_ms,
-            step_ms,
-            diff: vec![0; n + 1],
-            dropped_seen: 0,
-        }
-    }
-
-    /// Grid offsets tracked.
-    pub fn offsets(&self) -> usize {
-        self.diff.len() - 1
-    }
-
-    /// Dropped samples observed so far.
-    pub fn dropped_seen(&self) -> u64 {
-        self.dropped_seen
-    }
-
-    /// Votes for every offset δ that moves a dropped sample at `t_ms`
-    /// inside the half-open activity interval `[a_ms, b_ms)`:
-    /// δ ∈ `[a_ms - t_ms, b_ms - t_ms)`, clipped to the grid.
-    fn observe(&mut self, t_ms: i64, a_ms: i64, b_ms: i64) {
-        self.dropped_seen += 1;
-        let n = self.offsets() as i64;
-        // Smallest grid index with -H + i*S >= lo  →  ceil((lo + H) / S).
-        let ceil_div = |a: i64, b: i64| (a + b - 1).div_euclid(b);
-        let lo = ceil_div(a_ms - t_ms + self.half_range_ms, self.step_ms).clamp(0, n);
-        let hi = ceil_div(
-            b_ms.saturating_sub(t_ms).saturating_add(self.half_range_ms),
-            self.step_ms,
-        )
-        .clamp(0, n);
-        if lo < hi {
-            self.diff[lo as usize] += 1;
-            self.diff[hi as usize] -= 1;
-        }
-    }
-
-    /// The current maximum-likelihood offset: the grid offset with the
-    /// most votes (smallest offset on ties, like the batch scan). `None`
-    /// until a dropped sample has been observed.
-    pub fn estimate(&self) -> Option<TimeDelta> {
-        if self.dropped_seen == 0 {
-            return None;
-        }
-        let mut best = (i64::MIN, 0usize);
-        let mut acc = 0i64;
-        for (i, d) in self.diff[..self.offsets()].iter().enumerate() {
-            acc += d;
-            if acc > best.0 {
-                best = (acc, i);
-            }
-        }
-        Some(TimeDelta::millis(
-            -self.half_range_ms + best.1 as i64 * self.step_ms,
-        ))
-    }
-}
-
 /// One journaled live verdict: a per-prefix RTBH run that closed (its
 /// merge-Δ expired under the watermark, or the stream finished).
 ///
@@ -349,7 +261,7 @@ pub struct StreamStatus {
     /// The current watermark (ms), once any event has been seen.
     pub watermark_ms: Option<i64>,
     /// The live clock-offset estimate (ms), once a dropped sample has been
-    /// seen.
+    /// seen; never for an offset grid the batch estimator rejects.
     pub live_offset_ms: Option<i64>,
     /// Distinct blackholed prefixes seen.
     pub blackhole_prefixes: u64,
@@ -405,7 +317,9 @@ pub struct StreamAnalyzer {
     ring: ChunkRing,
     bh_trie: PrefixTrie<usize>,
     state: Vec<PrefixState>,
-    offset: OffsetTracker,
+    /// Live offset votes (observability only: the finalizer re-runs batch
+    /// alignment); `None` for an invalid offset grid.
+    offset: Option<OffsetVotes>,
     journal: Vec<VerdictRecord>,
     next_seq: u64,
     /// Verdicts with `seq < emit_floor` are suppressed (journal recovery).
@@ -434,7 +348,7 @@ impl StreamAnalyzer {
             .collect();
         asns.sort_unstable();
         asns.dedup();
-        let offset = OffsetTracker::new(
+        let offset = OffsetVotes::new(
             config.analyzer.offset_half_range,
             config.analyzer.offset_step,
         );
@@ -643,19 +557,23 @@ impl StreamAnalyzer {
                     }
                 }
             }
-            if s.is_dropped() {
-                let st = &self.state[id];
-                let interval_ms = match st.open_since {
-                    Some(t0) => Some((t0.as_millis(), i64::MAX)),
-                    None => st
-                        .spans
-                        .last()
-                        .map(|iv| (iv.start.as_millis(), iv.end.as_millis())),
-                };
-                if let Some((a, b)) = interval_ms {
-                    self.offset.observe(s.at.as_millis(), a, b);
+        }
+        if let Some(votes) = self.offset.as_mut().filter(|_| s.is_dropped()) {
+            // The covering prefix's live interval: the open one, else the
+            // last closed span of the current run.
+            let open;
+            let intervals = match covering.map(|id| &self.state[id]) {
+                Some(&PrefixState {
+                    open_since: Some(t0),
+                    ..
+                }) => {
+                    open = [Interval::new(t0, Timestamp::from_millis(i64::MAX))];
+                    &open[..]
                 }
-            }
+                Some(st) => &st.spans[st.spans.len().saturating_sub(1)..],
+                None => &[],
+            };
+            votes.observe(s.at, intervals);
         }
         self.ring.push(ChunkRow {
             at: s.at.as_millis(),
@@ -924,11 +842,6 @@ impl StreamAnalyzer {
         &self.ring
     }
 
-    /// The live clock-offset tracker.
-    pub fn offset_tracker(&self) -> &OffsetTracker {
-        &self.offset
-    }
-
     /// The current watermark, once any event has been seen.
     pub fn watermark(&self) -> Option<Timestamp> {
         self.watermark_ms.map(Timestamp::from_millis)
@@ -944,7 +857,11 @@ impl StreamAnalyzer {
             late_dropped: self.late_dropped,
             pending: self.pending.len() as u64,
             watermark_ms: self.watermark_ms,
-            live_offset_ms: self.offset.estimate().map(|d| d.as_millis()),
+            live_offset_ms: self
+                .offset
+                .as_ref()
+                .and_then(OffsetVotes::scan)
+                .map(|scan| scan.best.offset.as_millis()),
             blackhole_prefixes: self.state.len() as u64,
             open_runs: self
                 .state
@@ -1308,17 +1225,36 @@ mod tests {
     }
 
     #[test]
-    fn offset_tracker_votes_for_the_true_offset() {
-        let mut tracker = OffsetTracker::new(TimeDelta::seconds(2), TimeDelta::millis(10));
-        assert_eq!(tracker.estimate(), None);
-        // Dropped samples observed 500 ms before their interval opens:
-        // the data-plane clock runs 500 ms early, so +500 ms wins.
-        for k in 0..20i64 {
-            let open = 1_000_000 + k * 10_000;
-            tracker.observe(open - 500, open, open + 5_000);
-        }
-        assert_eq!(tracker.estimate(), Some(TimeDelta::millis(500)));
-        assert_eq!(tracker.dropped_seen(), 20);
+    fn live_offset_breaks_ties_like_the_batch_estimate() {
+        // A dropped sample 5 s into an open blackhole is explained at every
+        // grid offset; the tie goes to the smallest |offset|.
+        let mut c = corpus(1);
+        let mut dropped = sample(60, "10.0.0.7", true);
+        dropped.at += TimeDelta::seconds(5);
+        c.updates = UpdateLog::from_updates(vec![announce(60, "10.0.0.7/32", 64500)]);
+        c.flows = FlowLog::from_samples(vec![dropped]);
+        let config = StreamConfig::for_corpus(&c);
+        let batch = crate::align::estimate_offset(
+            &c.updates,
+            &c.flows,
+            c.period.end,
+            config.analyzer.offset_half_range,
+            config.analyzer.offset_step,
+        )
+        .expect("one dropped sample");
+        assert_eq!(batch.estimated_offset(), TimeDelta::ZERO);
+        let run = StreamDriver::new(1).replay(&c, config);
+        assert_eq!(run.status.live_offset_ms, Some(0));
+    }
+
+    #[test]
+    fn an_invalid_offset_grid_gives_no_alignment_and_no_live_estimate() {
+        let c = build_corpus();
+        let mut config = StreamConfig::for_corpus(&c);
+        config.analyzer.offset_step = TimeDelta::ZERO;
+        let run = StreamDriver::new(64).replay(&c, config);
+        assert_eq!(run.report.alignment, None);
+        assert_eq!(run.status.live_offset_ms, None);
     }
 
     #[test]

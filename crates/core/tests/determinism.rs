@@ -65,8 +65,8 @@ fn both_modes_profile_every_stage_in_canonical_order() {
 
 #[test]
 fn worker_counts_do_not_change_the_report() {
-    // The data-parallel sample kernels (offset scan, clock shift, index
-    // build) merge per-chunk results in chunk order, so `--threads N` must
+    // The data-parallel sample kernels (offset votes, clock shift, index
+    // build) merge per-chunk results exactly, so `--threads N` must
     // produce a byte-identical report for every N.
     let mut scenario = ScenarioConfig::tiny();
     scenario.seed = 0xC0FF_EE00;

@@ -8,8 +8,9 @@
 //! * [`mod@quantile`] — quantiles, medians and empirical CDFs for the drop-rate
 //!   and participation analyses (Figs. 6, 14, 15, 18);
 //! * [`moments`] — streaming mean/variance/min/max accumulators;
-//! * [`offset`] — the maximum-likelihood control/data-plane clock-offset scan
-//!   of §3.1 (Fig. 2);
+//! * [`offset`] — the maximum-likelihood control/data-plane clock-offset
+//!   estimator of §3.1 (Fig. 2), a difference-array vote over the offset grid
+//!   that batch alignment and the streaming analyzer share;
 //! * [`radviz`] — the RadViz multivariate projection of §6.1 (Fig. 16);
 //! * [`topk`] — weight-ranked top-k selection (Figs. 7, 15).
 //!
@@ -30,7 +31,7 @@ pub mod topk;
 pub use ewma::{EwmaConfig, EwmaDetector, EwmaVerdict};
 pub use histogram::{Histogram, LogHistogram};
 pub use moments::Moments;
-pub use offset::{offset_scan, offset_scan_with_workers, OffsetScan};
+pub use offset::{OffsetScan, OffsetVotes};
 pub use quantile::{quantile, Ecdf};
 pub use radviz::{radviz_project, RadvizPoint};
 pub use topk::top_k_by;

@@ -17,7 +17,7 @@
 //! metadata + MRT update log + IPFIX-lite flows) and the ground truth as
 //! JSON next to it; `analyze` runs the full paper pipeline on a corpus file
 //! and prints the headline findings. `--threads N` shards the sample
-//! kernels (clock-offset scan, clock shift, index build) over N worker
+//! kernels (clock-offset votes, clock shift, index build) over N worker
 //! threads (`0` = one per core, the default) — the report is byte-identical
 //! for every N. With `--timings` it additionally prints the per-stage
 //! wall-time table of the parallel pipeline (preparation kernels included)
