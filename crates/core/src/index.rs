@@ -170,9 +170,21 @@ impl SampleIndex {
         &self.from[id]
     }
 
+    /// Total number of indexed sample references (towards + from) over
+    /// every prefix: the input footprint of a stage that walks each
+    /// prefix's lists once, like the host analysis.
+    pub fn total_ids(&self) -> u64 {
+        self.towards
+            .iter()
+            .chain(&self.from)
+            .map(|ids| ids.len() as u64)
+            .sum()
+    }
+
     /// Total number of indexed sample references (towards + from) for the
-    /// prefixes of the given events — the input footprint the event-scoped
-    /// analyses traverse, reported by the pipeline's stage profile.
+    /// prefixes of the given events, once per event — the input footprint
+    /// the per-event analyses traverse, reported by the pipeline's stage
+    /// profile.
     pub fn event_sample_footprint(&self, events: &[crate::events::RtbhEvent]) -> u64 {
         events
             .iter()
@@ -354,6 +366,9 @@ mod tests {
         assert_eq!(idx.towards(id24).len(), 1);
         assert_eq!(idx.from(id32).len(), 1);
         assert_eq!(idx.from(id24).len(), 0);
+        // The unmatched sample is not indexed; the /32's one sample counts
+        // once in each direction.
+        assert_eq!(idx.total_ids(), 3);
         let (covering, _) = idx.covering("10.0.0.7".parse().unwrap()).unwrap();
         assert_eq!(covering, "10.0.0.7/32".parse().unwrap());
     }

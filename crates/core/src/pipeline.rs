@@ -508,6 +508,17 @@ impl Analyzer {
         }
     }
 
+    /// Input footprint of the host analysis: every indexed sample id, since
+    /// it walks each prefix's lists once, plus the events whose windows it
+    /// excludes.
+    fn footprint_hosts(&self) -> Footprint {
+        Footprint {
+            updates: 0,
+            samples: self.index.total_ids(),
+            events: self.events.len() as u64,
+        }
+    }
+
     /// Runs the whole pipeline with independent stages on scoped worker
     /// threads (see the [module docs](crate::pipeline) for the stage DAG).
     ///
@@ -537,6 +548,7 @@ impl Analyzer {
         let updates = self.footprint_updates();
         let updates_flows = self.footprint_updates_flows();
         let per_event = self.footprint_events();
+        let hosts_input = self.footprint_hosts();
 
         let (
             (load, st_load, provenance, st_prov),
@@ -574,7 +586,7 @@ impl Analyzer {
                 (preevents, st_pre, protocols, st_proto, filtering, st_filt)
             });
             let host = s.spawn(move || {
-                let (hosts, st_hosts) = profile::time_stage("hosts", per_event, || self.hosts());
+                let (hosts, st_hosts) = profile::time_stage("hosts", hosts_input, || self.hosts());
                 let (collateral, st_coll) =
                     profile::time_stage("collateral", per_event, || self.collateral(&hosts));
                 (hosts, st_hosts, collateral, st_coll)
@@ -640,6 +652,7 @@ impl Analyzer {
         let updates = self.footprint_updates();
         let updates_flows = self.footprint_updates_flows();
         let per_event = self.footprint_events();
+        let hosts_input = self.footprint_hosts();
 
         let (load, st_load) = profile::time_stage("load", updates, || self.load());
         let (provenance, st_prov) =
@@ -652,7 +665,7 @@ impl Analyzer {
             profile::time_stage("protocols", per_event, || self.protocols(&preevents));
         let (filtering, st_filt) =
             profile::time_stage("filtering", per_event, || self.filtering(&preevents));
-        let (hosts, st_hosts) = profile::time_stage("hosts", per_event, || self.hosts());
+        let (hosts, st_hosts) = profile::time_stage("hosts", hosts_input, || self.hosts());
         let (collateral, st_coll) =
             profile::time_stage("collateral", per_event, || self.collateral(&hosts));
         let (classification, st_class) = profile::time_stage(

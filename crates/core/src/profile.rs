@@ -15,10 +15,11 @@
 //! The footprint counters are *input* sizes, not output sizes: they answer
 //! "how much data did this stage have to look at", which is the quantity
 //! that predicts wall time and guides further sharding. Event-scoped stages
-//! (pre-events, protocols, filtering, hosts, collateral) report the number
-//! of indexed samples covering the event prefixes rather than the whole
-//! flow log, because that is what they actually traverse via
-//! [`SampleIndex`](crate::index::SampleIndex).
+//! (pre-events, protocols, filtering, collateral) report the number of
+//! indexed samples covering the event prefixes, once per event, rather than
+//! the whole flow log; the host analysis reports every indexed sample id
+//! once, because it walks each prefix's lists once. Both are what the
+//! stages actually traverse via [`SampleIndex`](crate::index::SampleIndex).
 //!
 //! # Example
 //!

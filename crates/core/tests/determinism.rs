@@ -64,6 +64,29 @@ fn both_modes_profile_every_stage_in_canonical_order() {
 }
 
 #[test]
+fn hosts_row_counts_each_indexed_id_once() {
+    // The host sweep walks every prefix's `towards` and `from` lists once,
+    // so its footprint is the index's total, not the per-event sum that
+    // counts a prefix again for each of its events.
+    let out = rtbh_sim::run(&ScenarioConfig::tiny());
+    let analyzer = Analyzer::with_defaults(out.corpus);
+    let index = analyzer.index();
+    let total: u64 = (0..index.prefixes().len())
+        .map(|id| (index.towards(id).len() + index.from(id).len()) as u64)
+        .sum();
+    assert!(total > 0);
+    assert_eq!(index.total_ids(), total);
+
+    let (_, par) = analyzer.full_with_profile();
+    let (_, seq) = analyzer.full_sequential_with_profile();
+    for profile in [par, seq] {
+        let hosts = profile.stages.iter().find(|s| s.stage == "hosts").unwrap();
+        assert_eq!(hosts.samples_scanned, total);
+        assert_eq!(hosts.events_touched, analyzer.events().len() as u64);
+    }
+}
+
+#[test]
 fn worker_counts_do_not_change_the_report() {
     // The data-parallel sample kernels (offset votes, clock shift, index
     // build) merge per-chunk results exactly, so `--threads N` must
