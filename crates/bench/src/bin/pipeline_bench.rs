@@ -1,5 +1,7 @@
-//! Emits `BENCH_pipeline.json` (sequential vs parallel `Analyzer::full`
-//! stage timings), `BENCH_index.json` (trie vs frozen-LPM lookups,
+//! Emits `BENCH_pipeline.json` (`Analyzer::full` stage timings of a
+//! 1-worker analyzer, whose stages run inline, vs an all-cores one, whose
+//! stage chains run on scoped threads), `BENCH_index.json` (trie vs
+//! frozen-LPM lookups,
 //! 1-vs-N-worker index builds) and `BENCH_flows.json` (AoS vs columnar vs
 //! columnar+enriched stage-kernel scans) on one simulated corpus.
 //!
@@ -14,7 +16,8 @@
 //!
 //! Defaults: `--scale 0.25 --reps 3 --out BENCH_pipeline.json --index-out
 //! BENCH_index.json --flows-out BENCH_flows.json`. Prints the stage
-//! tables, speedups and the micro-bench summaries to stdout; the JSON
+//! tables, speedups and the micro-bench summaries to stdout, and exits 1
+//! if the 1-worker and all-cores reports are not byte-identical; the JSON
 //! files carry the full machine-readable records (see
 //! `rtbh_bench::pipeline`, `rtbh_bench::lpm` and `rtbh_bench::flows`).
 //!
@@ -25,7 +28,7 @@
 //! `--filters` runs the predicate-pushdown bench (`rtbh_bench::filters`):
 //! a representative query set evaluated by the naive rowwise walk, the
 //! autovectorized selection-mask kernels, and the masked+chunk-pruned
-//! kernels at 1/2/all-cores workers, answers byte-checked against the
+//! kernels, each on one thread, answers byte-checked against the
 //! naive reference before timing, written to `BENCH_filters.json`
 //! (`--filters-out`). `--filters-floor F` exits 1 if the masked-kernel
 //! speedup vs naive at one worker falls below `F`; divergence from the
@@ -158,7 +161,7 @@ fn main() {
     }
 
     eprintln!(
-        "simulating {} days, {} members (seed {:#x}), then timing {} rep(s) per mode ...",
+        "simulating {} days, {} members (seed {:#x}), then timing {} rep(s) per analyzer ...",
         config.days, config.members, config.seed, reps
     );
     let bench = bench_pipeline(config.clone(), reps);
@@ -172,14 +175,14 @@ fn main() {
     .expect("write stdout");
     writeln!(
         stdout,
-        "sequential (best of {}):\n{}",
+        "1 worker (best of {}):\n{}",
         bench.reps,
         bench.sequential.render()
     )
     .expect("write stdout");
     writeln!(
         stdout,
-        "parallel (best of {}):\n{}",
+        "all cores (best of {}):\n{}",
         bench.reps,
         bench.parallel.render()
     )
@@ -435,7 +438,7 @@ fn main() {
     };
 
     if !bench.reports_identical {
-        eprintln!("ERROR: sequential and parallel reports diverged");
+        eprintln!("ERROR: 1-worker and all-cores reports diverged");
         std::process::exit(1);
     }
     if !index_ok {

@@ -3,26 +3,25 @@
 //! Three implementations of the same query set — representative
 //! port/protocol/length/flag conjunctions (the paper's §6 UDP
 //! amplification mitigation shape), windowed scans and one per-prefix
-//! join — are timed on one simulated corpus at 1, 2 and all-cores worker
-//! counts:
+//! join — are timed on one simulated corpus, on one thread:
 //!
 //! 1. **naive**: the rowwise reference — per-row timestamp/prefix/
 //!    predicate branches over the sealed chunks, no masks, no pruning;
 //! 2. **masked**: the autovectorized kernels
-//!    ([`rtbh_core::filter::filter_aggregate_scan_sharded`]) — per-64-row
+//!    ([`rtbh_core::filter::filter_aggregate_scan`]) — per-64-row
 //!    selection-mask words from branch-free compare loops, flag columns
 //!    fused by single ANDs, popcount/set-bit-walk aggregation — but every
 //!    chunk scanned (isolates what masking alone buys);
 //! 3. **masked_pruned**: the shipped kernel
-//!    ([`rtbh_core::filter::filter_aggregate_sharded`]) — the same masks
+//!    ([`rtbh_core::filter::filter_aggregate`]) — the same masks
 //!    behind `TimeBuckets` chunk-header pruning, and per-prefix joins
 //!    scattered from the dictionary-encoded id lists
 //!    ([`rtbh_core::filter::IdDict`]) instead of masking the `dst_pid`
 //!    column.
 //!
 //! Every variant's answers are byte-checked (serialized JSON compared)
-//! against the naive reference at every worker count before anything is
-//! timed — a fast-but-wrong kernel fails the bench, it does not win it.
+//! against the naive reference before anything is timed — a
+//! fast-but-wrong kernel fails the bench, it does not win it.
 //!
 //! `pipeline_bench --filters-floor F` turns the headline
 //! `masked_speedup` (naive wall / masked wall at one worker) into a CI
@@ -37,22 +36,21 @@
 use std::hint::black_box;
 use std::time::Instant;
 
-use rtbh_core::columns::ColumnarFlows;
 use rtbh_core::filter::{
-    filter_aggregate_scan_sharded, filter_aggregate_sharded, FilterAggregate, FilterQuery, IdDict,
-    Predicate,
+    filter_aggregate, filter_aggregate_naive, filter_aggregate_scan, FilterAggregate, FilterQuery,
+    IdDict, Predicate,
 };
 use rtbh_core::index::SampleIndex;
 use rtbh_core::pipeline::{Analyzer, AnalyzerConfig};
-use rtbh_core::shard;
 use rtbh_sim::ScenarioConfig;
 
-/// Best-of-reps timing of one filter variant at one worker count.
+/// Best-of-reps timing of one filter variant.
 #[derive(Debug, Clone)]
 pub struct FilterTiming {
     /// Query variant: `"naive"`, `"masked"` or `"masked_pruned"`.
     pub variant: &'static str,
-    /// Worker threads the scan was sharded over.
+    /// Worker threads the scan ran on (always 1: the drivers are
+    /// single-threaded).
     pub workers: usize,
     /// Best (lowest) wall time of one pass over the whole query set, in
     /// nanoseconds.
@@ -60,7 +58,7 @@ pub struct FilterTiming {
     /// Rows scanned per second in the best repetition (samples × queries
     /// over the wall time).
     pub rows_per_sec: f64,
-    /// Speedup over the naive rowwise walk at the same worker count.
+    /// Speedup over the naive rowwise walk.
     pub speedup_vs_naive: f64,
 }
 
@@ -77,18 +75,18 @@ pub struct FiltersBench {
     /// Timing repetitions (the best run is reported).
     pub reps: usize,
     /// Whether every variant matched the naive reference byte-for-byte
-    /// at every worker count (checked before timing).
+    /// (checked before timing).
     pub answers_identical: bool,
     /// Distinct dictionary entries backing the per-prefix id lists
     /// (after deduplication), and the lists they encode.
     pub dict_entries: usize,
     /// Id lists the dictionary serves (one per blackholed prefix).
     pub dict_lists: usize,
-    /// All variant × worker-count timings.
+    /// One timing per variant.
     pub timings: Vec<FilterTiming>,
-    /// Headline: naive wall / masked wall at one worker.
+    /// Headline: naive wall / masked wall.
     pub masked_speedup: f64,
-    /// Naive wall / masked+pruned wall at one worker.
+    /// Naive wall / masked+pruned wall.
     pub pruned_speedup: f64,
 }
 
@@ -97,60 +95,6 @@ pub struct FiltersBench {
 struct BenchQuery {
     query: FilterQuery,
     pid: Option<u32>,
-}
-
-/// The rowwise reference, sharded the same way as the kernels so every
-/// worker count has a like-for-like baseline: per-row branches, no
-/// masks, no pruning, no dictionary.
-fn naive_sharded(
-    cols: &ColumnarFlows,
-    pid: Option<u32>,
-    query: &FilterQuery,
-    workers: usize,
-) -> FilterAggregate {
-    let partials = shard::map_chunks(cols.chunks(), workers, |_, chunks| {
-        let mut agg = FilterAggregate::default();
-        for chunk in chunks {
-            let at = chunk.at_millis();
-            let lens = chunk.packet_lens();
-            let dst_pid = chunk.dst_prefix_ids();
-            'rows: for r in 0..chunk.len() {
-                if at[r] < query.start_ms || at[r] >= query.end_ms {
-                    continue;
-                }
-                if let Some(p) = pid {
-                    if dst_pid[r] != p {
-                        continue;
-                    }
-                }
-                for pred in &query.predicates {
-                    if !pred.matches_row(chunk, r) {
-                        continue 'rows;
-                    }
-                }
-                let len = u64::from(lens[r]);
-                agg.samples += 1;
-                agg.total_bytes += len;
-                if chunk.fragment(r) {
-                    agg.fragments += 1;
-                }
-                if chunk.dropped(r) {
-                    agg.dropped_packets += 1;
-                    agg.dropped_bytes += len;
-                    if chunk.active(r) {
-                        agg.explained_packets += 1;
-                        agg.explained_bytes += len;
-                    }
-                }
-            }
-        }
-        agg
-    });
-    let mut agg = FilterAggregate::default();
-    for p in &partials {
-        agg.merge(p);
-    }
-    agg
 }
 
 /// The benched query set: the paper's amplification-port shapes, length
@@ -187,8 +131,7 @@ fn bench_queries(index: &SampleIndex, start_ms: i64, end_ms: i64) -> Vec<BenchQu
 }
 
 /// Simulates `config` and times the three filter variants over the query
-/// set, `reps` repetitions each at 1, 2 and all-cores workers, keeping
-/// the best wall time per cell.
+/// set, `reps` repetitions each, keeping the best wall time per variant.
 pub fn bench_filters(config: ScenarioConfig, reps: usize) -> FiltersBench {
     let reps = reps.max(1);
     let out = rtbh_sim::run(&config);
@@ -200,85 +143,53 @@ pub fn bench_filters(config: ScenarioConfig, reps: usize) -> FiltersBench {
     let period = analyzer.corpus().period;
     let queries = bench_queries(index, period.start.as_millis(), period.end.as_millis());
 
-    let cores = shard::resolve_workers(0);
-    let mut worker_counts = vec![1, 2, cores];
-    worker_counts.sort_unstable();
-    worker_counts.dedup();
+    let join = |q: &BenchQuery| q.pid.map(|pid| (&dict, pid));
+    let naive = |q: &BenchQuery| filter_aggregate_naive(cols, q.pid, &q.query);
+    let masked = |q: &BenchQuery| filter_aggregate_scan(cols, join(q), &q.query);
+    let pruned = |q: &BenchQuery| filter_aggregate(cols, join(q), &q.query);
 
     // Byte-check before timing: every variant serializes identically to
-    // the naive reference at every worker count.
-    let reference: Vec<Vec<u8>> = queries
-        .iter()
-        .map(|q| rtbh_json::to_vec_pretty(&naive_sharded(cols, q.pid, &q.query, 1)))
-        .collect();
-    let answers_identical = worker_counts.iter().all(|&w| {
-        queries.iter().zip(&reference).all(|(q, expected)| {
-            let join = q.pid.map(|pid| (&dict, pid));
-            rtbh_json::to_vec_pretty(&naive_sharded(cols, q.pid, &q.query, w)) == *expected
-                && rtbh_json::to_vec_pretty(&filter_aggregate_scan_sharded(cols, join, &q.query, w))
-                    == *expected
-                && rtbh_json::to_vec_pretty(&filter_aggregate_sharded(cols, join, &q.query, w))
-                    == *expected
-        })
+    // the naive reference.
+    let answers_identical = queries.iter().all(|q| {
+        let expected = rtbh_json::to_vec_pretty(&naive(q));
+        rtbh_json::to_vec_pretty(&masked(q)) == expected
+            && rtbh_json::to_vec_pretty(&pruned(q)) == expected
     });
 
-    let time_best = |f: &dyn Fn() -> FilterAggregate| -> u64 {
+    // One pass = the whole query set, merged (the merge is free next to
+    // the scans and keeps every answer live for `black_box`).
+    let time_best = |eval: &dyn Fn(&BenchQuery) -> FilterAggregate| -> u64 {
         let mut best = u64::MAX;
         for _ in 0..reps {
             let t0 = Instant::now();
-            black_box(f());
+            let mut total = FilterAggregate::default();
+            for q in &queries {
+                total.merge(&eval(q));
+            }
+            black_box(total);
             best = best.min(t0.elapsed().as_nanos() as u64);
         }
         best
     };
-    // One pass = the whole query set, merged (the merge is free next to
-    // the scans; it keeps the closure's result shape simple).
-    let run_set = |eval: &dyn Fn(&BenchQuery) -> FilterAggregate| -> FilterAggregate {
-        let mut total = FilterAggregate::default();
-        for q in &queries {
-            total.merge(&eval(q));
-        }
-        total
-    };
 
     let rows = (cols.len() * queries.len()) as f64;
-    let mut timings = Vec::new();
-    let mut naive_one_wall = 0u64;
-    let mut masked_one_wall = 1u64;
-    let mut pruned_one_wall = 1u64;
-    for &workers in &worker_counts {
-        let naive_wall = time_best(&|| run_set(&|q| naive_sharded(cols, q.pid, &q.query, workers)));
-        let masked_wall = time_best(&|| {
-            run_set(&|q| {
-                let join = q.pid.map(|pid| (&dict, pid));
-                filter_aggregate_scan_sharded(cols, join, &q.query, workers)
-            })
-        });
-        let pruned_wall = time_best(&|| {
-            run_set(&|q| {
-                let join = q.pid.map(|pid| (&dict, pid));
-                filter_aggregate_sharded(cols, join, &q.query, workers)
-            })
-        });
-        if workers == 1 {
-            naive_one_wall = naive_wall;
-            masked_one_wall = masked_wall;
-            pruned_one_wall = pruned_wall;
-        }
-        for (variant, wall) in [
-            ("naive", naive_wall),
-            ("masked", masked_wall),
-            ("masked_pruned", pruned_wall),
-        ] {
-            timings.push(FilterTiming {
-                variant,
-                workers,
-                best_wall_ns: wall,
-                rows_per_sec: rows / (wall.max(1) as f64 / 1e9),
-                speedup_vs_naive: naive_wall as f64 / wall.max(1) as f64,
-            });
-        }
-    }
+    let naive_wall = time_best(&naive);
+    let masked_wall = time_best(&masked);
+    let pruned_wall = time_best(&pruned);
+    let timings = [
+        ("naive", naive_wall),
+        ("masked", masked_wall),
+        ("masked_pruned", pruned_wall),
+    ]
+    .into_iter()
+    .map(|(variant, wall)| FilterTiming {
+        variant,
+        workers: 1,
+        best_wall_ns: wall,
+        rows_per_sec: rows / (wall.max(1) as f64 / 1e9),
+        speedup_vs_naive: naive_wall as f64 / wall.max(1) as f64,
+    })
+    .collect();
 
     FiltersBench {
         scenario: config,
@@ -305,8 +216,8 @@ pub fn bench_filters(config: ScenarioConfig, reps: usize) -> FiltersBench {
         dict_entries: dict.distinct(),
         dict_lists: dict.lists(),
         timings,
-        masked_speedup: naive_one_wall as f64 / masked_one_wall.max(1) as f64,
-        pruned_speedup: naive_one_wall as f64 / pruned_one_wall.max(1) as f64,
+        masked_speedup: naive_wall as f64 / masked_wall.max(1) as f64,
+        pruned_speedup: naive_wall as f64 / pruned_wall.max(1) as f64,
     }
 }
 
@@ -320,10 +231,9 @@ mod tests {
         assert!(bench.answers_identical);
         assert!(bench.samples > 0);
         assert!(bench.queries.len() >= 7);
-        assert_eq!(bench.timings.len() % 3, 0);
-        let one_worker: Vec<_> = bench.timings.iter().filter(|t| t.workers == 1).collect();
-        assert_eq!(one_worker.len(), 3);
-        assert!((one_worker[0].speedup_vs_naive - 1.0).abs() < 1e-12);
+        assert_eq!(bench.timings.len(), 3);
+        assert!(bench.timings.iter().all(|t| t.workers == 1));
+        assert!((bench.timings[0].speedup_vs_naive - 1.0).abs() < 1e-12);
         assert!(bench.dict_lists >= bench.dict_entries);
         // The result must serialize (it is written verbatim to
         // BENCH_filters.json).

@@ -1,13 +1,16 @@
 //! The pipeline timing bench behind `BENCH_pipeline.json`.
 //!
-//! Simulates one corpus, then times [`Analyzer::full_sequential_with_profile`]
-//! against the parallel [`Analyzer::full_with_profile`] for a configurable
-//! number of repetitions, keeping the best (lowest-wall) profile per mode.
-//! The result carries the corpus dimensions, both stage profiles, the
-//! end-to-end speedup and a byte-identity check of the two reports' JSON —
-//! the same invariant the `determinism` integration test enforces, here
-//! re-verified on every bench run so a regression cannot hide behind a
-//! fast-but-wrong schedule.
+//! Simulates one corpus and prepares it twice: a 1-worker [`Analyzer`],
+//! whose [`Analyzer::full_with_profile`] runs every stage inline on one
+//! thread, and an all-cores one, which runs the stage chains on scoped
+//! threads and shards the acceptance and provenance kernels. Each is timed
+//! for a configurable number of repetitions, keeping the best
+//! (lowest-wall) profile per analyzer. The result carries the corpus
+//! dimensions, both stage profiles, the speedup of the whole stage phase
+//! and a byte-identity check of the two reports' JSON — the same
+//! invariant the `determinism` integration test enforces, here re-verified
+//! on every bench run so a regression cannot hide behind a fast-but-wrong
+//! schedule.
 //!
 //! Regenerate with `scripts/bench_pipeline.sh` or directly:
 //!
@@ -15,7 +18,7 @@
 //! cargo run --release -p rtbh-bench --bin pipeline_bench -- --scale 0.25 --reps 3
 //! ```
 
-use rtbh_core::pipeline::{Analyzer, FullReport};
+use rtbh_core::pipeline::{Analyzer, AnalyzerConfig, FullReport};
 use rtbh_core::profile::PipelineProfile;
 use rtbh_sim::ScenarioConfig;
 
@@ -31,15 +34,16 @@ pub struct PipelineBench {
     pub samples: usize,
     /// Inferred RTBH events.
     pub events: usize,
-    /// Timing repetitions per mode (the best run is reported).
+    /// Timing repetitions per analyzer (the best run is reported).
     pub reps: usize,
-    /// Best sequential stage profile.
+    /// Best stage profile of the 1-worker analyzer (inline schedule).
     pub sequential: PipelineProfile,
-    /// Best parallel stage profile.
+    /// Best stage profile of the all-cores analyzer (scoped schedule on a
+    /// multi-core host).
     pub parallel: PipelineProfile,
-    /// End-to-end speedup: sequential wall / parallel wall.
+    /// Stage-phase speedup: sequential wall / parallel wall.
     pub speedup: f64,
-    /// Whether both modes serialized to byte-identical report JSON.
+    /// Whether both analyzers serialized to byte-identical report JSON.
     pub reports_identical: bool,
 }
 
@@ -54,17 +58,19 @@ fn keep_best(best: &mut Option<(FullReport, PipelineProfile)>, run: (FullReport,
     }
 }
 
-/// Simulates `config`, prepares the analyzer once, and times the full
-/// pipeline `reps` times in each execution mode.
+/// Simulates `config`, prepares a 1-worker and an all-cores analyzer, and
+/// times the full pipeline `reps` times on each.
 pub fn bench_pipeline(config: ScenarioConfig, reps: usize) -> PipelineBench {
     let reps = reps.max(1);
     let out = rtbh_sim::run(&config);
-    let analyzer = Analyzer::with_defaults(out.corpus);
+    let analyzer_config = AnalyzerConfig::for_corpus(&out.corpus);
+    let one = Analyzer::new(out.corpus.clone(), analyzer_config.with_workers(1));
+    let analyzer = Analyzer::new(out.corpus, analyzer_config.with_workers(0));
 
     let mut seq_best: Option<(FullReport, PipelineProfile)> = None;
     let mut par_best: Option<(FullReport, PipelineProfile)> = None;
     for _ in 0..reps {
-        keep_best(&mut seq_best, analyzer.full_sequential_with_profile());
+        keep_best(&mut seq_best, one.full_with_profile());
         keep_best(&mut par_best, analyzer.full_with_profile());
     }
     let (seq_report, sequential) = seq_best.expect("reps >= 1");

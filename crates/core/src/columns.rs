@@ -623,7 +623,7 @@ fn normalize_capacity(requested: usize) -> (usize, u32) {
 }
 
 /// A bounded-memory ring of [`SealedChunk`]s for the streaming analyzer
-/// ([`crate::stream`]): rows append into an open [`ChunkBuilder`], seal
+/// ([`crate::stream`]): rows append into an open `ChunkBuilder`, seal
 /// into an immutable chunk at capacity, and sealed chunks older than a
 /// retention watermark are evicted from the front.
 ///

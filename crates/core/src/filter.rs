@@ -29,8 +29,8 @@
 //!
 //! Every kernel is cross-checked against [`filter_aggregate_naive`], the
 //! definitionally-correct rowwise reference, by unit tests, the
-//! `filter_diff` differential suite (chunk capacities × workers) and the
-//! filters bench (answers byte-checked before timing).
+//! `filter_diff` differential suite (chunk capacities × prepare worker
+//! counts) and the filters bench (answers byte-checked before timing).
 
 use std::collections::HashMap;
 
@@ -38,7 +38,6 @@ use rtbh_net::{Prefix, Timestamp};
 
 use crate::columns::{abi, gallop_partition_point, ColumnarFlows, SealedChunk};
 use crate::index::SampleIndex;
-use crate::shard;
 
 /// Most predicates accepted in one query (wire-validated; conjunctions
 /// beyond this are hostile, not expressive).
@@ -588,7 +587,7 @@ impl FilterQuery {
 
 /// Aggregate over every sample matching a [`FilterQuery`]. All fields
 /// are order-independent `u64` sums, so the answer is identical at every
-/// worker count and chunk capacity.
+/// chunk capacity and prepare worker count.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct FilterAggregate {
     /// Samples matching every conjunct.
@@ -615,8 +614,8 @@ rtbh_json::impl_json! {
 }
 
 impl FilterAggregate {
-    /// Accumulates a per-worker partial; every field is a commutative
-    /// sum, so merge order cannot change the result.
+    /// Adds another aggregate's sums; every field is a commutative sum,
+    /// so merge order cannot change the result.
     pub fn merge(&mut self, other: &FilterAggregate) {
         self.samples += other.samples;
         self.total_bytes += other.total_bytes;
@@ -692,17 +691,30 @@ pub fn aggregate_chunk(chunk: &SealedChunk, mask: &SelectionMask, agg: &mut Filt
 // Filter drivers
 // ---------------------------------------------------------------------------
 
-fn pruned_over(
-    chunks: &[SealedChunk],
+/// Masked, chunk-pruned filter evaluation: the window prunes whole
+/// chunks through `TimeBuckets` headers, the optional prefix conjunct
+/// gallop-joins its dictionary list into the mask, and each predicate is
+/// one branch-free pass over the covered word range. `join` carries the
+/// dictionary and the resolved id of [`FilterQuery::prefix`] (the caller
+/// resolves the prefix so an unknown one can be reported before any
+/// scan). Byte-identical to [`filter_aggregate_naive`].
+pub fn filter_aggregate(
+    cols: &ColumnarFlows,
+    join: Option<(&IdDict, u32)>,
     query: &FilterQuery,
-    mut cursor: Option<IdCursor<'_>>,
-    lo: usize,
-    hi: usize,
 ) -> FilterAggregate {
     let mut agg = FilterAggregate::default();
+    if query.end_ms <= query.start_ms {
+        return agg;
+    }
+    let (lo, hi) = cols.time_range(Timestamp(query.start_ms), Timestamp(query.end_ms));
+    if hi <= lo {
+        return agg;
+    }
+    let mut cursor = join.map(|(d, pid)| d.cursor(pid as usize));
     let mut mask = SelectionMask::new();
     let mut scratch = Vec::new();
-    for chunk in chunks {
+    for chunk in cols.chunks() {
         let cs = chunk.start();
         let ce = cs + chunk.len();
         if ce <= lo {
@@ -729,16 +741,22 @@ fn pruned_over(
     agg
 }
 
-fn scan_over(
-    chunks: &[SealedChunk],
+/// Masked evaluation without chunk pruning: every chunk is scanned and
+/// the window itself becomes a branch-free mask pass over the `at`
+/// column. The bench's middle variant — isolates what masking alone buys
+/// before header pruning is added. Byte-identical to
+/// [`filter_aggregate`].
+pub fn filter_aggregate_scan(
+    cols: &ColumnarFlows,
+    join: Option<(&IdDict, u32)>,
     query: &FilterQuery,
-    mut cursor: Option<IdCursor<'_>>,
 ) -> FilterAggregate {
     let mut agg = FilterAggregate::default();
+    let mut cursor = join.map(|(d, pid)| d.cursor(pid as usize));
     let mut mask = SelectionMask::new();
     let mut scratch = Vec::new();
     let windowed = !(query.start_ms == i64::MIN && query.end_ms == i64::MAX);
-    for chunk in chunks {
+    for chunk in cols.chunks() {
         let cs = chunk.start();
         let len = chunk.len();
         match cursor.as_mut() {
@@ -757,88 +775,6 @@ fn scan_over(
             pred.apply_words(chunk, 0, len.div_ceil(64), &mut mask, &mut scratch);
         }
         aggregate_chunk(chunk, &mask, &mut agg);
-    }
-    agg
-}
-
-/// Masked, chunk-pruned filter evaluation: the window prunes whole
-/// chunks through `TimeBuckets` headers, the optional prefix conjunct
-/// gallop-joins its dictionary list into the mask, and each predicate is
-/// one branch-free pass over the covered word range. `join` carries the
-/// dictionary and the resolved id of [`FilterQuery::prefix`] (the caller
-/// resolves the prefix so an unknown one can be reported before any
-/// scan). Byte-identical to [`filter_aggregate_naive`].
-pub fn filter_aggregate(
-    cols: &ColumnarFlows,
-    join: Option<(&IdDict, u32)>,
-    query: &FilterQuery,
-) -> FilterAggregate {
-    filter_aggregate_sharded(cols, join, query, 1)
-}
-
-/// Each worker opens a fresh cursor so gallop hints stay thread-local.
-fn cursor_of(join: Option<(&IdDict, u32)>) -> Option<IdCursor<'_>> {
-    join.map(|(d, pid)| d.cursor(pid as usize))
-}
-
-/// [`filter_aggregate`] sharded over worker threads with
-/// [`shard::map_chunks`]; partials merge by commutative sums, so the
-/// answer is identical at every worker count.
-pub fn filter_aggregate_sharded(
-    cols: &ColumnarFlows,
-    join: Option<(&IdDict, u32)>,
-    query: &FilterQuery,
-    workers: usize,
-) -> FilterAggregate {
-    if query.end_ms <= query.start_ms {
-        return FilterAggregate::default();
-    }
-    let (lo, hi) = cols.time_range(Timestamp(query.start_ms), Timestamp(query.end_ms));
-    if hi <= lo {
-        return FilterAggregate::default();
-    }
-    if workers <= 1 {
-        return pruned_over(cols.chunks(), query, cursor_of(join), lo, hi);
-    }
-    let partials = shard::map_chunks(cols.chunks(), workers, |_, chunks| {
-        pruned_over(chunks, query, cursor_of(join), lo, hi)
-    });
-    let mut agg = FilterAggregate::default();
-    for p in &partials {
-        agg.merge(p);
-    }
-    agg
-}
-
-/// Masked evaluation without chunk pruning: every chunk is scanned and
-/// the window itself becomes a branch-free mask pass over the `at`
-/// column. The bench's middle variant — isolates what masking alone buys
-/// before header pruning is added. Byte-identical to
-/// [`filter_aggregate`].
-pub fn filter_aggregate_scan(
-    cols: &ColumnarFlows,
-    join: Option<(&IdDict, u32)>,
-    query: &FilterQuery,
-) -> FilterAggregate {
-    filter_aggregate_scan_sharded(cols, join, query, 1)
-}
-
-/// [`filter_aggregate_scan`] sharded over worker threads.
-pub fn filter_aggregate_scan_sharded(
-    cols: &ColumnarFlows,
-    join: Option<(&IdDict, u32)>,
-    query: &FilterQuery,
-    workers: usize,
-) -> FilterAggregate {
-    if workers <= 1 {
-        return scan_over(cols.chunks(), query, cursor_of(join));
-    }
-    let partials = shard::map_chunks(cols.chunks(), workers, |_, chunks| {
-        scan_over(chunks, query, cursor_of(join))
-    });
-    let mut agg = FilterAggregate::default();
-    for p in &partials {
-        agg.merge(p);
     }
     agg
 }
@@ -1157,7 +1093,7 @@ fn fnv_bytes(mut h: u64, bytes: &[u8]) -> u64 {
     h
 }
 
-// Corpus-backed differential coverage (capacities × workers, fuzzed
+// Corpus-backed differential coverage (capacities × prepare workers, fuzzed
 // predicate sets, the real sample index) lives in the testkit's
 // `filter_diff` suite and `tests/serve_engine.rs`; the tests here pin
 // the pure kernel and dictionary mechanics on synthetic data.
@@ -1362,18 +1298,6 @@ mod tests {
                 naive,
                 "{query:?}"
             );
-            for workers in [2, 7] {
-                assert_eq!(
-                    filter_aggregate_sharded(&cols, None, query, workers),
-                    naive,
-                    "workers {workers}: {query:?}"
-                );
-                assert_eq!(
-                    filter_aggregate_scan_sharded(&cols, None, query, workers),
-                    naive,
-                    "scan workers {workers}: {query:?}"
-                );
-            }
         }
         // Sanity: the unfiltered whole-corpus query sees every sample.
         assert_eq!(

@@ -27,7 +27,9 @@
 //! plus a time-bucket window index; [`index`] buckets those precomputed
 //! ids into the shared sample↔prefix lists over a frozen LPM table;
 //! [`pipeline`] wires everything into a single [`pipeline::Analyzer`]
-//! facade, running the independent analyses on scoped worker threads;
+//! facade, running the independent analyses on scoped worker threads
+//! when it has more than one kernel worker and inline on the calling
+//! thread at one;
 //! [`shard`] is the chunk-parallel scaffold behind the data-parallel sample
 //! kernels (enrichment, index build, clock shift, offset votes); [`profile`]
 //! records per-stage wall times, worker counts and input footprints (`rtbh
@@ -39,7 +41,7 @@
 //! event-driven analyzer — a watermark-ordered feed of updates and samples
 //! drives a bounded ring of sealed chunks, incremental EWMA detectors and
 //! a journaled live-verdict log, and its finalizer reproduces the batch
-//! [`pipeline::FullReport`](pipeline::FullReport) byte-for-byte.
+//! [`pipeline::FullReport`] byte-for-byte.
 //!
 //! The pipeline never sees simulator ground truth — only what the paper's
 //! vantage point could record.

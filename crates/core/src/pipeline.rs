@@ -9,7 +9,7 @@
 //!
 //! The per-analysis functions are pure over shared immutable state
 //! (`&SampleIndex`, `&ColumnarFlows`, `&[RtbhEvent]`), so [`Analyzer::full`]
-//! executes the stage dependency DAG on scoped worker threads
+//! can execute the stage dependency DAG on scoped worker threads
 //! ([`std::thread::scope`] — no extra dependency, no `'static` bounds):
 //!
 //! ```text
@@ -23,11 +23,14 @@
 //! join ─ classification(preevents, protocols)
 //! ```
 //!
-//! [`Analyzer::full_sequential`] runs the same stages on the calling
-//! thread; both paths produce byte-identical reports (asserted by the
-//! `determinism` integration test). [`Analyzer::full_with_profile`]
-//! additionally returns a [`PipelineProfile`] with per-stage wall times
-//! and input footprints.
+//! The schedule follows the analyzer's kernel worker count
+//! ([`AnalyzerConfig::workers`]): above one worker each chain gets its own
+//! scoped thread; at one worker the same chains run inline on the calling
+//! thread, top to bottom, so `rtbh analyze --threads 1` runs the whole
+//! analysis on one thread. Both schedules produce byte-identical reports
+//! (asserted by the `determinism` and `report_identity` tests).
+//! [`Analyzer::full_with_profile`] additionally returns a
+//! [`PipelineProfile`] with per-stage wall times and input footprints.
 
 use rtbh_fabric::FlowLog;
 use rtbh_net::TimeDelta;
@@ -49,8 +52,9 @@ use crate::profile::{self, ExecutionMode, Footprint, PipelineProfile, StageStats
 use crate::protocols::{analyze_event_traffic, ProtocolAnalysis};
 use crate::visibility::{visibility_series, VisibilityPoint};
 
-/// Scoped worker threads [`Analyzer::full`] spawns: five independent stage
-/// chains plus the protocols/filtering pair forked after pre-events.
+/// Scoped worker threads [`Analyzer::full`] spawns above one kernel worker:
+/// five independent stage chains plus the protocols/filtering pair forked
+/// after pre-events.
 const PARALLEL_WORKERS: usize = 7;
 
 /// All tunables of the pipeline, defaulting to the paper's choices.
@@ -74,7 +78,9 @@ pub struct AnalyzerConfig {
     pub load_step: TimeDelta,
     /// Worker threads for the data-parallel sample kernels (clean,
     /// enrichment, index build, clock shift, offset votes, acceptance,
-    /// provenance): `0` = one per available core. The kernels
+    /// provenance): `0` = one per available core. Above one worker the
+    /// analysis stages also run on scoped threads; at one, the whole
+    /// analysis runs on the calling thread. The kernels
     /// merge per-chunk results in chunk order (or, for the offset votes,
     /// by exact integer sums), so every worker count produces
     /// byte-identical reports (`rtbh analyze --threads N`).
@@ -519,13 +525,12 @@ impl Analyzer {
         }
     }
 
-    /// Runs the whole pipeline with independent stages on scoped worker
-    /// threads (see the [module docs](crate::pipeline) for the stage DAG).
+    /// Runs the whole pipeline (see the [module docs](crate::pipeline) for
+    /// the stage DAG and its schedule).
     ///
-    /// Produces a report byte-identical (under JSON serialization) to
-    /// [`Analyzer::full_sequential`]: every stage is a pure function of
-    /// shared immutable inputs, so the execution schedule cannot change
-    /// the result.
+    /// The report is byte-identical (under JSON serialization) for every
+    /// worker count: every stage is a pure function of shared immutable
+    /// inputs, so the execution schedule cannot change the result.
     ///
     /// # Example
     ///
@@ -543,8 +548,15 @@ impl Analyzer {
 
     /// [`Analyzer::full`] plus the stage profile of the run (per-stage wall
     /// time and input footprint, serializable to JSON).
+    ///
+    /// With more than one kernel worker each stage chain runs on its own
+    /// scoped thread and the profile says [`ExecutionMode::Parallel`]; at
+    /// one worker every chain runs inline, in the order written here, and
+    /// the profile says [`ExecutionMode::Sequential`].
     pub fn full_with_profile(&self) -> (FullReport, PipelineProfile) {
         let t0 = std::time::Instant::now();
+        let workers = self.kernel_workers;
+        let parallel = workers > 1;
         let updates = self.footprint_updates();
         let updates_flows = self.footprint_updates_flows();
         let per_event = self.footprint_events();
@@ -557,46 +569,48 @@ impl Analyzer {
             (preevents, st_pre, protocols, st_proto, filtering, st_filt),
             (hosts, st_hosts, collateral, st_coll),
         ) = std::thread::scope(|s| {
-            let signal = s.spawn(move || {
+            let signal = fork(s, parallel, move || {
                 let (load, st_load) = profile::time_stage("load", updates, || self.load());
                 let (provenance, st_prov) =
-                    profile::time_stage("provenance", updates_flows, || self.provenance());
+                    profile::time_stage_with_workers("provenance", updates_flows, workers, || {
+                        self.provenance()
+                    });
                 (load, st_load, provenance, st_prov)
             });
-            let vis =
-                s.spawn(move || profile::time_stage("visibility", updates, || self.visibility()));
-            let acc = s.spawn(move || {
-                profile::time_stage("acceptance", updates_flows, || self.acceptance())
+            let vis = fork(s, parallel, move || {
+                profile::time_stage("visibility", updates, || self.visibility())
             });
-            let pre = s.spawn(move || {
+            let acc = fork(s, parallel, move || {
+                profile::time_stage_with_workers("acceptance", updates_flows, workers, || {
+                    self.acceptance()
+                })
+            });
+            let pre = fork(s, parallel, move || {
                 let (preevents, st_pre) =
                     profile::time_stage("preevents", per_event, || self.preevents());
                 let ((protocols, st_proto), (filtering, st_filt)) = std::thread::scope(|s2| {
-                    let p = s2.spawn(|| {
+                    let p = fork(s2, parallel, || {
                         profile::time_stage("protocols", per_event, || self.protocols(&preevents))
                     });
-                    let f = s2.spawn(|| {
+                    let f = fork(s2, parallel, || {
                         profile::time_stage("filtering", per_event, || self.filtering(&preevents))
                     });
-                    (
-                        p.join().expect("protocols stage panicked"),
-                        f.join().expect("filtering stage panicked"),
-                    )
+                    (p.join(), f.join())
                 });
                 (preevents, st_pre, protocols, st_proto, filtering, st_filt)
             });
-            let host = s.spawn(move || {
+            let host = fork(s, parallel, move || {
                 let (hosts, st_hosts) = profile::time_stage("hosts", hosts_input, || self.hosts());
                 let (collateral, st_coll) =
                     profile::time_stage("collateral", per_event, || self.collateral(&hosts));
                 (hosts, st_hosts, collateral, st_coll)
             });
             (
-                signal.join().expect("signal-load stage panicked"),
-                vis.join().expect("visibility stage panicked"),
-                acc.join().expect("acceptance stage panicked"),
-                pre.join().expect("pre-event stage panicked"),
-                host.join().expect("host stage panicked"),
+                signal.join(),
+                vis.join(),
+                acc.join(),
+                pre.join(),
+                host.join(),
             )
         });
 
@@ -610,9 +624,14 @@ impl Analyzer {
             || self.classification(&preevents, &protocols),
         );
 
+        let (mode, worker_threads) = if parallel {
+            (ExecutionMode::Parallel, PARALLEL_WORKERS)
+        } else {
+            (ExecutionMode::Sequential, 0)
+        };
         let profile = PipelineProfile {
-            mode: ExecutionMode::Parallel,
-            worker_threads: PARALLEL_WORKERS,
+            mode,
+            worker_threads,
             total_wall_ns: t0.elapsed().as_nanos() as u64,
             prepare: self.prepare.clone(),
             stages: vec![
@@ -636,73 +655,38 @@ impl Analyzer {
         };
         (report, profile)
     }
+}
 
-    /// Runs the whole pipeline on the calling thread, in DAG order.
-    ///
-    /// The reference path for the parallel schedule: the `determinism`
-    /// integration test asserts its report serializes byte-identically to
-    /// [`Analyzer::full`]'s.
-    pub fn full_sequential(&self) -> FullReport {
-        self.full_sequential_with_profile().0
+/// A stage chain of [`Analyzer::full_with_profile`]: running on a scoped
+/// thread, or already finished on the calling thread.
+enum Forked<'scope, T> {
+    Spawned(std::thread::ScopedJoinHandle<'scope, T>),
+    Done(T),
+}
+
+impl<T> Forked<'_, T> {
+    /// The chain's result; a panic on its thread resumes on the caller's,
+    /// exactly as it would have inline.
+    fn join(self) -> T {
+        match self {
+            Self::Spawned(handle) => handle
+                .join()
+                .unwrap_or_else(|payload| std::panic::resume_unwind(payload)),
+            Self::Done(out) => out,
+        }
     }
+}
 
-    /// [`Analyzer::full_sequential`] plus the stage profile of the run.
-    pub fn full_sequential_with_profile(&self) -> (FullReport, PipelineProfile) {
-        let t0 = std::time::Instant::now();
-        let updates = self.footprint_updates();
-        let updates_flows = self.footprint_updates_flows();
-        let per_event = self.footprint_events();
-        let hosts_input = self.footprint_hosts();
-
-        let (load, st_load) = profile::time_stage("load", updates, || self.load());
-        let (provenance, st_prov) =
-            profile::time_stage("provenance", updates_flows, || self.provenance());
-        let (visibility, st_vis) = profile::time_stage("visibility", updates, || self.visibility());
-        let (acceptance, st_acc) =
-            profile::time_stage("acceptance", updates_flows, || self.acceptance());
-        let (preevents, st_pre) = profile::time_stage("preevents", per_event, || self.preevents());
-        let (protocols, st_proto) =
-            profile::time_stage("protocols", per_event, || self.protocols(&preevents));
-        let (filtering, st_filt) =
-            profile::time_stage("filtering", per_event, || self.filtering(&preevents));
-        let (hosts, st_hosts) = profile::time_stage("hosts", hosts_input, || self.hosts());
-        let (collateral, st_coll) =
-            profile::time_stage("collateral", per_event, || self.collateral(&hosts));
-        let (classification, st_class) = profile::time_stage(
-            "classification",
-            Footprint {
-                updates: 0,
-                samples: 0,
-                events: self.events.len() as u64,
-            },
-            || self.classification(&preevents, &protocols),
-        );
-
-        let profile = PipelineProfile {
-            mode: ExecutionMode::Sequential,
-            worker_threads: 0,
-            total_wall_ns: t0.elapsed().as_nanos() as u64,
-            prepare: self.prepare.clone(),
-            stages: vec![
-                st_load, st_prov, st_vis, st_acc, st_pre, st_proto, st_filt, st_hosts, st_coll,
-                st_class,
-            ],
-        };
-        let report = FullReport {
-            clean: self.clean_report,
-            alignment: self.alignment.clone(),
-            load,
-            provenance,
-            visibility,
-            acceptance,
-            preevents,
-            protocols,
-            filtering,
-            hosts,
-            collateral,
-            classification,
-        };
-        (report, profile)
+/// Spawns `f` on `scope` when `parallel`, otherwise runs it at once.
+fn fork<'scope, T: Send + 'scope>(
+    scope: &'scope std::thread::Scope<'scope, '_>,
+    parallel: bool,
+    f: impl FnOnce() -> T + Send + 'scope,
+) -> Forked<'scope, T> {
+    if parallel {
+        Forked::Spawned(scope.spawn(f))
+    } else {
+        Forked::Done(f())
     }
 }
 

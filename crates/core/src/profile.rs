@@ -6,11 +6,11 @@
 //! stage's kernel was sharded over, and the input footprint the stage
 //! scanned (BGP updates, flow samples, RTBH events) — from which a
 //! samples/sec throughput is derived. The preparation kernels of
-//! `Analyzer::new` (clean, align, shift, event inference, index build) are
-//! profiled too and carried in [`PipelineProfile::prepare`]. The profile is
-//! `serde`-serializable, so it can be emitted as JSON (`rtbh analyze
-//! --timings`, the `pipeline_bench` binary in `rtbh-bench`) and diffed
-//! across machines and commits.
+//! `Analyzer::new` (clean, align, shift, event inference, enrichment, index
+//! build) are profiled too and carried in [`PipelineProfile::prepare`]. The
+//! profile serializes to JSON through `rtbh_json` (`rtbh analyze
+//! --timings`, the `pipeline_bench` binary in `rtbh-bench`), so it can be
+//! diffed across machines and commits.
 //!
 //! The footprint counters are *input* sizes, not output sizes: they answer
 //! "how much data did this stage have to look at", which is the quantity
@@ -38,9 +38,10 @@ use std::time::Instant;
 /// How a pipeline run executed its stages.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecutionMode {
-    /// All stages on the calling thread, in DAG order.
+    /// All stages on the calling thread, in DAG order (one kernel worker).
     Sequential,
-    /// Independent stages on scoped worker threads.
+    /// Independent stages on scoped worker threads (more than one kernel
+    /// worker).
     Parallel,
     /// Event-at-a-time ingest through [`crate::stream`], then the batch
     /// finalizer — `prepare` carries the ingest/finish/finalize phases,
@@ -144,9 +145,9 @@ pub struct PipelineProfile {
     /// End-to-end wall time including thread joins, in nanoseconds.
     pub total_wall_ns: u64,
     /// Stats of the shared preparation kernels (clean, align, shift, event
-    /// inference, index build), recorded once at `Analyzer::new` — their
-    /// wall time is *not* part of [`Self::total_wall_ns`], which covers the
-    /// analysis stages only.
+    /// inference, enrichment, index build), recorded once at
+    /// `Analyzer::new` — their wall time is *not* part of
+    /// [`Self::total_wall_ns`], which covers the analysis stages only.
     pub prepare: Vec<StageStats>,
     /// Per-stage statistics, in canonical stage order.
     pub stages: Vec<StageStats>,

@@ -37,7 +37,7 @@
 //!
 //! Every body's size is determined by the tag (for `Filter`, by the
 //! `npreds` count at a fixed offset, capped at
-//! [`MAX_PREDICATES`](crate::filter::MAX_PREDICATES)), so the decoder
+//! [`MAX_PREDICATES`]), so the decoder
 //! validates the exact length before touching a byte: hostile or
 //! truncated frames yield a clean error reply ([`Response::Err`]), never
 //! a panic, and never kill the connection loop (pinned by the
@@ -262,7 +262,7 @@ pub enum ProtoError {
     /// The `Prefix` body carries a length > 32.
     BadPrefix(u8),
     /// The `Filter` body declares more than
-    /// [`MAX_PREDICATES`](crate::filter::MAX_PREDICATES) predicates.
+    /// [`MAX_PREDICATES`] predicates.
     TooManyPredicates(u8),
     /// The `Filter` predicate at this index has an unknown column/op
     /// code or an out-of-range value.

@@ -1,14 +1,18 @@
-//! Concurrency regression gate: the parallel pipeline schedule must be
-//! observationally identical to the sequential reference path.
+//! Concurrency regression gate: the scoped-thread stage schedule must be
+//! observationally identical to the inline one.
 //!
-//! Every analysis stage is a pure function of shared immutable inputs
-//! (`&SampleIndex`, `&FlowLog`, `&[RtbhEvent]`), and every map in the
-//! report types is a `BTreeMap`, so the two execution modes must serialize
+//! `Analyzer::full` runs its stage chains inline at one kernel worker and
+//! on scoped threads above one, so a 1-worker analyzer is the sequential
+//! reference. Every analysis stage is a pure function of shared immutable
+//! inputs (`&SampleIndex`, `&FlowLog`, `&[RtbhEvent]`), and every map in
+//! the report types is a `BTreeMap`, so the two schedules must serialize
 //! to byte-identical JSON. Any divergence means a stage grew hidden
 //! mutable state or nondeterministic iteration — exactly the class of bug
 //! this test exists to catch before it ships.
 
+use rtbh_core::corpus::Corpus;
 use rtbh_core::pipeline::AnalyzerConfig;
+use rtbh_core::profile::ExecutionMode;
 use rtbh_core::Analyzer;
 use rtbh_sim::ScenarioConfig;
 
@@ -25,25 +29,30 @@ const STAGES: [&str; 10] = [
     "classification",
 ];
 
+/// An analyzer over `corpus` with the corpus-adapted configuration at
+/// `workers` kernel workers.
+fn analyzer_at(corpus: &Corpus, workers: usize) -> Analyzer {
+    let config = AnalyzerConfig::for_corpus(corpus).with_workers(workers);
+    Analyzer::new(corpus.clone(), config)
+}
+
 #[test]
 fn parallel_report_serializes_identically_to_sequential() {
     let mut config = ScenarioConfig::tiny();
     config.seed = 0xD15E_A5E5;
     let out = rtbh_sim::run(&config);
-    let analyzer = Analyzer::with_defaults(out.corpus);
 
-    let sequential = rtbh_json::to_string(&analyzer.full_sequential());
-    let parallel = rtbh_json::to_string(&analyzer.full());
+    let sequential = rtbh_json::to_string(&analyzer_at(&out.corpus, 1).full());
+    let parallel = rtbh_json::to_string(&analyzer_at(&out.corpus, 7).full());
     assert_eq!(sequential, parallel);
 }
 
 #[test]
 fn both_modes_profile_every_stage_in_canonical_order() {
     let out = rtbh_sim::run(&ScenarioConfig::tiny());
-    let analyzer = Analyzer::with_defaults(out.corpus);
 
-    let (_, par) = analyzer.full_with_profile();
-    let (_, seq) = analyzer.full_sequential_with_profile();
+    let (_, par) = analyzer_at(&out.corpus, 2).full_with_profile();
+    let (_, seq) = analyzer_at(&out.corpus, 1).full_with_profile();
 
     let par_names: Vec<&str> = par.stages.iter().map(|s| s.stage.as_str()).collect();
     let seq_names: Vec<&str> = seq.stages.iter().map(|s| s.stage.as_str()).collect();
@@ -57,6 +66,8 @@ fn both_modes_profile_every_stage_in_canonical_order() {
         assert_eq!(p.samples_scanned, s.samples_scanned, "stage {}", p.stage);
         assert_eq!(p.events_touched, s.events_touched, "stage {}", p.stage);
     }
+    assert_eq!(par.mode, ExecutionMode::Parallel);
+    assert_eq!(seq.mode, ExecutionMode::Sequential);
     assert!(par.worker_threads > 0);
     assert_eq!(seq.worker_threads, 0);
     assert!(par.total_wall_ns > 0);
@@ -69,7 +80,7 @@ fn hosts_row_counts_each_indexed_id_once() {
     // so its footprint is the index's total, not the per-event sum that
     // counts a prefix again for each of its events.
     let out = rtbh_sim::run(&ScenarioConfig::tiny());
-    let analyzer = Analyzer::with_defaults(out.corpus);
+    let analyzer = analyzer_at(&out.corpus, 2);
     let index = analyzer.index();
     let total: u64 = (0..index.prefixes().len())
         .map(|id| (index.towards(id).len() + index.from(id).len()) as u64)
@@ -78,7 +89,7 @@ fn hosts_row_counts_each_indexed_id_once() {
     assert_eq!(index.total_ids(), total);
 
     let (_, par) = analyzer.full_with_profile();
-    let (_, seq) = analyzer.full_sequential_with_profile();
+    let (_, seq) = analyzer_at(&out.corpus, 1).full_with_profile();
     for profile in [par, seq] {
         let hosts = profile.stages.iter().find(|s| s.stage == "hosts").unwrap();
         assert_eq!(hosts.samples_scanned, total);
@@ -95,15 +106,9 @@ fn worker_counts_do_not_change_the_report() {
     scenario.seed = 0xC0FF_EE00;
     let out = rtbh_sim::run(&scenario);
 
-    let reference = {
-        let config = AnalyzerConfig::for_corpus(&out.corpus).with_workers(1);
-        let analyzer = Analyzer::new(out.corpus.clone(), config);
-        rtbh_json::to_string(&analyzer.full())
-    };
+    let reference = rtbh_json::to_string(&analyzer_at(&out.corpus, 1).full());
     for workers in [2usize, 8] {
-        let config = AnalyzerConfig::for_corpus(&out.corpus).with_workers(workers);
-        let analyzer = Analyzer::new(out.corpus.clone(), config);
-        let report = rtbh_json::to_string(&analyzer.full());
+        let report = rtbh_json::to_string(&analyzer_at(&out.corpus, workers).full());
         assert_eq!(report, reference, "{workers}-worker report diverged");
     }
 }
@@ -116,6 +121,11 @@ fn profiles_record_the_prepare_kernels() {
     assert_eq!(analyzer.kernel_workers(), 3);
 
     let (_, profile) = analyzer.full_with_profile();
+    // The two analysis stages that shard their kernel over the workers.
+    for stage in ["acceptance", "provenance"] {
+        let st = profile.stage(stage).expect("stage profiled");
+        assert_eq!(st.workers, 3, "stage {stage}");
+    }
     let names: Vec<&str> = profile.prepare.iter().map(|s| s.stage.as_str()).collect();
     // "shift" only appears when a non-zero clock offset was estimated.
     assert!(

@@ -356,6 +356,23 @@ mod tests {
     }
 
     #[test]
+    fn floods_that_draw_no_reflectors_are_not_planned() {
+        // Each of these seeds draws an empty reflector set for one
+        // amplification flood; the planner skips that event instead of
+        // handing the traffic generator an attack without amplifiers.
+        for seed in [0x724a_d7fc_c384_a975, 0x828a_8e46_20c6_a815] {
+            let mut config = ScenarioConfig::tiny();
+            config.seed = seed;
+            let out = run(&config);
+            assert!(!out.corpus.flows.is_empty(), "seed {seed:#x}");
+            assert!(
+                out.truth.visible_attack_count() < config.visible_attack_events as usize,
+                "seed {seed:#x}"
+            );
+        }
+    }
+
+    #[test]
     fn different_seed_differs() {
         let a = tiny_run();
         let mut config = ScenarioConfig::tiny();

@@ -801,6 +801,11 @@ impl<'a> Planner<'a> {
                 }
             }
             let drawn = self.pool.draw_attack_set(&mut self.rng);
+            if drawn.is_empty() {
+                // No reflector joined this flood: like the bilateral
+                // planner, plan no event rather than a traffic-less attack.
+                return;
+            }
             let amplifiers = self.maybe_concentrate(drawn);
             let fragment_share = if self.rng.gen_bool(0.12) {
                 self.rng.gen_range(0.04..0.10)

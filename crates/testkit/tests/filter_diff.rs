@@ -7,15 +7,15 @@
 //!    conjunctions of port/protocol/length/flag predicates, windows
 //!    (degenerate and inverted included) and optional prefix joins must
 //!    aggregate identically through the pruned kernel, the unpruned
-//!    scan kernel and the naive rowwise walk, at 1, 2 and 7 workers.
+//!    scan kernel and the naive rowwise walk.
 //! 2. **dictionary vs index id lists**: `IdDict::from_index` must
 //!    decode back to the exact `towards` lists it encoded, and cursor
 //!    scatters over fuzzed chunk windows must select exactly the ids a
 //!    plain filtered scan selects.
-//! 3. **chunk capacity identity**: filter aggregates at capacities
-//!    {64, 1024, whole-corpus} × workers {1, 2, 7} must equal the
-//!    default-capacity naive answer — chunk boundaries must never move
-//!    an aggregate.
+//! 3. **chunk capacity identity**: filter aggregates over stores
+//!    prepared at capacities {64, 1024, whole-corpus} × workers
+//!    {1, 2, 7} must equal the default-capacity naive answer — chunk
+//!    boundaries must never move an aggregate.
 //!
 //! Every failure prints a `RTBH_FUZZ_SEED=…` reproduction command.
 
@@ -26,8 +26,8 @@ mod seeds;
 use std::sync::OnceLock;
 
 use rtbh_core::filter::{
-    filter_aggregate_naive, filter_aggregate_scan_sharded, filter_aggregate_sharded, CmpCol, CmpOp,
-    FilterQuery, FlagCol, IdDict, Predicate, SelectionMask,
+    filter_aggregate, filter_aggregate_naive, filter_aggregate_scan, CmpCol, CmpOp, FilterQuery,
+    FlagCol, IdDict, Predicate, SelectionMask,
 };
 use rtbh_core::pipeline::{Analyzer, AnalyzerConfig};
 use rtbh_rng::Rng;
@@ -114,18 +114,16 @@ fn masked_kernels_match_naive_rowwise_on_fuzzed_predicates() {
         };
         let naive = filter_aggregate_naive(cols, join, &query);
         let dict_join = join.map(|pid| (&dict, pid));
-        for workers in [1usize, 2, 7] {
-            assert_eq!(
-                filter_aggregate_sharded(cols, dict_join, &query, workers),
-                naive,
-                "pruned kernel diverged at {workers} workers (seed {seed:#x}): {query:?}"
-            );
-            assert_eq!(
-                filter_aggregate_scan_sharded(cols, dict_join, &query, workers),
-                naive,
-                "scan kernel diverged at {workers} workers (seed {seed:#x}): {query:?}"
-            );
-        }
+        assert_eq!(
+            filter_aggregate(cols, dict_join, &query),
+            naive,
+            "pruned kernel diverged (seed {seed:#x}): {query:?}"
+        );
+        assert_eq!(
+            filter_aggregate_scan(cols, dict_join, &query),
+            naive,
+            "scan kernel diverged (seed {seed:#x}): {query:?}"
+        );
     });
 }
 
@@ -226,7 +224,7 @@ fn filter_aggregates_identical_across_chunk_capacities() {
         let prepared = Analyzer::new(corpus.clone(), config);
         for (query, expected) in queries.iter().zip(&reference) {
             assert_eq!(
-                &filter_aggregate_sharded(prepared.columns(), None, query, workers),
+                &filter_aggregate(prepared.columns(), None, query),
                 expected,
                 "aggregate moved at chunk capacity {capacity}, {workers} workers \
                  (case seed {seed:#x}): {query:?}"

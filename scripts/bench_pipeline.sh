@@ -1,21 +1,22 @@
 #!/usr/bin/env bash
 # Regenerates BENCH_pipeline.json, BENCH_index.json, BENCH_flows.json,
 # BENCH_filters.json, BENCH_serve.json and BENCH_stream.json: builds
-# release, simulates a corpus, times the sequential vs parallel analysis
-# pipeline (best-of-N per mode), runs the LPM/index micro-bench (trie vs
-# frozen lookups, 1-vs-N-worker index builds), the flow-store micro-bench
-# (AoS vs columnar vs columnar+enriched kernel scans), the
-# predicate-pushdown bench (naive rowwise vs masked kernels vs
-# masked+chunk-pruned, answers byte-checked against the naive reference
-# before timing), the rtbhd serve load bench (concurrent clients against
-# an in-process daemon, responses cross-checked byte-for-byte against the
-# batch report before timing) and the stream-ingest bench (event-driven
-# replay through rtbh_core::stream, finalized report byte-checked against
-# batch before every timed rep).
+# release, simulates a corpus, times the analysis stages of a 1-worker
+# analyzer (every stage inline on one thread) against an all-cores one
+# (stage chains on scoped threads; best-of-N each), runs the LPM/index
+# micro-bench (trie vs frozen lookups, 1-vs-N-worker index builds), the
+# flow-store micro-bench (AoS vs columnar vs columnar+enriched kernel
+# scans), the predicate-pushdown bench (naive rowwise vs masked kernels vs
+# masked+chunk-pruned on one thread, answers byte-checked against the
+# naive reference before timing), the rtbhd serve load bench (concurrent
+# clients against an in-process daemon, responses cross-checked
+# byte-for-byte against the batch report before timing) and the
+# stream-ingest bench (event-driven replay through rtbh_core::stream,
+# finalized report byte-checked against batch before every timed rep).
 #
 # usage: scripts/bench_pipeline.sh [scale] [reps]
 #   scale  scenario scale factor (default 0.25; 1.0 = full 104-day corpus)
-#   reps   timing repetitions per mode/structure (default 3)
+#   reps   timing repetitions per analyzer/structure (default 3)
 #
 # See the README's "Performance" section for how to read the output.
 set -euo pipefail
@@ -26,7 +27,7 @@ reps="${2:-3}"
 
 cargo build --release -p rtbh-bench --bin pipeline_bench
 
-# pipeline_bench exits non-zero when the sequential and parallel reports
+# pipeline_bench exits non-zero when the 1-worker and all-cores reports
 # are not byte-identical (or the index/flow-store micro-benches diverge),
 # --flows-floor additionally fails the run if the enriched-kernel speedup
 # vs the AoS baseline regresses below 5x, --filters/--filters-floor fail

@@ -16,13 +16,17 @@
 //! `simulate` writes the corpus in the binary container format (JSON
 //! metadata + MRT update log + IPFIX-lite flows) and the ground truth as
 //! JSON next to it; `analyze` runs the full paper pipeline on a corpus file
-//! and prints the headline findings. `--threads N` shards the sample
-//! kernels (clock-offset votes, clock shift, index build) over N worker
-//! threads (`0` = one per core, the default) — the report is byte-identical
-//! for every N. With `--timings` it additionally prints the per-stage
-//! wall-time table of the parallel pipeline (preparation kernels included)
-//! and writes the profile as machine-readable JSON to `BENCH_pipeline.json`
-//! in the working directory (see the README's "Performance" section).
+//! and prints the headline findings. `--threads N` sets the worker count
+//! (`0` = one per core, the default): the sample kernels (clean,
+//! clock-offset votes, clock shift, enrichment, index build, acceptance,
+//! provenance) shard over N threads, and above one worker the analysis
+//! stages run on scoped threads, so `--threads 1` runs the whole analysis
+//! on one thread. The report is byte-identical for every N. With
+//! `--timings` it additionally prints the per-stage wall-time table
+//! (preparation kernels included) with the schedule that ran (`sequential`
+//! or `parallel`) and writes the profile as machine-readable JSON to
+//! `BENCH_pipeline.json` in the working directory (see the README's
+//! "Performance" section).
 //! `stream` replays the corpus through the event-driven analyzer
 //! (`rtbh_core::stream`): the two logs are interleaved into one
 //! timestamp-ordered feed, pushed in `--batch`-sized groups through the

@@ -122,3 +122,40 @@ fn simulate_info_analyze_and_corruption() {
 
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// `--threads` picks the stage schedule — inline at one worker, scoped
+/// threads above — but never the report: both schedules write the same
+/// `--json` bytes, and the `--timings` table names the one that ran.
+#[test]
+fn analyze_threads_pick_the_schedule_not_the_report() {
+    let dir = scratch_dir("schedule");
+    let corpus = dir.join("corpus.rtbh");
+    let corpus_str = corpus.to_str().unwrap();
+    let out = rtbh(&["simulate", "--tiny", "--seed", "42", corpus_str]);
+    assert_eq!(out.status.code(), Some(0), "simulate failed: {out:?}");
+
+    let mut reports = Vec::new();
+    for (threads, schedule) in [
+        ("1", "sequential, 0 worker threads"),
+        ("3", "parallel, 7 worker threads"),
+    ] {
+        let json = dir.join(format!("threads-{threads}.json"));
+        // `--timings` writes BENCH_pipeline.json to the working directory.
+        let out = Command::new(env!("CARGO_BIN_EXE_rtbh"))
+            .args(["analyze", corpus_str, "--timings", "--threads", threads])
+            .args(["--json", json.to_str().unwrap()])
+            .current_dir(&dir)
+            .output()
+            .expect("spawn rtbh");
+        assert_eq!(out.status.code(), Some(0), "--threads {threads}: {out:?}");
+        let stdout = String::from_utf8(out.stdout).unwrap();
+        assert!(
+            stdout.contains(schedule),
+            "--threads {threads} must report {schedule:?}:\n{stdout}"
+        );
+        reports.push(std::fs::read(&json).unwrap());
+    }
+    assert_eq!(reports[0], reports[1], "--threads moved the report bytes");
+
+    std::fs::remove_dir_all(&dir).ok();
+}
