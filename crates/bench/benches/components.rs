@@ -11,8 +11,9 @@
 use std::hint::black_box;
 use std::time::Instant;
 
+use rtbh_core::columns::{ColumnarFlows, EnrichedBuild};
 use rtbh_core::events::infer_events;
-use rtbh_core::index::SampleIndex;
+use rtbh_core::index::{MacResolver, OriginTable, SampleIndex};
 use rtbh_core::preevent::{analyze_preevents, PreEventConfig};
 use rtbh_core::Analyzer;
 use rtbh_net::{Ipv4Addr, Prefix, PrefixTrie, TimeDelta};
@@ -86,10 +87,30 @@ fn bench_event_inference(out: &rtbh_sim::SimOutput) {
     });
 }
 
+/// The enrichment pass the index is built from, on one worker.
+fn enrich(out: &rtbh_sim::SimOutput) -> EnrichedBuild {
+    ColumnarFlows::build_enriched(
+        &out.corpus.updates,
+        &out.corpus.flows,
+        &MacResolver::build(&out.corpus),
+        &OriginTable::build(&out.corpus.routes),
+        out.corpus.period.end,
+        1,
+    )
+}
+
+fn index(enriched: &EnrichedBuild) -> SampleIndex {
+    SampleIndex::from_columns(
+        enriched.blackholes.clone(),
+        enriched.blackhole_prefixes.clone(),
+        &enriched.columns,
+        1,
+    )
+}
+
 fn bench_sample_index(out: &rtbh_sim::SimOutput) {
-    bench("sample_index_build_tiny_corpus", 3, 30, || {
-        SampleIndex::build(&out.corpus.updates, &out.corpus.flows)
-    });
+    let enriched = enrich(out);
+    bench("sample_index_build_tiny_corpus", 3, 30, || index(&enriched));
 }
 
 fn bench_preevents(out: &rtbh_sim::SimOutput) {
@@ -98,10 +119,10 @@ fn bench_preevents(out: &rtbh_sim::SimOutput) {
         TimeDelta::minutes(10),
         out.corpus.period.end,
     );
-    let index = SampleIndex::build(&out.corpus.updates, &out.corpus.flows);
-    let cols = rtbh_core::columns::ColumnarFlows::from_log(&out.corpus.flows);
+    let enriched = enrich(out);
+    let index = index(&enriched);
     bench("preevent_ewma_analysis_tiny_corpus", 3, 30, || {
-        analyze_preevents(&events, &index, &cols, &PreEventConfig::PAPER)
+        analyze_preevents(&events, &index, &enriched.columns, &PreEventConfig::PAPER)
     });
 }
 

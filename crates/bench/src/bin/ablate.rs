@@ -143,7 +143,7 @@ fn ablate_strategy(config: &ScenarioConfig) {
     let analyzer = Analyzer::with_defaults(out.corpus);
     let pre = analyzer.preevents();
     let filtering = analyzer.filtering(&pre);
-    let samples = analyzer.flows().samples();
+    let cols = analyzer.columns();
 
     // For every qualifying attack event, compare three strategies on its
     // during-event traffic: (1) RTBH drops everything; (2) a port ACL drops
@@ -166,24 +166,20 @@ fn ablate_strategy(config: &ScenarioConfig) {
             .prefix_id(event.prefix)
             .map(|id| analyzer.index().towards(id))
             .unwrap_or(&[]);
-        let lo = ids.partition_point(|&i| samples[i as usize].at < cover.start);
-        let hi = ids.partition_point(|&i| samples[i as usize].at < cover.end);
-        for &i in &ids[lo..hi] {
-            let s = &samples[i as usize];
+        for &i in cols.window_ids(ids, cover.start, cover.end) {
+            let i = i as usize;
             total_attack += 1;
             // RTBH's *realized* effect: only traffic whose carrier accepted
             // the /32 route was actually discarded (the paper's ~50%).
-            if s.is_dropped() {
+            if cols.is_dropped(i) {
                 rtbh_realized += 1;
             }
-            if AmplificationProtocol::classify(s.protocol, s.src_port, s.fragment).is_some() {
+            if AmplificationProtocol::classify(cols.protocol(i), cols.src_port(i), cols.fragment(i))
+                .is_some()
+            {
                 acl_attack += 1;
             }
-            if analyzer
-                .origins()
-                .origin_of(s.src_ip)
-                .is_some_and(|o| top_origins.contains(&o))
-            {
+            if cols.origin(i).is_some_and(|o| top_origins.contains(&o)) {
                 blacklist_attack += 1;
             }
         }

@@ -64,7 +64,7 @@ fn main() {
     eprintln!(
         "corpus: {} BGP updates, {} flow samples, {} inferred events ({:.1?})",
         ctx.analyzer.corpus().updates.len(),
-        ctx.analyzer.corpus().flows.len(),
+        ctx.analyzer.clean_report().total,
         ctx.analyzer.events().len(),
         t0.elapsed()
     );

@@ -1,8 +1,7 @@
 //! Emits `BENCH_pipeline.json` (`Analyzer::full` stage timings of a
 //! 1-worker analyzer, whose stages run inline, vs an all-cores one, whose
 //! stage chains run on scoped threads), `BENCH_index.json` (trie vs
-//! frozen-LPM lookups,
-//! 1-vs-N-worker index builds) and `BENCH_flows.json` (AoS vs columnar vs
+//! frozen-LPM lookups) and `BENCH_flows.json` (AoS vs columnar vs
 //! columnar+enriched stage-kernel scans) on one simulated corpus.
 //!
 //! ```text
@@ -225,19 +224,6 @@ fn main() {
                 idx.lookup_speedup, idx.lookups_identical
             )
             .expect("write stdout");
-            writeln!(stdout, "index build (SampleIndex::build_with_workers):")
-                .expect("write stdout");
-            for b in &idx.builds {
-                writeln!(
-                    stdout,
-                    "  {:>3} worker(s): {:>8.2} ms  {:>12.0} samples/s  {:.2}x",
-                    b.workers,
-                    b.best_wall_ns as f64 / 1e6,
-                    b.samples_per_sec,
-                    b.speedup_vs_one
-                )
-                .expect("write stdout");
-            }
             std::fs::write(path, rtbh_json::to_vec_pretty(&idx)).unwrap_or_else(|e| {
                 eprintln!("failed to write {path}: {e}");
                 std::process::exit(1);

@@ -1,15 +1,15 @@
-//! The LPM / sample-index micro-benchmark behind `BENCH_index.json`.
+//! The LPM micro-benchmark behind `BENCH_index.json`.
 //!
-//! Two questions, answered on one simulated corpus:
+//! How much faster is the frozen stride-8 LPM table ([`FrozenLpm`]) than
+//! the pointer-chasing [`PrefixTrie`] it is compiled from, on the
+//! pipeline's real lookup mix (two longest-prefix lookups per flow
+//! sample)? Both structures are probed with identical inputs and their
+//! answers are cross-checked on every sample first — a fast-but-wrong
+//! table would fail the bench, not win it.
 //!
-//! 1. **Lookup**: how much faster is the frozen stride-8 LPM table
-//!    ([`FrozenLpm`]) than the pointer-chasing [`PrefixTrie`] it is compiled
-//!    from, on the pipeline's real lookup mix (two longest-prefix lookups
-//!    per flow sample)? Both structures are probed with identical inputs and
-//!    their answers are cross-checked on every sample first — a fast-but-
-//!    wrong table would fail the bench, not win it.
-//! 2. **Build**: how does [`SampleIndex::build_with_workers`] scale from one
-//!    worker to all cores, in samples per second?
+//! The production index build (`SampleIndex::from_columns`) is timed at one
+//! worker and at all cores by the `prepare:index` rows of
+//! `BENCH_pipeline.json`.
 //!
 //! Regenerate with `scripts/bench_pipeline.sh` or directly:
 //!
@@ -20,7 +20,6 @@
 use std::hint::black_box;
 use std::time::Instant;
 
-use rtbh_core::index::SampleIndex;
 use rtbh_net::{FrozenLpm, PrefixTrie};
 use rtbh_sim::ScenarioConfig;
 
@@ -35,19 +34,6 @@ pub struct LookupTiming {
     pub best_wall_ns: u64,
     /// Nanoseconds per lookup in the best repetition.
     pub ns_per_lookup: f64,
-}
-
-/// Best-of-reps timing of one [`SampleIndex::build_with_workers`] call.
-#[derive(Debug, Clone)]
-pub struct BuildTiming {
-    /// Worker threads the sample scan was sharded over.
-    pub workers: usize,
-    /// Best (lowest) wall time, in nanoseconds.
-    pub best_wall_ns: u64,
-    /// Flow samples indexed per second in the best repetition.
-    pub samples_per_sec: f64,
-    /// Speedup over the single-worker build.
-    pub speedup_vs_one: f64,
 }
 
 /// The machine-readable result of one index micro-benchmark run
@@ -74,12 +60,10 @@ pub struct IndexBench {
     pub frozen: LookupTiming,
     /// Lookup speedup: trie wall / frozen wall.
     pub lookup_speedup: f64,
-    /// Index-build timings per worker count (1, 2, all cores).
-    pub builds: Vec<BuildTiming>,
 }
 
-/// Simulates `config` and runs the lookup and build micro-benchmarks,
-/// `reps` repetitions each, keeping the best wall time.
+/// Simulates `config` and runs the lookup micro-benchmark, `reps`
+/// repetitions per structure, keeping the best wall time.
 pub fn bench_index(config: ScenarioConfig, reps: usize) -> IndexBench {
     let reps = reps.max(1);
     let out = rtbh_sim::run(&config);
@@ -133,36 +117,6 @@ pub fn bench_index(config: ScenarioConfig, reps: usize) -> IndexBench {
     });
     let per_lookup = |wall: u64| wall as f64 / lookups.max(1) as f64;
 
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let mut worker_counts = vec![1, 2, cores];
-    worker_counts.sort_unstable();
-    worker_counts.dedup();
-    let mut builds = Vec::new();
-    let mut one_worker_wall = 0u64;
-    for &workers in &worker_counts {
-        let mut best = u64::MAX;
-        for _ in 0..reps {
-            let t0 = Instant::now();
-            black_box(SampleIndex::build_with_workers(
-                updates,
-                &out.corpus.flows,
-                workers,
-            ));
-            best = best.min(t0.elapsed().as_nanos() as u64);
-        }
-        if workers == 1 {
-            one_worker_wall = best;
-        }
-        builds.push(BuildTiming {
-            workers,
-            best_wall_ns: best,
-            samples_per_sec: samples.len() as f64 / (best.max(1) as f64 / 1e9),
-            speedup_vs_one: one_worker_wall as f64 / best.max(1) as f64,
-        });
-    }
-
     IndexBench {
         updates: updates.len(),
         samples: samples.len(),
@@ -184,7 +138,6 @@ pub fn bench_index(config: ScenarioConfig, reps: usize) -> IndexBench {
             ns_per_lookup: per_lookup(frozen_wall),
         },
         lookup_speedup: trie_wall as f64 / frozen_wall.max(1) as f64,
-        builds,
     }
 }
 
@@ -199,8 +152,6 @@ mod tests {
         assert!(bench.prefixes > 0);
         assert!(bench.frozen_tables > 0);
         assert_eq!(bench.trie.lookups, bench.samples * 2);
-        assert_eq!(bench.builds[0].workers, 1);
-        assert!((bench.builds[0].speedup_vs_one - 1.0).abs() < 1e-12);
         // The result must serialize (it is written verbatim to
         // BENCH_index.json).
         rtbh_json::to_string(&bench);
@@ -212,12 +163,8 @@ rtbh_json::impl_json! {
 }
 
 rtbh_json::impl_json! {
-    serialize struct BuildTiming { workers, best_wall_ns, samples_per_sec, speedup_vs_one }
-}
-
-rtbh_json::impl_json! {
     serialize struct IndexBench {
         scenario, updates, samples, prefixes, frozen_tables, reps,
-        lookups_identical, trie, frozen, lookup_speedup, builds,
+        lookups_identical, trie, frozen, lookup_speedup,
     }
 }

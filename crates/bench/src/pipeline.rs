@@ -81,7 +81,7 @@ pub fn bench_pipeline(config: ScenarioConfig, reps: usize) -> PipelineBench {
 
     PipelineBench {
         updates: analyzer.corpus().updates.len(),
-        samples: analyzer.corpus().flows.len(),
+        samples: analyzer.clean_report().total,
         events: analyzer.events().len(),
         scenario: config,
         reps,

@@ -432,6 +432,7 @@ fn service_of_slot(slot: u32) -> Service {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::index::{MacResolver, OriginTable};
     use rtbh_bgp::{BgpUpdate, UpdateKind, UpdateLog};
     use rtbh_fabric::{FlowLog, FlowSample};
     use rtbh_net::{Community, MacAddr, Protocol, Timestamp};
@@ -486,10 +487,21 @@ mod tests {
 
     fn build(flows: Vec<FlowSample>, events: Vec<RtbhEvent>) -> HostAnalysis {
         let updates = UpdateLog::from_updates(vec![bh("10.0.0.7/32")]);
-        let log = FlowLog::from_samples(flows);
-        let index = SampleIndex::build(&updates, &log);
-        let cols = ColumnarFlows::from_log(&log);
-        analyze_hosts(&events, &index, &cols, &config())
+        let enriched = ColumnarFlows::build_enriched(
+            &updates,
+            &FlowLog::from_samples(flows),
+            &MacResolver::from_map(BTreeMap::new()),
+            &OriginTable::build(&[]),
+            Timestamp::EPOCH,
+            1,
+        );
+        let index = SampleIndex::from_columns(
+            enriched.blackholes,
+            enriched.blackhole_prefixes,
+            &enriched.columns,
+            1,
+        );
+        analyze_hosts(&events, &index, &enriched.columns, &config())
     }
 
     #[test]

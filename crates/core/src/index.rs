@@ -6,88 +6,35 @@
 //! that ever appeared in a blackhole announcement, per-prefix time-sorted
 //! sample lists, and a prefix→origin table from the route-server snapshot.
 //!
-//! The per-sample scan is the pipeline's hottest loop (two LPM lookups per
-//! sample over a table dominated by `/32`s), so [`SampleIndex::build`]
-//! first compiles the mutable [`PrefixTrie`] into a cache-friendly
-//! [`FrozenLpm`] and then shards the flow log over worker threads
-//! ([`crate::shard`]), merging per-chunk results in chunk order so the
-//! time-sorted invariant — and byte-identical output for every worker
-//! count — is preserved.
+//! The two LPM walks per sample happen once, in the columnar enrichment
+//! pass ([`crate::columns::ColumnarFlows::build_enriched`]), which records
+//! each sample's destination and source prefix ids. [`SampleIndex`] is
+//! then built from those id columns alone ([`SampleIndex::from_columns`]).
 
 use std::collections::BTreeMap;
 
 use rtbh_bgp::UpdateLog;
-use rtbh_fabric::{FlowLog, FlowSample};
+use rtbh_fabric::FlowSample;
 use rtbh_net::{Asn, FrozenLpm, Ipv4Addr, Prefix, PrefixTrie};
 
 use crate::shard;
 
-/// Index over a flow log keyed by the blackholed prefixes of a corpus.
+/// Index over a columnar sample store keyed by the blackholed prefixes of
+/// a corpus.
 pub struct SampleIndex {
     /// Frozen LPM index over every prefix that ever carried a blackhole
     /// announcement; the payload is the dense prefix id.
     lpm: FrozenLpm<usize>,
     /// Dense id → prefix.
     prefixes: Vec<Prefix>,
-    /// Per prefix id: indices (into the flow log) of samples *towards* the
-    /// prefix (matched by longest prefix), time-sorted.
+    /// Per prefix id: indices (into the sample store) of samples *towards*
+    /// the prefix (matched by longest prefix), time-sorted.
     towards: Vec<Vec<u32>>,
     /// Per prefix id: indices of samples *from* addresses inside the prefix.
     from: Vec<Vec<u32>>,
 }
 
 impl SampleIndex {
-    /// Builds the index from the update log's blackholed prefixes and a
-    /// cleaned flow log, on the calling thread.
-    pub fn build(updates: &UpdateLog, flows: &FlowLog) -> Self {
-        Self::build_with_workers(updates, flows, 1)
-    }
-
-    /// [`SampleIndex::build`] with the sample scan sharded over `workers`
-    /// scoped threads (`0` = one per available core).
-    ///
-    /// Each chunk of the time-sorted flow log produces its own per-prefix
-    /// `towards`/`from` vectors; chunks are merged in chunk order, so the
-    /// concatenated lists stay sorted by sample index (= capture time) and
-    /// the result is identical for every worker count.
-    pub fn build_with_workers(updates: &UpdateLog, flows: &FlowLog, workers: usize) -> Self {
-        let (lpm, prefixes) = compile_blackhole_prefixes(updates);
-
-        let n = prefixes.len();
-        let workers = shard::resolve_workers(workers);
-        let partials = shard::map_chunks(flows.samples(), workers, |start, chunk| {
-            let mut towards = vec![Vec::new(); n];
-            let mut from = vec![Vec::new(); n];
-            for (i, s) in chunk.iter().enumerate() {
-                let sample = (start + i) as u32;
-                if let Some((_, &id)) = lpm.longest_match(s.dst_ip) {
-                    towards[id].push(sample);
-                }
-                if let Some((_, &id)) = lpm.longest_match(s.src_ip) {
-                    from[id].push(sample);
-                }
-            }
-            (towards, from)
-        });
-
-        let mut towards = vec![Vec::new(); n];
-        let mut from = vec![Vec::new(); n];
-        for (chunk_towards, chunk_from) in partials {
-            for (id, mut ids) in chunk_towards.into_iter().enumerate() {
-                towards[id].append(&mut ids);
-            }
-            for (id, mut ids) in chunk_from.into_iter().enumerate() {
-                from[id].append(&mut ids);
-            }
-        }
-        Self {
-            lpm,
-            prefixes,
-            towards,
-            from,
-        }
-    }
-
     /// Builds the index from prefix-id columns the enrichment pass already
     /// computed ([`crate::columns::ColumnarFlows`]), skipping the two
     /// per-sample LPM walks entirely: each worker only buckets the
@@ -97,8 +44,8 @@ impl SampleIndex {
     /// (see `compile_blackhole_prefixes` via
     /// [`crate::columns::ColumnarFlows::build_enriched`]), so the dense ids
     /// line up. Workers bucket whole sealed chunks and the partials merge
-    /// in chunk order — byte-identical to
-    /// [`SampleIndex::build_with_workers`] for every worker count and every
+    /// in chunk order, so each list stays sorted by sample index (= capture
+    /// time) and the index is identical for every worker count and every
     /// chunk capacity.
     pub fn from_columns(
         lpm: FrozenLpm<usize>,
@@ -194,16 +141,6 @@ impl SampleIndex {
             })
             .sum()
     }
-
-    /// Resolves sample indices to samples.
-    pub fn resolve<'a>(
-        &self,
-        flows: &'a FlowLog,
-        ids: &'a [u32],
-    ) -> impl Iterator<Item = &'a FlowSample> + 'a {
-        let samples = flows.samples();
-        ids.iter().map(move |&i| &samples[i as usize])
-    }
 }
 
 /// A longest-prefix origin-AS table built from the corpus's route snapshot,
@@ -264,8 +201,9 @@ impl OriginTable {
 
 /// Compiles the deduplicated blackholed-prefix set of an update log into a
 /// frozen LPM whose payload is the dense prefix id, plus the id → prefix
-/// table (first-announcement order). Shared by [`SampleIndex`] and the
-/// columnar enrichment pass so both agree on prefix ids.
+/// table (first-announcement order). The columnar enrichment pass compiles
+/// it and hands the pair on to [`SampleIndex::from_columns`], so both agree
+/// on prefix ids.
 pub(crate) fn compile_blackhole_prefixes(updates: &UpdateLog) -> (FrozenLpm<usize>, Vec<Prefix>) {
     let mut trie = PrefixTrie::new();
     let mut prefixes = Vec::new();
@@ -318,9 +256,30 @@ impl MacResolver {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::columns::ColumnarFlows;
     use rtbh_bgp::{BgpUpdate, UpdateKind};
-    use rtbh_fabric::FlowSample;
+    use rtbh_fabric::FlowLog;
     use rtbh_net::{Community, MacAddr, Protocol, Timestamp};
+
+    /// The production build: enrich the log into sealed chunks of
+    /// `capacity` rows, then bucket their prefix-id columns.
+    fn index(updates: &UpdateLog, flows: &FlowLog, workers: usize, capacity: usize) -> SampleIndex {
+        let enriched = ColumnarFlows::build_enriched_with_capacity(
+            updates,
+            flows,
+            &MacResolver::from_map(BTreeMap::new()),
+            &OriginTable::build(&[]),
+            Timestamp::EPOCH,
+            workers,
+            capacity,
+        );
+        SampleIndex::from_columns(
+            enriched.blackholes,
+            enriched.blackhole_prefixes,
+            &enriched.columns,
+            workers,
+        )
+    }
 
     fn bh(prefix: &str) -> BgpUpdate {
         BgpUpdate {
@@ -358,7 +317,7 @@ mod tests {
             flow("10.0.0.7", "8.8.8.8"), // from /32
             flow("8.8.8.8", "11.0.0.1"), // unmatched
         ]);
-        let idx = SampleIndex::build(&updates, &flows);
+        let idx = index(&updates, &flows, 1, 0);
         assert_eq!(idx.prefixes().len(), 2);
         let id24 = idx.prefix_id("10.0.0.0/24".parse().unwrap()).unwrap();
         let id32 = idx.prefix_id("10.0.0.7/32".parse().unwrap()).unwrap();
@@ -376,7 +335,7 @@ mod tests {
     #[test]
     fn duplicate_announcements_index_once() {
         let updates = UpdateLog::from_updates(vec![bh("10.0.0.7/32"), bh("10.0.0.7/32")]);
-        let idx = SampleIndex::build(&updates, &FlowLog::new());
+        let idx = index(&updates, &FlowLog::new(), 1, 0);
         assert_eq!(idx.prefixes().len(), 1);
     }
 
@@ -392,17 +351,14 @@ mod tests {
             })
             .collect();
         let flows = FlowLog::from_samples(samples);
-        let reference = SampleIndex::build_with_workers(&updates, &flows, 1);
-        for workers in [2, 3, 16] {
-            let sharded = SampleIndex::build_with_workers(&updates, &flows, workers);
+        let reference = index(&updates, &flows, 1, 0);
+        for (workers, capacity) in [(2, 64), (3, 64), (16, 64), (3, 0)] {
+            let sharded = index(&updates, &flows, workers, capacity);
             assert_eq!(reference.prefixes(), sharded.prefixes());
             for id in 0..reference.prefixes().len() {
-                assert_eq!(
-                    reference.towards(id),
-                    sharded.towards(id),
-                    "{workers} workers"
-                );
-                assert_eq!(reference.from(id), sharded.from(id), "{workers} workers");
+                let label = format!("{workers} workers, capacity {capacity}");
+                assert_eq!(reference.towards(id), sharded.towards(id), "{label}");
+                assert_eq!(reference.from(id), sharded.from(id), "{label}");
             }
         }
     }

@@ -153,13 +153,12 @@ pub struct Analyzer {
     config: AnalyzerConfig,
     clean_report: CleanReport,
     alignment: Option<Alignment>,
-    /// Cleaned, offset-corrected flows.
-    flows: FlowLog,
     events: Vec<RtbhEvent>,
-    /// The enriched columnar store every sample-scanning stage reads.
+    /// The analyzer's one sample store: the cleaned, offset-corrected
+    /// samples as enriched sealed chunks, read by every sample-scanning
+    /// stage.
     columns: ColumnarFlows,
     index: SampleIndex,
-    resolver: MacResolver,
     origins: OriginTable,
     /// Resolved sample-kernel worker count (config's `workers`, with `0`
     /// resolved to the available parallelism).
@@ -177,7 +176,11 @@ impl Analyzer {
     /// enrichment, index build) run chunk-parallel on `config.workers`
     /// scoped threads with a deterministic ordered merge — any worker
     /// count yields the same analyzer state.
-    pub fn new(corpus: Corpus, config: AnalyzerConfig) -> Self {
+    ///
+    /// Preparation consumes the corpus's sample log: once it returns, the
+    /// samples live only in [`Analyzer::columns`], and
+    /// [`Analyzer::corpus`] keeps the static context and the update log.
+    pub fn new(mut corpus: Corpus, config: AnalyzerConfig) -> Self {
         let workers = crate::shard::resolve_workers(config.workers);
         let mut prepare = Vec::new();
 
@@ -192,6 +195,7 @@ impl Analyzer {
             || clean_flows_with_workers(&corpus, workers),
         );
         prepare.push(st);
+        corpus.flows = FlowLog::new();
 
         Self::prepare(corpus, config, clean_report, cleaned, prepare, workers)
     }
@@ -199,22 +203,29 @@ impl Analyzer {
     /// Prepares a corpus whose flow log is **already cleaned** (internal
     /// IXP traffic removed), skipping the clean stage and running the
     /// remaining preparation kernels (align → shift → event inference →
-    /// enrichment → index) exactly as [`Analyzer::new`] would.
+    /// enrichment → index) exactly as [`Analyzer::new`] would. The log is
+    /// moved out of the corpus, not copied.
     ///
     /// This is the finalizer path of the streaming analyzer
     /// ([`crate::stream`]): the stream cleans samples on ingest while
     /// accumulating the same [`CleanReport`] counters, so replaying its
     /// accumulated logs through this constructor reproduces the batch
     /// [`FullReport`] byte-for-byte (pinned by the `stream_diff` suite).
-    pub fn from_cleaned(corpus: Corpus, config: AnalyzerConfig, clean_report: CleanReport) -> Self {
+    pub(crate) fn from_cleaned(
+        mut corpus: Corpus,
+        config: AnalyzerConfig,
+        clean_report: CleanReport,
+    ) -> Self {
         let workers = crate::shard::resolve_workers(config.workers);
-        let cleaned = corpus.flows.clone();
+        let cleaned = std::mem::take(&mut corpus.flows);
         Self::prepare(corpus, config, clean_report, cleaned, Vec::new(), workers)
     }
 
     /// The shared preparation tail: every kernel after cleaning, in batch
     /// order. `cleaned` must hold the corpus's samples with internal
-    /// traffic removed, in original log order.
+    /// traffic removed, in original log order; `corpus.flows` is empty.
+    /// Each intermediate log is dropped as soon as the next kernel has
+    /// read it, so the analyzer ends up holding the columns alone.
     fn prepare(
         corpus: Corpus,
         config: AnalyzerConfig,
@@ -267,6 +278,7 @@ impl Analyzer {
                 || shift_flows_with_workers(&cleaned, offset, workers),
             );
             prepare.push(st);
+            drop(cleaned);
             flows
         };
 
@@ -309,13 +321,14 @@ impl Analyzer {
             },
         );
         prepare.push(st);
+        drop(flows);
         let columns = enriched.columns;
 
         let (index, st) = profile::time_stage_with_workers(
             "index",
             Footprint {
                 updates: updates_total,
-                samples: flows.len() as u64,
+                samples: columns.len() as u64,
                 events: 0,
             },
             workers,
@@ -335,11 +348,9 @@ impl Analyzer {
             config,
             clean_report,
             alignment,
-            flows,
             events,
             columns,
             index,
-            resolver,
             origins,
             kernel_workers: workers,
             prepare,
@@ -352,7 +363,10 @@ impl Analyzer {
         Self::new(corpus, config)
     }
 
-    /// The corpus under analysis.
+    /// The corpus under analysis, minus its sample log: preparation
+    /// consumes `flows` (it is empty here), so the samples are read
+    /// through [`Analyzer::columns`] and their count through
+    /// [`Analyzer::clean_report`].
     pub fn corpus(&self) -> &Corpus {
         &self.corpus
     }
@@ -372,13 +386,8 @@ impl Analyzer {
         self.alignment.as_ref()
     }
 
-    /// The cleaned, aligned flow log.
-    pub fn flows(&self) -> &FlowLog {
-        &self.flows
-    }
-
-    /// The enriched columnar flow store (same samples as
-    /// [`Analyzer::flows`], in the same order).
+    /// The enriched columnar flow store: the cleaned, clock-aligned
+    /// samples in capture order, the analyzer's only copy of them.
     pub fn columns(&self) -> &ColumnarFlows {
         &self.columns
     }
@@ -391,11 +400,6 @@ impl Analyzer {
     /// The shared sample index.
     pub fn index(&self) -> &SampleIndex {
         &self.index
-    }
-
-    /// The MAC→member resolver.
-    pub fn resolver(&self) -> &MacResolver {
-        &self.resolver
     }
 
     /// The resolved sample-kernel worker count (`config.workers`, with `0`
@@ -499,7 +503,7 @@ impl Analyzer {
     fn footprint_updates_flows(&self) -> Footprint {
         Footprint {
             updates: self.corpus.updates.len() as u64,
-            samples: self.flows.len() as u64,
+            samples: self.columns.len() as u64,
             events: 0,
         }
     }

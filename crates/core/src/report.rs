@@ -9,7 +9,10 @@ use crate::classify::UseCase;
 use crate::corpus::Corpus;
 use crate::pipeline::FullReport;
 
-/// Renders the operator summary of a full analysis.
+/// Renders the operator summary of a full analysis. `corpus` supplies the
+/// static context and the update log; the sample count is the cleaning
+/// report's total, since an [`Analyzer`](crate::Analyzer) keeps no sample
+/// log.
 pub fn render_report(report: &FullReport, corpus: &Corpus) -> String {
     let mut out = String::new();
     let headline = report.headline();
@@ -21,7 +24,7 @@ pub fn render_report(report: &FullReport, corpus: &Corpus) -> String {
         corpus.period,
         corpus.members.len(),
         corpus.updates.len(),
-        corpus.flows.len(),
+        report.clean.total,
         corpus.sampling_rate
     );
     let _ = writeln!(

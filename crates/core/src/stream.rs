@@ -32,10 +32,10 @@
 //!
 //! The stream accumulates the applied updates and the cleaned samples into
 //! ordinary [`UpdateLog`]/[`FlowLog`]s alongside its live state. The
-//! finalizer ([`StreamAnalyzer::into_analyzer`]) hands those logs — plus
-//! the [`CleanReport`] counters accumulated on ingest — to
-//! [`Analyzer::from_cleaned`], which runs the exact batch preparation and
-//! analysis kernels. For any feed that delivers every event within the
+//! finalizer ([`StreamAnalyzer::into_analyzer`]) drops the live state and
+//! moves those logs — plus the [`CleanReport`] counters accumulated on
+//! ingest — into the batch [`Analyzer`]'s preparation tail: the exact batch
+//! kernels after cleaning. For any feed that delivers every event within the
 //! lateness bound, the accumulated logs are byte-equal to the batch
 //! pipeline's inputs, so **the finalized [`FullReport`] is byte-identical
 //! to `Analyzer::full`'s** (pinned across chunk capacities, feed batch
@@ -812,22 +812,30 @@ impl StreamAnalyzer {
     /// Finalizes into a batch [`Analyzer`] over the accumulated logs: the
     /// stream's cleaned flows and applied updates replace the template's
     /// empty logs and the ingest-time [`CleanReport`] carries the clean
-    /// counters, so [`Analyzer::from_cleaned`] reruns the exact batch
-    /// kernels (align → shift → events → enrich → index → stages).
+    /// counters, so the analyzer reruns the exact batch kernels after
+    /// cleaning (align → shift → events → enrich → index → stages).
     ///
     /// Call [`StreamAnalyzer::finish`] first; this consumes the stream.
+    /// The ring, the prefix runs and the journal are freed before the
+    /// batch kernels run.
     pub fn into_analyzer(self) -> Analyzer {
-        let clean_report = CleanReport {
-            total: self.clean_total,
-            internal_removed: self.internal_removed,
+        // Consumed in this scope, so every field not moved out is dropped
+        // here rather than after preparation returns.
+        let (corpus, config, clean_report) = {
+            let stream = self;
+            let clean_report = CleanReport {
+                total: stream.clean_total,
+                internal_removed: stream.internal_removed,
+            };
+            let corpus = Corpus {
+                updates: stream.updates,
+                flows: stream.flows,
+                caches: Default::default(),
+                ..stream.template
+            };
+            (corpus, stream.config.analyzer, clean_report)
         };
-        let corpus = Corpus {
-            updates: self.updates,
-            flows: self.flows,
-            caches: Default::default(),
-            ..self.template
-        };
-        Analyzer::from_cleaned(corpus, self.config.analyzer, clean_report)
+        Analyzer::from_cleaned(corpus, config, clean_report)
     }
 
     /// The verdict journal emitted so far (post-[`resume_from`] floor).

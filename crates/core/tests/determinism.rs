@@ -4,7 +4,7 @@
 //! `Analyzer::full` runs its stage chains inline at one kernel worker and
 //! on scoped threads above one, so a 1-worker analyzer is the sequential
 //! reference. Every analysis stage is a pure function of shared immutable
-//! inputs (`&SampleIndex`, `&FlowLog`, `&[RtbhEvent]`), and every map in
+//! inputs (`&SampleIndex`, `&ColumnarFlows`, `&[RtbhEvent]`), and every map in
 //! the report types is a `BTreeMap`, so the two schedules must serialize
 //! to byte-identical JSON. Any divergence means a stage grew hidden
 //! mutable state or nondeterministic iteration — exactly the class of bug
@@ -13,6 +13,7 @@
 use rtbh_core::corpus::Corpus;
 use rtbh_core::pipeline::AnalyzerConfig;
 use rtbh_core::profile::ExecutionMode;
+use rtbh_core::stream::{StreamConfig, StreamDriver};
 use rtbh_core::Analyzer;
 use rtbh_sim::ScenarioConfig;
 
@@ -162,4 +163,28 @@ fn profile_serializes_to_json() {
         json.field("total_wall_ns"),
         rtbh_json::Json::U64(_)
     ));
+}
+
+#[test]
+fn prepared_analyzers_hold_one_sample_store() {
+    // Preparation consumes the sample log, in batch and at the stream's
+    // finalize alike: the kept samples live on only as columns, and the
+    // cleaning report carries the count of samples fed.
+    let out = rtbh_sim::run(&ScenarioConfig::tiny());
+    let fed = out.corpus.flows.len();
+    let batch = analyzer_at(&out.corpus, 2);
+    let stream = StreamDriver::new(4096)
+        .replay(&out.corpus, StreamConfig::for_corpus(&out.corpus))
+        .analyzer;
+    for (path, analyzer) in [("batch", &batch), ("stream", &stream)] {
+        let clean = analyzer.clean_report();
+        assert!(analyzer.corpus().flows.is_empty(), "{path}");
+        assert_eq!(clean.total, fed, "{path}");
+        assert!(clean.internal_removed > 0, "{path}: nothing was cleaned");
+        assert_eq!(
+            analyzer.columns().len(),
+            clean.total - clean.internal_removed,
+            "{path}"
+        );
+    }
 }

@@ -30,6 +30,7 @@ use rtbh_core::filter::{
     FlagCol, IdDict, Predicate, SelectionMask,
 };
 use rtbh_core::pipeline::{Analyzer, AnalyzerConfig};
+use rtbh_core::Corpus;
 use rtbh_rng::Rng;
 use rtbh_testkit::FuzzTarget;
 
@@ -42,14 +43,19 @@ fn target(test_name: &'static str, base_seed: u64) -> FuzzTarget {
     }
 }
 
+/// The suite's tiny corpus.
+fn corpus() -> Corpus {
+    rtbh_sim::run(&rtbh_sim::ScenarioConfig::tiny()).corpus
+}
+
 /// One tiny prepared corpus for the whole suite (preparation is far too
 /// slow to run per fuzz case; the kernels under test are pure readers).
 fn analyzer() -> &'static Analyzer {
     static ANALYZER: OnceLock<Analyzer> = OnceLock::new();
     ANALYZER.get_or_init(|| {
-        let out = rtbh_sim::run(&rtbh_sim::ScenarioConfig::tiny());
-        let config = AnalyzerConfig::for_corpus(&out.corpus).with_workers(2);
-        Analyzer::new(out.corpus, config)
+        let corpus = corpus();
+        let config = AnalyzerConfig::for_corpus(&corpus).with_workers(2);
+        Analyzer::new(corpus, config)
     })
 }
 
@@ -186,7 +192,9 @@ fn dictionary_lists_match_index_and_scatter_matches_filtered_scan() {
 #[test]
 fn filter_aggregates_identical_across_chunk_capacities() {
     let analyzer = analyzer();
-    let corpus = analyzer.corpus().clone();
+    // Preparation consumes a corpus's samples, so every case re-prepares
+    // a fresh copy of the suite's corpus.
+    let corpus = corpus();
     let period = corpus.period;
     let span = (period.start.as_millis(), period.end.as_millis());
     let base = AnalyzerConfig::for_corpus(&corpus);

@@ -24,7 +24,7 @@ use rtbh_bgp::{BgpUpdate, UpdateKind, UpdateLog};
 use rtbh_core::columns::ColumnarFlows;
 use rtbh_core::events::RtbhEvent;
 use rtbh_core::hosts::{analyze_hosts, HostAnalysis, HostClass, HostConfig, HostRecord};
-use rtbh_core::index::SampleIndex;
+use rtbh_core::index::{MacResolver, OriginTable, SampleIndex};
 use rtbh_core::pipeline::AnalyzerConfig;
 use rtbh_core::Analyzer;
 use rtbh_fabric::{FlowLog, FlowSample};
@@ -424,14 +424,24 @@ fn sweep_matches_the_tree_map_kernel_on_generated_logs() {
     };
     target.run(400, |_, rng| {
         let case = arb_case(rng);
-        let index =
-            SampleIndex::build_with_workers(&case.updates, &case.flows, rng.gen_range(1..=3));
-        let cols = if rng.gen_bool(0.5) {
-            ColumnarFlows::from_log(&case.flows)
-        } else {
-            ColumnarFlows::from_log_with_capacity(&case.flows, 64)
-        };
-        assert_same(&case.events, &index, &cols, &case.config);
+        let workers = rng.gen_range(1..=3);
+        let capacity = if rng.gen_bool(0.5) { 0 } else { 64 };
+        let enriched = ColumnarFlows::build_enriched_with_capacity(
+            &case.updates,
+            &case.flows,
+            &MacResolver::from_map(BTreeMap::new()),
+            &OriginTable::build(&[]),
+            Timestamp::EPOCH,
+            workers,
+            capacity,
+        );
+        let index = SampleIndex::from_columns(
+            enriched.blackholes,
+            enriched.blackhole_prefixes,
+            &enriched.columns,
+            workers,
+        );
+        assert_same(&case.events, &index, &enriched.columns, &case.config);
     });
 }
 

@@ -3,8 +3,9 @@
 # BENCH_filters.json, BENCH_serve.json and BENCH_stream.json: builds
 # release, simulates a corpus, times the analysis stages of a 1-worker
 # analyzer (every stage inline on one thread) against an all-cores one
-# (stage chains on scoped threads; best-of-N each), runs the LPM/index
-# micro-bench (trie vs frozen lookups, 1-vs-N-worker index builds), the
+# (stage chains on scoped threads; best-of-N each; the prepare:index rows
+# time the index build at one worker and at all cores), runs the LPM
+# micro-bench (trie vs frozen lookups), the
 # flow-store micro-bench (AoS vs columnar vs columnar+enriched kernel
 # scans), the predicate-pushdown bench (naive rowwise vs masked kernels vs
 # masked+chunk-pruned on one thread, answers byte-checked against the
@@ -28,7 +29,7 @@ reps="${2:-3}"
 cargo build --release -p rtbh-bench --bin pipeline_bench
 
 # pipeline_bench exits non-zero when the 1-worker and all-cores reports
-# are not byte-identical (or the index/flow-store micro-benches diverge),
+# are not byte-identical (or the LPM/flow-store micro-benches diverge),
 # --flows-floor additionally fails the run if the enriched-kernel speedup
 # vs the AoS baseline regresses below 5x, --filters/--filters-floor fail
 # it if any masked filter answer diverges from the naive rowwise
@@ -46,6 +47,6 @@ if ! ./target/release/pipeline_bench --scale "$scale" --reps "$reps" \
     --filters --filters-out BENCH_filters.json --filters-floor 4 \
     --serve --serve-out BENCH_serve.json --serve-floor 200 \
     --stream --stream-out BENCH_stream.json --stream-floor 100000; then
-    echo "bench_pipeline: FAILED — report identity, index/flow-store/filter/serve/stream equivalence, the 5x enriched-kernel floor, the 4x masked-filter floor, the 200 q/s serve floor or the 100k events/s stream floor did not pass" >&2
+    echo "bench_pipeline: FAILED — report identity, LPM/flow-store/filter/serve/stream equivalence, the 5x enriched-kernel floor, the 4x masked-filter floor, the 200 q/s serve floor or the 100k events/s stream floor did not pass" >&2
     exit 1
 fi

@@ -447,7 +447,7 @@ fn analyze(args: Vec<String>) {
             ),
             (
                 "samples".to_string(),
-                analyzer.corpus().flows.len().to_json(),
+                analyzer.clean_report().total.to_json(),
             ),
             ("events".to_string(), analyzer.events().len().to_json()),
             ("profile".to_string(), profile.to_json()),

@@ -159,3 +159,31 @@ fn analyze_threads_pick_the_schedule_not_the_report() {
 
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// `rtbh stream` opens with the batch report: on one corpus its stdout
+/// starts with `rtbh analyze`'s, byte for byte, sample count included.
+#[test]
+fn stream_prints_the_batch_report_first() {
+    let dir = scratch_dir("stream");
+    let corpus = dir.join("corpus.rtbh");
+    let corpus_str = corpus.to_str().unwrap();
+    let out = rtbh(&["simulate", "--tiny", "--seed", "42", corpus_str]);
+    assert_eq!(out.status.code(), Some(0), "simulate failed: {out:?}");
+
+    let analyze = rtbh(&["analyze", corpus_str]);
+    assert_eq!(
+        analyze.status.code(),
+        Some(0),
+        "analyze failed: {analyze:?}"
+    );
+    let stream = rtbh(&["stream", corpus_str]);
+    assert_eq!(stream.status.code(), Some(0), "stream failed: {stream:?}");
+    assert!(
+        stream.stdout.starts_with(&analyze.stdout),
+        "stream report differs from analyze:\n{}\n---\n{}",
+        String::from_utf8_lossy(&stream.stdout),
+        String::from_utf8_lossy(&analyze.stdout)
+    );
+
+    std::fs::remove_dir_all(&dir).ok();
+}
