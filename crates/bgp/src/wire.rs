@@ -21,18 +21,27 @@ const ATTR_AS_PATH: u8 = 2;
 const ATTR_NEXT_HOP: u8 = 3;
 const ATTR_COMMUNITIES: u8 = 8;
 /// Attribute flags.
+const FLAG_EXTENDED_LENGTH: u8 = 0x10;
 const FLAG_TRANSITIVE: u8 = 0x40;
 const FLAG_OPTIONAL: u8 = 0x80;
+/// Length of the BGP message header (marker, length, type).
+const HEADER_LEN: usize = 19;
+
+/// The largest BGP message, header included (RFC 4271 §4).
+pub const MAX_MESSAGE_LEN: usize = 4096;
 /// AS_PATH segment type.
 const AS_SEQUENCE: u8 = 2;
 
-/// A decoding failure.
+/// A decoding or encoding failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WireError {
     /// The buffer ended before the structure did.
     Truncated(&'static str),
     /// A field held an impossible value.
     Invalid(&'static str),
+    /// An update would encode to a message of this many bytes, more than
+    /// [`MAX_MESSAGE_LEN`] allows.
+    Oversized(usize),
 }
 
 impl std::fmt::Display for WireError {
@@ -40,11 +49,26 @@ impl std::fmt::Display for WireError {
         match self {
             WireError::Truncated(what) => write!(f, "truncated {what}"),
             WireError::Invalid(what) => write!(f, "invalid {what}"),
+            WireError::Oversized(len) => write!(
+                f,
+                "message of {len} bytes exceeds the {MAX_MESSAGE_LEN}-byte limit"
+            ),
         }
     }
 }
 
 impl std::error::Error for WireError {}
+
+/// A length field's value. Every length the encoder writes is bounded by
+/// [`MAX_MESSAGE_LEN`], which `encode_update` checks before writing any.
+fn len16(len: usize) -> u16 {
+    u16::try_from(len).expect("lengths are bounded by the message limit")
+}
+
+/// Bytes of a prefix in BGP NLRI form.
+fn nlri_len(prefix: Prefix) -> usize {
+    1 + prefix.len().div_ceil(8) as usize
+}
 
 /// Encodes a prefix in BGP NLRI form: length byte + ceil(len/8) bytes.
 fn put_nlri(buf: &mut Vec<u8>, prefix: Prefix) {
@@ -75,6 +99,25 @@ fn get_nlri(buf: &mut Reader<'_>) -> Result<Prefix, WireError> {
     .ok_or(WireError::Invalid("NLRI prefix"))
 }
 
+/// Appends one path attribute: flags, type code, then a one-octet length,
+/// or a two-octet one with the Extended Length flag set when the body
+/// exceeds 255 bytes (RFC 4271 §4.3).
+fn put_attr(buf: &mut Vec<u8>, flags: u8, code: u8, body: &[u8]) {
+    match u8::try_from(body.len()) {
+        Ok(len) => {
+            buf.put_u8(flags);
+            buf.put_u8(code);
+            buf.put_u8(len);
+        }
+        Err(_) => {
+            buf.put_u8(flags | FLAG_EXTENDED_LENGTH);
+            buf.put_u8(code);
+            buf.put_u16(len16(body.len()));
+        }
+    }
+    buf.put_slice(body);
+}
+
 /// Encodes one [`BgpUpdate`] as a complete BGP UPDATE message
 /// (header + withdrawn routes / path attributes + NLRI).
 ///
@@ -83,13 +126,19 @@ fn get_nlri(buf: &mut Reader<'_>) -> Result<Prefix, WireError> {
 /// in the withdrawn-routes section. Timestamps and the sending peer are
 /// transport-level metadata and live in the MRT framing (see
 /// [`encode_update_log`]).
-pub fn encode_update(update: &BgpUpdate) -> Vec<u8> {
+///
+/// # Errors
+///
+/// [`WireError::Oversized`] when the message would exceed
+/// [`MAX_MESSAGE_LEN`] bytes — an announcement carrying about a thousand
+/// communities.
+pub fn encode_update(update: &BgpUpdate) -> Result<Vec<u8>, WireError> {
     let mut body = Vec::with_capacity(64);
     match update.kind {
         UpdateKind::Withdraw => {
             let mut withdrawn = Vec::new();
             put_nlri(&mut withdrawn, update.prefix);
-            body.put_u16(withdrawn.len() as u16);
+            body.put_u16(len16(withdrawn.len()));
             body.put_slice(&withdrawn);
             body.put_u16(0); // no path attributes
         }
@@ -113,26 +162,41 @@ pub fn encode_update(update: &BgpUpdate) -> Vec<u8> {
             attrs.put_u8(ATTR_NEXT_HOP);
             attrs.put_u8(4);
             attrs.put_u32(update.next_hop.to_u32());
-            // COMMUNITIES (optional transitive).
+            // COMMUNITIES (optional transitive), the one attribute whose
+            // size varies: the whole message's size is checked before any
+            // length field is written (the 4 bytes are the withdrawn-routes
+            // and attributes length fields).
             if !update.communities.is_empty() {
-                attrs.put_u8(FLAG_OPTIONAL | FLAG_TRANSITIVE);
-                attrs.put_u8(ATTR_COMMUNITIES);
-                attrs.put_u8((update.communities.len() * 4) as u8);
-                for c in &update.communities {
-                    attrs.put_u32(c.to_u32());
+                let value_len = 4 * update.communities.len();
+                let header_len = if value_len > 255 { 4 } else { 3 };
+                let len =
+                    HEADER_LEN + 4 + attrs.len() + header_len + value_len + nlri_len(update.prefix);
+                if len > MAX_MESSAGE_LEN {
+                    return Err(WireError::Oversized(len));
                 }
+                let mut communities = Vec::with_capacity(value_len);
+                for c in &update.communities {
+                    communities.put_u32(c.to_u32());
+                }
+                put_attr(
+                    &mut attrs,
+                    FLAG_OPTIONAL | FLAG_TRANSITIVE,
+                    ATTR_COMMUNITIES,
+                    &communities,
+                );
             }
-            body.put_u16(attrs.len() as u16);
+            body.put_u16(len16(attrs.len()));
             body.put_slice(&attrs);
             put_nlri(&mut body, update.prefix);
         }
     }
-    let mut msg = Vec::with_capacity(19 + body.len());
+    let len = HEADER_LEN + body.len();
+    let mut msg = Vec::with_capacity(len);
     msg.put_slice(&[0xFF; 16]); // marker
-    msg.put_u16(19 + body.len() as u16);
+    msg.put_u16(len16(len));
     msg.put_u8(MSG_UPDATE);
     msg.put_slice(&body);
-    msg
+    Ok(msg)
 }
 
 /// The attributes of a decoded announcement.
@@ -282,16 +346,20 @@ pub fn decode_update(msg: &[u8], at: Timestamp, peer: Asn) -> Result<Vec<BgpUpda
 /// MRT-style record framing: `timestamp_ms: i64 | peer: u32 | len: u16 |
 /// message bytes`, repeated. Enough to persist and replay an update log
 /// byte-exactly.
-pub fn encode_update_log(log: &UpdateLog) -> Vec<u8> {
+///
+/// # Errors
+///
+/// The first update [`encode_update`] rejects.
+pub fn encode_update_log(log: &UpdateLog) -> Result<Vec<u8>, WireError> {
     let mut buf = Vec::new();
     for u in log.updates() {
-        let msg = encode_update(u);
+        let msg = encode_update(u)?;
         buf.put_i64(u.at.as_millis());
         buf.put_u32(u.peer.value());
-        buf.put_u16(msg.len() as u16);
+        buf.put_u16(len16(msg.len()));
         buf.put_slice(&msg);
     }
-    buf
+    Ok(buf)
 }
 
 /// Decodes an MRT-style stream back into an update log.
@@ -338,7 +406,7 @@ mod tests {
     #[test]
     fn announce_round_trips() {
         let u = announce();
-        let bytes = encode_update(&u);
+        let bytes = encode_update(&u).unwrap();
         let decoded = decode_update(&bytes, u.at, u.peer).unwrap();
         assert_eq!(decoded.len(), 1);
         assert_eq!(decoded[0], u);
@@ -348,7 +416,7 @@ mod tests {
     fn withdraw_round_trips_as_bare_retraction() {
         let mut u = announce();
         u.kind = UpdateKind::Withdraw;
-        let bytes = encode_update(&u);
+        let bytes = encode_update(&u).unwrap();
         let decoded = decode_update(&bytes, u.at, u.peer).unwrap();
         assert_eq!(decoded.len(), 1);
         assert_eq!(decoded[0].prefix, u.prefix);
@@ -370,7 +438,7 @@ mod tests {
         ] {
             let mut u = announce();
             u.prefix = prefix.parse().unwrap();
-            let bytes = encode_update(&u);
+            let bytes = encode_update(&u).unwrap();
             // header 19 + withdrawn-len 2 + attrs-len 2
             // + attrs (ORIGIN 4 + AS_PATH 9 + NEXT_HOP 7 + 2 COMMUNITIES 11 = 31)
             // + NLRI (1 length byte + packed network bytes).
@@ -382,7 +450,7 @@ mod tests {
 
     #[test]
     fn corrupted_marker_rejected() {
-        let mut raw = encode_update(&announce());
+        let mut raw = encode_update(&announce()).unwrap();
         raw[0] = 0;
         let err = decode_update(&raw, Timestamp::EPOCH, Asn(1)).unwrap_err();
         assert_eq!(err, WireError::Invalid("marker"));
@@ -390,7 +458,7 @@ mod tests {
 
     #[test]
     fn truncated_message_rejected() {
-        let raw = encode_update(&announce());
+        let raw = encode_update(&announce()).unwrap();
         for cut in [0, 5, 18, 21, raw.len() - 1] {
             assert!(
                 decode_update(&raw[..cut], Timestamp::EPOCH, Asn(1)).is_err(),
@@ -401,7 +469,7 @@ mod tests {
 
     #[test]
     fn oversized_nlri_length_rejected() {
-        let mut raw = encode_update(&announce());
+        let mut raw = encode_update(&announce()).unwrap();
         let idx = raw.len() - 5; // NLRI length byte of the /32
         assert_eq!(raw[idx], 32);
         raw[idx] = 33;
@@ -419,7 +487,7 @@ mod tests {
         withdraw.communities.clear();
         withdraw.next_hop = Ipv4Addr::UNSPECIFIED;
         let log = UpdateLog::from_updates(vec![announce(), withdraw]);
-        let bytes = encode_update_log(&log);
+        let bytes = encode_update_log(&log).unwrap();
         let decoded = decode_update_log(&bytes).unwrap();
         assert_eq!(decoded, log);
     }
@@ -427,8 +495,61 @@ mod tests {
     #[test]
     fn empty_log_is_empty_bytes() {
         let log = UpdateLog::new();
-        let bytes = encode_update_log(&log);
+        let bytes = encode_update_log(&log).unwrap();
         assert!(bytes.is_empty());
         assert_eq!(decode_update_log(&bytes).unwrap(), log);
+    }
+
+    /// An announcement of `n` communities towards `prefix`.
+    fn with_communities(prefix: &str, n: usize) -> BgpUpdate {
+        BgpUpdate {
+            prefix: prefix.parse().unwrap(),
+            communities: (0..n).map(|i| Community::new(65_000, i as u16)).collect(),
+            ..announce()
+        }
+    }
+
+    #[test]
+    fn communities_past_255_bytes_use_the_extended_length() {
+        for n in [63usize, 64, 65, 338, 700] {
+            let u = with_communities("203.0.113.7/32", n);
+            let bytes = encode_update(&u).unwrap();
+            // ORIGIN 4 + AS_PATH 9 + NEXT_HOP 7 precede the COMMUNITIES
+            // attribute, which starts 19 + 2 + 2 bytes in.
+            let flags = bytes[23 + 20];
+            let extended = flags & FLAG_EXTENDED_LENGTH != 0;
+            assert_eq!(extended, 4 * n > 255, "{n} communities");
+            let header = if extended { 4 } else { 3 };
+            assert_eq!(bytes.len(), 19 + 2 + 2 + 20 + header + 4 * n + 5);
+            let decoded = decode_update(&bytes, u.at, u.peer).unwrap();
+            assert_eq!(decoded, vec![u], "{n} communities");
+        }
+    }
+
+    #[test]
+    fn short_attributes_keep_their_one_octet_length() {
+        // 63 communities fill 252 bytes: the last one-octet length.
+        let bytes = encode_update(&with_communities("10.0.0.0/8", 63)).unwrap();
+        assert_eq!(bytes[23 + 20], FLAG_OPTIONAL | FLAG_TRANSITIVE);
+        assert_eq!(bytes[23 + 22], 252);
+    }
+
+    #[test]
+    fn messages_past_4096_bytes_are_a_typed_error() {
+        // A /32 announcement spends 52 bytes besides the communities
+        // (header 19, lengths 4, attributes 20 + 4, NLRI 5): 1011 fit.
+        let max = (MAX_MESSAGE_LEN - 52) / 4;
+        let fits = encode_update(&with_communities("203.0.113.7/32", max)).unwrap();
+        assert_eq!(fits.len(), MAX_MESSAGE_LEN);
+        let over = with_communities("203.0.113.7/32", max + 1);
+        assert_eq!(
+            encode_update(&over),
+            Err(WireError::Oversized(MAX_MESSAGE_LEN + 4))
+        );
+        let log = UpdateLog::from_updates(vec![announce(), over]);
+        assert_eq!(
+            encode_update_log(&log),
+            Err(WireError::Oversized(MAX_MESSAGE_LEN + 4))
+        );
     }
 }

@@ -193,7 +193,7 @@ fn wire_announce_round_trips() {
             communities: arb_communities(&mut rng),
             next_hop: Ipv4Addr::from_u32(rng.next_u32()),
         };
-        let bytes = rtbh_bgp::encode_update(&u);
+        let bytes = rtbh_bgp::encode_update(&u).unwrap();
         let decoded = rtbh_bgp::decode_update(&bytes, u.at, u.peer).unwrap();
         assert_eq!(decoded.len(), 1);
         assert_eq!(&decoded[0], &u);
@@ -232,7 +232,7 @@ fn wire_log_round_trips() {
             .collect();
         updates.sort_by_key(|u| u.at);
         let log = UpdateLog::from_updates(updates);
-        let bytes = rtbh_bgp::encode_update_log(&log);
+        let bytes = rtbh_bgp::encode_update_log(&log).unwrap();
         let decoded = rtbh_bgp::decode_update_log(&bytes).unwrap();
         assert_eq!(decoded, log);
     }
@@ -252,7 +252,8 @@ fn wire_decoder_never_panics_on_garbage() {
         // Also fuzz around a valid message so the parser's deeper branches
         // get exercised, not just the marker check.
         let mut msg =
-            rtbh_bgp::encode_update(&update(1, arb_prefix(&mut rng), UpdateKind::Announce));
+            rtbh_bgp::encode_update(&update(1, arb_prefix(&mut rng), UpdateKind::Announce))
+                .unwrap();
         if !msg.is_empty() {
             let idx = rng.gen_range(0usize..msg.len());
             msg[idx] ^= 1 << rng.gen_range(0u8..8);

@@ -34,6 +34,21 @@ impl Alignment {
     pub fn best_overlap(&self) -> f64 {
         self.scan.best.overlap
     }
+
+    /// The alignment of per-shard partial votes, merged in order (the
+    /// integer sums are exact, so any sharding gives the same curve).
+    /// `None` without partials (an invalid grid) or without a dropped
+    /// sample.
+    pub(crate) fn from_votes(partials: Vec<OffsetVotes>) -> Option<Self> {
+        let votes = partials.into_iter().reduce(|mut all, partial| {
+            all.merge(&partial);
+            all
+        })?;
+        Some(Self {
+            scan: votes.scan()?,
+            dropped_samples: votes.samples(),
+        })
+    }
 }
 
 /// Estimates the clock offset between the flow log and the update log over
@@ -58,6 +73,12 @@ pub fn estimate_offset(
 /// [`FrozenLpm`] of the blackhole activity intervals and counts their
 /// [`OffsetVotes`]; the chunks' integer votes add exactly, so the curve and
 /// argmax are identical for every worker count.
+///
+/// [`crate::pipeline::Analyzer`] no longer calls this: its prepare counts
+/// the same votes in its first pass over the raw log. The function stays
+/// for the benchmark's per-layer sweep and as the oracle of the
+/// `prepare_diff` suite, and moves to `rtbh-testkit` once the benchmark
+/// harness stops calling it.
 pub fn estimate_offset_with_workers(
     updates: &UpdateLog,
     flows: &FlowLog,
@@ -81,14 +102,7 @@ pub fn estimate_offset_with_workers(
             votes
         },
     );
-    let votes = chunks.into_iter().reduce(|mut all, chunk| {
-        all.merge(&chunk);
-        all
-    })?;
-    Some(Alignment {
-        scan: votes.scan()?,
-        dropped_samples: votes.samples(),
-    })
+    Alignment::from_votes(chunks)
 }
 
 /// Shifts every sample timestamp by `offset` (aligning the data plane onto
@@ -104,6 +118,12 @@ pub fn shift_flows(flows: &FlowLog, offset: TimeDelta) -> FlowLog {
 /// no re-sort. Otherwise each chunk of the time-sorted log is shifted
 /// independently and the chunks are re-concatenated in order (a constant
 /// shift preserves the time order, so the result is already sorted).
+///
+/// [`crate::pipeline::Analyzer`] no longer calls this: its prepare stamps
+/// the corrected timestamps while sealing the chunks. The function stays
+/// for the benchmark's per-layer sweep and as the oracle of the
+/// `prepare_diff` suite, and moves to `rtbh-testkit` once the benchmark
+/// harness stops calling it.
 pub fn shift_flows_with_workers(flows: &FlowLog, offset: TimeDelta, workers: usize) -> FlowLog {
     if offset == TimeDelta::ZERO {
         return flows.clone();

@@ -40,6 +40,12 @@ pub fn clean_flows(corpus: &Corpus) -> (FlowLog, CleanReport) {
 /// (`0` = one per available core). Chunks are contiguous and concatenated
 /// in order, so the kept-sample order — and the resulting log — is
 /// identical for every worker count.
+///
+/// [`crate::pipeline::Analyzer`] no longer calls this: its prepare finds
+/// the internal samples in its first pass and skips them while sealing,
+/// without copying the log. The function stays for the benchmark's
+/// per-layer sweep and as the oracle of the `prepare_diff` suite, and
+/// moves to `rtbh-testkit` once the benchmark harness stops calling it.
 pub fn clean_flows_with_workers(corpus: &Corpus, workers: usize) -> (FlowLog, CleanReport) {
     let internal: BTreeSet<_> = corpus.internal_macs.iter().copied().collect();
     let total = corpus.flows.len();

@@ -6,21 +6,25 @@
 //! [`ColumnarFlows`] stores the cleaned, aligned flow log as a sequence of
 //! immutable **sealed chunks** ([`SealedChunk`]): fixed-capacity column
 //! slabs — timestamps, addresses, ports, protocol, packet length — plus
-//! per-sample ids a single parallel **enrichment pass** precomputes once:
+//! per-sample ids a single parallel **enrichment pass** precomputes once.
+//! Prepare runs that pass straight over the raw corpus log: it skips the
+//! internal samples its first pass found and stamps the clock-corrected
+//! timestamp as it seals, so no cleaned or shifted copy of the log exists.
+//! The per-sample ids are:
 //!
-//! * ingress/egress member ASN (via [`MacResolver`]), interned into a
-//!   sorted ASN table;
-//! * the origin AS of the source address ([`OriginTable`] LPM), interned
-//!   into the same table;
+//! * ingress/egress member ASN (from the member directory, a
+//!   [`MacResolver`]), interned into a sorted ASN table;
+//! * the origin AS of the source address (an [`OriginTable`] LPM),
+//!   interned into the same table;
 //! * the dense covering blackhole-prefix id for destination and source —
 //!   the very ids [`SampleIndex`](crate::index::SampleIndex) uses, so the
 //!   index build degrades to bucketing precomputed ids;
 //! * the covering *interval-holding* prefix id plus an *active* bit:
 //!   whether the sample arrived while that prefix's blackhole was
 //!   announced. (This is a separate column because
-//!   [`blackhole_intervals`] omits prefixes whose only intervals are
-//!   degenerate, so its prefix set can be a strict subset of the
-//!   announcement set the sample index is keyed by.)
+//!   [`rtbh_bgp::blackhole_intervals`] omits prefixes whose only
+//!   intervals are degenerate, so its prefix set can be a strict subset of
+//!   the announcement set the sample index is keyed by.)
 //!
 //! The boolean per-sample facts (fragment, dropped, active) are **bitset
 //! columns**: one `u64` word per 64 samples, bit `r & 63` of word `r >> 6`
@@ -68,11 +72,11 @@
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use rtbh_bgp::{blackhole_intervals, UpdateLog};
+use rtbh_bgp::UpdateLog;
 use rtbh_fabric::{FlowLog, FlowSample};
-use rtbh_net::{Asn, FrozenLpm, Interval, Ipv4Addr, Prefix, PrefixTrie, Protocol, Timestamp};
+use rtbh_net::{Asn, FrozenLpm, Ipv4Addr, Prefix, Protocol, TimeDelta, Timestamp};
 
-use crate::index::{compile_blackhole_prefixes, MacResolver, OriginTable};
+use crate::index::{MacResolver, OriginTable, SampleEnricher};
 use crate::shard;
 
 /// Sentinel for "no value" in every `u32` id column (interned ASNs,
@@ -363,9 +367,9 @@ impl SealedChunk {
 }
 
 /// One fully enriched row, ready to append to a chunk — the unit both the
-/// batch build (`build_enriched_with_capacity`) and the streaming
-/// [`ChunkRing`] push, so the two paths share one append kernel and can
-/// never diverge on layout.
+/// batch sealing kernel (prepare's pass 2 and
+/// `build_enriched_with_capacity`) and the streaming [`ChunkRing`] push, so
+/// the two paths share one append kernel and can never diverge on layout.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ChunkRow {
     /// Sample timestamp, milliseconds.
@@ -622,6 +626,23 @@ fn normalize_capacity(requested: usize) -> (usize, u32) {
     (capacity, capacity.trailing_zeros())
 }
 
+/// The raw index of kept row `kept`, given the sorted raw indices of the
+/// removed rows: the kept rows before `removed[m]` number `removed[m] - m`,
+/// which never decreases in `m`, so a binary search counts the removed
+/// rows that precede kept row `kept`.
+fn raw_row(removed: &[u32], kept: usize) -> usize {
+    let (mut lo, mut hi) = (0, removed.len());
+    while lo < hi {
+        let mid = (lo + hi) / 2;
+        if removed[mid] as usize - mid <= kept {
+            lo = mid + 1;
+        } else {
+            hi = mid;
+        }
+    }
+    kept + lo
+}
+
 /// A bounded-memory ring of [`SealedChunk`]s for the streaming analyzer
 /// ([`crate::stream`]): rows append into an open `ChunkBuilder`, seal
 /// into an immutable chunk at capacity, and sealed chunks older than a
@@ -865,6 +886,11 @@ impl ColumnarFlows {
     /// bit) is computed here, exactly once, in a single pass over the
     /// samples.
     ///
+    /// This is prepare's sealing kernel with no internal MACs, nothing
+    /// removed and a zero clock offset: `flows` is taken as already
+    /// cleaned and aligned. `Analyzer::new` seals the raw corpus log
+    /// through the same kernel.
+    ///
     /// Byte-deterministic for every worker count: chunk boundaries are
     /// fixed by the capacity alone, workers seal whole chunks, and the
     /// chunks are reassembled in order. All lookup tables are built before
@@ -898,93 +924,57 @@ impl ColumnarFlows {
         workers: usize,
         chunk_capacity: usize,
     ) -> EnrichedBuild {
-        let (blackholes, blackhole_prefixes) = compile_blackhole_prefixes(updates);
+        let enricher =
+            SampleEnricher::new(resolver.map(), &[], origins).with_blackholes(updates, corpus_end);
+        Self::seal(
+            flows.samples(),
+            &[],
+            TimeDelta::ZERO,
+            enricher,
+            workers,
+            chunk_capacity,
+        )
+    }
 
-        // Interval-holding prefixes: acceptance/provenance reason about
-        // *activity*, which only prefixes with non-degenerate intervals
-        // have. Flatten the BTreeMap into id-indexed tables + an LPM.
-        let intervals = blackhole_intervals(updates.updates().iter(), corpus_end);
-        let mut active_prefixes = Vec::with_capacity(intervals.len());
-        let mut active_intervals: Vec<Vec<Interval>> = Vec::with_capacity(intervals.len());
-        let mut trie = PrefixTrie::new();
-        for (p, ivs) in intervals {
-            trie.insert(p, active_prefixes.len());
-            active_prefixes.push(p);
-            active_intervals.push(ivs);
-        }
-        let activity = FrozenLpm::from_trie(&trie);
-
-        // ASN intern table: union of member ASNs and route origins,
-        // sorted + deduplicated so ids are stable and binary-searchable.
-        let mut asns: Vec<Asn> = resolver
-            .asns()
-            .chain(origins.asns().iter().copied())
-            .collect();
-        asns.sort_unstable();
-        asns.dedup();
-        let intern = |asn: Option<Asn>| -> u32 {
-            match asn {
-                // Every ASN the resolver/origin table can return is in the
-                // table, so the search cannot fail; NONE is for None.
-                Some(a) => asns.binary_search(&a).map_or(NONE, |i| i as u32),
-                None => NONE,
-            }
-        };
-        let pid = |lpm: &FrozenLpm<usize>, addr: Ipv4Addr| -> u32 {
-            lpm.longest_match(addr).map_or(NONE, |(_, &id)| id as u32)
-        };
-
-        let seal = |start: usize, samples: &[FlowSample]| -> SealedChunk {
-            let mut b = ChunkBuilder::new(start, samples.len());
-            for s in samples.iter() {
-                let mut active = false;
-                let active_pid = match activity.longest_match(s.dst_ip) {
-                    Some((_, &aid)) => {
-                        let ivs = &active_intervals[aid];
-                        let idx = ivs.partition_point(|iv| iv.start <= s.at);
-                        active = idx > 0 && ivs[idx - 1].contains(s.at);
-                        aid as u32
-                    }
-                    None => NONE,
-                };
-                b.push_row(ChunkRow {
-                    at: s.at.as_millis(),
-                    src_ip: s.src_ip.to_u32(),
-                    dst_ip: s.dst_ip.to_u32(),
-                    src_port: s.src_port,
-                    dst_port: s.dst_port,
-                    protocol: s.protocol.number(),
-                    packet_len: u32::from(s.packet_len),
-                    ingress: intern(resolver.handover(s)),
-                    egress: intern(resolver.egress(s)),
-                    origin: intern(origins.origin_of(s.src_ip)),
-                    dst_pid: pid(&blackholes, s.dst_ip),
-                    src_pid: pid(&blackholes, s.src_ip),
-                    active_pid,
-                    fragment: s.fragment,
-                    dropped: s.is_dropped(),
-                    active,
-                });
+    /// Pass 2 of prepare: seals the raw samples minus the `removed` ones
+    /// (sorted raw indices, as pass 1 found them) straight into enriched
+    /// chunks, with every timestamp moved by `offset`. No intermediate
+    /// sample log is built.
+    ///
+    /// Chunk `k` holds kept rows `[k·C, (k+1)·C)`, so chunk bounds depend
+    /// on the capacity alone; each chunk finds its first raw row from
+    /// `removed` and enriches rows from there, skipping the internal ones
+    /// exactly as pass 1 marked them (both read the same MAC table).
+    pub(crate) fn seal(
+        samples: &[FlowSample],
+        removed: &[u32],
+        offset: TimeDelta,
+        enricher: SampleEnricher,
+        workers: usize,
+        chunk_capacity: usize,
+    ) -> EnrichedBuild {
+        let (capacity, cap_shift) = normalize_capacity(chunk_capacity);
+        let n = samples.len() - removed.len();
+        let seal = |start: usize, rows: usize| -> SealedChunk {
+            let mut b = ChunkBuilder::new(start, rows);
+            let raw = samples[raw_row(removed, start)..]
+                .iter()
+                .filter_map(|s| enricher.row(s, offset));
+            for row in raw.take(rows) {
+                b.push_row(row);
             }
             b.seal()
         };
 
-        // Chunk bounds are a pure function of (n, capacity) — the worker
-        // count only distributes whole chunks over threads.
-        let (capacity, cap_shift) = normalize_capacity(chunk_capacity);
-        let samples = flows.samples();
-        let n = samples.len();
-        let bounds: Vec<(usize, usize)> = (0..n)
-            .step_by(capacity)
-            .map(|s| (s, (s + capacity).min(n)))
-            .collect();
-        let workers = shard::resolve_workers(workers);
+        // The worker count only distributes whole chunks over threads.
+        let bounds: Vec<usize> = (0..n).step_by(capacity).collect();
         let chunks: Vec<SealedChunk> = if bounds.is_empty() {
             Vec::new()
         } else {
-            shard::map_chunks(&bounds, workers, |_, bs| {
-                bs.iter()
-                    .map(|&(s, e)| seal(s, &samples[s..e]))
+            shard::map_chunks(&bounds, shard::resolve_workers(workers), |_, starts| {
+                starts
+                    .iter()
+                    .map(|&s| seal(s, capacity.min(n - s)))
                     .collect::<Vec<_>>()
             })
             .into_iter()
@@ -992,19 +982,20 @@ impl ColumnarFlows {
             .collect()
         };
 
+        let tables = enricher.into_tables();
         let buckets = TimeBuckets::build(&chunks);
         EnrichedBuild {
             columns: ColumnarFlows {
                 chunks,
                 len: n,
                 cap_shift,
-                asns,
-                active_prefixes,
+                asns: tables.asns,
+                active_prefixes: tables.active_prefixes,
                 buckets,
                 stats: WindowStats::default(),
             },
-            blackholes,
-            blackhole_prefixes,
+            blackholes: tables.blackholes,
+            blackhole_prefixes: tables.blackhole_prefixes,
         }
     }
 

@@ -24,14 +24,16 @@
 //! [`columns`] holds the cleaned flow log as a columnar (SoA) store whose
 //! one-pass enrichment kernel precomputes every per-sample id the stages
 //! need (interned member/origin ASNs, blackhole-prefix ids, activity bits)
-//! plus a time-bucket window index; [`index`] buckets those precomputed
-//! ids into the shared sample↔prefix lists over a frozen LPM table;
+//! plus a time-bucket window index; [`index`] compiles the per-corpus
+//! lookup tables that kernel reads and buckets the precomputed ids into
+//! the shared sample↔prefix lists over a frozen LPM table;
 //! [`pipeline`] wires everything into a single [`pipeline::Analyzer`]
 //! facade, running the independent analyses on scoped worker threads
 //! when it has more than one kernel worker and inline on the calling
 //! thread at one;
 //! [`shard`] is the chunk-parallel scaffold behind the data-parallel sample
-//! kernels (enrichment, index build, clock shift, offset votes); [`profile`]
+//! kernels (prepare's two passes — internal samples with the offset votes,
+//! then enrichment with the clock shift — and the index build); [`profile`]
 //! records per-stage wall times, worker counts and input footprints (`rtbh
 //! analyze --timings`, `BENCH_pipeline.json`); [`serve`] promotes the
 //! analyzer into the `rtbhd` multi-client query server (length-prefixed

@@ -13,7 +13,8 @@
 //! ([`std::thread::scope`] — no extra dependency, no `'static` bounds):
 //!
 //! ```text
-//! prepare (Analyzer::new: clean → align → infer events → enrich → index)
+//! prepare (Analyzer::new: pass 1 clean+votes → align → infer events
+//!          → pass 2 enrich+seal → index)
 //!   ├─ load ─ provenance          (signal-load chain)
 //!   ├─ visibility
 //!   ├─ acceptance
@@ -34,18 +35,19 @@
 
 use rtbh_fabric::FlowLog;
 use rtbh_net::TimeDelta;
+use rtbh_stats::OffsetVotes;
 
 use crate::acceptance::{analyze_acceptance, AcceptanceAnalysis};
-use crate::align::{estimate_offset_with_workers, shift_flows_with_workers, Alignment};
+use crate::align::Alignment;
 use crate::classify::{classify_events, Classification, ClassifyConfig, UseCase};
-use crate::clean::{clean_flows_with_workers, CleanReport};
+use crate::clean::CleanReport;
 use crate::collateral::{analyze_collateral, CollateralAnalysis};
 use crate::columns::ColumnarFlows;
 use crate::corpus::Corpus;
 use crate::events::{infer_events, RtbhEvent};
 use crate::filtering::{analyze_filtering, FilteringAnalysis};
 use crate::hosts::{analyze_hosts, HostAnalysis, HostConfig};
-use crate::index::{MacResolver, OriginTable, SampleIndex};
+use crate::index::{OriginTable, SampleEnricher, SampleIndex};
 use crate::load::{analyze_load, drop_provenance, DropProvenance, LoadAnalysis};
 use crate::preevent::{analyze_preevents, PreEventAnalysis, PreEventConfig};
 use crate::profile::{self, ExecutionMode, Footprint, PipelineProfile, StageStats};
@@ -76,14 +78,14 @@ pub struct AnalyzerConfig {
     pub visibility_step: TimeDelta,
     /// Grid step of the load series (Fig. 3; paper: 1 minute).
     pub load_step: TimeDelta,
-    /// Worker threads for the data-parallel sample kernels (clean,
-    /// enrichment, index build, clock shift, offset votes, acceptance,
-    /// provenance): `0` = one per available core. Above one worker the
-    /// analysis stages also run on scoped threads; at one, the whole
-    /// analysis runs on the calling thread. The kernels
-    /// merge per-chunk results in chunk order (or, for the offset votes,
-    /// by exact integer sums), so every worker count produces
-    /// byte-identical reports (`rtbh analyze --threads N`).
+    /// Worker threads for the data-parallel sample kernels (prepare's two
+    /// passes — clean with the offset votes, then enrichment with the
+    /// clock shift — the index build, acceptance and provenance): `0` =
+    /// one per available core. Above one worker the analysis stages also
+    /// run on scoped threads; at one, the whole analysis runs on the
+    /// calling thread. The kernels merge per-chunk results in chunk order
+    /// (or, for the offset votes, by exact integer sums), so every worker
+    /// count produces byte-identical reports (`rtbh analyze --threads N`).
     pub workers: usize,
     /// Sealed-chunk capacity for the columnar flow store (rows per chunk;
     /// `0` = the ABI default, [`crate::columns::abi::DEFAULT_CHUNK_CAPACITY`]).
@@ -172,39 +174,28 @@ impl Analyzer {
     /// Prepares a corpus: cleans, aligns clocks, infers events, enriches
     /// the columnar store, indexes.
     ///
-    /// The sample-scan kernels (clean, clock-offset votes, clock shift,
-    /// enrichment, index build) run chunk-parallel on `config.workers`
-    /// scoped threads with a deterministic ordered merge — any worker
-    /// count yields the same analyzer state.
+    /// The sample work is two sharded passes over the raw corpus log on
+    /// `config.workers` scoped threads. Pass 1 (the `clean` row) finds the
+    /// internal samples and counts the clock-offset votes of the kept
+    /// dropped ones; `align` scans the merged votes. Pass 2 (the `enrich`
+    /// row) seals the kept samples straight into enriched chunks, stamping
+    /// the offset-corrected timestamp as it goes, so no cleaned or shifted
+    /// copy of the log is ever built. Both passes merge in shard order or
+    /// by exact integer sums, so any worker count yields the same analyzer
+    /// state.
     ///
     /// Preparation consumes the corpus's sample log: once it returns, the
     /// samples live only in [`Analyzer::columns`], and
     /// [`Analyzer::corpus`] keeps the static context and the update log.
-    pub fn new(mut corpus: Corpus, config: AnalyzerConfig) -> Self {
-        let workers = crate::shard::resolve_workers(config.workers);
-        let mut prepare = Vec::new();
-
-        let ((cleaned, clean_report), st) = profile::time_stage_with_workers(
-            "clean",
-            Footprint {
-                updates: 0,
-                samples: corpus.flows.len() as u64,
-                events: 0,
-            },
-            workers,
-            || clean_flows_with_workers(&corpus, workers),
-        );
-        prepare.push(st);
-        corpus.flows = FlowLog::new();
-
-        Self::prepare(corpus, config, clean_report, cleaned, prepare, workers)
+    pub fn new(corpus: Corpus, config: AnalyzerConfig) -> Self {
+        Self::prepare(corpus, config, None)
     }
 
     /// Prepares a corpus whose flow log is **already cleaned** (internal
-    /// IXP traffic removed), skipping the clean stage and running the
-    /// remaining preparation kernels (align → shift → event inference →
-    /// enrichment → index) exactly as [`Analyzer::new`] would. The log is
-    /// moved out of the corpus, not copied.
+    /// IXP traffic removed), with the enricher the samples were cleaned
+    /// by, exactly as [`Analyzer::new`] would: pass 1 then finds nothing
+    /// to remove, and `clean_report` stands in for its counts. The log is
+    /// read in place and released, not copied.
     ///
     /// This is the finalizer path of the streaming analyzer
     /// ([`crate::stream`]): the stream cleans samples on ingest while
@@ -212,75 +203,71 @@ impl Analyzer {
     /// accumulated logs through this constructor reproduces the batch
     /// [`FullReport`] byte-for-byte (pinned by the `stream_diff` suite).
     pub(crate) fn from_cleaned(
-        mut corpus: Corpus,
-        config: AnalyzerConfig,
-        clean_report: CleanReport,
-    ) -> Self {
-        let workers = crate::shard::resolve_workers(config.workers);
-        let cleaned = std::mem::take(&mut corpus.flows);
-        Self::prepare(corpus, config, clean_report, cleaned, Vec::new(), workers)
-    }
-
-    /// The shared preparation tail: every kernel after cleaning, in batch
-    /// order. `cleaned` must hold the corpus's samples with internal
-    /// traffic removed, in original log order; `corpus.flows` is empty.
-    /// Each intermediate log is dropped as soon as the next kernel has
-    /// read it, so the analyzer ends up holding the columns alone.
-    fn prepare(
         corpus: Corpus,
         config: AnalyzerConfig,
         clean_report: CleanReport,
-        cleaned: FlowLog,
-        mut prepare: Vec<StageStats>,
-        workers: usize,
+        enricher: SampleEnricher,
     ) -> Self {
+        Self::prepare(corpus, config, Some((clean_report, enricher)))
+    }
+
+    /// The one preparation path: pass 1 (`clean`), `align`, `events`,
+    /// pass 2 (`enrich`) and `index`. `cleaned` carries the stream's
+    /// ingest counters and enricher; without it the corpus's own log is
+    /// cleaned here and the enricher compiled from the corpus.
+    fn prepare(
+        mut corpus: Corpus,
+        config: AnalyzerConfig,
+        cleaned: Option<(CleanReport, SampleEnricher)>,
+    ) -> Self {
+        let workers = crate::shard::resolve_workers(config.workers);
         let updates_total = corpus.updates.len() as u64;
+        let fed = corpus.flows.len();
+        let origins = OriginTable::build(&corpus.routes);
+        let (ingest, enricher) = cleaned.unzip();
+        let mut prepare = Vec::new();
+
+        let ((enricher, removed, votes), st) = profile::time_stage_with_workers(
+            "clean",
+            Footprint {
+                updates: updates_total,
+                samples: fed as u64,
+                events: 0,
+            },
+            workers,
+            || {
+                let enricher = enricher
+                    .unwrap_or_else(|| {
+                        SampleEnricher::new(corpus.mac_to_member(), &corpus.internal_macs, &origins)
+                    })
+                    .with_blackholes(&corpus.updates, corpus.period.end);
+                let votes = OffsetVotes::new(config.offset_half_range, config.offset_step);
+                let (removed, votes) =
+                    enricher.scan(corpus.flows.samples(), votes.as_ref(), workers);
+                (enricher, removed, votes)
+            },
+        );
+        prepare.push(st);
+        let clean_report = ingest.unwrap_or(CleanReport {
+            total: fed,
+            internal_removed: removed.len(),
+        });
+        let kept = (fed - removed.len()) as u64;
 
         let (alignment, st) = profile::time_stage_with_workers(
             "align",
             Footprint {
                 updates: updates_total,
-                samples: cleaned.len() as u64,
+                samples: kept,
                 events: 0,
             },
             workers,
-            || {
-                estimate_offset_with_workers(
-                    &corpus.updates,
-                    &cleaned,
-                    corpus.period.end,
-                    config.offset_half_range,
-                    config.offset_step,
-                    workers,
-                )
-            },
+            || Alignment::from_votes(votes),
         );
         prepare.push(st);
-
-        // Skip the shift stage entirely for a zero offset — the satellite
-        // case where cloning (let alone re-stamping) the whole log would be
-        // pure waste.
         let offset = alignment
             .as_ref()
-            .map(|a| a.estimated_offset())
-            .unwrap_or(TimeDelta::ZERO);
-        let flows = if offset == TimeDelta::ZERO {
-            cleaned
-        } else {
-            let (flows, st) = profile::time_stage_with_workers(
-                "shift",
-                Footprint {
-                    updates: 0,
-                    samples: cleaned.len() as u64,
-                    events: 0,
-                },
-                workers,
-                || shift_flows_with_workers(&cleaned, offset, workers),
-            );
-            prepare.push(st);
-            drop(cleaned);
-            flows
-        };
+            .map_or(TimeDelta::ZERO, Alignment::estimated_offset);
 
         let (events, st) = profile::time_stage(
             "events",
@@ -293,10 +280,7 @@ impl Analyzer {
         );
         prepare.push(st);
 
-        let resolver = MacResolver::build(&corpus);
-        let origins = OriginTable::build(&corpus.routes);
-
-        // One pass over the samples computes every per-sample id the
+        // One pass over the kept samples computes every per-sample id the
         // stages consume (interned member/origin ASNs, blackhole-prefix
         // ids, activity bits) — no stage re-hashes a MAC or re-walks the
         // LPM afterwards.
@@ -304,31 +288,30 @@ impl Analyzer {
             "enrich",
             Footprint {
                 updates: updates_total,
-                samples: flows.len() as u64,
+                samples: kept,
                 events: 0,
             },
             workers,
             || {
-                ColumnarFlows::build_enriched_with_capacity(
-                    &corpus.updates,
-                    &flows,
-                    &resolver,
-                    &origins,
-                    corpus.period.end,
+                ColumnarFlows::seal(
+                    corpus.flows.samples(),
+                    &removed,
+                    offset,
+                    enricher,
                     workers,
                     config.chunk_capacity,
                 )
             },
         );
         prepare.push(st);
-        drop(flows);
+        corpus.flows = FlowLog::new();
         let columns = enriched.columns;
 
         let (index, st) = profile::time_stage_with_workers(
             "index",
             Footprint {
                 updates: updates_total,
-                samples: columns.len() as u64,
+                samples: kept,
                 events: 0,
             },
             workers,
@@ -408,10 +391,11 @@ impl Analyzer {
         self.kernel_workers
     }
 
-    /// Stage stats of the preparation kernels recorded by [`Analyzer::new`]
-    /// (clean, align, shift, event inference, enrichment, index build).
-    /// Also attached to
-    /// every [`PipelineProfile`] as [`PipelineProfile::prepare`].
+    /// Stage stats of the preparation kernels recorded by [`Analyzer::new`],
+    /// always the five rows `clean` (pass 1: internal samples and offset
+    /// votes), `align` (the offset scan), `events`, `enrich` (pass 2:
+    /// sealing with the clock shift) and `index`. Also attached to every
+    /// [`PipelineProfile`] as [`PipelineProfile::prepare`].
     pub fn prepare_profile(&self) -> &[StageStats] {
         &self.prepare
     }

@@ -30,16 +30,19 @@
 //!
 //! # Determinism and the batch contract
 //!
-//! The stream accumulates the applied updates and the cleaned samples into
-//! ordinary [`UpdateLog`]/[`FlowLog`]s alongside its live state. The
-//! finalizer ([`StreamAnalyzer::into_analyzer`]) drops the live state and
-//! moves those logs — plus the [`CleanReport`] counters accumulated on
-//! ingest — into the batch [`Analyzer`]'s preparation tail: the exact batch
-//! kernels after cleaning. For any feed that delivers every event within the
-//! lateness bound, the accumulated logs are byte-equal to the batch
-//! pipeline's inputs, so **the finalized [`FullReport`] is byte-identical
-//! to `Analyzer::full`'s** (pinned across chunk capacities, feed batch
-//! sizes and worker counts by the `stream_diff` differential suite).
+//! Ingest cleans and enriches each sample with the batch prepare's own
+//! sample enricher — one MAC-table probe per MAC, one origin walk — so the
+//! live rows carry the batch ids for members and origins. The stream
+//! accumulates the applied updates and the cleaned samples into ordinary
+//! [`UpdateLog`]/[`FlowLog`]s alongside its live state. The finalizer
+//! ([`StreamAnalyzer::into_analyzer`]) drops the live state and moves those
+//! logs — plus the [`CleanReport`] counters accumulated on ingest and the
+//! enricher — into the batch [`Analyzer`]'s one preparation path. For any
+//! feed that delivers every event within the lateness bound, the
+//! accumulated logs are byte-equal to the batch pipeline's cleaned inputs,
+//! so **the finalized [`FullReport`] is byte-identical to
+//! `Analyzer::full`'s** (pinned across chunk capacities, feed batch sizes
+//! and worker counts by the `stream_diff` differential suite).
 //!
 //! The *live* verdict journal intentionally follows watermark semantics
 //! instead: it knows only the prefixes announced so far, reads unshifted
@@ -49,20 +52,18 @@
 //! sequence, pinned by the journal replay tests).
 
 use std::cmp::Reverse;
-use std::collections::{BTreeSet, BinaryHeap, HashSet};
+use std::collections::{BinaryHeap, HashSet};
 
 use rtbh_bgp::{BgpUpdate, UpdateKind, UpdateLog};
 use rtbh_fabric::{FlowLog, FlowSample};
-use rtbh_net::{
-    Asn, Interval, Ipv4Addr, MacAddr, Prefix, PrefixTrie, Protocol, TimeDelta, Timestamp,
-};
+use rtbh_net::{Asn, Interval, Ipv4Addr, Prefix, PrefixTrie, Protocol, TimeDelta, Timestamp};
 use rtbh_stats::{EwmaDetector, OffsetVotes};
 
 use crate::classify::UseCase;
 use crate::clean::CleanReport;
 use crate::columns::{ChunkRing, ChunkRow, SealedChunk, NONE};
 use crate::corpus::Corpus;
-use crate::index::{MacResolver, OriginTable};
+use crate::index::{OriginTable, SampleEnricher};
 use crate::pipeline::{Analyzer, AnalyzerConfig, FullReport};
 use crate::preevent::FEATURES;
 use crate::profile::{ExecutionMode, PipelineProfile, StageStats};
@@ -296,12 +297,10 @@ pub struct StreamAnalyzer {
     /// with **empty** logs — the accumulated logs replace them at
     /// finalization.
     template: Corpus,
-    internal: BTreeSet<MacAddr>,
-    resolver: MacResolver,
-    origins: OriginTable,
-    /// Sorted, deduplicated ASN intern table — identical to the batch
-    /// enrichment's (both derive it from members + route origins alone).
-    asns: Vec<Asn>,
+    /// The batch enricher's MAC table and origin LPM (compiled from the
+    /// template alone, so its interned ids equal the batch ones); the
+    /// finalizer adds the blackhole tables of the applied updates.
+    enricher: SampleEnricher,
     pending: BinaryHeap<Reverse<Pending>>,
     arrival: u64,
     max_seen_ms: Option<i64>,
@@ -339,25 +338,18 @@ impl StreamAnalyzer {
             caches: Default::default(),
             ..corpus.clone()
         };
-        let internal: BTreeSet<MacAddr> = template.internal_macs.iter().copied().collect();
-        let resolver = MacResolver::build(&template);
-        let origins = OriginTable::build(&template.routes);
-        let mut asns: Vec<Asn> = resolver
-            .asns()
-            .chain(origins.asns().iter().copied())
-            .collect();
-        asns.sort_unstable();
-        asns.dedup();
+        let enricher = SampleEnricher::new(
+            template.mac_to_member(),
+            &template.internal_macs,
+            &OriginTable::build(&template.routes),
+        );
         let offset = OffsetVotes::new(
             config.analyzer.offset_half_range,
             config.analyzer.offset_step,
         );
         Self {
             template,
-            internal,
-            resolver,
-            origins,
-            asns,
+            enricher,
             pending: BinaryHeap::new(),
             arrival: 0,
             max_seen_ms: None,
@@ -538,10 +530,10 @@ impl StreamAnalyzer {
     fn apply_sample(&mut self, s: FlowSample) {
         self.samples_ingested += 1;
         self.clean_total += 1;
-        if self.internal.contains(&s.src_mac) || self.internal.contains(&s.dst_mac) {
+        let Some((ingress, egress)) = self.enricher.members(&s) else {
             self.internal_removed += 1;
             return;
-        }
+        };
         let covering = self.bh_trie.longest_match(s.dst_ip).map(|(_, &id)| id);
         let src_cov = self.bh_trie.longest_match(s.src_ip).map(|(_, &id)| id);
         let mut active = false;
@@ -583,9 +575,9 @@ impl StreamAnalyzer {
             dst_port: s.dst_port,
             protocol: s.protocol.number(),
             packet_len: u32::from(s.packet_len),
-            ingress: intern(&self.asns, self.resolver.handover(&s)),
-            egress: intern(&self.asns, self.resolver.egress(&s)),
-            origin: intern(&self.asns, self.origins.origin_of(s.src_ip)),
+            ingress,
+            egress,
+            origin: self.enricher.origin(s.src_ip),
             dst_pid: covering.map_or(NONE, |id| id as u32),
             src_pid: src_cov.map_or(NONE, |id| id as u32),
             // Live state has one dense id space (prefixes-seen-so-far), so
@@ -811,9 +803,11 @@ impl StreamAnalyzer {
 
     /// Finalizes into a batch [`Analyzer`] over the accumulated logs: the
     /// stream's cleaned flows and applied updates replace the template's
-    /// empty logs and the ingest-time [`CleanReport`] carries the clean
-    /// counters, so the analyzer reruns the exact batch kernels after
-    /// cleaning (align → shift → events → enrich → index → stages).
+    /// empty logs, the ingest-time [`CleanReport`] carries the clean
+    /// counters, and the stream's enricher is reused, so the analyzer runs
+    /// batch prepare's exact two passes (pass 1 finds nothing to remove
+    /// and counts the offset votes; pass 2 seals with the offset stamped)
+    /// and then the stages.
     ///
     /// Call [`StreamAnalyzer::finish`] first; this consumes the stream.
     /// The ring, the prefix runs and the journal are freed before the
@@ -821,7 +815,7 @@ impl StreamAnalyzer {
     pub fn into_analyzer(self) -> Analyzer {
         // Consumed in this scope, so every field not moved out is dropped
         // here rather than after preparation returns.
-        let (corpus, config, clean_report) = {
+        let (corpus, config, clean_report, enricher) = {
             let stream = self;
             let clean_report = CleanReport {
                 total: stream.clean_total,
@@ -833,9 +827,14 @@ impl StreamAnalyzer {
                 caches: Default::default(),
                 ..stream.template
             };
-            (corpus, stream.config.analyzer, clean_report)
+            (
+                corpus,
+                stream.config.analyzer,
+                clean_report,
+                stream.enricher,
+            )
         };
-        Analyzer::from_cleaned(corpus, config, clean_report)
+        Analyzer::from_cleaned(corpus, config, clean_report, enricher)
     }
 
     /// The verdict journal emitted so far (post-[`resume_from`] floor).
@@ -882,14 +881,6 @@ impl StreamAnalyzer {
             ring_evicted_chunks: self.ring.evicted_chunks() as u64,
             ring_evicted_rows: self.ring.evicted_rows() as u64,
         }
-    }
-}
-
-/// Interns an optional ASN against the sorted table ([`NONE`] for `None`).
-fn intern(asns: &[Asn], asn: Option<Asn>) -> u32 {
-    match asn {
-        Some(a) => asns.binary_search(&a).map_or(NONE, |i| i as u32),
-        None => NONE,
     }
 }
 
@@ -1003,7 +994,7 @@ impl StreamDriver {
 mod tests {
     use super::*;
     use crate::corpus::MemberInfo;
-    use rtbh_net::Community;
+    use rtbh_net::{Community, MacAddr};
     use rtbh_peeringdb::Registry;
 
     const MINUTE: i64 = 60_000;

@@ -116,10 +116,21 @@ fn worker_counts_do_not_change_the_report() {
 
 #[test]
 fn profiles_record_the_prepare_kernels() {
-    let out = rtbh_sim::run(&ScenarioConfig::tiny());
+    // A recorder skewed by −40 ms: the estimated offset is non-zero, yet
+    // prepare has no separate shift row — pass 2 stamps the offset while
+    // it seals.
+    let mut scenario = ScenarioConfig::tiny();
+    scenario.clock_offset_ms = -40;
+    let out = rtbh_sim::run(&scenario);
+    let fed = out.corpus.flows.len() as u64;
     let config = AnalyzerConfig::for_corpus(&out.corpus).with_workers(3);
     let analyzer = Analyzer::new(out.corpus, config);
     assert_eq!(analyzer.kernel_workers(), 3);
+    let offset = analyzer
+        .alignment()
+        .expect("dropped samples")
+        .estimated_offset();
+    assert_ne!(offset, rtbh_net::TimeDelta::ZERO);
 
     let (_, profile) = analyzer.full_with_profile();
     // The two analysis stages that shard their kernel over the workers.
@@ -128,21 +139,17 @@ fn profiles_record_the_prepare_kernels() {
         assert_eq!(st.workers, 3, "stage {stage}");
     }
     let names: Vec<&str> = profile.prepare.iter().map(|s| s.stage.as_str()).collect();
-    // "shift" only appears when a non-zero clock offset was estimated.
-    assert!(
-        names.starts_with(&["clean", "align"]),
-        "prepare stages: {names:?}"
-    );
-    assert!(
-        names.ends_with(&["events", "enrich", "index"]),
-        "prepare stages: {names:?}"
-    );
+    assert_eq!(names, ["clean", "align", "events", "enrich", "index"]);
+    let kept = analyzer.columns().len() as u64;
+    assert!(kept < fed, "the tiny corpus has internal samples to clean");
     for s in &profile.prepare {
-        let expected = match s.stage.as_str() {
-            "events" => 1,
-            _ => 3,
+        let (workers, samples) = match s.stage.as_str() {
+            "clean" => (3, fed),
+            "align" | "enrich" | "index" => (3, kept),
+            _ => (1, 0),
         };
-        assert_eq!(s.workers, expected, "stage {}", s.stage);
+        assert_eq!(s.workers, workers, "stage {}", s.stage);
+        assert_eq!(s.samples_scanned, samples, "stage {}", s.stage);
     }
 }
 

@@ -74,15 +74,34 @@ pub fn arb_protocol<R: Rng>(rng: &mut R) -> Protocol {
     Protocol::from_number(rng.gen())
 }
 
-/// An arbitrary BGP announcement. Communities are capped at 8 — the encoder
-/// frames the COMMUNITIES attribute with a one-byte length (`count * 4`), so
-/// the codec's own domain tops out at 63.
+/// The most communities an announcement of `prefix` can carry in one
+/// message of at most [`rtbh_bgp::wire::MAX_MESSAGE_LEN`] bytes: besides
+/// the communities the message spends 19 header bytes, 4 bytes of
+/// section lengths, 20 bytes of ORIGIN, AS_PATH and NEXT_HOP, a 4-byte
+/// extended-length COMMUNITIES header and the NLRI.
+pub fn max_communities(prefix: Prefix) -> usize {
+    let nlri = 1 + prefix.len().div_ceil(8) as usize;
+    (rtbh_bgp::wire::MAX_MESSAGE_LEN - 19 - 4 - 20 - 4 - nlri) / 4
+}
+
+/// An arbitrary BGP announcement, with up to [`max_communities`]
+/// communities. Counts are mostly small; a quarter of the draws take the
+/// boundaries — 63 and 64 (the last one-octet and the first extended
+/// attribute length) and the maximum — or any count up to it.
 pub fn arb_announce<R: Rng>(rng: &mut R) -> BgpUpdate {
-    let n_communities = rng.gen_range(0..=8usize);
+    let prefix = arb_prefix(rng);
+    let max = max_communities(prefix);
+    let n_communities = match rng.gen_range(0..16u32) {
+        0 => 63,
+        1 => 64,
+        2 => max,
+        3 => rng.gen_range(0..=max),
+        _ => rng.gen_range(0..=8usize),
+    };
     BgpUpdate {
         at: arb_timestamp(rng),
         peer: arb_asn(rng),
-        prefix: arb_prefix(rng),
+        prefix,
         origin: arb_asn(rng),
         kind: UpdateKind::Announce,
         communities: (0..n_communities).map(|_| arb_community(rng)).collect(),

@@ -25,24 +25,26 @@ use rtbh_net::{Asn, FrozenLpm, Ipv4Addr, Prefix, PrefixTrie, Timestamp};
 /// Withdrawals must already be canonical (as [`crate::gen::arb_withdraw`]
 /// produces them) — the wire cannot carry more.
 pub fn check_update_roundtrip(update: &BgpUpdate) {
-    let bytes = encode_update(update);
+    let bytes =
+        encode_update(update).unwrap_or_else(|e| panic!("encode of a valid update failed: {e}"));
     let decoded = decode_update(&bytes, update.at, update.peer)
         .unwrap_or_else(|e| panic!("decode of freshly encoded update failed: {e}"));
     assert_eq!(decoded.len(), 1, "one update in, {} out", decoded.len());
     assert_eq!(&decoded[0], update, "update changed across the wire");
-    let reencoded = encode_update(&decoded[0]);
+    let reencoded = encode_update(&decoded[0]).expect("re-encode of a decoded update");
     assert_eq!(reencoded, bytes, "re-encoding is not byte-identical");
 }
 
 /// A full update log must round-trip through the MRT-style framing,
 /// byte-identically on the encode side.
 pub fn check_update_log_roundtrip(log: &UpdateLog) {
-    let bytes = encode_update_log(log);
+    let bytes =
+        encode_update_log(log).unwrap_or_else(|e| panic!("encode of a valid log failed: {e}"));
     let decoded = decode_update_log(&bytes)
         .unwrap_or_else(|e| panic!("decode of freshly encoded log failed: {e}"));
     assert_eq!(&decoded, log, "update log changed across the wire");
     assert_eq!(
-        encode_update_log(&decoded),
+        encode_update_log(&decoded).expect("re-encode of a decoded log"),
         bytes,
         "re-encoding is not byte-identical"
     );

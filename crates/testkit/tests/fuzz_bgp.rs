@@ -38,9 +38,33 @@ fn log_roundtrip() {
 }
 
 #[test]
+fn one_community_past_the_message_limit_is_a_typed_error() {
+    target(
+        "one_community_past_the_message_limit_is_a_typed_error",
+        seeds::FUZZ_BGP_OVERSIZED,
+    )
+    .run(300, |_, rng| {
+        let mut update = gen::arb_announce(rng);
+        let max = gen::max_communities(update.prefix);
+        update.communities = (0..max).map(|_| gen::arb_community(rng)).collect();
+        let limit = rtbh_bgp::wire::MAX_MESSAGE_LEN;
+        let len = rtbh_bgp::encode_update(&update)
+            .expect("the largest count fits")
+            .len();
+        assert!(limit - 4 < len && len <= limit, "{len} bytes");
+        oracle::check_update_roundtrip(&update);
+        update.communities.push(gen::arb_community(rng));
+        assert_eq!(
+            rtbh_bgp::encode_update(&update),
+            Err(rtbh_bgp::WireError::Oversized(len + 4))
+        );
+    });
+}
+
+#[test]
 fn mutated_messages_never_panic() {
     target("mutated_messages_never_panic", seeds::FUZZ_BGP_MSG_MUTATED).run(1200, |_, rng| {
-        let mut bytes = rtbh_bgp::encode_update(&gen::arb_update(rng));
+        let mut bytes = rtbh_bgp::encode_update(&gen::arb_update(rng)).unwrap();
         let hits = rng.gen_range(1..=4usize);
         mutate::mutate_n(rng, &mut bytes, hits);
         oracle::check_bgp_bytes(&bytes);
@@ -50,7 +74,7 @@ fn mutated_messages_never_panic() {
 #[test]
 fn mutated_logs_never_panic() {
     target("mutated_logs_never_panic", seeds::FUZZ_BGP_LOG_MUTATED).run(1000, |_, rng| {
-        let mut bytes = rtbh_bgp::encode_update_log(&gen::arb_update_log(rng, 6));
+        let mut bytes = rtbh_bgp::encode_update_log(&gen::arb_update_log(rng, 6)).unwrap();
         let hits = rng.gen_range(1..=4usize);
         mutate::mutate_n(rng, &mut bytes, hits);
         oracle::check_bgp_log_bytes(&bytes);

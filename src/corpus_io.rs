@@ -48,7 +48,7 @@ pub enum CorpusIoError {
     Container(String),
     /// Metadata (de)serialization failed.
     Meta(rtbh_json::JsonError),
-    /// The update-log section failed to decode.
+    /// The update-log section failed to encode or decode.
     Updates(rtbh_bgp::WireError),
     /// The flow-log section failed to decode.
     Flows(rtbh_fabric::FlowWireError),
@@ -88,7 +88,7 @@ pub fn to_bytes(corpus: &Corpus) -> Result<Vec<u8>, CorpusIoError> {
         routes: corpus.routes.clone(),
     };
     let meta_json = rtbh_json::to_vec(&meta);
-    let mrt = rtbh_bgp::encode_update_log(&corpus.updates);
+    let mrt = rtbh_bgp::encode_update_log(&corpus.updates).map_err(CorpusIoError::Updates)?;
     let flows = rtbh_fabric::encode_flow_log(&corpus.flows);
 
     let mut buf = Vec::with_capacity(34 + meta_json.len() + mrt.len() + flows.len());
@@ -325,6 +325,55 @@ mod tests {
             matches!(from_bytes(&raw), Err(CorpusIoError::Meta(_))),
             "corrupt metadata must be a Meta error"
         );
+    }
+
+    /// Scale 0.02 is the smallest scenario whose targeted announcements
+    /// carry 64 or more communities — a COMMUNITIES attribute past 255
+    /// bytes. The saved file must reload every update field by field and
+    /// analyze to the in-memory report's exact bytes. (`Corpus::digest`
+    /// hashes only community counts, so it could not tell.)
+    #[test]
+    fn scale_0_02_file_reloads_every_update_and_the_same_report() {
+        let corpus = crate::sim::run(&ScenarioConfig::scaled(0.02)).corpus;
+        assert!(
+            corpus
+                .updates
+                .updates()
+                .iter()
+                .any(|u| u.communities.len() >= 64),
+            "the scenario must exercise the extended attribute length"
+        );
+        let dir = std::env::temp_dir().join(format!("rtbh-corpus-io-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("scale-0.02.rtbh");
+        save(&corpus, &path).unwrap();
+        let back = load(&path).unwrap();
+        std::fs::remove_dir_all(&dir).ok();
+
+        assert_eq!(back.flows, corpus.flows);
+        assert_eq!(back.updates.len(), corpus.updates.len());
+        for (i, (got, sent)) in back
+            .updates
+            .updates()
+            .iter()
+            .zip(corpus.updates.updates())
+            .enumerate()
+        {
+            // Wire withdrawals are bare retractions, as the decoder documents.
+            let expected = match sent.kind {
+                crate::bgp::UpdateKind::Announce => sent.clone(),
+                crate::bgp::UpdateKind::Withdraw => crate::bgp::BgpUpdate {
+                    origin: Asn::RESERVED,
+                    communities: Vec::new(),
+                    next_hop: crate::net::Ipv4Addr::UNSPECIFIED,
+                    ..sent.clone()
+                },
+            };
+            assert_eq!(*got, expected, "update {i}");
+        }
+        let report =
+            |c: Corpus| rtbh_json::to_vec_pretty(&crate::core::Analyzer::with_defaults(c).full());
+        assert!(report(back) == report(corpus), "reloaded report differs");
     }
 
     #[test]
