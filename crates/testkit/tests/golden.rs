@@ -2,7 +2,8 @@
 //! scenario, plus range assertions tying the report to the paper's
 //! headline findings (§4–§6).
 //!
-//! Two layers of defense:
+//! Two layers of defense (plus `journal.jsonl`, the stream replay's live
+//! verdict journal, pinned the same way):
 //!
 //! * the **snapshot** (`tests/golden/report.json`) catches *any* drift in
 //!   the science — a future perf or refactor PR that changes one count or
@@ -17,6 +18,7 @@
 
 use rtbh_core::classify::UseCase;
 use rtbh_core::pipeline::FullReport;
+use rtbh_core::stream::{render_journal, StreamConfig, StreamDriver};
 use rtbh_core::Analyzer;
 use rtbh_json::{Json, ToJson};
 use rtbh_net::TimeDelta;
@@ -69,6 +71,18 @@ fn scenario_and_corpus_digest_are_pinned() {
 fn full_report_matches_snapshot() {
     let text = rtbh_json::to_string_pretty(&report()) + "\n";
     assert_snapshot(&golden_path("report.json"), &text);
+}
+
+/// Pins the live verdict journal of a stream replay of the scenario, byte
+/// for byte. The finalized stream report is pinned through `report.json`
+/// (`stream_diff` proves it equal to batch); the journal is the stream's
+/// own output — run boundaries, use cases and the pre-event backfill's
+/// `anomaly` flags — and no other test compares it with a fixed reference.
+#[test]
+fn stream_journal_matches_snapshot() {
+    let corpus = rtbh_sim::run(&scenario()).corpus;
+    let run = StreamDriver::new(4096).replay(&corpus, StreamConfig::for_corpus(&corpus));
+    assert_snapshot(&golden_path("journal.jsonl"), &render_journal(&run.journal));
 }
 
 /// The paper's headline bands (abstract, §4–§6). These hold for the pinned
