@@ -1047,7 +1047,7 @@ impl ColumnarFlows {
 
     /// Locates global sample `i`: `(chunk, chunk-local row)`.
     #[inline]
-    fn loc(&self, i: usize) -> (&SealedChunk, usize) {
+    pub(crate) fn loc(&self, i: usize) -> (&SealedChunk, usize) {
         let mask = (1usize << self.cap_shift) - 1;
         (&self.chunks[i >> self.cap_shift], i & mask)
     }

@@ -346,21 +346,21 @@ impl HostSweep {
 }
 
 /// A set of ports, one bit per port.
-struct PortSet {
+pub(crate) struct PortSet {
     words: Box<[u64; 1024]>,
     /// The indices of the non-zero words.
     touched: Vec<u16>,
 }
 
 impl PortSet {
-    fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self {
             words: Box::new([0; 1024]),
             touched: Vec::new(),
         }
     }
 
-    fn insert(&mut self, port: u16) {
+    pub(crate) fn insert(&mut self, port: u16) {
         let w = usize::from(port >> 6);
         if self.words[w] == 0 {
             self.touched.push(w as u16);
@@ -369,7 +369,7 @@ impl PortSet {
     }
 
     /// The number of distinct ports inserted; empties the set.
-    fn take_len(&mut self) -> usize {
+    pub(crate) fn take_len(&mut self) -> usize {
         let words = &mut self.words;
         self.touched
             .drain(..)

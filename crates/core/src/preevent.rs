@@ -7,13 +7,12 @@
 //! only ~27% of events show an anomaly within 10 minutes of the
 //! announcement; 46% show no sampled traffic at all.
 
-use std::collections::HashSet;
-
-use rtbh_net::{Interval, Protocol, TimeDelta};
+use rtbh_net::{Protocol, TimeDelta, Timestamp};
 use rtbh_stats::{EwmaConfig, EwmaDetector};
 
 use crate::columns::ColumnarFlows;
 use crate::events::RtbhEvent;
+use crate::hosts::PortSet;
 use crate::index::SampleIndex;
 
 /// Number of traffic features examined.
@@ -114,54 +113,238 @@ impl PreEventResult {
     }
 }
 
-/// Builds the five feature series of one event's pre-window from the
-/// columnar store, reading only the columns each feature needs.
-fn feature_series(
-    cols: &ColumnarFlows,
-    ids: &[u32],
-    window: Interval,
-    config: &PreEventConfig,
-) -> Vec<[f64; FEATURES]> {
-    let slots = config.slot_count();
-    let mut packets = vec![0u32; slots];
-    let mut flows: Vec<HashSet<(u32, u16, u16, u8)>> = vec![HashSet::new(); slots];
-    let mut src_ips: Vec<HashSet<u32>> = vec![HashSet::new(); slots];
-    let mut dst_ports: Vec<HashSet<u16>> = vec![HashSet::new(); slots];
-    let mut non_tcp = vec![0u32; slots];
-    for &id in ids {
+/// One sample of a pre-event window, as the five features read it.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct WindowRow {
+    pub(crate) at: i64,
+    pub(crate) src_ip: u32,
+    pub(crate) src_port: u16,
+    pub(crate) dst_port: u16,
+    pub(crate) protocol: u8,
+}
+
+impl WindowRow {
+    fn of(cols: &ColumnarFlows, id: u32) -> Self {
         let i = id as usize;
-        let offset = (cols.at(i) - window.start).as_millis();
+        Self {
+            at: cols.at(i).as_millis(),
+            src_ip: cols.src_ip_raw(i),
+            src_port: cols.src_port(i),
+            dst_port: cols.dst_port(i),
+            protocol: cols.protocol_raw(i),
+        }
+    }
+}
+
+/// The reusable buffers of [`window_result`]: one per stage call or stream
+/// backfill, never one per event.
+pub(crate) struct PreEventScratch {
+    /// The window's rows packed as `(slot, source, source port, destination
+    /// port, protocol)` in one `u128`, so one sort groups slots, sources and
+    /// flow tuples.
+    keys: Vec<u128>,
+    /// The slots holding data, ascending, with their feature values.
+    slots: Vec<(usize, [f64; FEATURES])>,
+    dst_ports: PortSet,
+    /// One detector per feature, built by the first window with data.
+    detectors: Vec<EwmaDetector>,
+}
+
+impl PreEventScratch {
+    pub(crate) fn new() -> Self {
+        Self {
+            keys: Vec::new(),
+            slots: Vec::new(),
+            dst_ports: PortSet::new(),
+            detectors: Vec::new(),
+        }
+    }
+}
+
+/// Bit offsets of the packed row key, from the top: the slot takes the
+/// high 56 bits.
+const KEY_SLOT: u32 = 72;
+const KEY_SRC: u32 = 40;
+
+fn row_key(slot: usize, r: &WindowRow) -> u128 {
+    ((slot as u128) << KEY_SLOT)
+        | (u128::from(r.src_ip) << KEY_SRC)
+        | (u128::from(r.src_port) << 24)
+        | (u128::from(r.dst_port) << 8)
+        | u128::from(r.protocol)
+}
+
+/// The pre-event kernel, shared by the batch stage and the stream's
+/// anomaly backfill: the [`PreEventResult`] of the window
+/// `[start - pre_window, start)` from that window's rows, in any order.
+/// Rows outside the window's slots are skipped.
+///
+/// Every shortcut is exact against building the five per-slot series and
+/// pushing each slot through five [`EwmaDetector`]s:
+///
+/// * distinct flows and sources come from one sort of packed rows, and
+///   distinct destination ports from a port bitset per slot — no hashing;
+/// * a window without rows is `NoData` at once: an all-zero series keeps
+///   every detector's sums at exactly 0.0, so it can never raise an
+///   anomaly;
+/// * a slot value below `min_anomalous_value` can never count, so the
+///   detector only admits it ([`EwmaDetector::update`]) instead of
+///   judging it;
+/// * the detectors start at the first slot with data, in the state the
+///   zero slots before it leave them in ([`EwmaDetector::reset_to_zeros`]).
+pub(crate) fn window_result(
+    event_id: usize,
+    start: Timestamp,
+    rows: impl IntoIterator<Item = WindowRow>,
+    config: &PreEventConfig,
+    scratch: &mut PreEventScratch,
+) -> PreEventResult {
+    let window_start = start - config.pre_window;
+    let slot_ms = config.slot.as_millis();
+    let slot_count = config.slot_count();
+    let keys = &mut scratch.keys;
+    keys.clear();
+    for r in rows {
+        let offset = r.at - window_start.as_millis();
         if offset < 0 {
             continue;
         }
-        let idx = (offset / config.slot.as_millis()) as usize;
-        if idx >= slots {
-            continue;
-        }
-        packets[idx] += 1;
-        flows[idx].insert((
-            cols.src_ip_raw(i),
-            cols.src_port(i),
-            cols.dst_port(i),
-            cols.protocol_raw(i),
-        ));
-        src_ips[idx].insert(cols.src_ip_raw(i));
-        dst_ports[idx].insert(cols.dst_port(i));
-        if cols.protocol(i) != Protocol::Tcp {
-            non_tcp[idx] += 1;
+        let idx = (offset / slot_ms) as usize;
+        if idx < slot_count {
+            keys.push(row_key(idx, &r));
         }
     }
-    (0..slots)
-        .map(|i| {
+    if keys.is_empty() {
+        return PreEventResult {
+            event_id,
+            slots_with_data: 0,
+            packets: 0,
+            anomalies: Vec::new(),
+            amplification: [None; FEATURES],
+            last_slot_is_max: false,
+            class: PreClass::NoData,
+        };
+    }
+    keys.sort_unstable();
+
+    // One pass over the sorted keys: a slot's rows are contiguous, and
+    // equal flow tuples and equal sources are adjacent within it.
+    let slots = &mut scratch.slots;
+    slots.clear();
+    let mut run = 0;
+    while run < keys.len() {
+        let slot = keys[run] >> KEY_SLOT;
+        let end = run + keys[run..].partition_point(|k| k >> KEY_SLOT == slot);
+        let (mut flows, mut sources, mut non_tcp) = (0u32, 0u32, 0u32);
+        for j in run..end {
+            let k = keys[j];
+            if j == run || keys[j - 1] != k {
+                flows += 1;
+            }
+            if j == run || keys[j - 1] >> KEY_SRC != k >> KEY_SRC {
+                sources += 1;
+            }
+            scratch.dst_ports.insert((k >> 8) as u16);
+            if Protocol::from_number(k as u8) != Protocol::Tcp {
+                non_tcp += 1;
+            }
+        }
+        slots.push((
+            slot as usize,
             [
-                packets[i] as f64,
-                flows[i].len() as f64,
-                src_ips[i].len() as f64,
-                dst_ports[i].len() as f64,
-                non_tcp[i] as f64,
-            ]
-        })
-        .collect()
+                (end - run) as f64,
+                flows as f64,
+                sources as f64,
+                scratch.dst_ports.take_len() as f64,
+                non_tcp as f64,
+            ],
+        ));
+        run = end;
+    }
+
+    let first = slots[0].0;
+    if scratch.detectors.is_empty() {
+        scratch.detectors = (0..FEATURES)
+            .map(|_| EwmaDetector::new(config.ewma))
+            .collect();
+    }
+    for det in &mut scratch.detectors {
+        det.reset_to_zeros(first);
+    }
+    let mut anomalies = Vec::new();
+    let mut next = 0;
+    for i in first..slot_count {
+        let values = match slots.get(next) {
+            Some(&(slot, values)) if slot == i => {
+                next += 1;
+                values
+            }
+            _ => [0.0; FEATURES],
+        };
+        let mut level = 0u8;
+        for (det, &v) in scratch.detectors.iter_mut().zip(&values) {
+            if v >= config.min_anomalous_value {
+                if det.push(v).is_some_and(|verdict| verdict.is_anomaly) {
+                    level += 1;
+                }
+            } else {
+                det.update(v);
+            }
+        }
+        if level > 0 {
+            let slot_start = window_start + TimeDelta::millis(slot_ms * i as i64);
+            anomalies.push(AnomalyHit {
+                before_start: start - slot_start,
+                level,
+            });
+        }
+    }
+
+    // Amplification factor: last slot vs pre-window mean per feature. The
+    // values are small integers, so their sums are exact in any order and
+    // the empty slots add nothing.
+    let mut sum = [0.0f64; FEATURES];
+    let mut max = [0.0f64; FEATURES];
+    for (_, values) in slots.iter() {
+        for f in 0..FEATURES {
+            sum[f] += values[f];
+            max[f] = max[f].max(values[f]);
+        }
+    }
+    let last = match slots.last() {
+        Some(&(slot, values)) if slot == slot_count - 1 => values,
+        _ => [0.0; FEATURES],
+    };
+    let mut amplification = [None; FEATURES];
+    let mut last_slot_is_max = false;
+    for f in 0..FEATURES {
+        let mean = sum[f] / slot_count as f64;
+        if mean > 0.0 && last[f] > 0.0 {
+            amplification[f] = Some(last[f] / mean);
+        }
+        if last[f] > 0.0 && last[f] >= max[f] {
+            last_slot_is_max = true;
+        }
+    }
+
+    let class = if anomalies
+        .iter()
+        .any(|a| a.before_start <= config.anomaly_horizon)
+    {
+        PreClass::DataAnomaly
+    } else {
+        PreClass::DataNoAnomaly
+    };
+
+    PreEventResult {
+        event_id,
+        slots_with_data: slots.len(),
+        packets: keys.len() as u64,
+        anomalies,
+        amplification,
+        last_slot_is_max,
+        class,
+    }
 }
 
 /// Analyzes one event's pre-window given the (time-sorted) ids of its
@@ -172,72 +355,14 @@ pub fn analyze_event(
     ids: &[u32],
     config: &PreEventConfig,
 ) -> PreEventResult {
-    let window = Interval::new(event.start() - config.pre_window, event.start());
-    let series = feature_series(cols, ids, window, config);
-    let slots = series.len();
-
-    let mut detectors: Vec<EwmaDetector> = (0..FEATURES)
-        .map(|_| EwmaDetector::new(config.ewma))
-        .collect();
-    let mut anomalies = Vec::new();
-    for (i, values) in series.iter().enumerate() {
-        let mut level = 0u8;
-        for (f, det) in detectors.iter_mut().enumerate() {
-            if let Some(v) = det.push(values[f]) {
-                if v.is_anomaly && v.value >= config.min_anomalous_value {
-                    level += 1;
-                }
-            }
-        }
-        if level > 0 {
-            let slot_start = window.start + TimeDelta::millis(config.slot.as_millis() * i as i64);
-            anomalies.push(AnomalyHit {
-                before_start: event.start() - slot_start,
-                level,
-            });
-        }
-    }
-
-    let slots_with_data = series.iter().filter(|v| v[0] > 0.0).count();
-    let packets: u64 = series.iter().map(|v| v[0] as u64).sum();
-
-    // Amplification factor: last slot vs pre-window mean per feature.
-    let mut amplification = [None; FEATURES];
-    let mut last_slot_is_max = false;
-    if slots > 0 {
-        let last = &series[slots - 1];
-        for f in 0..FEATURES {
-            let mean: f64 = series.iter().map(|v| v[f]).sum::<f64>() / slots as f64;
-            if mean > 0.0 && last[f] > 0.0 {
-                amplification[f] = Some(last[f] / mean);
-            }
-            let max = series.iter().map(|v| v[f]).fold(0.0f64, f64::max);
-            if last[f] > 0.0 && last[f] >= max {
-                last_slot_is_max = true;
-            }
-        }
-    }
-
-    let class = if packets == 0 {
-        PreClass::NoData
-    } else if anomalies
-        .iter()
-        .any(|a| a.before_start <= config.anomaly_horizon)
-    {
-        PreClass::DataAnomaly
-    } else {
-        PreClass::DataNoAnomaly
-    };
-
-    PreEventResult {
-        event_id: event.id,
-        slots_with_data,
-        packets,
-        anomalies,
-        amplification,
-        last_slot_is_max,
-        class,
-    }
+    let rows = ids.iter().map(|&id| WindowRow::of(cols, id));
+    window_result(
+        event.id,
+        event.start(),
+        rows,
+        config,
+        &mut PreEventScratch::new(),
+    )
 }
 
 /// The corpus-wide pre-event analysis.
@@ -320,6 +445,7 @@ pub fn analyze_preevents(
     cols: &ColumnarFlows,
     config: &PreEventConfig,
 ) -> PreEventAnalysis {
+    let mut scratch = PreEventScratch::new();
     let per_event = events
         .iter()
         .map(|event| {
@@ -330,7 +456,8 @@ pub fn analyze_preevents(
             // Slice the (time-sorted) id list to the pre-window via the
             // time-bucket index — two binary searches, no full scan.
             let in_window = cols.window_ids(ids, event.start() - config.pre_window, event.start());
-            analyze_event(event, cols, in_window, config)
+            let rows = in_window.iter().map(|&id| WindowRow::of(cols, id));
+            window_result(event.id, event.start(), rows, config, &mut scratch)
         })
         .collect();
     PreEventAnalysis {
@@ -343,7 +470,7 @@ pub fn analyze_preevents(
 mod tests {
     use super::*;
     use rtbh_fabric::{FlowLog, FlowSample};
-    use rtbh_net::{Asn, MacAddr, Timestamp};
+    use rtbh_net::{Asn, Interval, MacAddr};
 
     fn config() -> PreEventConfig {
         // Small windows so tests stay readable: 60-slot window, span 20.

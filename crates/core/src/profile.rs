@@ -6,7 +6,7 @@
 //! stage's kernel was sharded over, and the input footprint the stage
 //! scanned (BGP updates, flow samples, RTBH events) — from which a
 //! samples/sec throughput is derived. The preparation kernels of
-//! `Analyzer::new` (clean, align, shift, event inference, enrichment, index
+//! `Analyzer::new` (clean, align, event inference, enrichment, index
 //! build) are profiled too and carried in [`PipelineProfile::prepare`]. The
 //! profile serializes to JSON through `rtbh_json` (`rtbh analyze
 //! --timings`, the `pipeline_bench` binary in `rtbh-bench`), so it can be
@@ -133,20 +133,24 @@ pub fn time_stage_with_workers<T>(
     (out, stats)
 }
 
-/// The profile of one full pipeline run: execution mode, end-to-end wall
-/// time and per-stage statistics in canonical stage order (independent of
-/// completion order, so sequential and parallel profiles line up).
+/// The profile of one full pipeline run: execution mode, the wall time of
+/// the stage phase, the prepare kernels' statistics and per-stage
+/// statistics in canonical stage order (independent of completion order,
+/// so sequential and parallel profiles line up).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PipelineProfile {
     /// How the stages were executed.
     pub mode: ExecutionMode,
     /// Scoped worker threads spawned by the run (0 when sequential).
     pub worker_threads: usize,
-    /// End-to-end wall time including thread joins, in nanoseconds.
+    /// Wall time of the stage phase, in nanoseconds: from the start of
+    /// the first analysis stage to the end of the last, thread joins
+    /// included. The prepare kernels ran before it and are not part of it
+    /// (see [`Self::prepare_sum_ns`]).
     pub total_wall_ns: u64,
-    /// Stats of the shared preparation kernels (clean, align, shift, event
-    /// inference, enrichment, index build), recorded once at
-    /// `Analyzer::new` — their wall time is *not* part of
+    /// Stats of the shared preparation kernels (clean, align, event
+    /// inference, enrichment, index build), recorded once when the
+    /// analyzer was prepared — their wall time is *not* part of
     /// [`Self::total_wall_ns`], which covers the analysis stages only.
     pub prepare: Vec<StageStats>,
     /// Per-stage statistics, in canonical stage order.
@@ -159,20 +163,29 @@ impl PipelineProfile {
         self.stages.iter().find(|s| s.stage == name)
     }
 
+    /// Sum of the prepare rows' wall times: the preparation that ran once,
+    /// sequentially, before the stage phase.
+    pub fn prepare_sum_ns(&self) -> u64 {
+        self.prepare.iter().map(|s| s.wall_ns).sum()
+    }
+
     /// Sum of per-stage wall times — the work the run performed, which a
-    /// parallel run packs into less end-to-end time.
+    /// parallel run packs into less stage-phase time.
     pub fn stage_sum_ns(&self) -> u64 {
         self.stages.iter().map(|s| s.wall_ns).sum()
     }
 
-    /// Achieved concurrency: stage-sum divided by end-to-end wall time
+    /// Achieved concurrency: stage-sum divided by stage-phase wall time
     /// (1.0× for a perfectly sequential run, >1.0× when stages overlap).
     pub fn concurrency_factor(&self) -> f64 {
         self.stage_sum_ns() as f64 / self.total_wall_ns.max(1) as f64
     }
 
     /// Renders the profile as a fixed-width text table (what
-    /// `rtbh analyze --timings` prints).
+    /// `rtbh analyze --timings` prints): the prepare rows, the stage rows,
+    /// a `prepare` line summing the prepare rows and a `total` line for
+    /// the stage phase, so the two last lines account for the whole job
+    /// after corpus load.
     pub fn render(&self) -> String {
         let mut out = String::new();
         out.push_str(&format!(
@@ -198,7 +211,12 @@ impl PipelineProfile {
             row(&mut out, &s.stage, s);
         }
         out.push_str(&format!(
-            "{:<16} {:>12}   ({}, {} worker threads, stage-sum {}, concurrency {:.2}x)\n",
+            "{:<16} {:>12}   (sum of the prepare rows)\n",
+            "prepare",
+            format_ns(self.prepare_sum_ns())
+        ));
+        out.push_str(&format!(
+            "{:<16} {:>12}   (stage phase: {}, {} worker threads, stage-sum {}, concurrency {:.2}x)\n",
             "total",
             format_ns(self.total_wall_ns),
             self.mode.as_str(),
@@ -318,6 +336,18 @@ mod tests {
         assert!(text.contains("prepare:index"));
         assert!(text.contains("total"));
         assert!(text.contains("sequential"));
+        // The prepare line sums the prepare rows and sits above the total,
+        // which says it covers the stage phase.
+        let lines: Vec<&str> = text.lines().collect();
+        let prepare = lines
+            .iter()
+            .position(|l| l.starts_with("prepare "))
+            .expect("a prepare line");
+        assert!(lines[prepare].contains(&format_ns(profile.prepare_sum_ns())));
+        assert!(lines[prepare].contains("sum of the prepare rows"));
+        assert!(lines[prepare + 1].starts_with("total"));
+        assert!(lines[prepare + 1].contains("stage phase"));
+        assert_eq!(prepare + 2, lines.len());
     }
 
     #[test]
@@ -329,6 +359,7 @@ mod tests {
             profile.stage_sum_ns(),
             profile.stages.iter().map(|s| s.wall_ns).sum::<u64>()
         );
+        assert_eq!(profile.prepare_sum_ns(), profile.prepare[0].wall_ns);
     }
 
     #[test]

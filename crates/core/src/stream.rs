@@ -3,7 +3,8 @@
 //! [`StreamAnalyzer`] consumes one interleaved, timestamp-ordered feed of
 //! BGP updates and flow samples and maintains *live* state while it runs:
 //!
-//! * a bounded-memory [`ChunkRing`] of [`SealedChunk`]s reusing the batch
+//! * a bounded-memory [`ChunkRing`] of
+//!   [`SealedChunk`](crate::columns::SealedChunk)s reusing the batch
 //!   store's chunk ABI verbatim (open chunk appends, seals at capacity,
 //!   evicts past the retention watermark);
 //! * incremental per-prefix blackhole *runs* (the streaming counterpart of
@@ -47,25 +48,30 @@
 //! The *live* verdict journal intentionally follows watermark semantics
 //! instead: it knows only the prefixes announced so far, reads unshifted
 //! timestamps, and its anomaly backfill scans whatever the ring still
-//! retains. Those divergences are documented on [`VerdictRecord`]; the
+//! retains. The backfill runs the batch pre-event kernel, but over every
+//! retained row whose destination lies inside the run's prefix, where
+//! batch reads only the samples whose longest blackholed prefix is the
+//! event's: a /24 run also counts the traffic of a blackholed /32 nested
+//! in it. Those divergences are documented on [`VerdictRecord`]; the
 //! journal itself is deterministic (same feed, same config ⇒ same byte
-//! sequence, pinned by the journal replay tests).
+//! sequence, pinned by the journal replay tests and the golden journal
+//! snapshot).
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashSet};
+use std::collections::BinaryHeap;
 
 use rtbh_bgp::{BgpUpdate, UpdateKind, UpdateLog};
 use rtbh_fabric::{FlowLog, FlowSample};
-use rtbh_net::{Asn, Interval, Ipv4Addr, Prefix, PrefixTrie, Protocol, TimeDelta, Timestamp};
-use rtbh_stats::{EwmaDetector, OffsetVotes};
+use rtbh_net::{Asn, Interval, Ipv4Addr, Prefix, PrefixTrie, TimeDelta, Timestamp};
+use rtbh_stats::OffsetVotes;
 
 use crate::classify::UseCase;
 use crate::clean::CleanReport;
-use crate::columns::{ChunkRing, ChunkRow, SealedChunk, NONE};
+use crate::columns::{ChunkRing, ChunkRow, NONE};
 use crate::corpus::Corpus;
 use crate::index::{OriginTable, SampleEnricher};
 use crate::pipeline::{Analyzer, AnalyzerConfig, FullReport};
-use crate::preevent::FEATURES;
+use crate::preevent::{window_result, PreClass, PreEventScratch, WindowRow};
 use crate::profile::{ExecutionMode, PipelineProfile, StageStats};
 
 /// One event of the interleaved control/data-plane feed.
@@ -183,11 +189,20 @@ struct PrefixState {
 /// merge-Δ expired under the watermark, or the stream finished).
 ///
 /// Live verdicts follow watermark semantics and can diverge from the final
-/// batch classification in documented ways: timestamps are unshifted (the
-/// finalizer's clock alignment has not happened yet), the covering-prefix
-/// lookup knows only prefixes announced so far, and the anomaly backfill
-/// scans whatever the ring still retains. The journal is nonetheless fully
-/// deterministic for a given feed and config.
+/// batch classification in documented ways:
+///
+/// * timestamps are unshifted (the finalizer's clock alignment has not
+///   happened yet);
+/// * the covering-prefix lookup knows only prefixes announced so far;
+/// * the anomaly backfill scans whatever the ring still retains;
+/// * the anomaly backfill counts every sample whose destination lies
+///   inside the run's prefix, while batch counts only the samples whose
+///   longest blackholed prefix is the event's — so traffic to a blackholed
+///   /32 inside a /24 can back the /24's live `anomaly` flag but never its
+///   batch `DataAnomaly` class.
+///
+/// The journal is nonetheless fully deterministic for a given feed and
+/// config.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct VerdictRecord {
     /// Monotonic sequence number (0-based, gap-free).
@@ -316,6 +331,8 @@ pub struct StreamAnalyzer {
     ring: ChunkRing,
     bh_trie: PrefixTrie<usize>,
     state: Vec<PrefixState>,
+    /// The pre-event kernel's buffers, reused by every backfill.
+    preevent: PreEventScratch,
     /// Live offset votes (observability only: the finalizer re-runs batch
     /// alignment); `None` for an invalid offset grid.
     offset: Option<OffsetVotes>,
@@ -362,6 +379,7 @@ impl StreamAnalyzer {
             ring: ChunkRing::new(config.analyzer.chunk_capacity),
             bh_trie: PrefixTrie::new(),
             state: Vec::new(),
+            preevent: PreEventScratch::new(),
             offset,
             journal: Vec::new(),
             next_seq: 0,
@@ -591,118 +609,39 @@ impl StreamAnalyzer {
         self.flows.push(s);
     }
 
-    /// EWMA anomaly backfill at run start: rebuilds the batch pre-event
-    /// feature series (5-minute slots × 5 features, empty slots as zeros)
-    /// for `[start - pre_window, start)` from the ring and runs the same
-    /// warm-up-respecting detector pass as
-    /// [`crate::preevent::analyze_event`]. Returns the batch
-    /// `DataAnomaly` predicate: sampled packets exist and an anomalous
-    /// slot lies within the anomaly horizon.
-    fn preevent_backfill(&self, prefix: Prefix, start: Timestamp) -> bool {
+    /// EWMA anomaly backfill at run start: feeds the ring's rows towards
+    /// `prefix` in `[start - pre_window, start)` to the pre-event kernel
+    /// that [`crate::preevent::analyze_preevents`] runs and returns whether
+    /// it classes the window `DataAnomaly`: sampled packets exist and an
+    /// anomalous slot lies within the anomaly horizon. Unlike batch, which
+    /// reads only the samples whose longest blackholed prefix is the
+    /// event's, this counts every retained row whose destination lies
+    /// inside `prefix`, so a /24 run also counts the traffic of a
+    /// blackholed /32 nested in it (see [`VerdictRecord`]).
+    fn preevent_backfill(&mut self, prefix: Prefix, start: Timestamp) -> bool {
         let pcfg = &self.config.analyzer.preevent;
-        let ws = (start - pcfg.pre_window).as_millis();
-        let we = start.as_millis();
-        let slots = pcfg.slot_count();
-        let slot_ms = pcfg.slot.as_millis();
-        let mut packets = vec![0u32; slots];
-        let mut flows: Vec<HashSet<(u32, u16, u16, u8)>> = vec![HashSet::new(); slots];
-        let mut src_ips: Vec<HashSet<u32>> = vec![HashSet::new(); slots];
-        let mut dst_ports: Vec<HashSet<u16>> = vec![HashSet::new(); slots];
-        let mut non_tcp = vec![0u32; slots];
-        let chunks = self
+        let (ws, we) = ((start - pcfg.pre_window).as_millis(), start.as_millis());
+        let rows = self
             .ring
             .sealed()
-            .map(|c| (c, true))
-            .chain(self.ring.open_chunk().map(|c| (c, false)));
-        for (c, sealed) in chunks {
-            // The open chunk's headers are stale until sealing — only
-            // sealed chunks may be pruned by them.
-            if sealed && (c.max_at_millis() < ws || c.min_at_millis() >= we) {
-                continue;
-            }
-            self.scan_chunk_features(
-                c,
-                prefix,
-                ws,
-                we,
-                slot_ms,
-                &mut packets,
-                &mut flows,
-                &mut src_ips,
-                &mut dst_ports,
-                &mut non_tcp,
-            );
-        }
-        let mut detectors: Vec<EwmaDetector> = (0..FEATURES)
-            .map(|_| EwmaDetector::new(pcfg.ewma))
-            .collect();
-        let mut hit = false;
-        let mut total_packets = 0u64;
-        for i in 0..slots {
-            total_packets += packets[i] as u64;
-            let values = [
-                packets[i] as f64,
-                flows[i].len() as f64,
-                src_ips[i].len() as f64,
-                dst_ports[i].len() as f64,
-                non_tcp[i] as f64,
-            ];
-            let before = TimeDelta::millis(we - (ws + slot_ms * i as i64));
-            for (f, det) in detectors.iter_mut().enumerate() {
-                if let Some(v) = det.push(values[f]) {
-                    if v.is_anomaly
-                        && v.value >= pcfg.min_anomalous_value
-                        && before <= pcfg.anomaly_horizon
-                    {
-                        hit = true;
-                    }
-                }
-            }
-        }
-        total_packets > 0 && hit
-    }
-
-    /// Accumulates one chunk's in-window rows towards `prefix` into the
-    /// per-slot feature accumulators.
-    #[allow(clippy::too_many_arguments)]
-    fn scan_chunk_features(
-        &self,
-        c: &SealedChunk,
-        prefix: Prefix,
-        ws: i64,
-        we: i64,
-        slot_ms: i64,
-        packets: &mut [u32],
-        flows: &mut [HashSet<(u32, u16, u16, u8)>],
-        src_ips: &mut [HashSet<u32>],
-        dst_ports: &mut [HashSet<u16>],
-        non_tcp: &mut [u32],
-    ) {
-        for r in 0..c.len() {
-            let t = c.at_millis()[r];
-            if t < ws || t >= we {
-                continue;
-            }
-            if !prefix.contains_addr(Ipv4Addr::from_u32(c.dst_ip_raw()[r])) {
-                continue;
-            }
-            let idx = ((t - ws) / slot_ms) as usize;
-            if idx >= packets.len() {
-                continue;
-            }
-            packets[idx] += 1;
-            flows[idx].insert((
-                c.src_ip_raw()[r],
-                c.src_ports()[r],
-                c.dst_ports()[r],
-                c.protocols()[r],
-            ));
-            src_ips[idx].insert(c.src_ip_raw()[r]);
-            dst_ports[idx].insert(c.dst_ports()[r]);
-            if Protocol::from_number(c.protocols()[r]) != Protocol::Tcp {
-                non_tcp[idx] += 1;
-            }
-        }
+            .chain(self.ring.open_chunk())
+            .flat_map(|c| {
+                // Rows are applied in key order, so `at` never decreases and
+                // two binary searches bound the window in every chunk.
+                let at = c.at_millis();
+                let lo = at.partition_point(|&t| t < ws);
+                let hi = lo + at[lo..].partition_point(|&t| t < we);
+                (lo..hi)
+                    .filter(move |&r| prefix.contains_addr(Ipv4Addr::from_u32(c.dst_ip_raw()[r])))
+                    .map(move |r| WindowRow {
+                        at: at[r],
+                        src_ip: c.src_ip_raw()[r],
+                        src_port: c.src_ports()[r],
+                        dst_port: c.dst_ports()[r],
+                        protocol: c.protocols()[r],
+                    })
+            });
+        window_result(0, start, rows, pcfg, &mut self.preevent).class == PreClass::DataAnomaly
     }
 
     /// Closes run `id` and journals its verdict (no-op when the run has no
@@ -994,7 +933,7 @@ impl StreamDriver {
 mod tests {
     use super::*;
     use crate::corpus::MemberInfo;
-    use rtbh_net::{Community, MacAddr};
+    use rtbh_net::{Community, MacAddr, Protocol};
     use rtbh_peeringdb::Registry;
 
     const MINUTE: i64 = 60_000;
@@ -1284,6 +1223,46 @@ mod tests {
         assert_eq!(run.status.pending, 0, "finish drains the buffer");
         assert_eq!(run.status.updates_ingested, c.updates.len() as u64);
         assert!(run.status.live_offset_ms.is_some());
+    }
+
+    #[test]
+    fn a_nested_blackholed_host_backs_only_the_live_anomaly_flag() {
+        // Quiet traffic to a host, then a burst in the last slot before its
+        // /24 is blackholed; the host's own /32 is blackholed later.
+        let mut c = corpus(1);
+        c.updates = UpdateLog::from_updates(vec![
+            announce(300, "10.1.0.0/24", 64501),
+            withdraw(330, "10.1.0.0/24", 64501),
+            announce(400, "10.1.0.7/32", 64501),
+            withdraw(410, "10.1.0.7/32", 64501),
+        ]);
+        let mut samples: Vec<FlowSample> =
+            (0..30).map(|i| sample(i * 10, "10.1.0.7", false)).collect();
+        samples.extend((0..120).map(|_| sample(297, "10.1.0.7", false)));
+        c.flows = FlowLog::from_samples(samples);
+        let mut config = StreamConfig::for_corpus(&c);
+        config.analyzer.preevent = crate::preevent::PreEventConfig {
+            slot: TimeDelta::minutes(5),
+            pre_window: TimeDelta::minutes(300),
+            ewma: rtbh_stats::EwmaConfig {
+                span: 20,
+                threshold_sd: 2.5,
+            },
+            anomaly_horizon: TimeDelta::minutes(10),
+            min_anomalous_value: 4.0,
+        };
+        let slash24: Prefix = "10.1.0.0/24".parse().unwrap();
+
+        // Live: the backfill counts every row inside the /24.
+        let run = StreamDriver::new(16).replay(&c, config);
+        let live = run.journal.iter().find(|v| v.prefix == slash24);
+        assert!(live.expect("the /24 run is journaled").anomaly);
+
+        // Batch: the burst belongs to the /32, the /24's event sees nothing.
+        let batch = Analyzer::new(c, config.analyzer);
+        let event = batch.events().iter().find(|e| e.prefix == slash24);
+        let class = batch.preevents().per_event[event.expect("the /24 event").id].class;
+        assert_eq!(class, PreClass::NoData);
     }
 
     #[test]

@@ -179,6 +179,16 @@ impl EwmaDetector {
                 is_anomaly: value > mean + self.config.threshold_sd * sd + guard,
             }
         });
+        self.update(value);
+        verdict
+    }
+
+    /// Admits the next slot value without judging it: the second half of
+    /// [`EwmaDetector::push`], which leaves the detector in the same state
+    /// `push` would. For callers that already know the verdict cannot
+    /// matter (a value below their reporting floor), it skips the mean,
+    /// the SD and the square root.
+    pub fn update(&mut self, value: f64) {
         // Decay all existing weights by β, evict the oldest if warm, admit
         // the new value at weight β^0 = 1.
         let evicted = if self.is_warm() {
@@ -189,17 +199,26 @@ impl EwmaDetector {
         self.sum = self.beta * self.sum + value - self.beta_span * evicted;
         self.sum_sq = self.beta * self.sum_sq + value * value - self.beta_span * evicted * evicted;
         self.window[self.head] = value;
-        self.head = (self.head + 1) % self.config.span;
+        self.head += 1;
+        if self.head == self.config.span {
+            self.head = 0;
+        }
         if self.filled < self.config.span {
             self.filled += 1;
         }
-        verdict
     }
 
     /// Resets the window without changing the configuration.
     pub fn reset(&mut self) {
-        self.head = 0;
-        self.filled = 0;
+        self.reset_to_zeros(0);
+    }
+
+    /// Resets the window to the state a fresh detector reaches after
+    /// `zeros` pushes of `0.0`: every pushed zero keeps both sums at
+    /// exactly `0.0`, so only the ring position and the warm-up count move.
+    pub fn reset_to_zeros(&mut self, zeros: usize) {
+        self.head = zeros % self.config.span;
+        self.filled = zeros.min(self.config.span);
         self.sum = 0.0;
         self.sum_sq = 0.0;
         self.window.iter_mut().for_each(|v| *v = 0.0);
@@ -361,6 +380,43 @@ mod tests {
         let strict_hit = strict.last().unwrap().unwrap().is_anomaly;
         assert!(loose_hit);
         assert!(!strict_hit);
+    }
+
+    #[test]
+    fn update_leaves_the_state_push_leaves() {
+        // Any mix of values, including spikes, zeros and negatives, through
+        // every warm-up length: the two detectors must agree bit for bit.
+        let series: Vec<f64> = (0..200)
+            .map(|i| match i % 7 {
+                0 => 0.0,
+                1 => 1e6,
+                2 => -3.25,
+                _ => ((i * 37 % 23) as f64) / 3.0,
+            })
+            .collect();
+        for span in [1, 2, 5, 16] {
+            let mut pushed = EwmaDetector::new(cfg(span));
+            let mut updated = EwmaDetector::new(cfg(span));
+            for (i, &x) in series.iter().enumerate() {
+                pushed.push(x);
+                if i % 3 == 0 {
+                    updated.push(x);
+                } else {
+                    updated.update(x);
+                }
+                assert_eq!(pushed.head, updated.head);
+                assert_eq!(pushed.filled, updated.filled);
+                assert_eq!(
+                    pushed.sum.to_bits(),
+                    updated.sum.to_bits(),
+                    "span {span} i {i}"
+                );
+                assert_eq!(pushed.sum_sq.to_bits(), updated.sum_sq.to_bits());
+                let bits =
+                    |d: &EwmaDetector| d.window.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&pushed), bits(&updated));
+            }
+        }
     }
 
     #[test]

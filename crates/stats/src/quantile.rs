@@ -24,16 +24,33 @@ pub fn quantile(sample: &[f64], q: f64) -> Option<f64> {
 
 /// Like [`quantile`], but assumes `sorted` is already ascending and non-empty.
 pub fn quantile_sorted(sorted: &[f64], q: f64) -> f64 {
-    assert!(!sorted.is_empty(), "quantile of empty sample");
+    quantile_sorted_by(sorted.len(), q, |i| sorted[i])
+}
+
+/// [`quantile_sorted`] over an ascending sample of `len` values that is
+/// read through `at(i)` instead of being materialized — for example a
+/// sample whose leading values are implicit zeros. Performs exactly
+/// `quantile_sorted`'s arithmetic, so both return the same `f64`.
+///
+/// ```
+/// use rtbh_stats::quantile::{quantile_sorted, quantile_sorted_by};
+/// // Six values, the first four of them implicit zeros.
+/// let tail = [0.25, 1.0];
+/// let at = |i: usize| if i < 4 { 0.0 } else { tail[i - 4] };
+/// let dense = [0.0, 0.0, 0.0, 0.0, 0.25, 1.0];
+/// assert_eq!(quantile_sorted_by(6, 0.99, at), quantile_sorted(&dense, 0.99));
+/// ```
+pub fn quantile_sorted_by(len: usize, q: f64, at: impl Fn(usize) -> f64) -> f64 {
+    assert!(len > 0, "quantile of empty sample");
     let q = q.clamp(0.0, 1.0);
-    let pos = q * (sorted.len() - 1) as f64;
+    let pos = q * (len - 1) as f64;
     let lo = pos.floor() as usize;
     let hi = pos.ceil() as usize;
     if lo == hi {
-        sorted[lo]
+        at(lo)
     } else {
         let frac = pos - lo as f64;
-        sorted[lo] * (1.0 - frac) + sorted[hi] * frac
+        at(lo) * (1.0 - frac) + at(hi) * frac
     }
 }
 
