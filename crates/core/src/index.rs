@@ -2,7 +2,7 @@
 //!
 //! Several analyses ask, for every sample, "which blackholed prefix covers
 //! this destination (or source)?". This module builds the lookup structures
-//! once: a frozen longest-prefix index ([`FrozenLpm`]) over all prefixes
+//! once: a stride-8 longest-prefix table ([`FrozenLpm`]) over all prefixes
 //! that ever appeared in a blackhole announcement, per-prefix time-sorted
 //! sample lists, and a prefix→origin table from the route-server snapshot.
 //!
@@ -18,9 +18,7 @@ use std::collections::BTreeMap;
 
 use rtbh_bgp::{blackhole_intervals, UpdateLog};
 use rtbh_fabric::FlowSample;
-use rtbh_net::{
-    Asn, FrozenLpm, Interval, Ipv4Addr, MacAddr, Prefix, PrefixTrie, TimeDelta, Timestamp,
-};
+use rtbh_net::{Asn, FrozenLpm, Interval, Ipv4Addr, MacAddr, Prefix, TimeDelta, Timestamp};
 use rtbh_stats::OffsetVotes;
 
 use crate::columns::{ChunkRow, NONE};
@@ -161,13 +159,13 @@ pub struct OriginTable {
 
 impl OriginTable {
     /// Builds the table from `(prefix, origin)` pairs. Later duplicates of
-    /// a prefix replace earlier ones, like repeated trie inserts would.
+    /// a prefix replace earlier ones (each pair is one
+    /// [`FrozenLpm::insert`]).
     pub fn build(routes: &[(Prefix, Asn)]) -> Self {
-        let mut trie = PrefixTrie::new();
-        for (p, asn) in routes {
-            trie.insert(*p, *asn);
+        let mut lpm = FrozenLpm::new();
+        for &(p, asn) in routes {
+            lpm.insert(p, asn);
         }
-        let lpm = FrozenLpm::from_trie(&trie);
         let mut origins: Vec<Asn> = lpm.values().to_vec();
         origins.sort();
         origins.dedup();
@@ -194,21 +192,22 @@ impl OriginTable {
     }
 }
 
-/// Compiles the deduplicated blackholed-prefix set of an update log into a
-/// frozen LPM whose payload is the dense prefix id, plus the id → prefix
+/// Compiles the deduplicated blackholed-prefix set of an update log into an
+/// LPM table whose payload is the dense prefix id, plus the id → prefix
 /// table (first-announcement order). The sample enricher compiles it, and
 /// the sealed chunks hand the pair on to [`SampleIndex::from_columns`], so
-/// both agree on prefix ids.
+/// both agree on prefix ids. The stream grows its live table the same way,
+/// one first announcement at a time.
 fn compile_blackhole_prefixes(updates: &UpdateLog) -> (FrozenLpm<usize>, Vec<Prefix>) {
-    let mut trie = PrefixTrie::new();
+    let mut lpm = FrozenLpm::new();
     let mut prefixes = Vec::new();
     for u in updates.blackholes() {
-        if trie.get(u.prefix).is_none() {
-            trie.insert(u.prefix, prefixes.len());
+        if lpm.get(u.prefix).is_none() {
+            lpm.insert(u.prefix, prefixes.len());
             prefixes.push(u.prefix);
         }
     }
-    (FrozenLpm::from_trie(&trie), prefixes)
+    (lpm, prefixes)
 }
 
 /// The MAC → member-AS directory of a corpus, as handed to

@@ -26,7 +26,7 @@
 //! need (interned member/origin ASNs, blackhole-prefix ids, activity bits)
 //! plus a time-bucket window index; [`index`] compiles the per-corpus
 //! lookup tables that kernel reads and buckets the precomputed ids into
-//! the shared sample↔prefix lists over a frozen LPM table;
+//! the shared sample↔prefix lists over a stride-8 LPM table;
 //! [`pipeline`] wires everything into a single [`pipeline::Analyzer`]
 //! facade, running the independent analyses on scoped worker threads
 //! when it has more than one kernel worker and inline on the calling

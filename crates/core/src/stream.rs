@@ -19,15 +19,26 @@
 //! # Watermarks and the reorder buffer
 //!
 //! Real feeds are only *approximately* ordered. Every pushed event enters a
-//! small binary-heap reorder buffer keyed by `(timestamp, kind-rank,
-//! arrival)`; the **watermark** trails the largest timestamp seen by the
-//! configured [`StreamConfig::lateness`]. When the watermark advances, all
-//! buffered events *strictly before* it are applied in key order —
-//! updates before samples at the same millisecond, original arrival order
-//! within each kind — so a feed that was produced by [`interleave`] (or any
-//! merge of two individually-ordered logs) is applied in exactly the
-//! original per-log order. Events arriving *behind* the watermark are
-//! counted in [`StreamStatus::late_dropped`] and never applied.
+//! small reorder buffer keyed by `(timestamp, kind-rank, arrival)`; the
+//! **watermark** trails the largest timestamp seen by the configured
+//! [`StreamConfig::lateness`]. When the watermark advances, all buffered
+//! events *strictly before* it are applied in key order — updates before
+//! samples at the same millisecond, original arrival order within each
+//! kind — so a feed that was produced by [`interleave`] (or any merge of
+//! two individually-ordered logs) is applied in exactly the original
+//! per-log order. Events arriving *behind* the watermark are counted in
+//! [`StreamStatus::late_dropped`] and never applied. The buffer parks the
+//! events in a slab and heap-orders only 24-byte keys, so a sift moves
+//! keys, never events.
+//!
+//! # Per-event cost
+//!
+//! Ingest pays per event, not per prefix: a sample's two blackhole lookups
+//! read the live stride-8 table ([`FrozenLpm`], at most four slot reads
+//! each), which grows one prefix per first announcement with dense ids in
+//! first-announcement order; and a watermark advance visits only the runs
+//! whose merge-Δ expires under it, through an expiry queue keyed by `last
+//! span end + merge_delta` that every span-closing withdrawal feeds.
 //!
 //! # Determinism and the batch contract
 //!
@@ -62,7 +73,7 @@ use std::collections::BinaryHeap;
 
 use rtbh_bgp::{BgpUpdate, UpdateKind, UpdateLog};
 use rtbh_fabric::{FlowLog, FlowSample};
-use rtbh_net::{Asn, Interval, Ipv4Addr, Prefix, PrefixTrie, TimeDelta, Timestamp};
+use rtbh_net::{Asn, FrozenLpm, Interval, Ipv4Addr, Prefix, TimeDelta, Timestamp};
 use rtbh_stats::OffsetVotes;
 
 use crate::classify::UseCase;
@@ -138,26 +149,55 @@ impl StreamConfig {
     }
 }
 
-/// Reorder-buffer entry, ordered by `(at_ms, rank, arrival)` alone.
-struct Pending {
-    key: (i64, u8, u64),
-    event: StreamEvent,
+/// The reorder buffer: events wait in a slab of slots (freed slots are
+/// reused), and a min-heap orders their keys `(at_ms, rank << 63 |
+/// arrival, slot)` — the `(timestamp, kind-rank, arrival)` order, since
+/// arrival numbers stay below 2^63 and are unique.
+#[derive(Default)]
+struct ReorderBuffer {
+    heap: BinaryHeap<Reverse<(i64, u64, u32)>>,
+    slab: Vec<Option<StreamEvent>>,
+    free: Vec<u32>,
+    arrival: u64,
 }
 
-impl PartialEq for Pending {
-    fn eq(&self, other: &Self) -> bool {
-        self.key == other.key
+impl ReorderBuffer {
+    /// Buffers `event`, stamped `at_ms`, behind every event pushed before
+    /// it with the same timestamp and kind.
+    fn push(&mut self, at_ms: i64, event: StreamEvent) {
+        let order = u64::from(event.rank()) << 63 | self.arrival;
+        self.arrival += 1;
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slab[slot as usize] = Some(event);
+                slot
+            }
+            None => {
+                self.slab.push(Some(event));
+                u32::try_from(self.slab.len() - 1).expect("fewer than 2^32 buffered events")
+            }
+        };
+        self.heap.push(Reverse((at_ms, order, slot)));
     }
-}
-impl Eq for Pending {}
-impl PartialOrd for Pending {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
+
+    /// Takes the first event in key order if it lies strictly before `wm`.
+    fn pop_before(&mut self, wm: i64) -> Option<StreamEvent> {
+        match self.heap.peek() {
+            Some(&Reverse((at_ms, _, _))) if at_ms < wm => self.pop(),
+            _ => None,
+        }
     }
-}
-impl Ord for Pending {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.key.cmp(&other.key)
+
+    /// Takes the first event in key order.
+    fn pop(&mut self) -> Option<StreamEvent> {
+        let Reverse((_, _, slot)) = self.heap.pop()?;
+        self.free.push(slot);
+        self.slab[slot as usize].take()
+    }
+
+    /// Events buffered.
+    fn len(&self) -> usize {
+        self.heap.len()
     }
 }
 
@@ -316,8 +356,7 @@ pub struct StreamAnalyzer {
     /// template alone, so its interned ids equal the batch ones); the
     /// finalizer adds the blackhole tables of the applied updates.
     enricher: SampleEnricher,
-    pending: BinaryHeap<Reverse<Pending>>,
-    arrival: u64,
+    pending: ReorderBuffer,
     max_seen_ms: Option<i64>,
     watermark_ms: Option<i64>,
     late_dropped: u64,
@@ -329,8 +368,14 @@ pub struct StreamAnalyzer {
     clean_total: usize,
     internal_removed: usize,
     ring: ChunkRing,
-    bh_trie: PrefixTrie<usize>,
+    /// The live blackhole table: every prefix announced with BLACKHOLE so
+    /// far, valued by its dense id (first-announcement order) into `state`.
+    blackholes: FrozenLpm<usize>,
     state: Vec<PrefixState>,
+    /// Merge-Δ expiry queue: `(span end + merge_delta, id)` for every span
+    /// a withdrawal closed. An entry may be stale (the run reopened or
+    /// closed since); popping re-checks the run.
+    expiry: BinaryHeap<Reverse<(i64, usize)>>,
     /// The pre-event kernel's buffers, reused by every backfill.
     preevent: PreEventScratch,
     /// Live offset votes (observability only: the finalizer re-runs batch
@@ -350,10 +395,16 @@ impl StreamAnalyzer {
     /// events arrive exclusively through [`StreamAnalyzer::push`].
     pub fn new(corpus: &Corpus, config: StreamConfig) -> Self {
         let template = Corpus {
+            period: corpus.period,
+            sampling_rate: corpus.sampling_rate,
+            route_server_asn: corpus.route_server_asn,
             updates: UpdateLog::new(),
             flows: FlowLog::new(),
+            members: corpus.members.clone(),
+            registry: corpus.registry.clone(),
+            internal_macs: corpus.internal_macs.clone(),
+            routes: corpus.routes.clone(),
             caches: Default::default(),
-            ..corpus.clone()
         };
         let enricher = SampleEnricher::new(
             template.mac_to_member(),
@@ -367,8 +418,7 @@ impl StreamAnalyzer {
         Self {
             template,
             enricher,
-            pending: BinaryHeap::new(),
-            arrival: 0,
+            pending: ReorderBuffer::default(),
             max_seen_ms: None,
             watermark_ms: None,
             late_dropped: 0,
@@ -377,8 +427,9 @@ impl StreamAnalyzer {
             clean_total: 0,
             internal_removed: 0,
             ring: ChunkRing::new(config.analyzer.chunk_capacity),
-            bh_trie: PrefixTrie::new(),
+            blackholes: FrozenLpm::new(),
             state: Vec::new(),
+            expiry: BinaryHeap::new(),
             preevent: PreEventScratch::new(),
             offset,
             journal: Vec::new(),
@@ -405,15 +456,15 @@ impl StreamAnalyzer {
                 return;
             }
         }
-        let key = (at_ms, event.rank(), self.arrival);
-        self.arrival += 1;
-        self.pending.push(Reverse(Pending { key, event }));
+        self.pending.push(at_ms, event);
         let new_max = match self.max_seen_ms {
             Some(m) => m.max(at_ms),
             None => at_ms,
         };
         self.max_seen_ms = Some(new_max);
-        let wm = new_max - self.config.lateness.as_millis();
+        // Saturating: a lateness near `i64::MAX` pins the watermark at the
+        // bottom of time instead of overflowing.
+        let wm = new_max.saturating_sub(self.config.lateness.as_millis());
         let advanced = match self.watermark_ms {
             Some(old) => wm > old,
             None => true,
@@ -434,16 +485,12 @@ impl StreamAnalyzer {
     /// Applies every buffered event strictly before the watermark, then
     /// closes stale runs and enforces retention.
     fn drain_watermark(&mut self, wm: i64) {
-        while let Some(Reverse(p)) = self.pending.peek() {
-            if p.key.0 >= wm {
-                break;
-            }
-            let Reverse(p) = self.pending.pop().expect("peeked entry exists");
-            self.apply(p.event);
+        while let Some(event) = self.pending.pop_before(wm) {
+            self.apply(event);
         }
-        self.close_stale_runs(Timestamp::from_millis(wm));
+        self.close_stale_runs(wm);
         if let Retention::Window(w) = self.config.retention {
-            self.ring.evict_before(wm - w.as_millis());
+            self.ring.evict_before(wm.saturating_sub(w.as_millis()));
         }
     }
 
@@ -451,19 +498,31 @@ impl StreamAnalyzer {
     /// watermark — the continuous-emission half of the contract: a verdict
     /// becomes final as soon as no in-bound event could still extend its
     /// run.
-    fn close_stale_runs(&mut self, wm: Timestamp) {
-        for id in 0..self.state.len() {
-            let stale = {
-                let st = &self.state[id];
-                st.open_since.is_none()
-                    && !st.spans.is_empty()
-                    && st.spans.last().map(|iv| iv.end).expect("non-empty")
-                        + self.config.analyzer.merge_delta
-                        < wm
-            };
-            if stale {
-                self.close_run(id);
+    ///
+    /// Only the expiry-queue entries due before `wm` are visited. A run
+    /// turns stale only once the watermark passes the entry its last
+    /// closing withdrawal pushed, so re-checking the popped runs closes
+    /// exactly the runs a scan of every prefix would. They close in
+    /// ascending id order, as that scan would, because `seq` numbers
+    /// follow close order.
+    fn close_stale_runs(&mut self, wm: i64) {
+        let delta = self.config.analyzer.merge_delta;
+        let wm_at = Timestamp::from_millis(wm);
+        let mut expired = Vec::new();
+        while let Some(&Reverse((expires, id))) = self.expiry.peek() {
+            if expires >= wm {
+                break;
             }
+            self.expiry.pop();
+            let st = &self.state[id];
+            if st.open_since.is_none() && st.spans.last().is_some_and(|iv| iv.end + delta < wm_at) {
+                expired.push(id);
+            }
+        }
+        expired.sort_unstable();
+        expired.dedup();
+        for id in expired {
+            self.close_run(id);
         }
     }
 
@@ -478,11 +537,11 @@ impl StreamAnalyzer {
         self.updates_ingested += 1;
         match u.kind {
             UpdateKind::Announce if u.is_blackhole() => {
-                let id = match self.bh_trie.get(u.prefix) {
+                let id = match self.blackholes.get(u.prefix) {
                     Some(&id) => id,
                     None => {
                         let id = self.state.len();
-                        self.bh_trie.insert(u.prefix, id);
+                        self.blackholes.insert(u.prefix, id);
                         self.state.push(PrefixState {
                             prefix: u.prefix,
                             trigger_peer: u.peer,
@@ -529,11 +588,13 @@ impl StreamAnalyzer {
             UpdateKind::Withdraw => {
                 // Wire withdrawals carry no communities: any withdrawal of
                 // a known blackholed prefix closes its open interval.
-                if let Some(&id) = self.bh_trie.get(u.prefix) {
+                if let Some(&id) = self.blackholes.get(u.prefix) {
                     let st = &mut self.state[id];
                     if let Some(t0) = st.open_since.take() {
                         if u.at > t0 {
                             st.spans.push(Interval::new(t0, u.at));
+                            let expires = u.at + self.config.analyzer.merge_delta;
+                            self.expiry.push(Reverse((expires.as_millis(), id)));
                         }
                         // Degenerate (zero-length) intervals are dropped,
                         // exactly like the batch timeline.
@@ -552,8 +613,8 @@ impl StreamAnalyzer {
             self.internal_removed += 1;
             return;
         };
-        let covering = self.bh_trie.longest_match(s.dst_ip).map(|(_, &id)| id);
-        let src_cov = self.bh_trie.longest_match(s.src_ip).map(|(_, &id)| id);
+        let covering = self.blackholes.longest_match(s.dst_ip).map(|(_, &id)| id);
+        let src_cov = self.blackholes.longest_match(s.src_ip).map(|(_, &id)| id);
         let mut active = false;
         if let Some(id) = covering {
             match self.state[id].open_since {
@@ -714,14 +775,7 @@ impl StreamAnalyzer {
     /// rule: open prefixes close at `corpus_end`), journals every
     /// remaining run and seals the ring's open chunk.
     pub fn finish(&mut self) {
-        let drained: Vec<StreamEvent> = {
-            let mut out = Vec::with_capacity(self.pending.len());
-            while let Some(Reverse(p)) = self.pending.pop() {
-                out.push(p.event);
-            }
-            out
-        };
-        for event in drained {
+        while let Some(event) = self.pending.pop() {
             self.apply(event);
         }
         let end = self.template.period.end;
@@ -1061,6 +1115,27 @@ mod tests {
     }
 
     #[test]
+    fn extreme_lateness_and_retention_saturate_instead_of_overflowing() {
+        let c = corpus(1);
+        let config = StreamConfig {
+            lateness: TimeDelta::millis(i64::MAX),
+            retention: Retention::Window(TimeDelta::millis(i64::MAX)),
+            ..StreamConfig::for_corpus(&c)
+        };
+        let mut stream = StreamAnalyzer::new(&c, config);
+        let mut early = sample(0, "192.0.2.9", false);
+        early.at = Timestamp::from_millis(-5);
+        stream.push(StreamEvent::Sample(early));
+        assert_eq!(stream.watermark(), Some(Timestamp::from_millis(i64::MIN)));
+        stream.push(StreamEvent::Sample(sample(20, "192.0.2.9", false)));
+        stream.finish();
+        let status = stream.status();
+        assert_eq!(status.late_dropped, 0);
+        assert_eq!(status.samples_kept, 2);
+        assert_eq!(status.ring_evicted_chunks, 0);
+    }
+
+    #[test]
     fn bounded_lateness_reorders_within_the_allowance() {
         let c = corpus(1);
         let config = StreamConfig {
@@ -1100,6 +1175,30 @@ mod tests {
         assert_eq!(v.prefix, "10.0.0.7/32".parse().unwrap());
         assert_eq!(v.duration, TimeDelta::minutes(30));
         assert!(!v.open_ended);
+    }
+
+    #[test]
+    fn runs_expiring_in_one_advance_close_in_id_order() {
+        let c = corpus(10);
+        let mut stream = StreamAnalyzer::new(&c, StreamConfig::for_corpus(&c));
+        // 10.0.0.7/32 gets id 0, 10.0.0.8/32 id 1; id 1 is withdrawn first,
+        // so its merge-Δ expires first.
+        stream.push(StreamEvent::Update(announce(60, "10.0.0.7/32", 64500)));
+        stream.push(StreamEvent::Update(announce(61, "10.0.0.8/32", 64500)));
+        stream.push(StreamEvent::Update(withdraw(70, "10.0.0.8/32", 64500)));
+        stream.push(StreamEvent::Update(withdraw(75, "10.0.0.7/32", 64500)));
+        assert!(stream.journal().is_empty());
+        // One advance past both expiries closes both runs.
+        stream.push(StreamEvent::Sample(sample(200, "192.0.2.9", false)));
+        let closed: Vec<(u64, Prefix)> =
+            stream.journal().iter().map(|v| (v.seq, v.prefix)).collect();
+        assert_eq!(
+            closed,
+            [
+                (0, "10.0.0.7/32".parse().unwrap()),
+                (1, "10.0.0.8/32".parse().unwrap())
+            ]
+        );
     }
 
     #[test]

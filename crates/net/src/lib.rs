@@ -10,8 +10,9 @@
 //! * [`Prefix`] — a canonical CIDR prefix with containment/overlap algebra.
 //! * [`PrefixTrie`] — a binary radix trie with longest-prefix matching, the
 //!   lookup structure behind every RIB in `rtbh-bgp`.
-//! * [`FrozenLpm`] — the immutable, cache-friendly stride-8 counterpart,
-//!   compiled once from a trie for the pipeline's sample-scan hot paths.
+//! * [`FrozenLpm`] — the grow-only, cache-friendly stride-8 counterpart
+//!   for the sample-scan hot paths: built in bulk or one insert at a time,
+//!   never removing a prefix.
 //! * [`MacAddr`] — Ethernet addresses; the IXP identifies member routers and
 //!   the blackhole next-hop by MAC (paper §3.1 "Identifying Dropped Traffic").
 //! * [`Asn`] — autonomous system numbers.

@@ -1,22 +1,28 @@
-//! A frozen, cache-friendly longest-prefix-match index.
+//! A stride-8, grow-only longest-prefix-match table.
 //!
-//! [`PrefixTrie`] is the right structure while a table is *mutating* (RIB
-//! churn, per-update insert/withdraw), but it is a poor fit for the
-//! pipeline's sample-scan hot path: RTBH tables are dominated by
-//! hyper-specific `/32`s, so every lookup is a full 32-step walk chasing
-//! `Option<u32>` child pointers through a pointer-hopping arena — one
-//! dependent cache miss per bit, twice per sample (source and destination).
+//! [`PrefixTrie`] is the right structure while a table *churns* (RIB
+//! per-update insert/withdraw), but it is a poor fit for the sample-scan
+//! hot paths: RTBH tables are dominated by hyper-specific `/32`s, so every
+//! lookup is a full 32-step walk chasing `Option<u32>` child pointers
+//! through a pointer-hopping arena — one dependent cache miss per bit,
+//! twice per sample (source and destination).
 //!
-//! [`FrozenLpm`] is the immutable counterpart, compiled once after the table
-//! stops changing: a level-compressed **stride-8 multibit table**. Lookups
-//! consume one address *byte* per step instead of one bit, so a `/32` match
-//! costs at most four slot reads from a flat arena; prefixes that do not end
-//! on a byte boundary are expanded over the slot range they cover
-//! (controlled prefix expansion), with longer prefixes overwriting shorter
-//! ones inside each table so the per-slot answer is already the
-//! longest-match winner at that level. The best match seen so far is carried
-//! down the walk, which keeps expansion *local to one level* — no recursive
-//! leaf-pushing into child tables.
+//! [`FrozenLpm`] is the lookup-side counterpart: a level-compressed
+//! **stride-8 multibit table**. Lookups consume one address *byte* per step
+//! instead of one bit, so a `/32` match costs at most four slot reads from
+//! a flat arena; prefixes that do not end on a byte boundary are expanded
+//! over the slot range they cover (controlled prefix expansion). The best
+//! match seen so far is carried down the walk, which keeps expansion
+//! *local to one level* — no recursive leaf-pushing into child tables.
+//!
+//! The table is built in bulk ([`FrozenLpm::from_entries`]) or grown one
+//! prefix at a time ([`FrozenLpm::insert`]); it never removes a prefix.
+//! Both apply one slot rule: a slot takes a new prefix if it is empty or
+//! holds a prefix no longer than the new one. Within one stride table all
+//! prefixes covering a slot are nested, so each slot ends up holding the
+//! longest of them whatever the insertion order. Slots index an
+//! append-only value arena, so an insert never renumbers what existing
+//! slots point to.
 //!
 //! The structure is plain owned data (`Vec`s of POD slots plus the value
 //! arena), hence `Send + Sync` whenever `T` is, and safe to share across
@@ -28,11 +34,16 @@
 //! let mut rib = PrefixTrie::new();
 //! rib.insert("203.0.113.0/24".parse().unwrap(), "regular");
 //! rib.insert("203.0.113.7/32".parse().unwrap(), "blackhole");
-//! let frozen = FrozenLpm::from_trie(&rib);
+//! let mut lpm = FrozenLpm::from_trie(&rib);
 //!
 //! let victim: Ipv4Addr = "203.0.113.7".parse().unwrap();
-//! assert_eq!(frozen.longest_match(victim).unwrap().1, &"blackhole");
-//! assert_eq!(frozen.longest_match("203.0.113.8".parse().unwrap()).unwrap().1, &"regular");
+//! assert_eq!(lpm.longest_match(victim).unwrap().1, &"blackhole");
+//! assert_eq!(lpm.longest_match("203.0.113.8".parse().unwrap()).unwrap().1, &"regular");
+//!
+//! // A shorter prefix inserted later never shadows a longer one.
+//! lpm.insert("203.0.0.0/16".parse().unwrap(), "aggregate");
+//! assert_eq!(lpm.longest_match(victim).unwrap().1, &"blackhole");
+//! assert_eq!(lpm.longest_match("203.0.7.1".parse().unwrap()).unwrap().1, &"aggregate");
 //! ```
 
 use crate::addr::Ipv4Addr;
@@ -51,7 +62,7 @@ const TABLE_SLOTS: usize = 256;
 /// for longer prefixes sharing the byte path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Slot {
-    /// Index into `values`/`entries`, or [`NONE`].
+    /// Index into the value arena, or [`NONE`].
     value: u32,
     /// Child table index, or [`NONE`].
     child: u32,
@@ -67,27 +78,50 @@ impl Slot {
     };
 }
 
-/// An immutable longest-prefix-match map from [`Prefix`] to `T`.
+/// A grow-only longest-prefix-match map from [`Prefix`] to `T`.
 ///
-/// Compiled once from a [`PrefixTrie`] (or any set of unique prefixes) via
-/// [`FrozenLpm::from_trie`] / [`FrozenLpm::from_entries`]; after that it
-/// only answers queries. [`FrozenLpm::longest_match`] agrees exactly with
+/// Compiled in bulk from a [`PrefixTrie`] (or any set of unique prefixes)
+/// via [`FrozenLpm::from_trie`] / [`FrozenLpm::from_entries`], or grown
+/// with [`FrozenLpm::insert`]; prefixes are never removed.
+/// [`FrozenLpm::longest_match`] agrees exactly with
 /// [`PrefixTrie::longest_match`] on the same entries (pinned by a seeded
-/// randomized equivalence test in `crates/net/tests/frozen.rs`).
+/// randomized equivalence test in `crates/net/tests/frozen.rs` and by the
+/// `lpm_diff` fuzz suite, which also grows tables insert by insert).
 #[derive(Debug, Clone)]
 pub struct FrozenLpm<T> {
     /// Stored prefixes, sorted by `(network bits, length)` — the natural
     /// [`Prefix`] order — for exact lookups by binary search.
     entries: Vec<Prefix>,
-    /// Values, parallel to `entries`.
+    /// Per entry of `entries`: the index of its value in `values`.
+    value_ids: Vec<u32>,
+    /// The value arena, append-only: a table built by
+    /// [`FrozenLpm::from_entries`] stores its values in prefix order, and
+    /// every insert of a new prefix appends one.
     values: Vec<T>,
     /// Slot arena: `TABLE_SLOTS` consecutive slots per table, table 0 is
     /// the root (first address byte).
     slots: Vec<Slot>,
 }
 
+impl<T> Default for FrozenLpm<T> {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl<T> FrozenLpm<T> {
-    /// Compiles the index from `(prefix, value)` pairs.
+    /// An empty table (one root stride table).
+    pub fn new() -> Self {
+        Self {
+            entries: Vec::new(),
+            value_ids: Vec::new(),
+            values: Vec::new(),
+            slots: vec![Slot::EMPTY; TABLE_SLOTS],
+        }
+    }
+
+    /// Compiles the index from `(prefix, value)` pairs in one bulk pass:
+    /// one sort, then every prefix is expanded under the slot rule.
     ///
     /// Prefixes must be unique (checked in debug builds); order does not
     /// matter.
@@ -98,63 +132,17 @@ impl<T> FrozenLpm<T> {
             pairs.windows(2).all(|w| w[0].0 != w[1].0),
             "FrozenLpm entries must have unique prefixes"
         );
-        let mut entries = Vec::with_capacity(pairs.len());
-        let mut values = Vec::with_capacity(pairs.len());
-        for (p, v) in pairs {
-            entries.push(p);
-            values.push(v);
+        let mut lpm = Self::new();
+        lpm.entries.reserve_exact(pairs.len());
+        lpm.value_ids.reserve_exact(pairs.len());
+        lpm.values.reserve_exact(pairs.len());
+        for (prefix, value) in pairs {
+            let id = lpm.push_value(value);
+            lpm.entries.push(prefix);
+            lpm.value_ids.push(id);
+            lpm.expand(prefix, id);
         }
-
-        // Insert shortest-first: controlled prefix expansion writes each
-        // prefix over every slot it covers in its table, and within one
-        // table any two covering prefixes are nested, so the later (longer)
-        // one overwriting is exactly the longest-match answer for the slot.
-        let mut order: Vec<u32> = (0..entries.len() as u32).collect();
-        order.sort_by_key(|&i| entries[i as usize].len());
-
-        let mut slots = vec![Slot::EMPTY; TABLE_SLOTS];
-        for i in order {
-            let prefix = entries[i as usize];
-            let bits = prefix.network().to_u32();
-            let len = prefix.len() as usize;
-            // The table holding a /L lives (L-1)/8 bytes deep; /0 covers
-            // the whole root table.
-            let (depth, base, span) = if len == 0 {
-                (0, 0, TABLE_SLOTS)
-            } else {
-                let depth = (len - 1) / 8;
-                let byte = ((bits >> (24 - 8 * depth)) & 0xFF) as usize;
-                // 1..=8 prefix bits fall inside this table's byte; the rest
-                // of the byte is free, so the prefix covers 2^(8-fixed)
-                // consecutive slots (host bits are zero by canonicality).
-                let fixed = len - 8 * depth;
-                (depth, byte, 1usize << (8 - fixed))
-            };
-            // Walk (creating on demand) the full-byte path to the table.
-            let mut table = 0usize;
-            for d in 0..depth {
-                let byte = ((bits >> (24 - 8 * d)) & 0xFF) as usize;
-                let slot = table * TABLE_SLOTS + byte;
-                table = if slots[slot].child == NONE {
-                    let child = slots.len() / TABLE_SLOTS;
-                    slots[slot].child = child as u32;
-                    slots.resize(slots.len() + TABLE_SLOTS, Slot::EMPTY);
-                    child
-                } else {
-                    slots[slot].child as usize
-                };
-            }
-            for s in base..base + span {
-                let slot = &mut slots[table * TABLE_SLOTS + s];
-                slot.value = i;
-                slot.value_len = prefix.len();
-            }
-        }
-        Self {
-            entries,
-            values,
-            slots,
-        }
+        lpm
     }
 
     /// Compiles the index from a live trie (tombstoned entries excluded,
@@ -164,6 +152,78 @@ impl<T> FrozenLpm<T> {
         T: Clone,
     {
         Self::from_entries(trie.iter().map(|(p, v)| (p, v.clone())))
+    }
+
+    /// Adds `prefix` with `value`, or replaces the value of a prefix
+    /// already stored, returning the old value. A new prefix appends its
+    /// value to the arena and is expanded under the slot rule; the slots
+    /// of every other prefix keep their arena indices.
+    pub fn insert(&mut self, prefix: Prefix, value: T) -> Option<T> {
+        match self.entries.binary_search(&prefix) {
+            Ok(i) => Some(std::mem::replace(
+                &mut self.values[self.value_ids[i] as usize],
+                value,
+            )),
+            Err(i) => {
+                let id = self.push_value(value);
+                self.entries.insert(i, prefix);
+                self.value_ids.insert(i, id);
+                self.expand(prefix, id);
+                None
+            }
+        }
+    }
+
+    /// Appends `value` to the arena and returns its index.
+    fn push_value(&mut self, value: T) -> u32 {
+        let id = u32::try_from(self.values.len())
+            .ok()
+            .filter(|&id| id != NONE)
+            .expect("FrozenLpm holds fewer than 2^32 - 1 values");
+        self.values.push(value);
+        id
+    }
+
+    /// Writes arena value `id` of `prefix` over every slot the prefix
+    /// covers in its stride table that is empty or holds a prefix no
+    /// longer than it, creating the table's path on demand.
+    fn expand(&mut self, prefix: Prefix, id: u32) {
+        let bits = prefix.network().to_u32();
+        let len = prefix.len() as usize;
+        // The table holding a /L lives (L-1)/8 bytes deep; /0 covers the
+        // whole root table.
+        let (depth, base, span) = if len == 0 {
+            (0, 0, TABLE_SLOTS)
+        } else {
+            let depth = (len - 1) / 8;
+            let byte = ((bits >> (24 - 8 * depth)) & 0xFF) as usize;
+            // 1..=8 prefix bits fall inside this table's byte; the rest of
+            // the byte is free, so the prefix covers 2^(8-fixed)
+            // consecutive slots (host bits are zero by canonicality).
+            let fixed = len - 8 * depth;
+            (depth, byte, 1usize << (8 - fixed))
+        };
+        let mut table = 0usize;
+        for d in 0..depth {
+            let byte = ((bits >> (24 - 8 * d)) & 0xFF) as usize;
+            let slot = table * TABLE_SLOTS + byte;
+            table = if self.slots[slot].child == NONE {
+                let child = self.slots.len() / TABLE_SLOTS;
+                self.slots[slot].child = child as u32;
+                self.slots
+                    .resize(self.slots.len() + TABLE_SLOTS, Slot::EMPTY);
+                child
+            } else {
+                self.slots[slot].child as usize
+            };
+        }
+        let start = table * TABLE_SLOTS + base;
+        for slot in &mut self.slots[start..start + span] {
+            if slot.value == NONE || slot.value_len <= prefix.len() {
+                slot.value = id;
+                slot.value_len = prefix.len();
+            }
+        }
     }
 
     /// The number of stored prefixes.
@@ -187,7 +247,7 @@ impl<T> FrozenLpm<T> {
         self.entries
             .binary_search(&prefix)
             .ok()
-            .map(|i| &self.values[i])
+            .map(|i| &self.values[self.value_ids[i] as usize])
     }
 
     /// The most specific stored prefix containing `addr`, with its value.
@@ -217,7 +277,10 @@ impl<T> FrozenLpm<T> {
     /// Iterates over all `(prefix, value)` pairs in lexicographic
     /// (network bits, length) order — the same order as [`PrefixTrie::iter`].
     pub fn iter(&self) -> impl Iterator<Item = (Prefix, &T)> + '_ {
-        self.entries.iter().copied().zip(self.values.iter())
+        self.entries
+            .iter()
+            .zip(&self.value_ids)
+            .map(|(&p, &id)| (p, &self.values[id as usize]))
     }
 
     /// All stored prefixes, sorted.
@@ -225,7 +288,9 @@ impl<T> FrozenLpm<T> {
         &self.entries
     }
 
-    /// All stored values, in [`Self::prefixes`] order.
+    /// All stored values, in arena order: [`Self::prefixes`] order for a
+    /// table built by [`FrozenLpm::from_entries`], then one value per
+    /// prefix added by [`FrozenLpm::insert`], in insertion order.
     pub fn values(&self) -> &[T] {
         &self.values
     }
@@ -238,7 +303,7 @@ impl<T> FromIterator<(Prefix, T)> for FrozenLpm<T> {
 }
 
 rtbh_json::impl_json! { struct Slot { value, child, value_len } }
-rtbh_json::impl_json! { generic struct FrozenLpm<T> { entries, values, slots } }
+rtbh_json::impl_json! { generic struct FrozenLpm<T> { entries, value_ids, values, slots } }
 
 #[cfg(test)]
 mod tests {
@@ -366,6 +431,63 @@ mod tests {
         let want: Vec<Prefix> = trie.prefixes();
         assert_eq!(got, want);
         assert_eq!(lpm.values().len(), prefixes.len());
+    }
+
+    #[test]
+    fn insert_order_does_not_change_the_answers() {
+        let prefixes = [
+            "0.0.0.0/0",
+            "10.0.0.0/8",
+            "10.0.0.0/9",
+            "10.16.0.0/12",
+            "10.16.3.0/24",
+            "10.16.3.7/32",
+            "10.16.3.8/31",
+        ];
+        let bulk = FrozenLpm::from_entries(prefixes.iter().map(|s| (p(s), *s)));
+        let mut grown = FrozenLpm::new();
+        for s in prefixes.iter().rev() {
+            assert_eq!(grown.insert(p(s), *s), None);
+        }
+        assert_eq!(grown.len(), bulk.len());
+        assert!(grown.iter().eq(bulk.iter()));
+        for addr in [
+            "10.16.3.7",
+            "10.16.3.9",
+            "10.16.3.1",
+            "10.17.0.1",
+            "10.200.0.1",
+            "8.8.8.8",
+        ] {
+            assert_eq!(
+                grown.longest_match(a(addr)),
+                bulk.longest_match(a(addr)),
+                "{addr}"
+            );
+        }
+        assert_eq!(
+            grown.longest_match(a("10.16.3.9")).unwrap().1,
+            &"10.16.3.8/31"
+        );
+    }
+
+    #[test]
+    fn insert_replaces_values_without_moving_the_arena() {
+        let mut lpm = FrozenLpm::new();
+        assert_eq!(lpm.insert(p("10.0.0.7/32"), 0), None);
+        assert_eq!(lpm.insert(p("10.0.0.0/24"), 1), None);
+        assert_eq!(lpm.insert(p("9.0.0.0/8"), 2), None);
+        assert_eq!(lpm.insert(p("10.0.0.0/24"), 10), Some(1));
+        assert_eq!(lpm.len(), 3);
+        // Values stay in arena (insertion) order; prefixes are sorted.
+        assert_eq!(lpm.values(), &[0, 10, 2]);
+        assert_eq!(
+            lpm.prefixes(),
+            &[p("9.0.0.0/8"), p("10.0.0.0/24"), p("10.0.0.7/32")]
+        );
+        assert_eq!(lpm.get(p("10.0.0.0/24")), Some(&10));
+        assert_eq!(lpm.longest_match(a("10.0.0.9")).unwrap().1, &10);
+        assert_eq!(lpm.longest_match(a("10.0.0.7")).unwrap().1, &0);
     }
 
     #[test]

@@ -138,33 +138,39 @@ pub fn check_json_text(text: &str) {
 }
 
 /// `FrozenLpm` must agree with the `PrefixTrie` it was built from —
-/// same entry count, same per-prefix `get`, and the same `longest_match`
-/// for every probe address.
+/// see [`check_lpm_equal`].
 pub fn check_lpm_against_trie<T: Clone + PartialEq + std::fmt::Debug>(
     trie: &PrefixTrie<T>,
     probes: &[Ipv4Addr],
 ) {
-    let frozen = FrozenLpm::from_trie(trie);
-    assert_eq!(frozen.len(), trie.len(), "entry count diverged");
+    check_lpm_equal(trie, &FrozenLpm::from_trie(trie), probes);
+}
+
+/// `lpm` must hold exactly the trie's entries — same count, same per-prefix
+/// `get`, the same `iter` sequence — and give the same `longest_match`
+/// for every probe address.
+pub fn check_lpm_equal<T: Clone + PartialEq + std::fmt::Debug>(
+    trie: &PrefixTrie<T>,
+    lpm: &FrozenLpm<T>,
+    probes: &[Ipv4Addr],
+) {
+    assert_eq!(lpm.len(), trie.len(), "entry count diverged");
     for prefix in trie.prefixes() {
-        assert_eq!(
-            frozen.get(prefix),
-            trie.get(prefix),
-            "get({prefix}) diverged"
-        );
+        assert_eq!(lpm.get(prefix), trie.get(prefix), "get({prefix}) diverged");
     }
-    for (prefix, value) in frozen.iter() {
+    for (prefix, value) in lpm.iter() {
         assert_eq!(
             trie.get(prefix),
             Some(value),
-            "frozen holds {prefix} the trie does not"
+            "the LPM table holds {prefix} the trie does not"
         );
     }
+    assert!(lpm.iter().eq(trie.iter()), "iteration order diverged");
     for &addr in probes {
         let from_trie = trie.longest_match(addr);
-        let from_frozen = frozen.longest_match(addr);
+        let from_lpm = lpm.longest_match(addr);
         assert_eq!(
-            from_frozen.map(|(p, v)| (p, v.clone())),
+            from_lpm.map(|(p, v)| (p, v.clone())),
             from_trie.map(|(p, v)| (p, v.clone())),
             "longest_match({addr}) diverged"
         );

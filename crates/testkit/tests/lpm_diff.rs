@@ -1,16 +1,16 @@
-//! Differential fuzz: the frozen stride-8 LPM index vs the `PrefixTrie` it
-//! is built from. Tables are fuzzed (random sizes, overlapping prefixes,
-//! removals, duplicate inserts); probes mix uniform addresses with the
-//! boundary addresses of every inserted prefix — first/last covered
-//! address and their out-of-prefix neighbours, where stride-boundary bugs
-//! live.
+//! Differential fuzz: the stride-8 LPM table vs the `PrefixTrie`, for
+//! tables built in bulk and for tables grown insert by insert. Tables are
+//! fuzzed (random sizes, overlapping prefixes, removals, duplicate
+//! inserts); probes mix uniform addresses with the boundary addresses of
+//! every inserted prefix — first/last covered address and their
+//! out-of-prefix neighbours, where stride-boundary bugs live.
 
 #[path = "common/seeds.rs"]
 #[allow(dead_code)]
 mod seeds;
 
-use rtbh_net::{Ipv4Addr, Prefix};
-use rtbh_rng::Rng;
+use rtbh_net::{FrozenLpm, Ipv4Addr, Prefix, PrefixTrie};
+use rtbh_rng::{Rng, SliceRandom};
 use rtbh_testkit::{gen, oracle, FuzzTarget};
 
 #[test]
@@ -39,14 +39,88 @@ fn frozen_lpm_matches_trie() {
             removals.push(gen::arb_prefix(rng));
         }
 
-        let mut probes: Vec<Ipv4Addr> = (0..64).map(|_| gen::arb_addr(rng)).collect();
-        for (prefix, _) in &entries {
-            probes.push(prefix.network());
-            probes.push(prefix.last_addr());
-            probes.push(prefix.network().wrapping_add(u32::MAX)); // network - 1
-            probes.push(prefix.last_addr().wrapping_add(1));
-        }
-
+        let prefixes: Vec<Prefix> = entries.iter().map(|(p, _)| *p).collect();
+        let probes = probes(rng, &prefixes);
         oracle::check_lpm_scenario(&entries, &removals, &probes);
     });
+}
+
+/// Tables grown by `FrozenLpm::insert` in random order must answer like a
+/// trie after every insert, and end equal to the bulk build of the same
+/// entries. The prefix pool nests on purpose: supernets of drawn prefixes
+/// (so shorter prefixes land after longer ones), /0, /32s, sibling /32s
+/// under one /24, and re-inserts that replace a value.
+#[test]
+fn inserted_lpm_matches_trie_after_every_insert() {
+    let target = FuzzTarget {
+        package: "rtbh-testkit",
+        test_file: "lpm_diff",
+        test_name: "inserted_lpm_matches_trie_after_every_insert",
+        base_seed: seeds::FUZZ_LPM_INSERT,
+    };
+    target.run(300, |_, rng| {
+        let mut pool: Vec<Prefix> = (0..rng.gen_range(0..=24usize))
+            .map(|_| gen::arb_prefix(rng))
+            .collect();
+        for i in 0..pool.len() {
+            if rng.gen_bool(0.5) {
+                let p = pool[i];
+                let len = rng.gen_range(0..=p.len());
+                pool.push(Prefix::new(p.network(), len).expect("len <= 32"));
+            }
+        }
+        if rng.gen_bool(0.5) {
+            pool.push(Prefix::new(Ipv4Addr::from_u32(0), 0).expect("/0"));
+        }
+        let slash24 = Prefix::new(gen::arb_addr(rng), 24).expect("/24");
+        for _ in 0..rng.gen_range(0..=6u32) {
+            let host = slash24.network().wrapping_add(rng.gen_range(0..256u32));
+            pool.push(Prefix::host(host));
+        }
+        if rng.gen_bool(0.5) {
+            pool.push(slash24);
+        }
+        pool.shuffle(rng);
+        let probes = probes(rng, &pool);
+
+        let mut trie = PrefixTrie::new();
+        let mut lpm = FrozenLpm::new();
+        let mut fresh = pool.iter().copied();
+        let mut inserted: Vec<Prefix> = Vec::new();
+        for value in 0u32.. {
+            let prefix = if !inserted.is_empty() && rng.gen_bool(0.25) {
+                *inserted.choose(rng).expect("non-empty")
+            } else if let Some(p) = fresh.next() {
+                inserted.push(p);
+                p
+            } else {
+                break;
+            };
+            assert_eq!(
+                lpm.insert(prefix, value),
+                trie.insert(prefix, value),
+                "insert({prefix}) returned a different old value"
+            );
+            for &p in &pool {
+                assert_eq!(lpm.get(p), trie.get(p), "get({p}) diverged");
+            }
+            oracle::check_lpm_equal(&trie, &lpm, &probes);
+        }
+
+        // The grown table equals the trie, so the bulk build must too.
+        let bulk = FrozenLpm::from_entries(lpm.iter().map(|(p, &v)| (p, v)));
+        oracle::check_lpm_equal(&trie, &bulk, &probes);
+    });
+}
+
+/// 64 uniform addresses plus the boundary addresses of every prefix.
+fn probes(rng: &mut impl Rng, prefixes: &[Prefix]) -> Vec<Ipv4Addr> {
+    let mut probes: Vec<Ipv4Addr> = (0..64).map(|_| gen::arb_addr(rng)).collect();
+    for prefix in prefixes {
+        probes.push(prefix.network());
+        probes.push(prefix.last_addr());
+        probes.push(prefix.network().wrapping_add(u32::MAX)); // network - 1
+        probes.push(prefix.last_addr().wrapping_add(1));
+    }
+    probes
 }

@@ -33,7 +33,10 @@
 //! watermarked reorder buffer, and finalized into the same `FullReport`
 //! the batch pipeline produces. `--verify` additionally runs the batch
 //! pipeline and exits 1 unless the two reports are byte-identical;
-//! `--journal` writes the live verdict journal as JSONL.
+//! `--journal` writes the live verdict journal as JSONL. `--lateness-ms`
+//! and `--retention-ms` are non-negative durations, `--batch` and
+//! `--threads` counts (a `--batch` of 0 feeds one event per batch); any
+//! other value exits 2 with the usage text.
 //! `query` is the client for a running `rtbhd` daemon: it sends one
 //! request over the length-prefixed binary protocol and prints the JSON
 //! reply (exit 1 on an error reply or a dead server). `filter` takes up
@@ -64,6 +67,26 @@ fn usage() -> ! {
          | <fragment|dropped|active>=<0|1>   (up to 16, ANDed)"
     );
     std::process::exit(2);
+}
+
+/// The value of a flag parsed as `T`; a missing or unparsable value exits
+/// 2 with the usage text.
+fn flag_value<T: std::str::FromStr>(it: &mut impl Iterator<Item = String>) -> T {
+    it.next()
+        .unwrap_or_else(|| usage())
+        .parse()
+        .unwrap_or_else(|_| usage())
+}
+
+/// A millisecond duration flag: a negative value exits 2 with the usage
+/// text (a negative lateness would hold the watermark ahead of the newest
+/// event and drop in-order events as late).
+fn duration_ms(it: &mut impl Iterator<Item = String>) -> i64 {
+    let ms: i64 = flag_value(it);
+    if ms < 0 {
+        usage();
+    }
+    ms
 }
 
 fn main() {
@@ -172,21 +195,15 @@ fn stream(args: Vec<String>) {
     let mut json_out: Option<String> = None;
     let mut threads: usize = 0;
     let mut it = args.into_iter();
-    let parse = |it: &mut std::vec::IntoIter<String>| -> i64 {
-        it.next()
-            .unwrap_or_else(|| usage())
-            .parse()
-            .unwrap_or_else(|_| usage())
-    };
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--batch" => batch = parse(&mut it).max(1) as usize,
-            "--lateness-ms" => lateness_ms = parse(&mut it),
-            "--retention-ms" => retention_ms = Some(parse(&mut it)),
+            "--batch" => batch = flag_value(&mut it),
+            "--lateness-ms" => lateness_ms = duration_ms(&mut it),
+            "--retention-ms" => retention_ms = Some(duration_ms(&mut it)),
             "--journal" => journal_out = Some(it.next().unwrap_or_else(|| usage())),
             "--verify" => verify = true,
             "--json" => json_out = Some(it.next().unwrap_or_else(|| usage())),
-            "--threads" => threads = parse(&mut it) as usize,
+            "--threads" => threads = flag_value(&mut it),
             p if !p.starts_with('-') => path = Some(p.to_string()),
             _ => usage(),
         }
@@ -388,13 +405,7 @@ fn analyze(args: Vec<String>) {
         match arg.as_str() {
             "--json" => json_out = Some(it.next().unwrap_or_else(|| usage())),
             "--timings" => timings = true,
-            "--threads" => {
-                threads = it
-                    .next()
-                    .unwrap_or_else(|| usage())
-                    .parse()
-                    .unwrap_or_else(|_| usage());
-            }
+            "--threads" => threads = flag_value(&mut it),
             p if !p.starts_with('-') => path = Some(p.to_string()),
             _ => usage(),
         }

@@ -160,6 +160,27 @@ fn analyze_threads_pick_the_schedule_not_the_report() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// `rtbh stream` checks its numeric flags before it loads anything: a
+/// negative duration or count is a usage error, not a silently dropped
+/// feed or one thread per sample.
+#[test]
+fn stream_rejects_negative_durations_and_thread_counts() {
+    for flags in [
+        ["--lateness-ms", "-5"],
+        ["--lateness-ms", "-1000"],
+        ["--retention-ms", "-1"],
+        ["--batch", "-1"],
+        ["--threads", "-1"],
+    ] {
+        let out = rtbh(&["stream", flags[0], flags[1], "/nonexistent/x.rtbh"]);
+        assert_eq!(out.status.code(), Some(2), "flags {flags:?}");
+        assert!(
+            String::from_utf8_lossy(&out.stderr).contains("usage:"),
+            "flags {flags:?} should print usage"
+        );
+    }
+}
+
 /// `rtbh stream` opens with the batch report: on one corpus its stdout
 /// starts with `rtbh analyze`'s, byte for byte, sample count included.
 #[test]
