@@ -1,7 +1,7 @@
 //! Final RTBH use-case classification (paper §7.3, Fig. 19) and the
 //! literature-based expectations (Table 1).
 
-use rtbh_net::TimeDelta;
+use rtbh_net::{Prefix, TimeDelta};
 
 use crate::events::RtbhEvent;
 use crate::preevent::{PreClass, PreEventAnalysis};
@@ -120,6 +120,35 @@ impl ClassifyConfig {
             }
         }
     }
+
+    /// The use-case precedence batch events and live stream runs share:
+    /// an anomaly ⇒ infrastructure protection; else a prefix of /24 or
+    /// shorter lasting at least `squatting_min_duration` ⇒ squatting; else
+    /// a host prefix lasting at least `zombie_min_duration`, with fewer
+    /// than `zombie_max_packets` during-event packets and still open at
+    /// the period end ⇒ zombie; else other.
+    pub fn use_case(
+        &self,
+        anomaly: bool,
+        prefix: Prefix,
+        duration: TimeDelta,
+        during_packets: u64,
+        open_ended: bool,
+    ) -> UseCase {
+        if anomaly {
+            UseCase::InfrastructureProtection
+        } else if prefix.len() <= 24 && duration >= self.squatting_min_duration {
+            UseCase::SquattingProtection
+        } else if prefix.is_host()
+            && duration >= self.zombie_min_duration
+            && during_packets < self.zombie_max_packets
+            && open_ended
+        {
+            UseCase::Zombie
+        } else {
+            UseCase::Other
+        }
+    }
 }
 
 /// One classified event.
@@ -195,30 +224,21 @@ pub fn classify_events(
     let per_event = events
         .iter()
         .map(|event| {
-            let pre = preevents.per_event.get(event.id);
-            let during = traffic.per_event.get(event.id);
             let duration = event.duration();
-            let anomaly = pre.is_some_and(|r| r.class == PreClass::DataAnomaly);
-            let during_packets = during.map_or(0, |t| t.packets);
-            let total_packets = during_packets + pre.map_or(0, |r| r.packets);
-
-            let use_case = if anomaly {
-                UseCase::InfrastructureProtection
-            } else if event.prefix.len() <= 24 && duration >= config.squatting_min_duration {
-                UseCase::SquattingProtection
-            } else if event.prefix.is_host()
-                && duration >= config.zombie_min_duration
-                && during_packets < config.zombie_max_packets
-                && event.open_ended
-            {
-                UseCase::Zombie
-            } else {
-                UseCase::Other
-            };
-            let _ = total_packets;
+            let anomaly = preevents
+                .per_event
+                .get(event.id)
+                .is_some_and(|r| r.class == PreClass::DataAnomaly);
+            let during_packets = traffic.per_event.get(event.id).map_or(0, |t| t.packets);
             ClassifiedEvent {
                 event_id: event.id,
-                use_case,
+                use_case: config.use_case(
+                    anomaly,
+                    event.prefix,
+                    duration,
+                    during_packets,
+                    event.open_ended,
+                ),
                 duration,
                 open_ended: event.open_ended,
             }

@@ -35,9 +35,9 @@
 //! The chunk layout is a **written contract**: `docs/CHUNK_ABI.md` at the
 //! workspace root specifies every column's order, width and sentinel, the
 //! bitset word packing and the chunk-header fields, and a unit test here
-//! cross-checks the spec against the [`abi`] constants. Streaming ingest,
-//! the `rtbhd` server and out-of-core spill (ROADMAP items 1–3) all
-//! consume sealed chunks through this contract.
+//! cross-checks the spec against the [`abi`] constants. Prepared
+//! analyzers (batch or stream-finalized) and the `rtbhd` server read
+//! sealed chunks through this contract.
 //!
 //! # Determinism
 //!
@@ -69,7 +69,7 @@
 //! sample-id list via [`gallop_partition_point`] — exponential search that
 //! is O(log d) in the *distance* to the answer, not the list length.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use rtbh_bgp::UpdateLog;
@@ -366,10 +366,9 @@ impl SealedChunk {
     }
 }
 
-/// One fully enriched row, ready to append to a chunk — the unit both the
-/// batch sealing kernel (prepare's pass 2 and
-/// `build_enriched_with_capacity`) and the streaming [`ChunkRing`] push, so
-/// the two paths share one append kernel and can never diverge on layout.
+/// One fully enriched row, ready to append to a chunk: what the sample
+/// enricher makes of one kept sample for the sealing kernel (prepare's
+/// pass 2 and `build_enriched_with_capacity`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ChunkRow {
     /// Sample timestamp, milliseconds.
@@ -417,6 +416,8 @@ struct ChunkBuilder {
 }
 
 impl ChunkBuilder {
+    /// A builder for a chunk of exactly `rows` rows starting at global row
+    /// `start`; the bitsets are sized for that count.
     fn new(start: usize, rows: usize) -> Self {
         let words = rows.div_ceil(abi::FLAG_WORD_BITS);
         Self {
@@ -486,12 +487,6 @@ impl ChunkBuilder {
             .fold((i64::MAX, i64::MIN), |(lo, hi), &t| (lo.min(t), hi.max(t)));
         self.chunk.min_at = min_at;
         self.chunk.max_at = max_at;
-        // Bitsets were pre-sized for a full chunk; a partial seal (end of
-        // stream) must shrink them to the ABI's `len.div_ceil(64)` words.
-        let words = self.chunk.at.len().div_ceil(abi::FLAG_WORD_BITS);
-        self.chunk.fragment_bits.truncate(words);
-        self.chunk.dropped_bits.truncate(words);
-        self.chunk.active_bits.truncate(words);
         self.chunk
     }
 }
@@ -614,7 +609,7 @@ pub struct ChunkStats {
 /// [`abi::DEFAULT_CHUNK_CAPACITY`]; anything else is clamped to
 /// `[MIN_CHUNK_CAPACITY, MAX_CHUNK_CAPACITY]` and rounded up to a power
 /// of two. Returns `(capacity, log2(capacity))`.
-fn normalize_capacity(requested: usize) -> (usize, u32) {
+pub(crate) fn normalize_capacity(requested: usize) -> (usize, u32) {
     let requested = if requested == 0 {
         abi::DEFAULT_CHUNK_CAPACITY
     } else {
@@ -641,241 +636,6 @@ fn raw_row(removed: &[u32], kept: usize) -> usize {
         }
     }
     kept + lo
-}
-
-/// A bounded-memory ring of [`SealedChunk`]s for the streaming analyzer
-/// ([`crate::stream`]): rows append into an open `ChunkBuilder`, seal
-/// into an immutable chunk at capacity, and sealed chunks older than a
-/// retention watermark are evicted from the front.
-///
-/// The ring reuses the batch store's chunk ABI verbatim (same columns,
-/// same bitsets, same headers — see `docs/CHUNK_ABI.md`), so every scan
-/// kernel written against [`SealedChunk`] works on live state unchanged.
-/// Global row indices keep counting across evictions: chunk `start`
-/// headers are `k * capacity` for monotonically increasing `k`, exactly
-/// as in a batch build, just with a trimmed front.
-#[derive(Debug)]
-pub struct ChunkRing {
-    capacity: usize,
-    open: Option<ChunkBuilder>,
-    sealed: VecDeque<SealedChunk>,
-    /// Global index the next pushed row receives.
-    next_row: usize,
-    /// Rows ever pushed (never decremented by eviction).
-    total_rows: usize,
-    evicted_chunks: usize,
-    evicted_rows: usize,
-}
-
-impl std::fmt::Debug for ChunkBuilder {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ChunkBuilder")
-            .field("start", &self.chunk.start)
-            .field("rows", &self.chunk.at.len())
-            .finish_non_exhaustive()
-    }
-}
-
-impl ChunkRing {
-    /// An empty ring with the given chunk capacity (`0` = the ABI default;
-    /// clamped to a power of two in `[MIN_CHUNK_CAPACITY,
-    /// MAX_CHUNK_CAPACITY]` like every other build path).
-    pub fn new(chunk_capacity: usize) -> Self {
-        let (capacity, _) = normalize_capacity(chunk_capacity);
-        Self {
-            capacity,
-            open: None,
-            sealed: VecDeque::new(),
-            next_row: 0,
-            total_rows: 0,
-            evicted_chunks: 0,
-            evicted_rows: 0,
-        }
-    }
-
-    /// The normalized chunk capacity (rows per sealed chunk).
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Rows currently held (open chunk + retained sealed chunks).
-    pub fn len(&self) -> usize {
-        self.sealed.iter().map(SealedChunk::len).sum::<usize>() + self.open_len()
-    }
-
-    /// True when no rows are held.
-    pub fn is_empty(&self) -> bool {
-        self.sealed.is_empty() && self.open_len() == 0
-    }
-
-    /// Rows in the open (unsealed) chunk.
-    pub fn open_len(&self) -> usize {
-        self.open.as_ref().map_or(0, |b| b.chunk.at.len())
-    }
-
-    /// Rows ever pushed, including evicted ones.
-    pub fn total_rows(&self) -> usize {
-        self.total_rows
-    }
-
-    /// Sealed chunks evicted so far.
-    pub fn evicted_chunks(&self) -> usize {
-        self.evicted_chunks
-    }
-
-    /// Rows evicted so far.
-    pub fn evicted_rows(&self) -> usize {
-        self.evicted_rows
-    }
-
-    /// The retained sealed chunks, oldest first.
-    pub fn sealed(&self) -> impl Iterator<Item = &SealedChunk> {
-        self.sealed.iter()
-    }
-
-    /// Number of retained sealed chunks.
-    pub fn sealed_count(&self) -> usize {
-        self.sealed.len()
-    }
-
-    /// The open (unsealed) chunk, when it holds rows. Its `min_at`/`max_at`
-    /// headers are **stale** (`i64::MAX`/`i64::MIN`) until sealing — scans
-    /// over the open chunk must read the `at` column directly instead of
-    /// pruning by headers.
-    pub fn open_chunk(&self) -> Option<&SealedChunk> {
-        self.open.as_ref().map(|b| &b.chunk)
-    }
-
-    /// Appends one enriched row; seals the open chunk when it reaches
-    /// capacity.
-    pub fn push(&mut self, row: ChunkRow) {
-        let (start, capacity) = (self.next_row, self.capacity);
-        let b = self
-            .open
-            .get_or_insert_with(|| ChunkBuilder::new(start, capacity));
-        b.push_row(row);
-        self.next_row += 1;
-        self.total_rows += 1;
-        if self.open_len() >= self.capacity {
-            self.seal_open();
-        }
-    }
-
-    /// Seals the open chunk (if it holds any rows) regardless of fill —
-    /// called at end of stream so the tail rows become scannable.
-    pub fn seal_open(&mut self) {
-        if let Some(b) = self.open.take() {
-            if !b.chunk.at.is_empty() {
-                self.sealed.push_back(b.seal());
-            }
-        }
-    }
-
-    /// Evicts sealed chunks whose newest row is older than `cutoff`
-    /// (milliseconds): pops from the front while `max_at < cutoff`.
-    /// Returns the number of chunks evicted. The open chunk is never
-    /// evicted.
-    pub fn evict_before(&mut self, cutoff_ms: i64) -> usize {
-        let mut evicted = 0;
-        while let Some(front) = self.sealed.front() {
-            if front.max_at_millis() >= cutoff_ms {
-                break;
-            }
-            let chunk = self.sealed.pop_front().expect("front exists");
-            self.evicted_rows += chunk.len();
-            self.evicted_chunks += 1;
-            evicted += 1;
-        }
-        evicted
-    }
-
-    /// Validates every ring invariant, panicking with a description on the
-    /// first violation. The `fuzz_stream` targets call this after every
-    /// hostile feed; it is cheap relative to a fuzz iteration but scans
-    /// all retained rows, so production paths only run it under
-    /// `debug_assertions`.
-    pub fn check_invariants(&self) {
-        let mut expected_start = None;
-        for c in &self.sealed {
-            assert!(!c.is_empty(), "sealed chunks are never empty");
-            assert!(
-                c.len() <= self.capacity,
-                "chunk holds {} rows, capacity {}",
-                c.len(),
-                self.capacity
-            );
-            if let Some(expected) = expected_start {
-                // Eviction only trims the front, so retained chunks stay
-                // contiguous in global row indices.
-                assert_eq!(
-                    c.start(),
-                    expected,
-                    "retained chunks must be contiguous: start {} after {}",
-                    c.start(),
-                    expected
-                );
-            }
-            expected_start = Some(c.start() + c.len());
-            let (min, max) = c
-                .at_millis()
-                .iter()
-                .fold((i64::MAX, i64::MIN), |(lo, hi), &t| (lo.min(t), hi.max(t)));
-            assert_eq!(c.min_at_millis(), min, "min_at header out of sync");
-            assert_eq!(c.max_at_millis(), max, "max_at header out of sync");
-            let words = c.len().div_ceil(abi::FLAG_WORD_BITS);
-            for (name, bits) in [
-                ("fragment", c.fragment_words()),
-                ("dropped", c.dropped_words()),
-                ("active", c.active_words()),
-            ] {
-                assert_eq!(bits.len(), words, "{name} bitset word count");
-                let tail = c.len() % abi::FLAG_WORD_BITS;
-                if tail != 0 {
-                    let mask = !0u64 << tail;
-                    assert_eq!(
-                        bits[words - 1] & mask,
-                        0,
-                        "{name} bitset has tail bits set past row {}",
-                        c.len()
-                    );
-                }
-            }
-            for (name, len) in [
-                ("src_ip", c.src_ip_raw().len()),
-                ("dst_ip", c.dst_ip_raw().len()),
-                ("src_port", c.src_ports().len()),
-                ("dst_port", c.dst_ports().len()),
-                ("protocol", c.protocols().len()),
-                ("packet_len", c.packet_lens().len()),
-                ("ingress", c.ingress_ids().len()),
-                ("egress", c.egress_ids().len()),
-                ("origin", c.origin_ids().len()),
-                ("dst_pid", c.dst_prefix_ids().len()),
-                ("src_pid", c.src_prefix_ids().len()),
-                ("active_pid", c.active_prefix_ids().len()),
-            ] {
-                assert_eq!(len, c.len(), "{name} column length out of sync");
-            }
-        }
-        if let Some(b) = &self.open {
-            assert!(
-                b.chunk.at.len() < self.capacity,
-                "open chunk at or past capacity must have sealed"
-            );
-            if let Some(expected) = expected_start {
-                assert_eq!(b.chunk.start, expected, "open chunk start out of sync");
-            }
-        }
-        assert_eq!(
-            self.total_rows, self.next_row,
-            "row counter out of sync with next index"
-        );
-        assert_eq!(
-            self.len() + self.evicted_rows,
-            self.total_rows,
-            "held + evicted rows must equal total pushed"
-        );
-    }
 }
 
 impl ColumnarFlows {
@@ -1763,126 +1523,5 @@ mod tests {
             spec.contains(&format!("version {}", abi::ABI_VERSION)),
             "spec must state the ABI version"
         );
-    }
-
-    fn row_at(ms: i64) -> ChunkRow {
-        ChunkRow {
-            at: ms,
-            src_ip: 0x0a00_0001,
-            dst_ip: 0x0a00_0002,
-            src_port: 1,
-            dst_port: 2,
-            protocol: 17,
-            packet_len: 100,
-            ingress: NONE,
-            egress: NONE,
-            origin: NONE,
-            dst_pid: NONE,
-            src_pid: NONE,
-            active_pid: NONE,
-            fragment: ms % 3 == 0,
-            dropped: ms % 2 == 0,
-            active: false,
-        }
-    }
-
-    #[test]
-    fn ring_seals_at_capacity_and_keeps_contiguous_starts() {
-        let mut ring = ChunkRing::new(64);
-        assert_eq!(ring.capacity(), 64);
-        for ms in 0..200 {
-            ring.push(row_at(ms));
-        }
-        assert_eq!(ring.sealed_count(), 3);
-        assert_eq!(ring.open_len(), 200 - 3 * 64);
-        assert_eq!(ring.len(), 200);
-        assert_eq!(ring.total_rows(), 200);
-        let starts: Vec<usize> = ring.sealed().map(SealedChunk::start).collect();
-        assert_eq!(starts, vec![0, 64, 128]);
-        ring.check_invariants();
-        ring.seal_open();
-        assert_eq!(ring.sealed_count(), 4);
-        assert_eq!(ring.open_len(), 0);
-        ring.check_invariants();
-    }
-
-    #[test]
-    fn ring_headers_match_batch_chunks() {
-        // The same rows through the ring and through a batch build must
-        // produce identical sealed chunks (shared append kernel).
-        let samples: Vec<FlowSample> = (0..150)
-            .map(|i| FlowSample {
-                at: Timestamp(i),
-                src_mac: rtbh_net::MacAddr::from_id(1),
-                dst_mac: rtbh_net::MacAddr::from_id(2),
-                src_ip: Ipv4Addr::new(10, 0, 0, 1),
-                dst_ip: Ipv4Addr::new(10, 0, 0, 2),
-                protocol: Protocol::Udp,
-                src_port: 1,
-                dst_port: 2,
-                packet_len: 100,
-                fragment: i % 3 == 0,
-            })
-            .collect();
-        let batch =
-            ColumnarFlows::from_log_with_capacity(&FlowLog::from_samples(samples.clone()), 64);
-        let mut ring = ChunkRing::new(64);
-        for s in &samples {
-            ring.push(ChunkRow {
-                at: s.at.as_millis(),
-                src_ip: s.src_ip.to_u32(),
-                dst_ip: s.dst_ip.to_u32(),
-                src_port: s.src_port,
-                dst_port: s.dst_port,
-                protocol: s.protocol.number(),
-                packet_len: u32::from(s.packet_len),
-                ingress: NONE,
-                egress: NONE,
-                origin: NONE,
-                dst_pid: NONE,
-                src_pid: NONE,
-                active_pid: NONE,
-                fragment: s.fragment,
-                dropped: s.is_dropped(),
-                active: false,
-            });
-        }
-        ring.seal_open();
-        ring.check_invariants();
-        let ring_chunks: Vec<&SealedChunk> = ring.sealed().collect();
-        assert_eq!(ring_chunks.len(), batch.chunks().len());
-        for (r, b) in ring_chunks.iter().zip(batch.chunks()) {
-            assert_eq!(**r, *b);
-        }
-    }
-
-    #[test]
-    fn ring_evicts_only_whole_stale_chunks_from_the_front() {
-        let mut ring = ChunkRing::new(64);
-        for ms in 0..256 {
-            ring.push(row_at(ms));
-        }
-        // Chunks cover [0,64), [64,128), [128,192), [192,256) ms.
-        assert_eq!(ring.evict_before(64), 1);
-        assert_eq!(ring.evicted_chunks(), 1);
-        assert_eq!(ring.evicted_rows(), 64);
-        // Cutoff inside a chunk's range keeps it (max_at >= cutoff).
-        assert_eq!(ring.evict_before(100), 0);
-        assert_eq!(ring.evict_before(200), 2);
-        assert_eq!(ring.len(), 64);
-        assert_eq!(ring.total_rows(), 256);
-        ring.check_invariants();
-        // Starts keep counting across evictions.
-        assert_eq!(ring.sealed().next().unwrap().start(), 192);
-    }
-
-    #[test]
-    fn empty_ring_is_well_formed() {
-        let mut ring = ChunkRing::new(0);
-        assert_eq!(ring.capacity(), abi::DEFAULT_CHUNK_CAPACITY);
-        assert!(ring.is_empty());
-        assert_eq!(ring.evict_before(i64::MAX), 0);
-        ring.seal_open();
-        ring.check_invariants();
     }
 }

@@ -426,7 +426,7 @@ impl SampleEnricher {
 
     /// The interned origin-AS id of an address ([`NONE`] = unrouted).
     #[inline]
-    pub fn origin(&self, addr: Ipv4Addr) -> u32 {
+    fn origin(&self, addr: Ipv4Addr) -> u32 {
         self.origins.longest_match(addr).map_or(NONE, |(_, &id)| id)
     }
 

@@ -41,9 +41,9 @@
 //! answering window aggregates, per-prefix drop provenance and report
 //! sections over `Arc` snapshots of the sealed chunks; [`stream`] is the
 //! event-driven analyzer — a watermark-ordered feed of updates and samples
-//! drives a bounded ring of sealed chunks, incremental EWMA detectors and
-//! a journaled live-verdict log, and its finalizer reproduces the batch
-//! [`pipeline::FullReport`] byte-for-byte.
+//! drives per-prefix blackhole runs, an EWMA anomaly backfill over the
+//! applied samples and a journaled live-verdict log, and its finalizer
+//! reproduces the batch [`pipeline::FullReport`] byte-for-byte.
 //!
 //! The pipeline never sees simulator ground truth — only what the paper's
 //! vantage point could record.

@@ -3,13 +3,12 @@
 //! [`StreamAnalyzer`] consumes one interleaved, timestamp-ordered feed of
 //! BGP updates and flow samples and maintains *live* state while it runs:
 //!
-//! * a bounded-memory [`ChunkRing`] of
-//!   [`SealedChunk`](crate::columns::SealedChunk)s reusing the batch
-//!   store's chunk ABI verbatim (open chunk appends, seals at capacity,
-//!   evicts past the retention watermark);
+//! * the log of applied samples that survived cleaning, which the
+//!   finalizer prepares and the anomaly backfill reads (its [`Retention`]
+//!   is one index into that log);
 //! * incremental per-prefix blackhole *runs* (the streaming counterpart of
 //!   batch Δ-merged [`RtbhEvent`](crate::events::RtbhEvent)s) with EWMA
-//!   anomaly backfill over the ring at run start;
+//!   anomaly backfill over the retained samples at run start;
 //! * a live clock-offset estimate: every dropped sample votes into the
 //!   batch estimator's [`OffsetVotes`] as it is applied, so the estimate
 //!   sharpens with the watermark instead of waiting for the end of the feed;
@@ -33,38 +32,39 @@
 //!
 //! # Per-event cost
 //!
-//! Ingest pays per event, not per prefix: a sample's two blackhole lookups
-//! read the live stride-8 table ([`FrozenLpm`], at most four slot reads
-//! each), which grows one prefix per first announcement with dense ids in
+//! Ingest pays per event, not per prefix: a kept sample's one blackhole
+//! lookup reads the live stride-8 table ([`FrozenLpm`], at most four slot
+//! reads), which grows one prefix per first announcement with dense ids in
 //! first-announcement order; and a watermark advance visits only the runs
 //! whose merge-Δ expires under it, through an expiry queue keyed by `last
-//! span end + merge_delta` that every span-closing withdrawal feeds.
+//! span end + merge_delta` that every span-closing withdrawal feeds. Each
+//! kept sample is stored once, in the applied-sample log.
 //!
 //! # Determinism and the batch contract
 //!
-//! Ingest cleans and enriches each sample with the batch prepare's own
-//! sample enricher — one MAC-table probe per MAC, one origin walk — so the
-//! live rows carry the batch ids for members and origins. The stream
-//! accumulates the applied updates and the cleaned samples into ordinary
-//! [`UpdateLog`]/[`FlowLog`]s alongside its live state. The finalizer
-//! ([`StreamAnalyzer::into_analyzer`]) drops the live state and moves those
-//! logs — plus the [`CleanReport`] counters accumulated on ingest and the
-//! enricher — into the batch [`Analyzer`]'s one preparation path. For any
-//! feed that delivers every event within the lateness bound, the
-//! accumulated logs are byte-equal to the batch pipeline's cleaned inputs,
-//! so **the finalized [`FullReport`] is byte-identical to
-//! `Analyzer::full`'s** (pinned across chunk capacities, feed batch sizes
-//! and worker counts by the `stream_diff` differential suite).
+//! Ingest cleans each sample with the batch prepare's own sample enricher
+//! (one MAC-table probe per MAC), so it drops exactly the samples batch
+//! cleaning drops. The stream accumulates the applied updates and the
+//! cleaned samples into ordinary [`UpdateLog`]/[`FlowLog`]s alongside its
+//! live state. The finalizer ([`StreamAnalyzer::into_analyzer`]) drops the
+//! live state and moves those logs — plus the [`CleanReport`] counters
+//! accumulated on ingest and the enricher — into the batch [`Analyzer`]'s
+//! one preparation path. For any feed that delivers every event within the
+//! lateness bound, the accumulated logs are byte-equal to the batch
+//! pipeline's cleaned inputs, so **the finalized [`FullReport`] is
+//! byte-identical to `Analyzer::full`'s** (pinned across chunk
+//! capacities, feed batch sizes and worker counts by the `stream_diff`
+//! differential suite).
 //!
 //! The *live* verdict journal intentionally follows watermark semantics
 //! instead: it knows only the prefixes announced so far, reads unshifted
-//! timestamps, and its anomaly backfill scans whatever the ring still
-//! retains. The backfill runs the batch pre-event kernel, but over every
-//! retained row whose destination lies inside the run's prefix, where
-//! batch reads only the samples whose longest blackholed prefix is the
-//! event's: a /24 run also counts the traffic of a blackholed /32 nested
-//! in it. Those divergences are documented on [`VerdictRecord`]; the
-//! journal itself is deterministic (same feed, same config ⇒ same byte
+//! timestamps, and its anomaly backfill reads only the samples retention
+//! still holds. The backfill runs the batch pre-event kernel, but over
+//! every retained sample whose destination lies inside the run's prefix,
+//! where batch reads only the samples whose longest blackholed prefix is
+//! the event's: a /24 run also counts the traffic of a blackholed /32
+//! nested in it. Those divergences are documented on [`VerdictRecord`];
+//! the journal itself is deterministic (same feed, same config ⇒ same byte
 //! sequence, pinned by the journal replay tests and the golden journal
 //! snapshot).
 
@@ -73,12 +73,12 @@ use std::collections::BinaryHeap;
 
 use rtbh_bgp::{BgpUpdate, UpdateKind, UpdateLog};
 use rtbh_fabric::{FlowLog, FlowSample};
-use rtbh_net::{Asn, FrozenLpm, Interval, Ipv4Addr, Prefix, TimeDelta, Timestamp};
+use rtbh_net::{Asn, FrozenLpm, Interval, Prefix, TimeDelta, Timestamp};
 use rtbh_stats::OffsetVotes;
 
 use crate::classify::UseCase;
 use crate::clean::CleanReport;
-use crate::columns::{ChunkRing, ChunkRow, NONE};
+use crate::columns::normalize_capacity;
 use crate::corpus::Corpus;
 use crate::index::{OriginTable, SampleEnricher};
 use crate::pipeline::{Analyzer, AnalyzerConfig, FullReport};
@@ -114,12 +114,20 @@ impl StreamEvent {
     }
 }
 
-/// Ring retention policy.
+/// Which applied samples the live anomaly backfill still reads.
+///
+/// Retention works in whole chunks of `chunk_capacity` kept samples,
+/// counted from the first: only a complete chunk can leave, never the
+/// partial one at the tail. It bounds what the live verdicts look back
+/// at, not memory: the finalizer needs every kept sample, so the stream
+/// keeps them all, and the finalized report never depends on retention.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Retention {
-    /// Keep every sealed chunk (the differential-test configuration).
+    /// Keep every chunk (the differential-test configuration).
     Unbounded,
-    /// Evict sealed chunks wholly older than `watermark - window`.
+    /// After each watermark advance, drop complete chunks from the front
+    /// while the newest sample of the first one is older than
+    /// `watermark - window`.
     Window(TimeDelta),
 }
 
@@ -127,12 +135,13 @@ pub enum Retention {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StreamConfig {
     /// The batch analyzer configuration the finalizer runs with; its
-    /// `chunk_capacity` also sizes the live ring's chunks.
+    /// `chunk_capacity` (normalized like every chunk build) is also the
+    /// unit [`Retention`] drops samples in.
     pub analyzer: AnalyzerConfig,
     /// Bounded-lateness allowance: events may arrive up to this much
     /// behind the newest timestamp seen and still be applied in order.
     pub lateness: TimeDelta,
-    /// Ring retention policy for sealed chunks.
+    /// How far back the live anomaly backfill reads.
     pub retention: Retention,
 }
 
@@ -234,7 +243,8 @@ struct PrefixState {
 /// * timestamps are unshifted (the finalizer's clock alignment has not
 ///   happened yet);
 /// * the covering-prefix lookup knows only prefixes announced so far;
-/// * the anomaly backfill scans whatever the ring still retains;
+/// * the anomaly backfill reads only the samples [`Retention`] still
+///   holds;
 /// * the anomaly backfill counts every sample whose destination lies
 ///   inside the run's prefix, while batch counts only the samples whose
 ///   longest blackholed prefix is the event's — so traffic to a blackholed
@@ -249,8 +259,8 @@ pub struct VerdictRecord {
     pub seq: u64,
     /// The blackholed prefix.
     pub prefix: Prefix,
-    /// The live use-case verdict (batch precedence: anomaly ⇒
-    /// infrastructure protection, else squatting, else zombie, else other).
+    /// The live use-case verdict, by the batch precedence
+    /// ([`ClassifyConfig::use_case`](crate::classify::ClassifyConfig::use_case)).
     pub use_case: UseCase,
     /// Peer of the prefix's first blackhole announcement.
     pub trigger_peer: Asn,
@@ -325,13 +335,17 @@ pub struct StreamStatus {
     pub open_runs: u64,
     /// Verdicts journaled so far.
     pub verdicts: u64,
-    /// Sealed chunks currently retained by the ring.
+    /// Complete chunks of `chunk_capacity` kept samples that [`Retention`]
+    /// still holds; after [`StreamAnalyzer::finish`] a partial tail chunk
+    /// counts too.
     pub ring_chunks: u64,
-    /// Rows currently held by the ring (sealed + open).
+    /// Kept samples [`Retention`] still holds (the anomaly backfill's
+    /// reach).
     pub ring_rows: u64,
-    /// Sealed chunks evicted by retention so far.
+    /// Chunks dropped by [`Retention`] so far.
     pub ring_evicted_chunks: u64,
-    /// Rows evicted by retention so far.
+    /// Kept samples dropped by [`Retention`] so far; with `ring_rows` they
+    /// add up to `samples_kept`.
     pub ring_evicted_rows: u64,
 }
 
@@ -363,11 +377,19 @@ pub struct StreamAnalyzer {
     /// Applied updates, in applied order (equals the source log for any
     /// feed within the lateness bound).
     updates: UpdateLog,
-    /// Applied samples that survived cleaning, in applied order.
+    /// Applied samples that survived cleaning, in applied order, so `at`
+    /// never decreases.
     flows: FlowLog,
     clean_total: usize,
     internal_removed: usize,
-    ring: ChunkRing,
+    /// The normalized `chunk_capacity`: the unit retention drops in.
+    chunk_capacity: usize,
+    /// Index of the first sample in `flows` the backfill still reads; a
+    /// multiple of `chunk_capacity`.
+    retained_from: usize,
+    /// Set by [`StreamAnalyzer::finish`], after which a partial tail
+    /// chunk counts in [`StreamStatus::ring_chunks`].
+    finished: bool,
     /// The live blackhole table: every prefix announced with BLACKHOLE so
     /// far, valued by its dense id (first-announcement order) into `state`.
     blackholes: FrozenLpm<usize>,
@@ -383,8 +405,8 @@ pub struct StreamAnalyzer {
     offset: Option<OffsetVotes>,
     journal: Vec<VerdictRecord>,
     next_seq: u64,
-    /// Verdicts with `seq < emit_floor` are suppressed (journal recovery).
-    emit_floor: u64,
+    /// Verdicts with `seq <=` this are suppressed (journal recovery).
+    resumed_after: Option<u64>,
     updates_ingested: u64,
     samples_ingested: u64,
 }
@@ -426,7 +448,9 @@ impl StreamAnalyzer {
             flows: FlowLog::new(),
             clean_total: 0,
             internal_removed: 0,
-            ring: ChunkRing::new(config.analyzer.chunk_capacity),
+            chunk_capacity: normalize_capacity(config.analyzer.chunk_capacity).0,
+            retained_from: 0,
+            finished: false,
             blackholes: FrozenLpm::new(),
             state: Vec::new(),
             expiry: BinaryHeap::new(),
@@ -434,7 +458,7 @@ impl StreamAnalyzer {
             offset,
             journal: Vec::new(),
             next_seq: 0,
-            emit_floor: 0,
+            resumed_after: None,
             updates_ingested: 0,
             samples_ingested: 0,
             config,
@@ -490,7 +514,15 @@ impl StreamAnalyzer {
         }
         self.close_stale_runs(wm);
         if let Retention::Window(w) = self.config.retention {
-            self.ring.evict_before(wm.saturating_sub(w.as_millis()));
+            // `at` never decreases, so a chunk's newest sample is its last.
+            let cutoff = wm.saturating_sub(w.as_millis());
+            let samples = self.flows.samples();
+            while samples
+                .get(self.retained_from + self.chunk_capacity - 1)
+                .is_some_and(|last| last.at.as_millis() < cutoff)
+            {
+                self.retained_from += self.chunk_capacity;
+            }
         }
     }
 
@@ -567,8 +599,9 @@ impl StreamAnalyzer {
                         self.close_run(id);
                     }
                     if self.state[id].spans.is_empty() {
-                        // Fresh run: EWMA backfill over the ring decides the
-                        // anomaly verdict before any mutable re-borrow.
+                        // Fresh run: EWMA backfill over the retained samples
+                        // decides the anomaly verdict before any mutable
+                        // re-borrow.
                         let anomaly = self.preevent_backfill(u.prefix, u.at);
                         let st = &mut self.state[id];
                         st.anomaly = anomaly;
@@ -609,24 +642,17 @@ impl StreamAnalyzer {
     fn apply_sample(&mut self, s: FlowSample) {
         self.samples_ingested += 1;
         self.clean_total += 1;
-        let Some((ingress, egress)) = self.enricher.members(&s) else {
+        if self.enricher.members(&s).is_none() {
             self.internal_removed += 1;
             return;
-        };
+        }
         let covering = self.blackholes.longest_match(s.dst_ip).map(|(_, &id)| id);
-        let src_cov = self.blackholes.longest_match(s.src_ip).map(|(_, &id)| id);
-        let mut active = false;
         if let Some(id) = covering {
-            match self.state[id].open_since {
-                Some(t0) if t0 <= s.at => {
-                    active = true;
-                    self.state[id].during_packets += 1;
-                }
-                _ => {
-                    if !self.state[id].spans.is_empty() {
-                        self.state[id].gap_packets += 1;
-                    }
-                }
+            let st = &mut self.state[id];
+            match st.open_since {
+                Some(t0) if t0 <= s.at => st.during_packets += 1,
+                _ if !st.spans.is_empty() => st.gap_packets += 1,
+                _ => {}
             }
         }
         if let Some(votes) = self.offset.as_mut().filter(|_| s.is_dropped()) {
@@ -646,61 +672,37 @@ impl StreamAnalyzer {
             };
             votes.observe(s.at, intervals);
         }
-        self.ring.push(ChunkRow {
-            at: s.at.as_millis(),
-            src_ip: s.src_ip.to_u32(),
-            dst_ip: s.dst_ip.to_u32(),
-            src_port: s.src_port,
-            dst_port: s.dst_port,
-            protocol: s.protocol.number(),
-            packet_len: u32::from(s.packet_len),
-            ingress,
-            egress,
-            origin: self.enricher.origin(s.src_ip),
-            dst_pid: covering.map_or(NONE, |id| id as u32),
-            src_pid: src_cov.map_or(NONE, |id| id as u32),
-            // Live state has one dense id space (prefixes-seen-so-far), so
-            // the activity id coincides with the covering id — a documented
-            // divergence from the batch store's interval-holding table.
-            active_pid: covering.map_or(NONE, |id| id as u32),
-            fragment: s.fragment,
-            dropped: s.is_dropped(),
-            active,
-        });
+        // `FlowLog::push` asserts (in debug builds) that `at` never goes
+        // back, which the backfill's binary search relies on.
         self.flows.push(s);
     }
 
-    /// EWMA anomaly backfill at run start: feeds the ring's rows towards
-    /// `prefix` in `[start - pre_window, start)` to the pre-event kernel
-    /// that [`crate::preevent::analyze_preevents`] runs and returns whether
-    /// it classes the window `DataAnomaly`: sampled packets exist and an
-    /// anomalous slot lies within the anomaly horizon. Unlike batch, which
-    /// reads only the samples whose longest blackholed prefix is the
-    /// event's, this counts every retained row whose destination lies
+    /// EWMA anomaly backfill at run start: feeds the retained samples
+    /// towards `prefix` in `[start - pre_window, start)` to the pre-event
+    /// kernel that [`crate::preevent::analyze_preevents`] runs and returns
+    /// whether it classes the window `DataAnomaly`: sampled packets exist
+    /// and an anomalous slot lies within the anomaly horizon. Unlike batch,
+    /// which reads only the samples whose longest blackholed prefix is the
+    /// event's, this counts every retained sample whose destination lies
     /// inside `prefix`, so a /24 run also counts the traffic of a
     /// blackholed /32 nested in it (see [`VerdictRecord`]).
     fn preevent_backfill(&mut self, prefix: Prefix, start: Timestamp) -> bool {
         let pcfg = &self.config.analyzer.preevent;
-        let (ws, we) = ((start - pcfg.pre_window).as_millis(), start.as_millis());
-        let rows = self
-            .ring
-            .sealed()
-            .chain(self.ring.open_chunk())
-            .flat_map(|c| {
-                // Rows are applied in key order, so `at` never decreases and
-                // two binary searches bound the window in every chunk.
-                let at = c.at_millis();
-                let lo = at.partition_point(|&t| t < ws);
-                let hi = lo + at[lo..].partition_point(|&t| t < we);
-                (lo..hi)
-                    .filter(move |&r| prefix.contains_addr(Ipv4Addr::from_u32(c.dst_ip_raw()[r])))
-                    .map(move |r| WindowRow {
-                        at: at[r],
-                        src_ip: c.src_ip_raw()[r],
-                        src_port: c.src_ports()[r],
-                        dst_port: c.dst_ports()[r],
-                        protocol: c.protocols()[r],
-                    })
+        let (ws, we) = (start - pcfg.pre_window, start);
+        // Samples are applied in key order, so `at` never decreases and
+        // two binary searches bound the window.
+        let held = &self.flows.samples()[self.retained_from..];
+        let lo = held.partition_point(|s| s.at < ws);
+        let hi = lo + held[lo..].partition_point(|s| s.at < we);
+        let rows = held[lo..hi]
+            .iter()
+            .filter(|s| prefix.contains_addr(s.dst_ip))
+            .map(|s| WindowRow {
+                at: s.at.as_millis(),
+                src_ip: s.src_ip.to_u32(),
+                src_port: s.src_port,
+                dst_port: s.dst_port,
+                protocol: s.protocol.number(),
             });
         window_result(0, start, rows, pcfg, &mut self.preevent).class == PreClass::DataAnomaly
     }
@@ -728,23 +730,14 @@ impl StreamAnalyzer {
         let end = spans.last().expect("non-empty").end;
         let duration = end - start;
         let open_ended = end >= self.template.period.end;
-        let cc = &self.config.analyzer.classify;
-        let use_case = if anomaly {
-            UseCase::InfrastructureProtection
-        } else if prefix.len() <= 24 && duration >= cc.squatting_min_duration {
-            UseCase::SquattingProtection
-        } else if prefix.is_host()
-            && duration >= cc.zombie_min_duration
-            && during < cc.zombie_max_packets
-            && open_ended
-        {
-            UseCase::Zombie
-        } else {
-            UseCase::Other
-        };
+        let use_case = self
+            .config
+            .analyzer
+            .classify
+            .use_case(anomaly, prefix, duration, during, open_ended);
         let seq = self.next_seq;
         self.next_seq += 1;
-        if seq >= self.emit_floor {
+        if self.resumed_after.map_or(true, |last| seq > last) {
             self.journal.push(VerdictRecord {
                 seq,
                 prefix,
@@ -767,13 +760,13 @@ impl StreamAnalyzer {
     /// crash/truncation). Replaying the same feed then yields exactly the
     /// missing suffix — no duplicates, no gaps.
     pub fn resume_from(&mut self, last_seq: u64) {
-        self.emit_floor = last_seq + 1;
+        self.resumed_after = Some(last_seq);
     }
 
     /// Ends the stream: applies every buffered event regardless of the
     /// watermark, closes still-open intervals at the period end (batch
-    /// rule: open prefixes close at `corpus_end`), journals every
-    /// remaining run and seals the ring's open chunk.
+    /// rule: open prefixes close at `corpus_end`) and journals every
+    /// remaining run.
     pub fn finish(&mut self) {
         while let Some(event) = self.pending.pop() {
             self.apply(event);
@@ -789,9 +782,7 @@ impl StreamAnalyzer {
         for id in 0..self.state.len() {
             self.close_run(id);
         }
-        self.ring.seal_open();
-        #[cfg(debug_assertions)]
-        self.ring.check_invariants();
+        self.finished = true;
     }
 
     /// Finalizes into a batch [`Analyzer`] over the accumulated logs: the
@@ -803,8 +794,8 @@ impl StreamAnalyzer {
     /// and then the stages.
     ///
     /// Call [`StreamAnalyzer::finish`] first; this consumes the stream.
-    /// The ring, the prefix runs and the journal are freed before the
-    /// batch kernels run.
+    /// The live blackhole table, the prefix runs and the journal are freed
+    /// before the batch kernels run; the sample log is moved, not copied.
     pub fn into_analyzer(self) -> Analyzer {
         // Consumed in this scope, so every field not moved out is dropped
         // here rather than after preparation returns.
@@ -837,11 +828,6 @@ impl StreamAnalyzer {
         &self.journal
     }
 
-    /// The live chunk ring.
-    pub fn ring(&self) -> &ChunkRing {
-        &self.ring
-    }
-
     /// The current watermark, once any event has been seen.
     pub fn watermark(&self) -> Option<Timestamp> {
         self.watermark_ms.map(Timestamp::from_millis)
@@ -849,6 +835,12 @@ impl StreamAnalyzer {
 
     /// A snapshot of every live counter.
     pub fn status(&self) -> StreamStatus {
+        let held = self.flows.len() - self.retained_from;
+        let chunks = if self.finished {
+            held.div_ceil(self.chunk_capacity)
+        } else {
+            held / self.chunk_capacity
+        };
         StreamStatus {
             updates_ingested: self.updates_ingested,
             samples_ingested: self.samples_ingested,
@@ -869,10 +861,10 @@ impl StreamAnalyzer {
                 .filter(|st| st.open_since.is_some() || !st.spans.is_empty())
                 .count() as u64,
             verdicts: self.next_seq,
-            ring_chunks: self.ring.sealed_count() as u64,
-            ring_rows: self.ring.len() as u64,
-            ring_evicted_chunks: self.ring.evicted_chunks() as u64,
-            ring_evicted_rows: self.ring.evicted_rows() as u64,
+            ring_chunks: chunks as u64,
+            ring_rows: held as u64,
+            ring_evicted_chunks: (self.retained_from / self.chunk_capacity) as u64,
+            ring_evicted_rows: self.retained_from as u64,
         }
     }
 }
@@ -987,7 +979,7 @@ impl StreamDriver {
 mod tests {
     use super::*;
     use crate::corpus::MemberInfo;
-    use rtbh_net::{Community, MacAddr, Protocol};
+    use rtbh_net::{Community, Ipv4Addr, MacAddr, Protocol};
     use rtbh_peeringdb::Registry;
 
     const MINUTE: i64 = 60_000;
@@ -1249,6 +1241,19 @@ mod tests {
     }
 
     #[test]
+    fn resume_from_the_largest_seq_emits_nothing() {
+        // A journal may name any u64 seq; resuming after the largest one
+        // must suppress every verdict, not wrap around and re-emit them.
+        let c = build_corpus();
+        let mut stream = StreamAnalyzer::new(&c, StreamConfig::for_corpus(&c));
+        stream.resume_from(u64::MAX);
+        stream.push_batch(interleave(&c));
+        stream.finish();
+        assert!(stream.status().verdicts >= 2, "runs still close");
+        assert!(stream.journal().is_empty());
+    }
+
+    #[test]
     fn journal_renders_and_parses_round_trip() {
         let c = build_corpus();
         let run = StreamDriver::new(64).replay(&c, StreamConfig::for_corpus(&c));
@@ -1305,9 +1310,166 @@ mod tests {
             run.status.ring_evicted_chunks > 0,
             "a 60-minute window over a 15-hour feed must evict"
         );
+        assert_eq!(
+            run.status.ring_rows + run.status.ring_evicted_rows,
+            run.status.samples_kept
+        );
         // Eviction of live state never changes the finalized report.
         let batch = Analyzer::new(c.clone(), config.analyzer);
         assert_eq!(report_bytes(&run.report), report_bytes(&batch.full()));
+    }
+
+    /// A sample towards an unblackholed host at `ms` milliseconds.
+    fn sample_at_ms(ms: i64) -> FlowSample {
+        FlowSample {
+            at: Timestamp::from_millis(ms),
+            ..sample(0, "192.0.2.9", false)
+        }
+    }
+
+    /// `(ring_chunks, ring_rows, ring_evicted_chunks, ring_evicted_rows)`,
+    /// after checking that retained and dropped rows add up to the kept
+    /// samples.
+    fn ring_counters(stream: &StreamAnalyzer) -> (u64, u64, u64, u64) {
+        let s = stream.status();
+        assert_eq!(s.ring_rows + s.ring_evicted_rows, s.samples_kept);
+        (
+            s.ring_chunks,
+            s.ring_rows,
+            s.ring_evicted_chunks,
+            s.ring_evicted_rows,
+        )
+    }
+
+    #[test]
+    fn ring_chunks_count_whole_chunks_until_finish_counts_the_tail() {
+        let c = corpus(1);
+        let mut config = StreamConfig::for_corpus(&c);
+        config.analyzer.chunk_capacity = 64;
+        let mut stream = StreamAnalyzer::new(&c, config);
+        // Zero lateness: each push applies every sample before it.
+        for ms in 0..200 {
+            stream.push(StreamEvent::Sample(sample_at_ms(ms)));
+        }
+        assert_eq!(ring_counters(&stream), (3, 199, 0, 0));
+        stream.finish();
+        assert_eq!(ring_counters(&stream), (4, 200, 0, 0));
+
+        // A tail that ends on a chunk boundary adds no partial chunk.
+        let mut stream = StreamAnalyzer::new(&c, config);
+        stream.push_batch((0..128).map(|ms| StreamEvent::Sample(sample_at_ms(ms))));
+        assert_eq!(ring_counters(&stream), (1, 127, 0, 0));
+        stream.finish();
+        assert_eq!(ring_counters(&stream), (2, 128, 0, 0));
+    }
+
+    #[test]
+    fn retention_drops_only_whole_chunks_from_the_front_never_the_tail() {
+        let c = corpus(1);
+        let mut config = StreamConfig::for_corpus(&c);
+        config.analyzer.chunk_capacity = 64;
+        config.retention = Retention::Window(TimeDelta::millis(100));
+        let mut stream = StreamAnalyzer::new(&c, config);
+        let push = |stream: &mut StreamAnalyzer, ms: std::ops::Range<i64>| {
+            stream.push_batch(ms.map(|ms| StreamEvent::Sample(sample_at_ms(ms))));
+        };
+        // Rows 0..163 applied: chunks [0, 64) and [64, 128) are complete;
+        // the cutoff 63 is not past chunk 0's newest row.
+        push(&mut stream, 0..164);
+        assert_eq!(ring_counters(&stream), (2, 163, 0, 0));
+        // Cutoff 64: chunk 0 goes, whole.
+        push(&mut stream, 164..165);
+        assert_eq!(ring_counters(&stream), (1, 100, 1, 64));
+        // A cutoff inside chunk 1's range keeps it.
+        push(&mut stream, 165..228);
+        assert_eq!(ring_counters(&stream), (2, 163, 1, 64));
+        // Cutoff 128: chunk 1 goes.
+        push(&mut stream, 228..229);
+        assert_eq!(ring_counters(&stream), (1, 100, 2, 128));
+        // A jump far ahead drops every complete chunk but keeps the tail,
+        // however old its rows.
+        push(&mut stream, 10_000..10_001);
+        assert_eq!(ring_counters(&stream), (0, 37, 3, 192));
+        stream.finish();
+        assert_eq!(ring_counters(&stream), (1, 38, 3, 192));
+    }
+
+    #[test]
+    fn an_empty_stream_reports_all_zero_counters() {
+        let c = corpus(1);
+        let mut stream = StreamAnalyzer::new(&c, StreamConfig::for_corpus(&c));
+        let zero = StreamStatus {
+            updates_ingested: 0,
+            samples_ingested: 0,
+            samples_kept: 0,
+            internal_removed: 0,
+            late_dropped: 0,
+            pending: 0,
+            watermark_ms: None,
+            live_offset_ms: None,
+            blackhole_prefixes: 0,
+            open_runs: 0,
+            verdicts: 0,
+            ring_chunks: 0,
+            ring_rows: 0,
+            ring_evicted_chunks: 0,
+            ring_evicted_rows: 0,
+        };
+        assert_eq!(stream.status(), zero);
+        stream.finish();
+        assert_eq!(stream.status(), zero);
+    }
+
+    #[test]
+    fn retention_decides_whether_a_burst_backs_the_live_anomaly_flag() {
+        // Quiet traffic to a host, then a burst 3 minutes before its /32 is
+        // blackholed at minute 300: 34 + 94 kept samples fill exactly two
+        // chunks of 64.
+        let host = "10.1.0.7";
+        let quiet = (0..34).map(|i| sample(i * 8, host, false));
+        let burst = (0..94).map(|_| sample(297, host, false));
+        let mut c = corpus(1);
+        c.updates = UpdateLog::from_updates(vec![
+            announce(300, "10.1.0.7/32", 64501),
+            withdraw(330, "10.1.0.7/32", 64501),
+        ]);
+        c.flows = FlowLog::from_samples(quiet.clone().chain(burst).collect());
+        let mut config = StreamConfig::for_corpus(&c);
+        config.analyzer.chunk_capacity = 64;
+        config.analyzer.preevent = crate::preevent::PreEventConfig {
+            slot: TimeDelta::minutes(5),
+            pre_window: TimeDelta::minutes(300),
+            ewma: rtbh_stats::EwmaConfig {
+                span: 20,
+                threshold_sd: 2.5,
+            },
+            anomaly_horizon: TimeDelta::minutes(10),
+            min_anomalous_value: 4.0,
+        };
+        let anomaly = |c: &Corpus, retention: Retention| {
+            let config = StreamConfig {
+                retention,
+                ..config
+            };
+            let run = StreamDriver::new(1).replay(c, config);
+            assert_eq!(run.journal.len(), 1);
+            run.journal[0].anomaly
+        };
+        assert!(anomaly(&c, Retention::Unbounded));
+        // The announcement applies once the withdrawal passes it; the
+        // previous advance (to minute 300) already cut at minute 299, past
+        // the newest row of both complete chunks.
+        let short = Retention::Window(TimeDelta::minutes(1));
+        assert!(!anomaly(&c, short));
+
+        // One burst row fewer and a row at 299:30 towards another host: the
+        // burst's second chunk now ends after the cutoff and stays.
+        let mut late = sample(299, "192.0.2.9", false);
+        late.at += TimeDelta::seconds(30);
+        let burst = (0..93).map(|_| sample(297, host, false));
+        c.flows = FlowLog::from_samples(quiet.chain(burst).chain([late]).collect());
+        assert!(anomaly(&c, Retention::Unbounded));
+        assert!(anomaly(&c, short));
     }
 
     #[test]

@@ -8,9 +8,8 @@
 //!   active item and sorts all peers' shares for its three quantiles;
 //! * pre-event — per-slot `HashSet` feature series, every slot pushed
 //!   through five `EwmaDetector`s with a verdict at every slot;
-//! * stream backfill — the ring scan over every row of every chunk the
-//!   window overlaps, recomputed from the finished ring at each journaled
-//!   verdict's start;
+//! * stream backfill — a scan over every kept sample of the feed,
+//!   recomputed at each journaled verdict's start;
 //! * filtering — three `BTreeSet` inserts per during-event sample.
 //!
 //! Values must be equal and their JSON bytes identical. The generators aim
@@ -27,7 +26,7 @@ mod seeds;
 use std::collections::{BTreeMap, BTreeSet, HashSet};
 
 use rtbh_bgp::{BgpUpdate, UpdateKind, UpdateLog};
-use rtbh_core::columns::{ChunkRing, ColumnarFlows};
+use rtbh_core::columns::ColumnarFlows;
 use rtbh_core::corpus::{Corpus, MemberInfo, Registry};
 use rtbh_core::events::RtbhEvent;
 use rtbh_core::filtering::{analyze_filtering, FilterEmulation, FilteringAnalysis};
@@ -814,13 +813,13 @@ fn preevent_kernel_matches_the_hashset_series_on_generated_windows() {
 }
 
 // ---------------------------------------------------------------------
-// The stream backfill: the ring scan at each run's start.
+// The stream backfill: a scan of every kept sample at each run's start.
 // ---------------------------------------------------------------------
 
-/// The replaced backfill: every row of every chunk the window overlaps,
-/// per-slot `HashSet`s, a verdict at every slot.
+/// The replaced backfill: every kept sample, per-slot `HashSet`s, a
+/// verdict at every slot.
 fn oracle_backfill(
-    ring: &ChunkRing,
+    kept: &[FlowSample],
     pcfg: &PreEventConfig,
     prefix: Prefix,
     start: Timestamp,
@@ -834,38 +833,22 @@ fn oracle_backfill(
     let mut src_ips: Vec<HashSet<u32>> = vec![HashSet::new(); slots];
     let mut dst_ports: Vec<HashSet<u16>> = vec![HashSet::new(); slots];
     let mut non_tcp = vec![0u32; slots];
-    let chunks = ring
-        .sealed()
-        .map(|c| (c, true))
-        .chain(ring.open_chunk().map(|c| (c, false)));
-    for (c, sealed) in chunks {
-        if sealed && (c.max_at_millis() < ws || c.min_at_millis() >= we) {
+    for s in kept {
+        let t = s.at.as_millis();
+        if t < ws || t >= we || !prefix.contains_addr(s.dst_ip) {
             continue;
         }
-        for r in 0..c.len() {
-            let t = c.at_millis()[r];
-            if t < ws || t >= we {
-                continue;
-            }
-            if !prefix.contains_addr(Ipv4Addr::from_u32(c.dst_ip_raw()[r])) {
-                continue;
-            }
-            let idx = ((t - ws) / slot_ms) as usize;
-            if idx >= slots {
-                continue;
-            }
-            packets[idx] += 1;
-            flows[idx].insert((
-                c.src_ip_raw()[r],
-                c.src_ports()[r],
-                c.dst_ports()[r],
-                c.protocols()[r],
-            ));
-            src_ips[idx].insert(c.src_ip_raw()[r]);
-            dst_ports[idx].insert(c.dst_ports()[r]);
-            if Protocol::from_number(c.protocols()[r]) != Protocol::Tcp {
-                non_tcp[idx] += 1;
-            }
+        let idx = ((t - ws) / slot_ms) as usize;
+        if idx >= slots {
+            continue;
+        }
+        let src = s.src_ip.to_u32();
+        packets[idx] += 1;
+        flows[idx].insert((src, s.src_port, s.dst_port, s.protocol.number()));
+        src_ips[idx].insert(src);
+        dst_ports[idx].insert(s.dst_port);
+        if Protocol::from_number(s.protocol.number()) != Protocol::Tcp {
+            non_tcp[idx] += 1;
         }
     }
     let mut detectors: Vec<EwmaDetector> = (0..FEATURES)
@@ -999,8 +982,21 @@ fn stream_anomaly_flags_match_the_ring_scan_backfill() {
         let mut stream = StreamAnalyzer::new(&template, config);
         stream.push_batch(feed.iter().map(to_event));
         stream.finish();
+        // The feed is sorted and nothing is late, so the samples that
+        // survive cleaning (no internal MAC) are applied in feed order.
+        let kept: Vec<FlowSample> = feed
+            .iter()
+            .filter_map(|item| match item {
+                FeedItem::Sample(s) => Some(*s),
+                FeedItem::Update(_) => None,
+            })
+            .filter(|s| {
+                !template.internal_macs.contains(&s.src_mac)
+                    && !template.internal_macs.contains(&s.dst_mac)
+            })
+            .collect();
         for v in stream.journal() {
-            let expected = oracle_backfill(stream.ring(), &pcfg, v.prefix, v.start);
+            let expected = oracle_backfill(&kept, &pcfg, v.prefix, v.start);
             assert_eq!(
                 v.anomaly, expected,
                 "verdict {} ({}) under seed {seed:#x}",
