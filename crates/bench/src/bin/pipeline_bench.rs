@@ -295,12 +295,9 @@ fn main() {
             let pb = rtbh_bench::bench_filters(config.clone(), reps);
             writeln!(
                 stdout,
-                "\nfilter kernels: {} queries over {} samples \
-                 ({} dictionary lists, {} distinct):",
+                "\nfilter kernels: {} queries over {} samples:",
                 pb.queries.len(),
-                pb.samples,
-                pb.dict_lists,
-                pb.dict_entries
+                pb.samples
             )
             .expect("write stdout");
             for t in &pb.timings {

@@ -15,9 +15,9 @@
 //! 3. **masked_pruned**: the shipped kernel
 //!    ([`rtbh_core::filter::filter_aggregate`]) — the same masks
 //!    behind `TimeBuckets` chunk-header pruning, and per-prefix joins
-//!    scattered from the dictionary-encoded id lists
-//!    ([`rtbh_core::filter::IdDict`]) instead of masking the `dst_pid`
-//!    column.
+//!    scattered from the sample index's sorted id lists
+//!    ([`rtbh_core::index::SampleIndex::towards`]) instead of masking the
+//!    `dst_pid` column.
 //!
 //! Every variant's answers are byte-checked (serialized JSON compared)
 //! against the naive reference before anything is timed — a
@@ -38,7 +38,7 @@ use std::time::Instant;
 
 use rtbh_core::filter::{
     filter_aggregate, filter_aggregate_naive, filter_aggregate_scan, FilterAggregate, FilterQuery,
-    IdDict, Predicate,
+    Predicate,
 };
 use rtbh_core::index::SampleIndex;
 use rtbh_core::pipeline::{Analyzer, AnalyzerConfig};
@@ -77,11 +77,6 @@ pub struct FiltersBench {
     /// Whether every variant matched the naive reference byte-for-byte
     /// (checked before timing).
     pub answers_identical: bool,
-    /// Distinct dictionary entries backing the per-prefix id lists
-    /// (after deduplication), and the lists they encode.
-    pub dict_entries: usize,
-    /// Id lists the dictionary serves (one per blackholed prefix).
-    pub dict_lists: usize,
     /// One timing per variant.
     pub timings: Vec<FilterTiming>,
     /// Headline: naive wall / masked wall.
@@ -120,7 +115,7 @@ fn bench_queries(index: &SampleIndex, start_ms: i64, end_ms: i64) -> Vec<BenchQu
         .drain(..)
         .map(|query| BenchQuery { query, pid: None })
         .collect();
-    // One per-prefix join (dictionary gallop vs a dst_pid column walk).
+    // One per-prefix join (index id list vs a dst_pid column walk).
     if !index.prefixes().is_empty() {
         out.push(BenchQuery {
             query: FilterQuery::matching(vec![p("dropped=1")]).with_prefix(index.prefixes()[0]),
@@ -139,11 +134,10 @@ pub fn bench_filters(config: ScenarioConfig, reps: usize) -> FiltersBench {
     let analyzer = Analyzer::new(out.corpus, analyzer_config);
     let cols = analyzer.columns();
     let index = analyzer.index();
-    let dict = IdDict::from_index(index);
     let period = analyzer.corpus().period;
     let queries = bench_queries(index, period.start.as_millis(), period.end.as_millis());
 
-    let join = |q: &BenchQuery| q.pid.map(|pid| (&dict, pid));
+    let join = |q: &BenchQuery| q.pid.map(|pid| index.towards(pid as usize));
     let naive = |q: &BenchQuery| filter_aggregate_naive(cols, q.pid, &q.query);
     let masked = |q: &BenchQuery| filter_aggregate_scan(cols, join(q), &q.query);
     let pruned = |q: &BenchQuery| filter_aggregate(cols, join(q), &q.query);
@@ -213,8 +207,6 @@ pub fn bench_filters(config: ScenarioConfig, reps: usize) -> FiltersBench {
             .collect(),
         reps,
         answers_identical,
-        dict_entries: dict.distinct(),
-        dict_lists: dict.lists(),
         timings,
         masked_speedup: naive_wall as f64 / masked_wall.max(1) as f64,
         pruned_speedup: naive_wall as f64 / pruned_wall.max(1) as f64,
@@ -234,7 +226,6 @@ mod tests {
         assert_eq!(bench.timings.len(), 3);
         assert!(bench.timings.iter().all(|t| t.workers == 1));
         assert!((bench.timings[0].speedup_vs_naive - 1.0).abs() < 1e-12);
-        assert!(bench.dict_lists >= bench.dict_entries);
         // The result must serialize (it is written verbatim to
         // BENCH_filters.json).
         rtbh_json::to_string(&bench);
@@ -247,7 +238,7 @@ rtbh_json::impl_json! {
 
 rtbh_json::impl_json! {
     serialize struct FiltersBench {
-        scenario, samples, queries, reps, answers_identical, dict_entries, dict_lists,
-        timings, masked_speedup, pruned_speedup,
+        scenario, samples, queries, reps, answers_identical, timings, masked_speedup,
+        pruned_speedup,
     }
 }

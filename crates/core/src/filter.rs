@@ -1,5 +1,5 @@
-//! Predicate pushdown over the sealed chunks: selection masks,
-//! branch-free compare kernels and dictionary-encoded id lists.
+//! Predicate pushdown over the sealed chunks: selection masks and
+//! branch-free compare kernels.
 //!
 //! The paper's headline mitigation result (§6: 90% of anomaly-backed
 //! events are fully mitigated by filtering a fixed list of UDP
@@ -22,10 +22,10 @@
 //! - Aggregation walks mask words ([`aggregate_chunk`]): popcounts for
 //!   counts, `bits &= bits - 1` set-bit walks for byte sums, and a plain
 //!   (autovectorizable) slice reduction for fully-selected words.
-//! - Per-prefix conjuncts gallop-join a dictionary-encoded sorted id
-//!   list ([`IdDict`]: delta-varint blocks with one sync point per
-//!   [`abi::DICT_SYNC_INTERVAL`] ids, deduplicated across lists) against
-//!   the selection mask ([`IdCursor::scatter`]).
+//! - Per-prefix conjuncts join the prefix's sorted sample-id list from
+//!   the sample index ([`SampleIndex::towards`]) into the selection mask:
+//!   the list is cut to the window by gallop search, and chunks where it
+//!   has no row are skipped.
 //!
 //! Every kernel is cross-checked against [`filter_aggregate_naive`], the
 //! definitionally-correct rowwise reference, by unit tests, the
@@ -630,8 +630,8 @@ impl FilterAggregate {
 /// Folds one chunk's selected rows into `agg`: popcounts for the counts,
 /// a plain slice reduction for fully-selected words' byte totals, and
 /// `bits &= bits - 1` set-bit walks everywhere a packet length must be
-/// looked up. The shared back end of every masked query kernel
-/// (`window_aggregate`, `prefix_slice` and the filter drivers).
+/// looked up. The shared back end of the masked filter drivers, which
+/// answer every `Window`, `Prefix` and `Filter` query.
 pub fn aggregate_chunk(chunk: &SealedChunk, mask: &SelectionMask, agg: &mut FilterAggregate) {
     let lens = chunk.packet_lens();
     let dropped = chunk.dropped_words();
@@ -691,27 +691,47 @@ pub fn aggregate_chunk(chunk: &SealedChunk, mask: &SelectionMask, agg: &mut Filt
 // Filter drivers
 // ---------------------------------------------------------------------------
 
-/// Masked, chunk-pruned filter evaluation: the window prunes whole
-/// chunks through `TimeBuckets` headers, the optional prefix conjunct
-/// gallop-joins its dictionary list into the mask, and each predicate is
-/// one branch-free pass over the covered word range. `join` carries the
-/// dictionary and the resolved id of [`FilterQuery::prefix`] (the caller
-/// resolves the prefix so an unknown one can be reported before any
-/// scan). Byte-identical to [`filter_aggregate_naive`].
+/// Selects the rows of the chunk starting at global row `start` that
+/// `ids` lists before `end`, and advances `ids` past them. `false` (and
+/// the mask untouched) when the list has no row there.
+fn scatter_ids(ids: &mut &[u32], start: usize, end: usize, mask: &mut SelectionMask) -> bool {
+    let n = gallop_partition_point(ids, 0, end as u32);
+    if n == 0 {
+        return false;
+    }
+    mask.reset_zero(end - start);
+    for &id in &ids[..n] {
+        mask.set(id as usize - start);
+    }
+    *ids = &ids[n..];
+    true
+}
+
+/// Masked, chunk-pruned filter evaluation. The window prunes whole
+/// chunks through `TimeBuckets` headers. The optional prefix conjunct
+/// `ids` is the sorted sample-id list of the resolved
+/// [`FilterQuery::prefix`] ([`SampleIndex::towards`]; the caller resolves
+/// the prefix so an unknown one can be reported before any scan): it is
+/// cut to the window by gallop search ([`ColumnarFlows::window_ids`]) and
+/// scattered into the mask, and every chunk where it has no row is
+/// skipped. Each
+/// predicate is one branch-free pass over the covered word range.
+/// Byte-identical to [`filter_aggregate_naive`].
 pub fn filter_aggregate(
     cols: &ColumnarFlows,
-    join: Option<(&IdDict, u32)>,
+    ids: Option<&[u32]>,
     query: &FilterQuery,
 ) -> FilterAggregate {
     let mut agg = FilterAggregate::default();
     if query.end_ms <= query.start_ms {
         return agg;
     }
-    let (lo, hi) = cols.time_range(Timestamp(query.start_ms), Timestamp(query.end_ms));
+    let (start, end) = (Timestamp(query.start_ms), Timestamp(query.end_ms));
+    let (lo, hi) = cols.time_range(start, end);
     if hi <= lo {
         return agg;
     }
-    let mut cursor = join.map(|(d, pid)| d.cursor(pid as usize));
+    let mut ids = ids.map(|ids| cols.window_ids(ids, start, end));
     let mut mask = SelectionMask::new();
     let mut scratch = Vec::new();
     for chunk in cols.chunks() {
@@ -725,10 +745,11 @@ pub fn filter_aggregate(
         }
         let a = lo.saturating_sub(cs);
         let b = hi.min(ce) - cs;
-        match cursor.as_mut() {
-            Some(cur) => {
-                mask.reset_zero(chunk.len());
-                cur.scatter((cs + a) as u32, (cs + b) as u32, cs, &mut mask);
+        match ids.as_mut() {
+            Some(ids) => {
+                if !scatter_ids(ids, cs, ce, &mut mask) {
+                    continue;
+                }
             }
             None => mask.reset_range(chunk.len(), a, b),
         }
@@ -744,25 +765,26 @@ pub fn filter_aggregate(
 /// Masked evaluation without chunk pruning: every chunk is scanned and
 /// the window itself becomes a branch-free mask pass over the `at`
 /// column. The bench's middle variant — isolates what masking alone buys
-/// before header pruning is added. Byte-identical to
-/// [`filter_aggregate`].
+/// before header pruning is added. `ids` is the prefix conjunct's sorted
+/// sample-id list, as for [`filter_aggregate`], to which it is
+/// byte-identical.
 pub fn filter_aggregate_scan(
     cols: &ColumnarFlows,
-    join: Option<(&IdDict, u32)>,
+    mut ids: Option<&[u32]>,
     query: &FilterQuery,
 ) -> FilterAggregate {
     let mut agg = FilterAggregate::default();
-    let mut cursor = join.map(|(d, pid)| d.cursor(pid as usize));
     let mut mask = SelectionMask::new();
     let mut scratch = Vec::new();
     let windowed = !(query.start_ms == i64::MIN && query.end_ms == i64::MAX);
     for chunk in cols.chunks() {
         let cs = chunk.start();
         let len = chunk.len();
-        match cursor.as_mut() {
-            Some(cur) => {
-                mask.reset_zero(len);
-                cur.scatter(cs as u32, (cs + len) as u32, cs, &mut mask);
+        match ids.as_mut() {
+            Some(ids) => {
+                if !scatter_ids(ids, cs, cs + len, &mut mask) {
+                    mask.reset_zero(len);
+                }
             }
             None => mask.reset_range(len, 0, len),
         }
@@ -833,14 +855,14 @@ pub fn filter_aggregate_naive(
 // Dictionary-encoded sorted id lists
 // ---------------------------------------------------------------------------
 
-/// Dictionary-encoded sorted id lists: every list is split into blocks
-/// of [`abi::DICT_SYNC_INTERVAL`] ids; a block's first id lives in a
-/// sync table (absolute, so galloping never decodes a block it skips)
-/// and the remaining ids are delta-varints in one shared byte arena.
+/// Dictionary-encoded sorted id lists, off the query path: the filter
+/// drivers join the sample index's own lists. Every list is split into
+/// blocks of [`abi::DICT_SYNC_INTERVAL`] ids; a block's first id lives
+/// in a sync table (absolute, so a reader can start at any block) and
+/// the remaining ids are delta-varints in one shared byte arena.
 /// Identical lists are deduplicated at build time by content (hash plus
-/// byte compare of their encodings), so lists shared across events or
-/// prefixes are stored once and every consumer joins against the same
-/// bytes.
+/// byte compare of their encodings), so lists shared across prefixes
+/// are stored once.
 #[derive(Debug, Clone)]
 pub struct IdDict {
     arena: Vec<u8>,
@@ -934,8 +956,7 @@ impl IdDict {
     }
 
     /// One list per blackholed prefix id, in index order: the sorted
-    /// sample ids towards that prefix ([`SampleIndex::towards`]). The
-    /// dictionary the server joins `Filter` prefix conjuncts against.
+    /// sample ids towards that prefix ([`SampleIndex::towards`]).
     pub fn from_index(index: &SampleIndex) -> IdDict {
         IdDict::build((0..index.prefixes().len()).map(|pid| index.towards(pid)))
     }
@@ -950,18 +971,7 @@ impl IdDict {
         self.entry_lens.len()
     }
 
-    /// Bytes in the shared delta-varint arena.
-    pub fn arena_len(&self) -> usize {
-        self.arena.len()
-    }
-
-    /// Ids in list `i`.
-    pub fn list_len(&self, i: usize) -> usize {
-        self.entry_lens[self.map[i] as usize] as usize
-    }
-
-    /// Decodes list `i` in full — tests and diagnostics; the query path
-    /// uses [`IdDict::cursor`] + [`IdCursor::scatter`] instead.
+    /// Decodes list `i` in full.
     pub fn decode_list(&self, i: usize) -> Vec<u32> {
         let e = self.map[i] as usize;
         let n = self.entry_lens[e] as usize;
@@ -981,77 +991,6 @@ impl IdDict {
             }
         }
         out
-    }
-
-    /// A gallop cursor over list `i`, for ascending
-    /// [`IdCursor::scatter`] calls (one per chunk).
-    pub fn cursor(&self, i: usize) -> IdCursor<'_> {
-        IdCursor {
-            dict: self,
-            entry: self.map[i] as usize,
-            hint: 0,
-        }
-    }
-}
-
-/// A stateful gallop cursor over one [`IdDict`] list: successive
-/// [`IdCursor::scatter`] calls with ascending bounds resume the gallop
-/// from the last-touched sync block instead of restarting the search.
-#[derive(Debug, Clone)]
-pub struct IdCursor<'a> {
-    dict: &'a IdDict,
-    entry: usize,
-    hint: usize,
-}
-
-impl IdCursor<'_> {
-    /// Sets mask bit `id - base` for every list id in `lo..hi` — the
-    /// gallop join of the dictionary list against one chunk's selection
-    /// mask. Ids are global sample indices; `base` is the chunk's first
-    /// global row, and `lo..hi` must lie within the chunk.
-    pub fn scatter(&mut self, lo: u32, hi: u32, base: usize, mask: &mut SelectionMask) {
-        if hi <= lo {
-            return;
-        }
-        let d = self.dict;
-        let (s, t) = (
-            d.sync_bounds[self.entry] as usize,
-            d.sync_bounds[self.entry + 1] as usize,
-        );
-        if s == t {
-            return;
-        }
-        let n = d.entry_lens[self.entry] as usize;
-        let sync = &d.sync_ids[s..t];
-        // Gallop over the block-start ids, resuming from the hint when
-        // the bounds are ascending (restarting when they went back).
-        let from = if self.hint < sync.len() && sync[self.hint] <= lo {
-            self.hint
-        } else {
-            0
-        };
-        let mut k = gallop_partition_point(sync, from, lo).saturating_sub(1);
-        while k < sync.len() {
-            if sync[k] >= hi {
-                break;
-            }
-            self.hint = k;
-            let block_len = (n - k * abi::DICT_SYNC_INTERVAL).min(abi::DICT_SYNC_INTERVAL);
-            let mut pos = d.sync_offsets[s + k] as usize;
-            let mut id = sync[k];
-            for j in 0..block_len {
-                if j > 0 {
-                    id += get_varint(&d.arena, &mut pos);
-                }
-                if id >= hi {
-                    return;
-                }
-                if id >= lo {
-                    mask.set(id as usize - base);
-                }
-            }
-            k += 1;
-        }
     }
 }
 
@@ -1094,9 +1033,9 @@ fn fnv_bytes(mut h: u64, bytes: &[u8]) -> u64 {
 }
 
 // Corpus-backed differential coverage (capacities × prepare workers, fuzzed
-// predicate sets, the real sample index) lives in the testkit's
-// `filter_diff` suite and `tests/serve_engine.rs`; the tests here pin
-// the pure kernel and dictionary mechanics on synthetic data.
+// predicate sets, prefix joins against the real sample index) lives in the
+// testkit's `filter_diff` suite and `tests/serve_engine.rs`; the tests here
+// pin the pure kernel and dictionary mechanics on synthetic data.
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1307,7 +1246,7 @@ mod tests {
     }
 
     #[test]
-    fn id_dict_round_trips_dedups_and_gallops() {
+    fn id_dict_round_trips_and_dedups() {
         let mut rng = Rng(0xD1C7);
         let mut lists: Vec<Vec<u32>> = Vec::new();
         for n in [0usize, 1, 63, 64, 65, 200, 1_000] {
@@ -1323,50 +1262,11 @@ mod tests {
         assert_eq!(dict.lists(), lists.len());
         assert!(dict.distinct() < lists.len(), "duplicates must dedup");
         for (i, list) in lists.iter().enumerate() {
-            assert_eq!(dict.list_len(i), list.len());
             assert_eq!(dict.decode_list(i), *list, "list {i}");
         }
         // Shared entries point at the same arena bytes.
         assert_eq!(dict.map[5], dict.map[lists.len() - 2]);
         assert_eq!(dict.map[0], dict.map[lists.len() - 1]);
-
-        // Scatter over sliding chunk windows == a plain filtered scan.
-        let list = 6; // the 1000-element list
-        let ids = dict.decode_list(list);
-        let mut mask = SelectionMask::new();
-        let mut cursor = dict.cursor(list);
-        for base in (0..50_176).step_by(1_024) {
-            let (lo, hi) = (base as u32, (base + 1_024) as u32);
-            mask.reset_zero(1_024);
-            cursor.scatter(lo, hi, base, &mut mask);
-            let expected: Vec<usize> = ids
-                .iter()
-                .filter(|&&id| lo <= id && id < hi)
-                .map(|&id| id as usize - base)
-                .collect();
-            assert_eq!(mask.count(), expected.len() as u64, "window {lo}..{hi}");
-            for r in expected {
-                assert!(mask.get(r), "row {r} of window {lo}..{hi}");
-            }
-        }
-        // A cursor whose bounds go backwards restarts its gallop.
-        let mut cursor = dict.cursor(list);
-        mask.reset_zero(4_096);
-        cursor.scatter(40_000, 44_096, 40_000, &mut mask);
-        let late = mask.count();
-        assert_eq!(
-            late,
-            ids.iter()
-                .filter(|&&id| (40_000..44_096).contains(&id))
-                .count() as u64
-        );
-        mask.reset_zero(4_096);
-        cursor.scatter(0, 4_096, 0, &mut mask);
-        assert_eq!(
-            mask.count(),
-            ids.iter().filter(|&&id| id < 4_096).count() as u64,
-            "backwards scatter must restart the gallop"
-        );
     }
 
     #[test]

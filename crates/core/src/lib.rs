@@ -37,7 +37,7 @@
 //! records per-stage wall times, worker counts and input footprints (`rtbh
 //! analyze --timings`, `BENCH_pipeline.json`); [`serve`] promotes the
 //! analyzer into the `rtbhd` multi-client query server (length-prefixed
-//! binary protocol, thread-per-core workers, [`lru`]-cached responses)
+//! binary protocol, a blocking thread per connection, [`lru`]-cached responses)
 //! answering window aggregates, per-prefix drop provenance and report
 //! sections over `Arc` snapshots of the sealed chunks; [`stream`] is the
 //! event-driven analyzer — a watermark-ordered feed of updates and samples

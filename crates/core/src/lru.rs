@@ -40,13 +40,13 @@ pub struct Lru<K, V> {
 impl<K: Eq + Hash + Clone, V> Lru<K, V> {
     /// Creates a cache holding at most `capacity` entries. A zero
     /// capacity is clamped to one — a cache that can hold nothing would
-    /// turn every insert into an immediate self-evict.
+    /// turn every insert into an immediate self-evict. The capacity is
+    /// only a bound: the map starts empty and grows with its entries.
     pub fn new(capacity: usize) -> Self {
-        let capacity = capacity.max(1);
         Self {
-            capacity,
+            capacity: capacity.max(1),
             tick: 0,
-            map: HashMap::with_capacity(capacity),
+            map: HashMap::new(),
         }
     }
 
@@ -138,6 +138,21 @@ mod tests {
         assert_eq!(lru.insert(2, ()), Some(1));
         assert_eq!(lru.len(), 1);
         assert!(lru.get(&2).is_some());
+    }
+
+    #[test]
+    fn a_usize_max_capacity_is_a_bound_not_an_allocation() {
+        // `rtbhd --cache 18446744073709551615` reaches this constructor.
+        let mut lru = Lru::new(usize::MAX);
+        assert_eq!(lru.capacity(), usize::MAX);
+        for i in 0..1_000 {
+            assert_eq!(lru.insert(i, i), None, "nothing evicts below the bound");
+        }
+        assert_eq!(lru.len(), 1_000);
+        assert_eq!(lru.get(&0), Some(&0));
+        assert_eq!(lru.insert(0, 7), None, "replacing never evicts");
+        assert_eq!(lru.get(&0), Some(&7));
+        assert_eq!(lru.len(), 1_000);
     }
 
     #[test]

@@ -21,7 +21,7 @@
 //!   tag 1 Ping      body ()                      -> "pong"
 //!   tag 2 Info      body ()                      -> corpus summary JSON
 //!   tag 3 Report    body (section u8)            -> report-section JSON
-//!   tag 4 Window    body (start i64, end i64)    -> WindowAggregate JSON
+//!   tag 4 Window    body (start i64, end i64)    -> FilterAggregate JSON
 //!   tag 5 Prefix    body (bits u32, len u8,
 //!                         start i64, end i64)    -> PrefixSlice JSON
 //!   tag 6 Stats     body ()                      -> server counters JSON
@@ -60,30 +60,38 @@
 //!
 //! # Concurrency
 //!
-//! [`Server::run`] is a thread-per-core accept/worker pool built on the
-//! same resolution rule as the analysis kernels
-//! ([`shard::resolve_workers`]): the accept loop hands connections to
-//! workers over a channel; each worker owns its connections and polls a
-//! shutdown flag between frames (reads use short timeouts, so an idle
-//! keep-alive connection cannot pin a worker during shutdown). On
-//! shutdown — a `Shutdown` request or an external signal flipping the
-//! stop flag — in-flight requests are answered, then connections close
-//! and the pool drains.
+//! [`Server::run`] blocks in `accept` and gives each accepted connection
+//! a thread of its own, up to [`MAX_CONNECTIONS`] open at once (past the
+//! cap a socket is closed unanswered). An idle connection is a thread
+//! parked in a blocking read: it holds no worker. `workers` bounds the
+//! requests handled at once ([`shard::resolve_workers`] rule), not the
+//! connections. Once a request frame's first byte arrives, the rest must
+//! arrive within [`PEER_DEADLINE`], and the peer must take each reply
+//! frame within [`PEER_DEADLINE`] of its first byte, so a peer that
+//! trickles or never reads loses its connection instead of holding it.
+//!
+//! Stopping is one broadcast, [`Stopper::stop`], called by a `Shutdown`
+//! request, [`ServerHandle::shutdown`] or a signal watcher. It shuts the
+//! read half of every open socket, which ends every blocked read while
+//! bytes already received stay readable and writes still work, then
+//! self-connects to wake `accept`. Requests that already arrived are
+//! answered; after each reply a connection that sees the stop closes,
+//! and `run` returns once every connection thread has ended.
 
+use std::collections::BTreeMap;
 use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::net::{IpAddr, Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 use rtbh_net::cursor::{PutBytes, Reader};
 use rtbh_net::frame::{self, FrameError};
 use rtbh_net::{Ipv4Addr, Prefix, Timestamp};
 
-use crate::columns::{gallop_partition_point, ColumnarFlows};
-use crate::filter::{
-    self, FilterAggregate, FilterQuery, IdDict, Predicate, SelectionMask, MAX_PREDICATES,
-};
+use crate::columns::ColumnarFlows;
+use crate::filter::{self, FilterAggregate, FilterQuery, Predicate, MAX_PREDICATES};
 use crate::index::SampleIndex;
 use crate::lru::Lru;
 use crate::pipeline::{Analyzer, FullReport};
@@ -528,36 +536,10 @@ impl Response {
 // Query kernels (pure; the bench cross-checks fast against naive)
 // ---------------------------------------------------------------------------
 
-/// Aggregate over every sample in a time window.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct WindowAggregate {
-    /// Samples with `start <= at < end`.
-    pub samples: u64,
-    /// Sum of their packet lengths.
-    pub total_bytes: u64,
-    /// Dropped samples among them.
-    pub dropped_packets: u64,
-    /// Sum of dropped packet lengths.
-    pub dropped_bytes: u64,
-    /// Dropped samples explained by an active route-server blackhole.
-    pub explained_packets: u64,
-    /// Their packet lengths.
-    pub explained_bytes: u64,
-    /// Fragments in the window.
-    pub fragments: u64,
-}
-
-rtbh_json::impl_json! {
-    serialize struct WindowAggregate {
-        samples, total_bytes, dropped_packets, dropped_bytes,
-        explained_packets, explained_bytes, fragments,
-    }
-}
-
 /// [`window_aggregate`]'s reference implementation: a rowwise scan of the
 /// global range. Quadratically slower, definitionally correct.
-pub fn window_aggregate_naive(cols: &ColumnarFlows, start_ms: i64, end_ms: i64) -> WindowAggregate {
-    let mut agg = WindowAggregate::default();
+pub fn window_aggregate_naive(cols: &ColumnarFlows, start_ms: i64, end_ms: i64) -> FilterAggregate {
+    let mut agg = FilterAggregate::default();
     if end_ms <= start_ms {
         return agg;
     }
@@ -581,31 +563,14 @@ pub fn window_aggregate_naive(cols: &ColumnarFlows, start_ms: i64, end_ms: i64) 
     agg
 }
 
-impl WindowAggregate {
-    /// A window query is a predicate-free filter: the fields map 1:1.
-    fn from_filter(agg: FilterAggregate) -> WindowAggregate {
-        WindowAggregate {
-            samples: agg.samples,
-            total_bytes: agg.total_bytes,
-            dropped_packets: agg.dropped_packets,
-            dropped_bytes: agg.dropped_bytes,
-            explained_packets: agg.explained_packets,
-            explained_bytes: agg.explained_bytes,
-            fragments: agg.fragments,
-        }
-    }
-}
-
-/// Event-window aggregate via [`TimeBuckets`](crate::columns::TimeBuckets)
-/// chunk pruning and the shared selection-mask kernels
-/// ([`filter::filter_aggregate`] with an empty predicate list): masked
-/// popcounts for counts, set-bit walks for byte sums, a plain
-/// (autovectorizable) slice reduction for fully-selected words.
-/// Byte-identical to [`window_aggregate_naive`] for every window (pinned
-/// by unit tests, the `fuzz_serve` suite and the serve bench).
-pub fn window_aggregate(cols: &ColumnarFlows, start_ms: i64, end_ms: i64) -> WindowAggregate {
+/// Event-window aggregate: [`filter::filter_aggregate`] with no prefix
+/// conjunct and no predicates, so `TimeBuckets` chunk pruning and the
+/// masked kernels answer it. Byte-identical to [`window_aggregate_naive`]
+/// for every window (pinned by the `serve_engine` and `fuzz_serve`
+/// suites and the serve bench).
+pub fn window_aggregate(cols: &ColumnarFlows, start_ms: i64, end_ms: i64) -> FilterAggregate {
     let query = FilterQuery::matching(Vec::new()).with_window(start_ms, end_ms);
-    WindowAggregate::from_filter(filter::filter_aggregate(cols, None, &query))
+    filter::filter_aggregate(cols, None, &query)
 }
 
 /// Drop provenance of one blackholed prefix restricted to a window.
@@ -634,86 +599,25 @@ rtbh_json::impl_json! {
     }
 }
 
-fn prefix_slice_over(cols: &ColumnarFlows, prefix: Prefix, ids: &[u32]) -> PrefixSlice {
-    let mut out = PrefixSlice {
-        prefix,
-        samples: 0,
-        total_bytes: 0,
-        dropped_packets: 0,
-        dropped_bytes: 0,
-        explained_packets: 0,
-        explained_bytes: 0,
-    };
-    for &id in ids {
-        let i = id as usize;
-        let len = u64::from(cols.packet_len(i));
-        out.samples += 1;
-        out.total_bytes += len;
-        if cols.is_dropped(i) {
-            out.dropped_packets += 1;
-            out.dropped_bytes += len;
-            if cols.active_prefix(i).is_some_and(|(_, active)| active) {
-                out.explained_packets += 1;
-                out.explained_bytes += len;
-            }
+impl PrefixSlice {
+    /// The slice of `prefix` whose samples `agg` aggregates.
+    fn new(prefix: Prefix, agg: FilterAggregate) -> PrefixSlice {
+        PrefixSlice {
+            prefix,
+            samples: agg.samples,
+            total_bytes: agg.total_bytes,
+            dropped_packets: agg.dropped_packets,
+            dropped_bytes: agg.dropped_bytes,
+            explained_packets: agg.explained_packets,
+            explained_bytes: agg.explained_bytes,
         }
     }
-    out
 }
 
-/// Per-prefix drop provenance via the gallop join: the index's sorted
-/// `towards` list for the prefix is restricted to the window with
-/// [`ColumnarFlows::window_ids`] (chunk-header pruning +
-/// [`gallop_partition_point`]), scattered into a per-chunk
-/// [`SelectionMask`] and aggregated by the shared
-/// [`filter::aggregate_chunk`] kernel. `None` if the prefix is not in the
-/// blackhole index.
-pub fn prefix_slice(
-    index: &SampleIndex,
-    cols: &ColumnarFlows,
-    prefix: Prefix,
-    start_ms: i64,
-    end_ms: i64,
-) -> Option<PrefixSlice> {
-    let pid = index.prefix_id(prefix)?;
-    let ids = if end_ms <= start_ms {
-        &[][..]
-    } else {
-        cols.window_ids(index.towards(pid), Timestamp(start_ms), Timestamp(end_ms))
-    };
-    let mut agg = FilterAggregate::default();
-    let mut mask = SelectionMask::new();
-    let mut cur = 0usize;
-    for chunk in cols.chunks() {
-        if cur >= ids.len() {
-            break;
-        }
-        let c_start = chunk.start();
-        let c_end = c_start + chunk.len();
-        if ids[cur] as usize >= c_end {
-            continue;
-        }
-        let end = gallop_partition_point(ids, cur, c_end as u32);
-        mask.reset_zero(chunk.len());
-        for &id in &ids[cur..end] {
-            mask.set(id as usize - c_start);
-        }
-        filter::aggregate_chunk(chunk, &mask, &mut agg);
-        cur = end;
-    }
-    Some(PrefixSlice {
-        prefix,
-        samples: agg.samples,
-        total_bytes: agg.total_bytes,
-        dropped_packets: agg.dropped_packets,
-        dropped_bytes: agg.dropped_bytes,
-        explained_packets: agg.explained_packets,
-        explained_bytes: agg.explained_bytes,
-    })
-}
-
-/// [`prefix_slice`]'s reference implementation: filter the same id list
-/// by each sample's timestamp instead of joining against the window.
+/// The reference for the engine's `Prefix` answers: a rowwise walk of the
+/// prefix's id list that keeps each sample by its own timestamp instead
+/// of joining the list against the window. `None` if the prefix is not in
+/// the blackhole index.
 pub fn prefix_slice_naive(
     index: &SampleIndex,
     cols: &ColumnarFlows,
@@ -722,16 +626,26 @@ pub fn prefix_slice_naive(
     end_ms: i64,
 ) -> Option<PrefixSlice> {
     let pid = index.prefix_id(prefix)?;
-    let ids: Vec<u32> = index
-        .towards(pid)
-        .iter()
-        .copied()
-        .filter(|&id| {
-            let at = cols.at(id as usize).as_millis();
-            start_ms <= at && at < end_ms
-        })
-        .collect();
-    Some(prefix_slice_over(cols, prefix, &ids))
+    let mut agg = FilterAggregate::default();
+    for &id in index.towards(pid) {
+        let i = id as usize;
+        let at = cols.at(i).as_millis();
+        if !(start_ms <= at && at < end_ms) {
+            continue;
+        }
+        let len = u64::from(cols.packet_len(i));
+        agg.samples += 1;
+        agg.total_bytes += len;
+        if cols.is_dropped(i) {
+            agg.dropped_packets += 1;
+            agg.dropped_bytes += len;
+            if cols.active_prefix(i).is_some_and(|(_, active)| active) {
+                agg.explained_packets += 1;
+                agg.explained_bytes += len;
+            }
+        }
+    }
+    Some(PrefixSlice::new(prefix, agg))
 }
 
 /// The `Info` reply: corpus shape and store geometry. Everything here is
@@ -818,7 +732,8 @@ pub struct ServeStats {
     pub cache_hits: AtomicU64,
     /// LRU cache misses (computed fresh and inserted).
     pub cache_misses: AtomicU64,
-    /// Connections accepted over the server's lifetime.
+    /// Connections served over the server's lifetime (not those closed
+    /// unanswered past [`MAX_CONNECTIONS`]).
     pub connections: AtomicU64,
 }
 
@@ -836,7 +751,7 @@ pub struct StatsReport {
     /// `cache_hits / (cache_hits + cache_misses)`, 0 before any
     /// cacheable query.
     pub cache_hit_ratio: f64,
-    /// Connections accepted.
+    /// Connections served.
     pub connections: u64,
 }
 
@@ -851,7 +766,7 @@ rtbh_json::impl_json! {
 pub enum Action {
     /// Keep serving this connection.
     Continue,
-    /// Flip the stop flag and drain (a `Shutdown` request).
+    /// Stop the server and drain (a `Shutdown` request).
     Shutdown,
 }
 
@@ -868,12 +783,11 @@ enum CacheKey {
 
 /// Everything a query needs, immutable after construction: the prepared
 /// analyzer, the batch report, the response cache and the counters.
-/// Shared across workers as an `Arc` — cloning the `Arc` *is* the
-/// per-query snapshot.
+/// Shared across connection threads behind an `Arc` — cloning the `Arc`
+/// *is* the per-query snapshot.
 pub struct ServeState {
     analyzer: Analyzer,
     report: FullReport,
-    dict: IdDict,
     /// Counters behind the `Stats` query.
     pub stats: ServeStats,
     cache: Mutex<Lru<CacheKey, Arc<Vec<u8>>>>,
@@ -892,11 +806,9 @@ impl ServeState {
     /// [`ServeState::new`] with an explicit LRU capacity.
     pub fn with_cache_capacity(analyzer: Analyzer, cache_capacity: usize) -> Self {
         let report = analyzer.full();
-        let dict = IdDict::from_index(analyzer.index());
         Self {
             analyzer,
             report,
-            dict,
             stats: ServeStats::default(),
             cache: Mutex::new(Lru::new(cache_capacity)),
         }
@@ -905,13 +817,6 @@ impl ServeState {
     /// The prepared analyzer behind the queries.
     pub fn analyzer(&self) -> &Analyzer {
         &self.analyzer
-    }
-
-    /// The dictionary-encoded per-prefix id lists `Filter` queries
-    /// gallop-join against (one list per blackholed prefix, deduplicated
-    /// across prefixes that attract the same sample set).
-    pub fn dict(&self) -> &IdDict {
-        &self.dict
     }
 
     /// The batch report computed at startup.
@@ -1006,27 +911,20 @@ impl ServeState {
                 start_ms,
                 end_ms,
             } => {
-                let Some(pid) = self.analyzer.index().prefix_id(prefix) else {
-                    return (
-                        Response::Err {
-                            code: ERR_NOT_FOUND,
-                            message: format!("prefix {prefix} is not in the blackhole index"),
-                        },
-                        Action::Continue,
-                    );
+                let index = self.analyzer.index();
+                let Some(pid) = index.prefix_id(prefix) else {
+                    return not_indexed(prefix);
                 };
                 let body = self.cached(
                     CacheKey::Fixed(TAG_PREFIX, start_ms, end_ms, pid as u32),
                     || {
-                        let slice = prefix_slice(
-                            self.analyzer.index(),
+                        let query = FilterQuery::matching(Vec::new()).with_window(start_ms, end_ms);
+                        let agg = filter::filter_aggregate(
                             self.analyzer.columns(),
-                            prefix,
-                            start_ms,
-                            end_ms,
-                        )
-                        .expect("prefix id resolved above");
-                        rtbh_json::to_vec_pretty(&slice)
+                            Some(index.towards(pid)),
+                            &query,
+                        );
+                        rtbh_json::to_vec_pretty(&PrefixSlice::new(prefix, agg))
                     },
                 );
                 (Response::Ok(body.as_ref().clone()), Action::Continue)
@@ -1040,20 +938,11 @@ impl ServeState {
                 Action::Shutdown,
             ),
             Request::Filter(query) => {
-                let join = match query.prefix {
-                    Some(prefix) => match self.analyzer.index().prefix_id(prefix) {
-                        Some(pid) => Some((&self.dict, pid as u32)),
-                        None => {
-                            return (
-                                Response::Err {
-                                    code: ERR_NOT_FOUND,
-                                    message: format!(
-                                        "prefix {prefix} is not in the blackhole index"
-                                    ),
-                                },
-                                Action::Continue,
-                            );
-                        }
+                let index = self.analyzer.index();
+                let ids = match query.prefix {
+                    Some(prefix) => match index.prefix_id(prefix) {
+                        Some(pid) => Some(index.towards(pid)),
+                        None => return not_indexed(prefix),
                     },
                     None => None,
                 };
@@ -1066,7 +955,7 @@ impl ServeState {
                 let body = self.cached(CacheKey::Filter(fingerprint), || {
                     rtbh_json::to_vec_pretty(&filter::filter_aggregate(
                         self.analyzer.columns(),
-                        join,
+                        ids,
                         &canonical,
                     ))
                 });
@@ -1076,31 +965,102 @@ impl ServeState {
     }
 }
 
+/// The reply to a `Prefix` or `Filter` query naming a prefix the blackhole
+/// index does not hold.
+fn not_indexed(prefix: Prefix) -> (Response, Action) {
+    (
+        Response::Err {
+            code: ERR_NOT_FOUND,
+            message: format!("prefix {prefix} is not in the blackhole index"),
+        },
+        Action::Continue,
+    )
+}
+
 // ---------------------------------------------------------------------------
 // The server
 // ---------------------------------------------------------------------------
 
+/// How long a peer may take to finish sending a request frame once its
+/// first byte has arrived, and to take a reply frame from its first byte
+/// to its last. A connection that overruns either is dropped, so a peer
+/// that trickles bytes or never reads cannot hold it.
+pub const PEER_DEADLINE: Duration = Duration::from_secs(5);
+
+/// Most connections open at once. A connection accepted past the cap is
+/// closed unanswered and not counted.
+pub const MAX_CONNECTIONS: usize = 256;
+
 /// Server tunables.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct ServeOptions {
-    /// Worker threads handling connections (`0` = one per core, the
-    /// [`shard::resolve_workers`] rule).
+    /// Requests handled at once (`0` = one per core, the
+    /// [`shard::resolve_workers`] rule). Idle connections hold none.
     pub workers: usize,
-    /// Poll interval for idle reads and the accept loop; bounds how long
-    /// shutdown waits on idle connections.
-    pub poll_interval: Duration,
-    /// How long a peer may take to finish sending a started frame before
-    /// the connection is dropped (slow-loris guard).
-    pub frame_deadline: Duration,
 }
 
-impl Default for ServeOptions {
-    fn default() -> Self {
-        Self {
-            workers: 0,
-            poll_interval: Duration::from_millis(25),
-            frame_deadline: Duration::from_secs(5),
+/// The open connections by id; `None` once the server is stopped.
+type Open = Option<BTreeMap<u64, Arc<TcpStream>>>;
+
+/// Stops a running server from any thread. Every clone stops the same
+/// server, and stopping twice is a no-op.
+#[derive(Debug, Clone)]
+pub struct Stopper {
+    open: Arc<Mutex<Open>>,
+    /// Where the self-connect that wakes `accept` goes.
+    wake: SocketAddr,
+}
+
+impl Stopper {
+    /// Stops the server: shuts the read half of every open connection,
+    /// which ends idle reads while requests already received are still
+    /// answered, then self-connects to wake the blocking `accept`.
+    pub fn stop(&self) {
+        let Some(open) = self.registry().take() else {
+            return;
+        };
+        for stream in open.values() {
+            let _ = stream.shutdown(Shutdown::Read);
         }
+        let _ = TcpStream::connect_timeout(&self.wake, Duration::from_secs(1));
+    }
+
+    fn registry(&self) -> MutexGuard<'_, Open> {
+        self.open.lock().expect("connection registry poisoned")
+    }
+
+    fn stopped(&self) -> bool {
+        self.registry().is_none()
+    }
+
+    fn forget(&self, id: u64) {
+        if let Some(open) = self.registry().as_mut() {
+            open.remove(&id);
+        }
+    }
+}
+
+/// A counting semaphore over the requests being handled.
+struct Permits {
+    busy: Mutex<usize>,
+    freed: Condvar,
+    limit: usize,
+}
+
+impl Permits {
+    /// Runs `f` once fewer than `limit` requests are being handled.
+    fn run<T>(&self, f: impl FnOnce() -> T) -> T {
+        let busy = self.busy.lock().expect("request permits poisoned");
+        let mut busy = self
+            .freed
+            .wait_while(busy, |busy| *busy >= self.limit)
+            .expect("request permits poisoned");
+        *busy += 1;
+        drop(busy);
+        let out = f();
+        *self.busy.lock().expect("request permits poisoned") -= 1;
+        self.freed.notify_one();
+        out
     }
 }
 
@@ -1109,15 +1069,15 @@ pub struct Server {
     listener: TcpListener,
     state: Arc<ServeState>,
     options: ServeOptions,
-    stop: Arc<AtomicBool>,
+    stopper: Stopper,
 }
 
 /// Handle to a server running on a background thread
-/// ([`Server::spawn`]): address, stop flag, join.
+/// ([`Server::spawn`]): address, stop, join.
 pub struct ServerHandle {
     addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    join: std::thread::JoinHandle<io::Result<()>>,
+    stopper: Stopper,
+    join: JoinHandle<io::Result<()>>,
 }
 
 impl ServerHandle {
@@ -1126,14 +1086,9 @@ impl ServerHandle {
         self.addr
     }
 
-    /// The shared stop flag (e.g. to wire a signal handler to).
-    pub fn stop_flag(&self) -> Arc<AtomicBool> {
-        Arc::clone(&self.stop)
-    }
-
-    /// Requests shutdown and waits for the drain to finish.
+    /// Stops the server and waits for the drain to finish.
     pub fn shutdown(self) -> io::Result<()> {
-        self.stop.store(true, Ordering::SeqCst);
+        self.stopper.stop();
         self.join.join().expect("server thread panicked")
     }
 }
@@ -1146,11 +1101,19 @@ impl Server {
         options: ServeOptions,
     ) -> io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
+        let mut wake = listener.local_addr()?;
+        if wake.ip().is_unspecified() {
+            wake.set_ip(match wake.ip() {
+                IpAddr::V4(_) => std::net::Ipv4Addr::LOCALHOST.into(),
+                IpAddr::V6(_) => std::net::Ipv6Addr::LOCALHOST.into(),
+            });
+        }
+        let open = Arc::new(Mutex::new(Some(BTreeMap::new())));
         Ok(Server {
             listener,
             state,
             options,
-            stop: Arc::new(AtomicBool::new(false)),
+            stopper: Stopper { open, wake },
         })
     }
 
@@ -1159,48 +1122,46 @@ impl Server {
         self.listener.local_addr()
     }
 
-    /// The shared stop flag: storing `true` initiates a graceful drain
-    /// (used by `rtbhd`'s SIGTERM handler and by tests).
-    pub fn stop_flag(&self) -> Arc<AtomicBool> {
-        Arc::clone(&self.stop)
+    /// A [`Stopper`] for this server (used by `rtbhd`'s signal watcher
+    /// and by tests).
+    pub fn stopper(&self) -> Stopper {
+        self.stopper.clone()
     }
 
-    /// Runs the accept/worker pool until the stop flag is set (by a
-    /// `Shutdown` request or externally), then drains: queued and
-    /// in-flight requests are answered, connections close, workers join.
+    /// Serves until stopped (by a `Shutdown` request or a [`Stopper`]),
+    /// then drains: requests already received are answered, connections
+    /// close, and every connection thread is joined before this returns.
     pub fn run(self) -> io::Result<()> {
-        self.listener.set_nonblocking(true)?;
-        let workers = shard::resolve_workers(self.options.workers);
-        let (tx, rx) = mpsc::channel::<TcpStream>();
-        let rx = Arc::new(Mutex::new(rx));
-        std::thread::scope(|s| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    let rx = Arc::clone(&rx);
-                    let state = Arc::clone(&self.state);
-                    let stop = Arc::clone(&self.stop);
-                    let options = self.options;
-                    s.spawn(move || worker_loop(&rx, &state, &stop, options))
-                })
-                .collect();
-            while !self.stop.load(Ordering::SeqCst) {
-                match self.listener.accept() {
-                    Ok((stream, _)) => {
-                        self.state.stats.connections.fetch_add(1, Ordering::Relaxed);
-                        // Send can only fail once every worker exited,
-                        // which only happens after the stop flag is set.
-                        let _ = tx.send(stream);
+        let permits = Permits {
+            busy: Mutex::new(0),
+            freed: Condvar::new(),
+            limit: shard::resolve_workers(self.options.workers),
+        };
+        let (state, stopper, permits) = (&*self.state, &self.stopper, &permits);
+        thread::scope(|s| {
+            for id in 0u64.. {
+                // An accept error skips that one connection.
+                let Ok((stream, _)) = self.listener.accept() else {
+                    continue;
+                };
+                let stream = Arc::new(stream);
+                match stopper.registry().as_mut() {
+                    None => return,
+                    Some(open) if open.len() >= MAX_CONNECTIONS => continue,
+                    Some(open) => open.insert(id, Arc::clone(&stream)),
+                };
+                let spawned = thread::Builder::new()
+                    .name("rtbhd-conn".into())
+                    .spawn_scoped(s, move || {
+                        serve_connection(&stream, state, permits, stopper);
+                        stopper.forget(id);
+                    });
+                match spawned {
+                    Ok(_) => {
+                        state.stats.connections.fetch_add(1, Ordering::Relaxed);
                     }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(self.options.poll_interval);
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                    Err(_) => std::thread::sleep(self.options.poll_interval),
+                    Err(_) => stopper.forget(id),
                 }
-            }
-            drop(tx);
-            for h in handles {
-                let _ = h.join();
             }
         });
         Ok(())
@@ -1209,154 +1170,104 @@ impl Server {
     /// Runs the server on a background thread, returning its handle.
     pub fn spawn(self) -> io::Result<ServerHandle> {
         let addr = self.local_addr()?;
-        let stop = self.stop_flag();
-        let join = std::thread::Builder::new()
+        let stopper = self.stopper();
+        let join = thread::Builder::new()
             .name("rtbhd-accept".into())
             .spawn(move || self.run())?;
-        Ok(ServerHandle { addr, stop, join })
+        Ok(ServerHandle {
+            addr,
+            stopper,
+            join,
+        })
     }
 }
 
-fn worker_loop(
-    rx: &Mutex<mpsc::Receiver<TcpStream>>,
-    state: &Arc<ServeState>,
-    stop: &AtomicBool,
-    options: ServeOptions,
-) {
-    loop {
-        let next = rx.lock().expect("accept queue poisoned").recv();
-        let Ok(stream) = next else {
-            return; // accept loop exited and the queue is drained
-        };
-        if stop.load(Ordering::SeqCst) {
-            continue; // draining: drop queued, never-served connections
-        }
-        handle_connection(stream, state, stop, options);
-    }
+/// A connection's socket as one frame sees it. The first read may wait
+/// forever; from the first byte moved on, the frame must finish within
+/// [`PEER_DEADLINE`]. Every call re-arms the socket timeout with the
+/// time left, so a peer that moves a few bytes at a time cannot stretch
+/// the deadline.
+struct FrameIo<'a> {
+    stream: &'a TcpStream,
+    deadline: Option<Instant>,
 }
 
-/// Outcome of waiting for the next request frame on a connection.
-enum ReadOutcome {
-    Frame(Vec<u8>),
-    /// Clean close, torn frame, dead peer or frame-deadline overrun —
-    /// all end the connection silently.
-    Close,
-    /// The peer declared a frame larger than [`REQUEST_MAX`]; reply with
-    /// an error, then close (the unread payload makes resync unsafe).
-    TooLarge(u32),
-    /// The stop flag was observed while idle.
-    Stopped,
-}
-
-/// Reads one request frame, polling the stop flag while the connection
-/// is idle. Once a frame's first byte has arrived the request counts as
-/// in-flight: it is read to completion (bounded by `frame_deadline`) and
-/// will be answered even during a drain.
-fn read_request(stream: &mut TcpStream, stop: &AtomicBool, options: ServeOptions) -> ReadOutcome {
-    let mut head = [0u8; 4];
-    // Idle phase: wait for the first length byte.
-    loop {
-        match stream.read(&mut head[..1]) {
-            Ok(0) => return ReadOutcome::Close,
-            Ok(_) => break,
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                ) =>
-            {
-                if stop.load(Ordering::SeqCst) {
-                    return ReadOutcome::Stopped;
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(_) => return ReadOutcome::Close,
+impl<'a> FrameIo<'a> {
+    fn new(stream: &'a TcpStream) -> Self {
+        FrameIo {
+            stream,
+            deadline: None,
         }
     }
-    // Committed phase: finish the frame under the deadline.
-    let deadline = Instant::now() + options.frame_deadline;
-    if !read_exact_deadline(stream, &mut head[1..], deadline) {
-        return ReadOutcome::Close;
+
+    /// The frame's deadline, started now if it has not started yet.
+    fn start(&mut self) -> Instant {
+        *self
+            .deadline
+            .get_or_insert_with(|| Instant::now() + PEER_DEADLINE)
     }
-    let declared = u32::from_be_bytes(head);
-    if declared as usize > REQUEST_MAX {
-        return ReadOutcome::TooLarge(declared);
-    }
-    let mut payload = vec![0u8; declared as usize];
-    if !read_exact_deadline(stream, &mut payload, deadline) {
-        return ReadOutcome::Close;
-    }
-    ReadOutcome::Frame(payload)
 }
 
-/// `read_exact` over a stream with a read timeout: retries timeouts until
-/// `deadline`, returns false on EOF, error or overrun.
-fn read_exact_deadline(stream: &mut TcpStream, buf: &mut [u8], deadline: Instant) -> bool {
-    let mut filled = 0;
-    while filled < buf.len() {
-        match stream.read(&mut buf[filled..]) {
-            Ok(0) => return false,
-            Ok(n) => filled += n,
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                ) =>
-            {
-                if Instant::now() >= deadline {
-                    return false;
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(_) => return false,
-        }
+/// The time left before `deadline`; `TimedOut` once it has passed.
+fn time_left(deadline: Instant) -> io::Result<Duration> {
+    let left = deadline.saturating_duration_since(Instant::now());
+    if left.is_zero() {
+        return Err(io::ErrorKind::TimedOut.into());
     }
-    true
+    Ok(left)
 }
 
-fn handle_connection(
-    mut stream: TcpStream,
-    state: &Arc<ServeState>,
-    stop: &AtomicBool,
-    options: ServeOptions,
-) {
-    let _ = stream.set_read_timeout(Some(options.poll_interval));
+impl Read for FrameIo<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let timeout = self.deadline.map(time_left).transpose()?;
+        self.stream.set_read_timeout(timeout)?;
+        let n = self.stream.read(buf)?;
+        self.start();
+        Ok(n)
+    }
+}
+
+impl Write for FrameIo<'_> {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        let timeout = time_left(self.start())?;
+        self.stream.set_write_timeout(Some(timeout))?;
+        self.stream.write(buf)
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        Ok(())
+    }
+}
+
+/// Serves one connection until the peer leaves, breaks the framing or
+/// overruns [`PEER_DEADLINE`], or the server stops.
+fn serve_connection(stream: &TcpStream, state: &ServeState, permits: &Permits, stopper: &Stopper) {
     let _ = stream.set_nodelay(true);
     loop {
-        match read_request(&mut stream, stop, options) {
-            ReadOutcome::Frame(payload) => {
-                // The per-query snapshot: an Arc clone of the immutable
-                // state. Nothing the query reads can change under it.
-                let snapshot = Arc::clone(state);
-                let (reply, action) = snapshot.handle(&payload);
-                if frame::write_frame(&mut stream, &reply).is_err() {
-                    return;
-                }
-                match action {
-                    Action::Continue => {
-                        // Answered the in-flight request; during a drain
-                        // that is all this connection gets.
-                        if stop.load(Ordering::SeqCst) {
-                            return;
-                        }
-                    }
-                    Action::Shutdown => {
-                        stop.store(true, Ordering::SeqCst);
-                        return;
-                    }
-                }
-            }
-            ReadOutcome::TooLarge(declared) => {
+        let (reply, action) = match frame::read_frame(&mut FrameIo::new(stream), REQUEST_MAX) {
+            Ok(Some(payload)) => permits.run(|| state.handle(&payload)),
+            // The unread payload makes resync unsafe: answer, then close.
+            Err(FrameError::TooLarge { declared, .. }) => {
                 let reply = Response::Err {
                     code: ERR_MALFORMED,
                     message: format!(
                         "request frame of {declared} bytes exceeds the {REQUEST_MAX}-byte cap"
                     ),
                 };
-                let _ = frame::write_frame(&mut stream, &reply.encode());
+                let _ = frame::write_frame(&mut FrameIo::new(stream), &reply.encode());
                 return;
             }
-            ReadOutcome::Close | ReadOutcome::Stopped => return,
+            // Clean close, torn frame, dead peer, overrun or a stop.
+            Ok(None) | Err(_) => return,
+        };
+        if frame::write_frame(&mut FrameIo::new(stream), &reply).is_err() {
+            return;
+        }
+        if action == Action::Shutdown {
+            stopper.stop();
+        }
+        if stopper.stopped() {
+            return;
         }
     }
 }
@@ -1412,12 +1323,7 @@ impl Client {
 
     /// Sends one request and reads its reply.
     pub fn request(&mut self, request: &Request) -> Result<Response, ClientError> {
-        frame::write_frame(&mut self.stream, &request.encode()).map_err(FrameError::Io)?;
-        self.stream.flush().map_err(FrameError::Io)?;
-        match frame::read_frame(&mut self.stream, RESPONSE_MAX)? {
-            None => Err(ClientError::Closed),
-            Some(payload) => Response::decode(&payload).ok_or(ClientError::BadResponse),
-        }
+        self.request_raw(&request.encode())
     }
 
     /// Sends raw payload bytes as one frame and reads the reply — the

@@ -380,7 +380,6 @@ pub struct StreamAnalyzer {
     /// Applied samples that survived cleaning, in applied order, so `at`
     /// never decreases.
     flows: FlowLog,
-    clean_total: usize,
     internal_removed: usize,
     /// The normalized `chunk_capacity`: the unit retention drops in.
     chunk_capacity: usize,
@@ -446,7 +445,6 @@ impl StreamAnalyzer {
             late_dropped: 0,
             updates: UpdateLog::new(),
             flows: FlowLog::new(),
-            clean_total: 0,
             internal_removed: 0,
             chunk_capacity: normalize_capacity(config.analyzer.chunk_capacity).0,
             retained_from: 0,
@@ -641,7 +639,6 @@ impl StreamAnalyzer {
 
     fn apply_sample(&mut self, s: FlowSample) {
         self.samples_ingested += 1;
-        self.clean_total += 1;
         if self.enricher.members(&s).is_none() {
             self.internal_removed += 1;
             return;
@@ -802,7 +799,8 @@ impl StreamAnalyzer {
         let (corpus, config, clean_report, enricher) = {
             let stream = self;
             let clean_report = CleanReport {
-                total: stream.clean_total,
+                total: usize::try_from(stream.samples_ingested)
+                    .expect("an in-memory stream's sample count fits usize"),
                 internal_removed: stream.internal_removed,
             };
             let corpus = Corpus {

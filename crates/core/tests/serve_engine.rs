@@ -1,21 +1,25 @@
 //! Corpus-backed tests of the `serve` module: the fast query kernels
 //! against their naive references, the engine's byte-identity with the
-//! batch serialization, and the live TCP server end to end (these need a
-//! simulator corpus, so they live outside the crate — `rtbh-sim` is a
-//! dev-dependency that itself depends on `rtbh-core`, and the two copies
-//! only type-unify in an external test crate).
+//! batch serialization, and the live TCP server end to end, hostile peers
+//! included (these need a simulator corpus, so they live outside the
+//! crate — `rtbh-sim` is a dev-dependency that itself depends on
+//! `rtbh-core`, and the two copies only type-unify in an external test
+//! crate).
 
-use std::io;
+use std::io::{self, Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::sync::atomic::Ordering;
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
+use std::time::{Duration, Instant};
 
 use rtbh_core::filter::{filter_aggregate_naive, FilterQuery, Predicate};
 use rtbh_core::pipeline::{Analyzer, AnalyzerConfig};
 use rtbh_core::serve::{
-    prefix_slice, prefix_slice_naive, section_json, window_aggregate, window_aggregate_naive,
-    Action, Client, Request, Response, Section, ServeOptions, ServeState, Server, ERR_MALFORMED,
-    ERR_NOT_FOUND, REQUEST_MAX,
+    prefix_slice_naive, section_json, window_aggregate, window_aggregate_naive, Action, Client,
+    Request, Response, Section, ServeOptions, ServeState, Server, ServerHandle, ERR_MALFORMED,
+    ERR_NOT_FOUND, MAX_CONNECTIONS, PEER_DEADLINE, REQUEST_MAX,
 };
+use rtbh_net::frame;
 use rtbh_net::Prefix;
 
 fn tiny_state() -> Arc<ServeState> {
@@ -70,17 +74,43 @@ fn prefix_slice_matches_naive_reference_for_every_event_prefix() {
     let mid = start + (end - start) / 2;
     let mut sliced = 0u64;
     for &prefix in index.prefixes() {
-        for (s, e) in [(start, end), (start, mid), (mid, end), (mid, mid)] {
-            let fast = prefix_slice(index, cols, prefix, s, e).unwrap();
+        for (s, e) in [
+            (start, end),
+            (start, mid),
+            (mid, end),
+            (mid, mid),
+            (end, start),
+        ] {
             let naive = prefix_slice_naive(index, cols, prefix, s, e).unwrap();
-            assert_eq!(fast, naive, "prefix {prefix} window [{s}, {e}) diverged");
-            sliced += fast.samples;
+            let request = Request::Prefix {
+                prefix,
+                start_ms: s,
+                end_ms: e,
+            };
+            match state.answer(request) {
+                (Response::Ok(body), Action::Continue) => assert_eq!(
+                    body,
+                    rtbh_json::to_vec_pretty(&naive),
+                    "prefix {prefix} window [{s}, {e}) diverged"
+                ),
+                other => panic!("prefix {prefix} errored: {other:?}"),
+            }
+            sliced += naive.samples;
         }
     }
     assert!(sliced > 0, "no prefix saw any sample — vacuous test");
-    // Unknown prefixes resolve to None, not a panic.
+    // Unknown prefixes are NOT_FOUND, not a panic.
     let unknown: Prefix = "198.18.255.0/30".parse().unwrap();
-    assert!(prefix_slice(index, cols, unknown, start, end).is_none());
+    assert!(prefix_slice_naive(index, cols, unknown, start, end).is_none());
+    let request = Request::Prefix {
+        prefix: unknown,
+        start_ms: start,
+        end_ms: end,
+    };
+    match state.answer(request) {
+        (Response::Err { code, .. }, Action::Continue) => assert_eq!(code, ERR_NOT_FOUND),
+        other => panic!("unknown prefix got {other:?}"),
+    }
 }
 
 #[test]
@@ -267,6 +297,9 @@ fn server_serves_concurrent_clients_and_drains_on_shutdown() {
         Response::Ok(_)
     ));
     handle.shutdown().expect("drain");
+    // 4 clients × (3 reports + 1 ping) answered, 4 hostile frames
+    // answered with errors, and the shutdown request.
+    assert_balanced(&state, 4 * 4 + 1, 4);
     assert!(
         Client::connect(addr).is_err()
             || Client::connect(addr)
@@ -402,4 +435,225 @@ fn oversized_request_frames_get_an_error_reply() {
         other => panic!("oversized frame got {other:?}"),
     }
     handle.shutdown().unwrap();
+}
+
+// ---------------------------------------------------------------------------
+// Hostile peers. Each case bounds its own waits, so a wedged server fails
+// the case instead of hanging the suite.
+// ---------------------------------------------------------------------------
+
+/// A server with two workers: two stuck peers would hold every worker of
+/// a pool that pinned one worker per connection.
+fn spawn_two_workers(state: &Arc<ServeState>) -> ServerHandle {
+    Server::bind(
+        "127.0.0.1:0",
+        Arc::clone(state),
+        ServeOptions { workers: 2 },
+    )
+    .and_then(Server::spawn)
+    .expect("spawn server")
+}
+
+/// Sends `request` on `stream` and reads the reply (bounded by the
+/// stream's read timeout).
+fn ask_on(stream: &mut TcpStream, request: &Request) -> Result<Response, String> {
+    frame::write_frame(stream, &request.encode()).map_err(|e| format!("send: {e}"))?;
+    match frame::read_frame(stream, rtbh_core::serve::RESPONSE_MAX) {
+        Ok(Some(payload)) => Response::decode(&payload).ok_or_else(|| "bad reply".to_string()),
+        Ok(None) => Err("closed without a reply".to_string()),
+        Err(e) => Err(format!("no reply: {e}")),
+    }
+}
+
+/// Sends `request` on a fresh connection and waits at most `limit` for
+/// the reply.
+fn ask(addr: SocketAddr, request: &Request, limit: Duration) -> Result<Response, String> {
+    let mut stream = TcpStream::connect(addr).map_err(|e| format!("connect: {e}"))?;
+    stream.set_read_timeout(Some(limit)).expect("read timeout");
+    ask_on(&mut stream, request)
+}
+
+/// Stops the server and fails the case unless the drain ends within
+/// `limit`. On a hang the stopping thread is left behind: the case must
+/// fail, not wedge the suite.
+fn shutdown_within(handle: ServerHandle, limit: Duration) {
+    let (tx, rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = tx.send(handle.shutdown());
+    });
+    match rx.recv_timeout(limit) {
+        Ok(drained) => drained.expect("drain"),
+        Err(_) => panic!("shutdown did not return within {limit:?}"),
+    }
+}
+
+/// Every counted query got a reply or a counted error: the clients read
+/// `ok` success replies and `err` error replies, and the server counted
+/// exactly those.
+fn assert_balanced(state: &ServeState, ok: u64, err: u64) {
+    let stats = state.stats_report();
+    assert_eq!(
+        (stats.queries, stats.errors),
+        (ok + err, err),
+        "counters do not balance: {stats:?}"
+    );
+}
+
+const PING_LIMIT: Duration = Duration::from_secs(1);
+const DRAIN_LIMIT: Duration = Duration::from_secs(PEER_DEADLINE.as_secs() + 2);
+
+#[test]
+fn idle_connections_do_not_delay_a_ping() {
+    let state = tiny_state();
+    let handle = spawn_two_workers(&state);
+    let idle: Vec<TcpStream> = (0..2)
+        .map(|_| TcpStream::connect(handle.addr()).expect("connect idle peer"))
+        .collect();
+    let reply = ask(handle.addr(), &Request::Ping, PING_LIMIT);
+    assert!(
+        matches!(reply, Ok(Response::Ok(_))),
+        "ping behind two idle peers: {reply:?}"
+    );
+    // The idle peers stay connected through the drain.
+    shutdown_within(handle, DRAIN_LIMIT);
+    drop(idle);
+    assert_balanced(&state, 1, 0);
+    assert_eq!(state.stats_report().connections, 3);
+}
+
+#[test]
+fn stalled_pipeliners_block_neither_a_ping_nor_the_drain() {
+    let state = tiny_state();
+    // 40 replies per peer must outgrow what the socket buffers absorb,
+    // or nothing stalls.
+    let full = section_json(state.report(), Section::Full).len();
+    assert!(40 * full > 32 << 20, "report full is only {full} bytes");
+    let handle = spawn_two_workers(&state);
+    let request = Request::Report(Section::Full).encode();
+    let stalled: Vec<TcpStream> = (0..2)
+        .map(|_| {
+            let mut stream = TcpStream::connect(handle.addr()).expect("connect pipeliner");
+            for _ in 0..40 {
+                frame::write_frame(&mut stream, &request).expect("pipeline a request");
+            }
+            stream
+        })
+        .collect();
+    // Wait until the server is writing replies to both (peek consumes
+    // nothing: the peers still read no byte). The first reply serializes
+    // the whole report, which a debug build takes its time over.
+    for stream in &stalled {
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .expect("read timeout");
+        let peeked = stream.peek(&mut [0u8; 1]);
+        assert!(matches!(peeked, Ok(1)), "no reply started: {peeked:?}");
+    }
+    let reply = ask(handle.addr(), &Request::Ping, PING_LIMIT);
+    assert!(
+        matches!(reply, Ok(Response::Ok(_))),
+        "ping behind two stalled pipeliners: {reply:?}"
+    );
+    // Both pipeliners are still connected and still not reading.
+    shutdown_within(handle, DRAIN_LIMIT);
+    drop(stalled);
+    // Their replies could not all be delivered, so the counters cannot
+    // balance against what the peers read; none of them was an error.
+    assert_eq!(state.stats_report().errors, 0);
+}
+
+#[test]
+fn a_half_closed_client_still_gets_its_reply() {
+    let state = tiny_state();
+    let handle = spawn_two_workers(&state);
+    let mut stream = TcpStream::connect(handle.addr()).expect("connect");
+    stream
+        .set_read_timeout(Some(PING_LIMIT))
+        .expect("read timeout");
+    frame::write_frame(&mut stream, &Request::Ping.encode()).expect("send ping");
+    stream.shutdown(Shutdown::Write).expect("half-close");
+    match frame::read_frame(&mut stream, REQUEST_MAX) {
+        Ok(Some(payload)) => assert!(matches!(Response::decode(&payload), Some(Response::Ok(_)))),
+        other => panic!("half-closed client got {other:?}"),
+    }
+    // Then the server sees the end of the stream and closes its side.
+    assert!(matches!(
+        frame::read_frame(&mut stream, REQUEST_MAX),
+        Ok(None)
+    ));
+    shutdown_within(handle, DRAIN_LIMIT);
+    assert_balanced(&state, 1, 0);
+}
+
+#[test]
+fn a_torn_length_prefix_is_not_counted_and_the_next_client_is_served() {
+    let state = tiny_state();
+    let handle = spawn_two_workers(&state);
+    let mut torn = TcpStream::connect(handle.addr()).expect("connect");
+    torn.write_all(&[0, 0]).expect("send half a length prefix");
+    drop(torn);
+    let reply = ask(handle.addr(), &Request::Ping, PING_LIMIT);
+    assert!(
+        matches!(reply, Ok(Response::Ok(_))),
+        "client after a torn frame: {reply:?}"
+    );
+    shutdown_within(handle, DRAIN_LIMIT);
+    assert_balanced(&state, 1, 0);
+    assert_eq!(state.stats_report().connections, 2);
+}
+
+#[test]
+fn connections_past_the_cap_are_closed_unanswered_and_not_counted() {
+    let state = tiny_state();
+    let handle = spawn_two_workers(&state);
+    let addr = handle.addr();
+    let mut open: Vec<TcpStream> = (0..MAX_CONNECTIONS)
+        .map(|_| TcpStream::connect(addr).expect("connect"))
+        .collect();
+    // Once the server has counted all of them, the next four are past the
+    // cap whatever order the kernel queues them in.
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while state.stats_report().connections < MAX_CONNECTIONS as u64 {
+        assert!(
+            Instant::now() < deadline,
+            "connections under the cap not accepted"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    for _ in 0..4 {
+        let mut extra = TcpStream::connect(addr).expect("connect past the cap");
+        extra
+            .set_read_timeout(Some(PING_LIMIT))
+            .expect("read timeout");
+        let mut byte = [0u8; 1];
+        let read = extra.read(&mut byte);
+        assert!(
+            matches!(read, Ok(0)),
+            "a connection past the cap must read EOF, got {read:?}"
+        );
+    }
+    assert_eq!(state.stats_report().connections, MAX_CONNECTIONS as u64);
+    // A connection under the cap is served.
+    let last = open.last_mut().expect("open connections");
+    last.set_read_timeout(Some(PING_LIMIT))
+        .expect("read timeout");
+    let reply = ask_on(last, &Request::Ping);
+    assert!(matches!(reply, Ok(Response::Ok(_))), "{reply:?}");
+    // Once one connection closes, a new client gets its slot. The server
+    // frees the slot when it reads the close, so retry until then.
+    drop(open.swap_remove(0));
+    let deadline = Instant::now() + Duration::from_secs(2);
+    loop {
+        match ask(addr, &Request::Ping, PING_LIMIT) {
+            Ok(Response::Ok(_)) => break,
+            other => assert!(
+                Instant::now() < deadline,
+                "no slot freed after a close: {other:?}"
+            ),
+        }
+    }
+    shutdown_within(handle, DRAIN_LIMIT);
+    drop(open);
+    assert_balanced(&state, 2, 0);
+    assert_eq!(state.stats_report().connections, MAX_CONNECTIONS as u64 + 1);
 }

@@ -39,8 +39,7 @@ pub enum FrameError {
     /// The stream ended inside a frame (after the length prefix started
     /// but before the payload completed).
     Truncated,
-    /// An underlying I/O error (including read timeouts, surfaced so
-    /// servers can poll a shutdown flag between frames).
+    /// An underlying I/O error (including read timeouts).
     Io(io::Error),
 }
 
@@ -61,18 +60,6 @@ impl std::error::Error for FrameError {}
 impl From<io::Error> for FrameError {
     fn from(e: io::Error) -> Self {
         Self::Io(e)
-    }
-}
-
-impl FrameError {
-    /// True if this is an I/O timeout (`WouldBlock`/`TimedOut`), the case
-    /// a server's per-connection loop treats as "check the shutdown flag
-    /// and keep waiting" rather than a dead peer.
-    pub fn is_timeout(&self) -> bool {
-        matches!(
-            self,
-            Self::Io(e) if matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut)
-        )
     }
 }
 

@@ -5,17 +5,16 @@
 //!
 //! 1. **masked vs naive on fuzzed predicate sets**: randomized
 //!    conjunctions of port/protocol/length/flag predicates, windows
-//!    (degenerate and inverted included) and optional prefix joins must
+//!    (degenerate and inverted included) and optional prefix joins (the
+//!    index's `towards` list against the naive `dst_pid` walk) must
 //!    aggregate identically through the pruned kernel, the unpruned
 //!    scan kernel and the naive rowwise walk.
 //! 2. **dictionary vs index id lists**: `IdDict::from_index` must
-//!    decode back to the exact `towards` lists it encoded, and cursor
-//!    scatters over fuzzed chunk windows must select exactly the ids a
-//!    plain filtered scan selects.
-//! 3. **chunk capacity identity**: filter aggregates over stores
-//!    prepared at capacities {64, 1024, whole-corpus} × workers
-//!    {1, 2, 7} must equal the default-capacity naive answer — chunk
-//!    boundaries must never move an aggregate.
+//!    decode back to the exact `towards` lists it encoded.
+//! 3. **chunk capacity identity**: filter aggregates, prefix joins
+//!    included, over stores prepared at capacities {64, 1024,
+//!    whole-corpus} × workers {1, 2, 7} must equal the default-capacity
+//!    naive answer — chunk boundaries must never move an aggregate.
 //!
 //! Every failure prints a `RTBH_FUZZ_SEED=…` reproduction command.
 
@@ -27,7 +26,7 @@ use std::sync::OnceLock;
 
 use rtbh_core::filter::{
     filter_aggregate, filter_aggregate_naive, filter_aggregate_scan, CmpCol, CmpOp, FilterQuery,
-    FlagCol, IdDict, Predicate, SelectionMask,
+    FlagCol, IdDict, Predicate,
 };
 use rtbh_core::pipeline::{Analyzer, AnalyzerConfig};
 use rtbh_core::Corpus;
@@ -103,7 +102,6 @@ fn masked_kernels_match_naive_rowwise_on_fuzzed_predicates() {
     let index = analyzer.index();
     let period = analyzer.corpus().period;
     let span = (period.start.as_millis(), period.end.as_millis());
-    let dict = IdDict::from_index(index);
 
     target(
         "masked_kernels_match_naive_rowwise_on_fuzzed_predicates",
@@ -119,14 +117,14 @@ fn masked_kernels_match_naive_rowwise_on_fuzzed_predicates() {
             None
         };
         let naive = filter_aggregate_naive(cols, join, &query);
-        let dict_join = join.map(|pid| (&dict, pid));
+        let ids = join.map(|pid| index.towards(pid as usize));
         assert_eq!(
-            filter_aggregate(cols, dict_join, &query),
+            filter_aggregate(cols, ids, &query),
             naive,
             "pruned kernel diverged (seed {seed:#x}): {query:?}"
         );
         assert_eq!(
-            filter_aggregate_scan(cols, dict_join, &query),
+            filter_aggregate_scan(cols, ids, &query),
             naive,
             "scan kernel diverged (seed {seed:#x}): {query:?}"
         );
@@ -134,10 +132,8 @@ fn masked_kernels_match_naive_rowwise_on_fuzzed_predicates() {
 }
 
 #[test]
-fn dictionary_lists_match_index_and_scatter_matches_filtered_scan() {
-    let analyzer = analyzer();
-    let index = analyzer.index();
-    let total = analyzer.columns().len();
+fn dictionary_lists_match_index() {
+    let index = analyzer().index();
     let dict = IdDict::from_index(index);
 
     // Exact round trip: every prefix's encoded list decodes to the
@@ -150,43 +146,6 @@ fn dictionary_lists_match_index_and_scatter_matches_filtered_scan() {
             "dictionary list {pid} diverged from the index"
         );
     }
-
-    target(
-        "dictionary_lists_match_index_and_scatter_matches_filtered_scan",
-        seeds::FUZZ_FILTER_DICT,
-    )
-    .run(200, |seed, rng| {
-        let pid = rng.gen_range(0..dict.lists());
-        let ids = index.towards(pid);
-        let mut cursor = dict.cursor(pid);
-        let mut mask = SelectionMask::new();
-        // Fuzzed windows, including a forward sweep (the serve access
-        // pattern the gallop hint accelerates) and random jumps (which
-        // must restart cleanly).
-        for _ in 0..8 {
-            let len = *[64usize, 1024, 4096].get(rng.gen_range(0..3usize)).unwrap();
-            let base = rng.gen_range(0..(total + len) as u64) as usize;
-            let (lo, hi) = (base as u32, (base + len) as u32);
-            mask.reset_zero(len);
-            cursor.scatter(lo, hi, base, &mut mask);
-            let expected: Vec<usize> = ids
-                .iter()
-                .filter(|&&id| lo <= id && id < hi)
-                .map(|&id| id as usize - base)
-                .collect();
-            assert_eq!(
-                mask.count(),
-                expected.len() as u64,
-                "scatter count diverged, list {pid} window {lo}..{hi} (seed {seed:#x})"
-            );
-            for r in expected {
-                assert!(
-                    mask.get(r),
-                    "row {r} missing, list {pid} window {lo}..{hi} (seed {seed:#x})"
-                );
-            }
-        }
-    });
 }
 
 #[test]
@@ -205,16 +164,38 @@ fn filter_aggregates_identical_across_chunk_capacities() {
     let dns = Predicate::parse("dst_port=53").unwrap();
     let frag = Predicate::parse("fragment=1").unwrap();
     let mid = span.0 + (span.1 - span.0) / 2;
+    // The prefix with the most samples, so its list crosses chunks at the
+    // small capacities.
+    let index = analyzer.index();
+    let busiest = (0..index.prefixes().len())
+        .max_by_key(|&pid| index.towards(pid).len())
+        .expect("the tiny corpus has blackholed prefixes");
+    let prefix = index.prefixes()[busiest];
     let queries = [
         FilterQuery::matching(vec![]),
         FilterQuery::matching(vec![udp, dns]),
         FilterQuery::matching(vec![frag]).with_window(span.0, mid),
         FilterQuery::matching(vec![udp]).with_window(mid, span.1),
+        FilterQuery::matching(vec![]).with_prefix(prefix),
+        FilterQuery::matching(vec![udp])
+            .with_window(span.0, mid)
+            .with_prefix(prefix),
     ];
+    let pid = |index: &rtbh_core::index::SampleIndex, q: &FilterQuery| {
+        q.prefix
+            .map(|p| index.prefix_id(p).expect("prefix indexed"))
+    };
     let reference: Vec<_> = queries
         .iter()
-        .map(|q| filter_aggregate_naive(analyzer.columns(), None, q))
+        .map(|q| {
+            let pid = pid(index, q).map(|pid| pid as u32);
+            filter_aggregate_naive(analyzer.columns(), pid, q)
+        })
         .collect();
+    assert!(
+        reference[4].samples > 0,
+        "the prefix join must select samples — vacuous test"
+    );
 
     let target = target(
         "filter_aggregates_identical_across_chunk_capacities",
@@ -231,10 +212,17 @@ fn filter_aggregates_identical_across_chunk_capacities() {
         config.chunk_capacity = capacity;
         let prepared = Analyzer::new(corpus.clone(), config);
         for (query, expected) in queries.iter().zip(&reference) {
+            let ids = pid(prepared.index(), query).map(|pid| prepared.index().towards(pid));
             assert_eq!(
-                &filter_aggregate(prepared.columns(), None, query),
+                &filter_aggregate(prepared.columns(), ids, query),
                 expected,
                 "aggregate moved at chunk capacity {capacity}, {workers} workers \
+                 (case seed {seed:#x}): {query:?}"
+            );
+            assert_eq!(
+                &filter_aggregate_scan(prepared.columns(), ids, query),
+                expected,
+                "scan aggregate moved at chunk capacity {capacity}, {workers} workers \
                  (case seed {seed:#x}): {query:?}"
             );
         }

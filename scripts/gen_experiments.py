@@ -44,7 +44,7 @@ def main() -> None:
         "Regenerated with `cargo run --release -p rtbh-bench --bin figures -- "
         "--paper --json target/figures_paper.json` (scenario `ScenarioConfig::paper()`: "
         "104 virtual days, 830 members, 2,001 planted RTBH events ≈ 1:17 of the "
-        "paper's 34k; ~6–7M flow samples). Shape tolerance: ±35% of the paper "
+        "paper's 34k; ~3.3M flow samples). Shape tolerance: ±35% of the paper "
         "value, or ±0.05 absolute for small shares. Scale-dependent absolutes "
         "(raw event/packet counts) are expected to differ by the scale factor and "
         f"carry no paper anchor. Generated on {date.today().isoformat()}.\n",
@@ -98,6 +98,12 @@ def main() -> None:
         "  (synthetic floods peak at the announcement slightly more often\n"
         "  than real fluctuating attacks), Table 4's server rows (only ~60\n"
         "  detected servers at this scale), and Fig. 7's bucket split.\n"
+        "* **Fig. 7 dropping share of the top-100 sources** reads above the\n"
+        "  paper's 0.32 and outside its ±0.112 tolerance (the paper splits the\n"
+        "  top-100 into 32% dropping, 55% forwarding and 13% inconsistent).\n"
+        "  The simulator and the tolerance are unchanged; whether it holds\n"
+        "  across seeds, and a recalibration of the import-policy mix, are\n"
+        "  open in ROADMAP item 2.\n"
         "* **Fig. 2 peak overlap** is ~0.98 vs the paper's 0.9936: the twin's\n"
         "  bilateral (non-route-server) blackholes contribute a slightly\n"
         "  larger share of dropped *samples* at this scale. The estimated\n"

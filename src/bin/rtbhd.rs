@@ -8,14 +8,18 @@
 //! (`Analyzer::full`), then serves concurrent queries — report sections,
 //! event-window aggregates, per-prefix drop provenance — over the
 //! length-prefixed binary protocol of `rtbh_core::serve` until told to
-//! stop. `--listen 127.0.0.1:0` binds an ephemeral port; the bound
-//! address is printed to stdout as `listening on ADDR` so callers (and
-//! the e2e suite) can discover it.
+//! stop. Each open connection gets its own thread (up to
+//! `serve::MAX_CONNECTIONS`); `--threads N` sets the prepare workers and
+//! bounds the queries computed at once (`0` = one per core).
+//! `--listen 127.0.0.1:0` binds an ephemeral port; the bound address is
+//! printed to stdout as `listening on ADDR` so callers (and the e2e
+//! suite) can discover it.
 //!
 //! Exit codes follow the CLI contract: `2` for usage errors, corrupt
 //! corpora and unbindable addresses; `0` after a graceful shutdown
-//! (`Shutdown` request, SIGTERM or SIGINT), which drains in-flight
-//! queries first.
+//! (`Shutdown` request, SIGTERM or SIGINT), which first answers the
+//! queries already received, dropping a peer that does not take its
+//! reply within `serve::PEER_DEADLINE`.
 
 use std::io::Write as _;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -30,9 +34,9 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
-/// Set by the SIGTERM/SIGINT handler; a monitor thread forwards it to the
-/// server's stop flag (the handler itself must stay async-signal-safe, so
-/// it only does this one atomic store).
+/// Set by the SIGTERM/SIGINT handler; a watcher thread polls it and stops
+/// the server (the handler itself must stay async-signal-safe, so it only
+/// does this one atomic store).
 static SIGNALLED: AtomicBool = AtomicBool::new(false);
 
 #[cfg(unix)]
@@ -117,10 +121,7 @@ fn main() {
         cache,
     ));
 
-    let options = ServeOptions {
-        workers: threads,
-        ..ServeOptions::default()
-    };
+    let options = ServeOptions { workers: threads };
     let server = Server::bind(&listen, state, options).unwrap_or_else(|e| {
         eprintln!("failed to bind {listen}: {e}");
         std::process::exit(2);
@@ -131,10 +132,10 @@ fn main() {
     });
 
     sig::install();
-    let stop = server.stop_flag();
+    let stopper = server.stopper();
     std::thread::spawn(move || loop {
         if SIGNALLED.load(Ordering::SeqCst) {
-            stop.store(true, Ordering::SeqCst);
+            stopper.stop();
             return;
         }
         std::thread::sleep(Duration::from_millis(25));

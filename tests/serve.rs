@@ -5,17 +5,23 @@
 //! operational contract: concurrent clients get answers byte-identical
 //! to the batch report, malformed frames get error replies without
 //! killing the daemon, SIGTERM and the `Shutdown` request both drain to
-//! exit 0, and corrupt corpora / unbindable addresses exit 2 (the CLI
-//! exit-code contract) instead of panicking.
+//! exit 0 (within a bound, even past a client that never reads), and
+//! corrupt corpora / unbindable addresses exit 2 (the CLI exit-code
+//! contract) instead of panicking.
 
 use std::io::{BufRead, BufReader};
+use std::net::TcpStream;
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use rtbh::core::pipeline::AnalyzerConfig;
-use rtbh::core::serve::{section_json, Client, Request, Response, Section, ERR_MALFORMED};
+use rtbh::core::serve::{
+    section_json, Client, Request, Response, Section, ERR_MALFORMED, PEER_DEADLINE,
+};
 use rtbh::core::Analyzer;
+use rtbh::net::frame;
 
 fn scratch_dir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("rtbhd-e2e-{}-{name}", std::process::id()));
@@ -86,6 +92,19 @@ impl Daemon {
             .expect("wait rtbhd")
             .code()
             .expect("rtbhd signalled")
+    }
+
+    /// The exit code, or `None` if the daemon is still running after
+    /// `limit` (it is then killed on drop).
+    fn exit_code_within(&mut self, limit: Duration) -> Option<i32> {
+        let deadline = Instant::now() + limit;
+        while Instant::now() < deadline {
+            if let Some(status) = self.child.try_wait().expect("poll rtbhd") {
+                return status.code();
+            }
+            std::thread::sleep(Duration::from_millis(20));
+        }
+        None
     }
 }
 
@@ -179,6 +198,38 @@ fn sigterm_drains_idle_connections_to_exit_0() {
     assert_eq!(daemon.wait_exit_code(), 0, "SIGTERM drain must exit 0");
     // The drained server is gone: the idle connection no longer answers.
     assert!(client.request(&Request::Ping).is_err());
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A client that pipelines 40 `report full` requests and never reads
+/// cannot keep the daemon alive after SIGTERM: the reply it does not take
+/// is dropped after `PEER_DEADLINE`, and the daemon exits 0.
+#[test]
+fn sigterm_drains_past_a_client_that_never_reads() {
+    let dir = scratch_dir("stalled");
+    let (corpus, _) = corpus_and_oracle(&dir);
+    let mut daemon = Daemon::spawn(&corpus, &[]);
+
+    let mut stalled = TcpStream::connect(&daemon.addr).expect("connect");
+    let request = Request::Report(Section::Full).encode();
+    for _ in 0..40 {
+        frame::write_frame(&mut stalled, &request).expect("pipeline a request");
+    }
+    // The daemon is replying: reply bytes wait unread (peek takes none).
+    stalled
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("read timeout");
+    let peeked = stalled.peek(&mut [0u8; 1]);
+    assert!(matches!(peeked, Ok(1)), "no reply started: {peeked:?}");
+
+    daemon.sigterm();
+    let code = daemon.exit_code_within(PEER_DEADLINE + Duration::from_secs(3));
+    assert_eq!(
+        code,
+        Some(0),
+        "SIGTERM past a stalled client must exit 0 in time"
+    );
+    drop(stalled);
     std::fs::remove_dir_all(&dir).ok();
 }
 
