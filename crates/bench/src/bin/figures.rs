@@ -4,12 +4,16 @@
 //! figures [--tiny | --scale F | --paper] [--seed N] [--json PATH] [ids...]
 //! ```
 //!
-//! Without ids, all experiments run. `--json` additionally writes the
-//! reports (including the paper-vs-measured checks) as JSON for machine
-//! consumption (EXPERIMENTS.md provenance).
+//! Without ids, all experiments run. Stdout is the markdown document of
+//! EXPERIMENTS.md ([`rtbh_bench::render::document`]); progress goes to
+//! stderr. `--json` additionally writes the reports (including the
+//! paper-vs-measured checks) as JSON for machine consumption, so
+//! `figures --paper --json EXPERIMENTS.json > EXPERIMENTS.md` regenerates
+//! both committed files.
 
 use std::io::Write;
 
+use rtbh_bench::render::document;
 use rtbh_bench::{all_figures, Context};
 use rtbh_sim::ScenarioConfig;
 
@@ -78,25 +82,7 @@ fn main() {
         eprintln!("no experiment matches {wanted:?}");
         usage();
     }
-    for r in &selected {
-        println!("{}", r.render());
-    }
-
-    // Summary of paper-vs-measured checks.
-    let mut within = 0usize;
-    let mut total = 0usize;
-    for r in &selected {
-        for c in &r.checks {
-            if let Some(p) = c.paper {
-                total += 1;
-                let tolerance = (p.abs() * 0.35).max(0.05);
-                if (c.measured - p).abs() <= tolerance {
-                    within += 1;
-                }
-            }
-        }
-    }
-    println!("== summary: {within}/{total} paper-anchored checks within ±35% (or ±0.05) ==");
+    print!("{}", document(&ctx, &selected));
 
     if let Some(path) = json_path {
         let json = rtbh_json::to_string_pretty(&selected);

@@ -68,7 +68,7 @@ pub struct FilterTiming {
 pub struct FiltersBench {
     /// The scenario that generated the corpus.
     pub scenario: ScenarioConfig,
-    /// Flow samples per query pass.
+    /// Flow samples in the corpus (before cleaning).
     pub samples: usize,
     /// The benched queries, in the CLI grammar.
     pub queries: Vec<String>,
@@ -187,7 +187,7 @@ pub fn bench_filters(config: ScenarioConfig, reps: usize) -> FiltersBench {
 
     FiltersBench {
         scenario: config,
-        samples: cols.len(),
+        samples: analyzer.clean_report().total,
         queries: queries
             .iter()
             .map(|q| {
@@ -221,7 +221,8 @@ mod tests {
     fn bench_filters_cross_checks_and_serializes() {
         let bench = bench_filters(ScenarioConfig::tiny(), 1);
         assert!(bench.answers_identical);
-        assert!(bench.samples > 0);
+        // The samples fed, as the other bench records count them.
+        assert_eq!(bench.samples, 33_994);
         assert!(bench.queries.len() >= 7);
         assert_eq!(bench.timings.len(), 3);
         assert!(bench.timings.iter().all(|t| t.workers == 1));

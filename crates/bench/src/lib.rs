@@ -3,7 +3,8 @@
 //! One function per table and figure of the paper; each returns a
 //! [`FigureReport`] with the regenerated series/rows and, where the paper
 //! states concrete numbers, the paper value alongside the measured one.
-//! The `figures` binary renders them as text and optionally JSON.
+//! The `figures` binary renders them as the markdown of EXPERIMENTS.md
+//! ([`render::document`]) and optionally as JSON.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

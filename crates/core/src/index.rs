@@ -152,9 +152,6 @@ impl SampleIndex {
 /// used to map (unspoofed) source addresses to their origin ASes (§5.5).
 pub struct OriginTable {
     lpm: FrozenLpm<Asn>,
-    /// Distinct origin ASes, computed once at build time (the table is
-    /// immutable, so the count can never go stale).
-    distinct_origins: usize,
 }
 
 impl OriginTable {
@@ -166,29 +163,7 @@ impl OriginTable {
         for &(p, asn) in routes {
             lpm.insert(p, asn);
         }
-        let mut origins: Vec<Asn> = lpm.values().to_vec();
-        origins.sort();
-        origins.dedup();
-        let distinct_origins = origins.len();
-        Self {
-            lpm,
-            distinct_origins,
-        }
-    }
-
-    /// Number of routes in the table.
-    pub fn len(&self) -> usize {
-        self.lpm.len()
-    }
-
-    /// True when no routes are loaded.
-    pub fn is_empty(&self) -> bool {
-        self.lpm.is_empty()
-    }
-
-    /// Number of distinct origin ASes advertised (precomputed at build).
-    pub fn distinct_origins(&self) -> usize {
-        self.distinct_origins
+        Self { lpm }
     }
 }
 
@@ -652,8 +627,6 @@ mod tests {
             ("20.0.0.0/8".parse().unwrap(), Asn(100)),
             ("20.1.0.0/24".parse().unwrap(), Asn(200)),
         ]);
-        assert_eq!(table.len(), 2);
-        assert_eq!(table.distinct_origins(), 2);
         // The enricher walks the table's routes with interned values; its
         // intern table is the union of member and origin ASNs, sorted.
         let members = BTreeMap::from([(MacAddr::from_id(1), Asn(150))]);

@@ -161,7 +161,6 @@ pub struct Analyzer {
     /// stage.
     columns: ColumnarFlows,
     index: SampleIndex,
-    origins: OriginTable,
     /// Resolved sample-kernel worker count (config's `workers`, with `0`
     /// resolved to the available parallelism).
     kernel_workers: usize,
@@ -223,7 +222,6 @@ impl Analyzer {
         let workers = crate::shard::resolve_workers(config.workers);
         let updates_total = corpus.updates.len() as u64;
         let fed = corpus.flows.len();
-        let origins = OriginTable::build(&corpus.routes);
         let (ingest, enricher) = cleaned.unzip();
         let mut prepare = Vec::new();
 
@@ -238,6 +236,7 @@ impl Analyzer {
             || {
                 let enricher = enricher
                     .unwrap_or_else(|| {
+                        let origins = OriginTable::build(&corpus.routes);
                         SampleEnricher::new(corpus.mac_to_member(), &corpus.internal_macs, &origins)
                     })
                     .with_blackholes(&corpus.updates, corpus.period.end);
@@ -334,7 +333,6 @@ impl Analyzer {
             events,
             columns,
             index,
-            origins,
             kernel_workers: workers,
             prepare,
         }
@@ -398,11 +396,6 @@ impl Analyzer {
     /// [`PipelineProfile`] as [`PipelineProfile::prepare`].
     pub fn prepare_profile(&self) -> &[StageStats] {
         &self.prepare
-    }
-
-    /// The IP→origin table.
-    pub fn origins(&self) -> &OriginTable {
-        &self.origins
     }
 
     /// Fig. 3 (+§3.2): signaling load.

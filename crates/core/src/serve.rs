@@ -1248,6 +1248,8 @@ fn serve_connection(stream: &TcpStream, state: &ServeState, permits: &Permits, s
             Ok(Some(payload)) => permits.run(|| state.handle(&payload)),
             // The unread payload makes resync unsafe: answer, then close.
             Err(FrameError::TooLarge { declared, .. }) => {
+                state.stats.queries.fetch_add(1, Ordering::Relaxed);
+                state.stats.errors.fetch_add(1, Ordering::Relaxed);
                 let reply = Response::Err {
                     code: ERR_MALFORMED,
                     message: format!(

@@ -426,7 +426,7 @@ fn stream_finalized_state_serves_batch_identical_bytes() {
 #[test]
 fn oversized_request_frames_get_an_error_reply() {
     let state = tiny_state();
-    let server = Server::bind("127.0.0.1:0", state, ServeOptions::default()).unwrap();
+    let server = Server::bind("127.0.0.1:0", Arc::clone(&state), ServeOptions::default()).unwrap();
     let addr = server.local_addr().unwrap();
     let handle = server.spawn().unwrap();
     let mut client = Client::connect(addr).unwrap();
@@ -434,6 +434,9 @@ fn oversized_request_frames_get_an_error_reply() {
         Ok(Response::Err { code, .. }) => assert_eq!(code, ERR_MALFORMED),
         other => panic!("oversized frame got {other:?}"),
     }
+    // The error reply counts as one query and one error.
+    let stats = state.stats_report();
+    assert_eq!((stats.queries, stats.errors), (1, 1));
     handle.shutdown().unwrap();
 }
 

@@ -91,14 +91,16 @@ fn all_figures_render_on_tiny_corpus() {
             r.id
         );
     }
-    // The JSON side-channel is pinned byte for byte: the same bytes
-    // `figures --tiny --json` writes. Re-bless with RTBH_BLESS=1 only when
-    // a figure is meant to move.
+    // Both outputs are pinned byte for byte: the JSON side-channel is the
+    // bytes `figures --tiny --json` writes, the document the bytes
+    // `figures --tiny` prints. Re-bless with RTBH_BLESS=1 only when a
+    // figure or the document's layout is meant to move.
+    let golden = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden");
     let json = rtbh_json::to_string_pretty(&reports);
-    rtbh_testkit::assert_snapshot(
-        &std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/figures_tiny.json"),
-        &json,
-    );
+    rtbh_testkit::assert_snapshot(&golden.join("figures_tiny.json"), &json);
+    let selected: Vec<_> = reports.iter().collect();
+    let document = rtbh_bench::render::document(&ctx, &selected);
+    rtbh_testkit::assert_snapshot(&golden.join("experiments_tiny.md"), &document);
 }
 
 #[test]
