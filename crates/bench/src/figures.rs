@@ -775,10 +775,7 @@ pub fn f19(ctx: &Context) -> FigureReport {
 
 /// §3.1: drop provenance and corpus hygiene.
 pub fn s31(ctx: &Context) -> FigureReport {
-    let mut r = FigureReport::new(
-        "s31",
-        "Drop provenance and internal-traffic cleaning (§3.1)",
-    );
+    let mut r = FigureReport::new("s31", "Drop provenance and internal-traffic cleaning");
     let prov = &ctx.report.provenance;
     r.line(format!(
         "{} dropped samples ({} bytes); route server explains {:.1}% of bytes",
@@ -808,7 +805,7 @@ pub fn s31(ctx: &Context) -> FigureReport {
 
 /// §5.4: during-event visibility and protocol mix.
 pub fn s54(ctx: &Context) -> FigureReport {
-    let mut r = FigureReport::new("s54", "During-event capture and protocol mix (§5.4)");
+    let mut r = FigureReport::new("s54", "During-event capture and protocol mix");
     let p = &ctx.report.protocols;
     let mix = p.anomaly_protocol_mix();
     r.line(format!(

@@ -23,18 +23,15 @@
 //! against the naive reference before anything is timed — a
 //! fast-but-wrong kernel fails the bench, it does not win it.
 //!
-//! `pipeline_bench --filters-floor F` turns the headline
-//! `masked_speedup` (naive wall / masked wall at one worker) into a CI
-//! gate: the process exits non-zero if it regresses below `F`.
+//! The headline `masked_speedup` (naive wall / masked wall at one worker)
+//! is held to [`MASKED_SPEEDUP_FLOOR`]: `pipeline_bench` exits 1 if it
+//! falls below it.
 //!
-//! Regenerate with `scripts/bench_pipeline.sh` or directly:
+//! Regenerate with:
 //!
 //! ```text
-//! cargo run --release -p rtbh-bench --bin pipeline_bench -- --scale 0.25 --reps 3 --filters
+//! cargo run --release -p rtbh-bench --bin pipeline_bench -- filters
 //! ```
-
-use std::hint::black_box;
-use std::time::Instant;
 
 use rtbh_core::filter::{
     filter_aggregate, filter_aggregate_naive, filter_aggregate_scan, FilterAggregate, FilterQuery,
@@ -42,7 +39,14 @@ use rtbh_core::filter::{
 };
 use rtbh_core::index::SampleIndex;
 use rtbh_core::pipeline::{Analyzer, AnalyzerConfig};
-use rtbh_sim::ScenarioConfig;
+use rtbh_sim::Corpus;
+
+use crate::{best_of_ns, Bench};
+
+/// The least `masked_speedup` a run may show. The kernels sit around 7-10x
+/// on the tiny corpus, so 4x only trips on a real regression: a lost
+/// autovectorization, a mask rebuilt per row.
+pub const MASKED_SPEEDUP_FLOOR: f64 = 4.0;
 
 /// Best-of-reps timing of one filter variant.
 #[derive(Debug, Clone)]
@@ -66,14 +70,8 @@ pub struct FilterTiming {
 /// (the content of `BENCH_filters.json`).
 #[derive(Debug, Clone)]
 pub struct FiltersBench {
-    /// The scenario that generated the corpus.
-    pub scenario: ScenarioConfig,
-    /// Flow samples in the corpus (before cleaning).
-    pub samples: usize,
     /// The benched queries, in the CLI grammar.
     pub queries: Vec<String>,
-    /// Timing repetitions (the best run is reported).
-    pub reps: usize,
     /// Whether every variant matched the naive reference byte-for-byte
     /// (checked before timing).
     pub answers_identical: bool,
@@ -125,13 +123,10 @@ fn bench_queries(index: &SampleIndex, start_ms: i64, end_ms: i64) -> Vec<BenchQu
     out
 }
 
-/// Simulates `config` and times the three filter variants over the query
-/// set, `reps` repetitions each, keeping the best wall time per variant.
-pub fn bench_filters(config: ScenarioConfig, reps: usize) -> FiltersBench {
-    let reps = reps.max(1);
-    let out = rtbh_sim::run(&config);
-    let analyzer_config = AnalyzerConfig::for_corpus(&out.corpus);
-    let analyzer = Analyzer::new(out.corpus, analyzer_config);
+/// Times the three filter variants over the query set on `corpus`, `reps`
+/// repetitions each, keeping the best wall time per variant.
+pub fn bench_filters(corpus: &Corpus, reps: usize) -> FiltersBench {
+    let analyzer = Analyzer::new(corpus.clone(), AnalyzerConfig::for_corpus(corpus));
     let cols = analyzer.columns();
     let index = analyzer.index();
     let period = analyzer.corpus().period;
@@ -153,17 +148,13 @@ pub fn bench_filters(config: ScenarioConfig, reps: usize) -> FiltersBench {
     // One pass = the whole query set, merged (the merge is free next to
     // the scans and keeps every answer live for `black_box`).
     let time_best = |eval: &dyn Fn(&BenchQuery) -> FilterAggregate| -> u64 {
-        let mut best = u64::MAX;
-        for _ in 0..reps {
-            let t0 = Instant::now();
+        best_of_ns(reps, &|| {
             let mut total = FilterAggregate::default();
             for q in &queries {
                 total.merge(&eval(q));
             }
-            black_box(total);
-            best = best.min(t0.elapsed().as_nanos() as u64);
-        }
-        best
+            total
+        })
     };
 
     let rows = (cols.len() * queries.len()) as f64;
@@ -186,8 +177,6 @@ pub fn bench_filters(config: ScenarioConfig, reps: usize) -> FiltersBench {
     .collect();
 
     FiltersBench {
-        scenario: config,
-        samples: analyzer.clean_report().total,
         queries: queries
             .iter()
             .map(|q| {
@@ -205,11 +194,45 @@ pub fn bench_filters(config: ScenarioConfig, reps: usize) -> FiltersBench {
                 text.join(" ")
             })
             .collect(),
-        reps,
         answers_identical,
         timings,
         masked_speedup: naive_wall as f64 / masked_wall.max(1) as f64,
         pruned_speedup: naive_wall as f64 / pruned_wall.max(1) as f64,
+    }
+}
+
+impl Bench for FiltersBench {
+    fn summary(&self) -> String {
+        let mut out = format!("filter kernels: {} queries:\n", self.queries.len());
+        for t in &self.timings {
+            out += &format!(
+                "  {:<13} {:>3} worker(s): {:>8.2} ms  {:>12.0} rows/s  {:.2}x vs naive\n",
+                t.variant,
+                t.workers,
+                t.best_wall_ns as f64 / 1e6,
+                t.rows_per_sec,
+                t.speedup_vs_naive
+            );
+        }
+        out + &format!(
+            "  masked speedup vs naive (1 worker): {:.2}x (floor {MASKED_SPEEDUP_FLOOR:.2}x)  \
+             (pruned: {:.2}x)  answers identical: {}",
+            self.masked_speedup, self.pruned_speedup, self.answers_identical
+        )
+    }
+
+    fn failures(&self) -> Vec<String> {
+        let mut failures = Vec::new();
+        if !self.answers_identical {
+            failures.push("filter kernel answers diverged from the naive reference".to_string());
+        }
+        if self.masked_speedup < MASKED_SPEEDUP_FLOOR {
+            failures.push(format!(
+                "masked-filter speedup {:.2}x is below the {MASKED_SPEEDUP_FLOOR:.2}x floor",
+                self.masked_speedup
+            ));
+        }
+        failures
     }
 }
 
@@ -219,10 +242,8 @@ mod tests {
 
     #[test]
     fn bench_filters_cross_checks_and_serializes() {
-        let bench = bench_filters(ScenarioConfig::tiny(), 1);
+        let bench = bench_filters(crate::tiny_corpus(), 1);
         assert!(bench.answers_identical);
-        // The samples fed, as the other bench records count them.
-        assert_eq!(bench.samples, 33_994);
         assert!(bench.queries.len() >= 7);
         assert_eq!(bench.timings.len(), 3);
         assert!(bench.timings.iter().all(|t| t.workers == 1));
@@ -230,6 +251,30 @@ mod tests {
         // The result must serialize (it is written verbatim to
         // BENCH_filters.json).
         rtbh_json::to_string(&bench);
+    }
+
+    #[test]
+    fn a_slow_or_divergent_record_fails() {
+        let mut bench = FiltersBench {
+            queries: vec!["protocol=17".to_string()],
+            answers_identical: true,
+            timings: Vec::new(),
+            masked_speedup: MASKED_SPEEDUP_FLOOR * 2.0,
+            pruned_speedup: MASKED_SPEEDUP_FLOOR * 3.0,
+        };
+        assert!(bench.failures().is_empty());
+
+        let mut slow = bench.clone();
+        slow.masked_speedup = MASKED_SPEEDUP_FLOOR - 0.01;
+        let failures = slow.failures();
+        assert_eq!(failures.len(), 1, "{failures:?}");
+        assert!(failures[0].contains("4.00x floor"), "{failures:?}");
+
+        bench.answers_identical = false;
+        assert_eq!(
+            bench.failures(),
+            ["filter kernel answers diverged from the naive reference"]
+        );
     }
 }
 
@@ -239,7 +284,6 @@ rtbh_json::impl_json! {
 
 rtbh_json::impl_json! {
     serialize struct FiltersBench {
-        scenario, samples, queries, reps, answers_identical, timings, masked_speedup,
-        pruned_speedup,
+        queries, answers_identical, timings, masked_speedup, pruned_speedup,
     }
 }

@@ -31,13 +31,13 @@
 //!   [`rtbh_core::columns::gallop_partition_point`] vs full-width binary
 //!   searches over the id list.
 //!
-//! `pipeline_bench --flows-floor F` turns the headline `enriched_speedup`
-//! into a CI gate: the process exits non-zero if it regresses below `F`.
+//! The headline `enriched_speedup` is held to [`ENRICHED_SPEEDUP_FLOOR`]:
+//! `pipeline_bench` exits 1 if it falls below it.
 //!
-//! Regenerate with `scripts/bench_pipeline.sh` or directly:
+//! Regenerate with:
 //!
 //! ```text
-//! cargo run --release -p rtbh-bench --bin pipeline_bench -- --scale 0.25 --reps 3
+//! cargo run --release -p rtbh-bench --bin pipeline_bench -- flows
 //! ```
 
 use std::hint::black_box;
@@ -50,7 +50,14 @@ use rtbh_core::load::{drop_provenance, DropProvenance};
 use rtbh_core::shard;
 use rtbh_fabric::FlowSample;
 use rtbh_net::{FrozenLpm, Interval, Ipv4Addr, Timestamp};
-use rtbh_sim::ScenarioConfig;
+use rtbh_sim::Corpus;
+
+use crate::{best_of_ns, Bench};
+
+/// The least `enriched_speedup` a run may show. The kernel sits well above
+/// 20x, so 5x only trips on a real regression, even on the tiny corpus
+/// (where CI takes the best of 3 reps to keep the timing out of the noise).
+pub const ENRICHED_SPEEDUP_FLOOR: f64 = 5.0;
 
 /// Best-of-reps timing of one kernel variant at one worker count.
 #[derive(Debug, Clone)]
@@ -89,14 +96,8 @@ pub struct MicroBench {
 /// (the content of `BENCH_flows.json`).
 #[derive(Debug, Clone)]
 pub struct FlowsBench {
-    /// The scenario that generated the corpus.
-    pub scenario: ScenarioConfig,
-    /// Flow samples scanned per repetition.
-    pub samples: usize,
-    /// Dropped samples among them.
+    /// Dropped samples among the flow samples scanned.
     pub dropped: usize,
-    /// Timing repetitions (the best run is reported).
-    pub reps: usize,
     /// Whether every variant agreed at every worker count (micro-bench
     /// cross-checks included).
     pub answers_identical: bool,
@@ -221,8 +222,8 @@ fn bench_bitset(cols: &ColumnarFlows, reps: usize) -> MicroBench {
         (dropped, explained)
     };
     let answers_identical = popcount() == rowwise();
-    let kernel_wall_ns = time_best_of(reps, &|| black_box(popcount()));
-    let baseline_wall_ns = time_best_of(reps, &|| black_box(rowwise()));
+    let kernel_wall_ns = best_of_ns(reps, &popcount);
+    let baseline_wall_ns = best_of_ns(reps, &rowwise);
     MicroBench {
         kernel: "bitset_popcount",
         baseline: "rowwise_bits",
@@ -271,8 +272,8 @@ fn bench_gallop(cols: &ColumnarFlows, reps: usize) -> MicroBench {
         total
     };
     let answers_identical = galloping() == binary();
-    let kernel_wall_ns = time_best_of(reps, &|| black_box(galloping()));
-    let baseline_wall_ns = time_best_of(reps, &|| black_box(binary()));
+    let kernel_wall_ns = best_of_ns(reps, &galloping);
+    let baseline_wall_ns = best_of_ns(reps, &binary);
     MicroBench {
         kernel: "gallop_join",
         baseline: "binary_search_join",
@@ -283,24 +284,9 @@ fn bench_gallop(cols: &ColumnarFlows, reps: usize) -> MicroBench {
     }
 }
 
-/// Best-of-`reps` wall time of `f`, in nanoseconds.
-fn time_best_of<R>(reps: usize, f: &dyn Fn() -> R) -> u64 {
-    let mut best = u64::MAX;
-    for _ in 0..reps.max(1) {
-        let t0 = Instant::now();
-        black_box(f());
-        best = best.min(t0.elapsed().as_nanos() as u64);
-    }
-    best
-}
-
-/// Simulates `config` and times the three kernel variants, `reps`
-/// repetitions each at 1, 2 and all-cores workers, keeping the best wall
-/// time per cell.
-pub fn bench_flows(config: ScenarioConfig, reps: usize) -> FlowsBench {
-    let reps = reps.max(1);
-    let out = rtbh_sim::run(&config);
-    let corpus = &out.corpus;
+/// Times the three kernel variants over `corpus`, `reps` repetitions each
+/// at 1, 2 and all-cores workers, keeping the best wall time per cell.
+pub fn bench_flows(corpus: &Corpus, reps: usize) -> FlowsBench {
     let samples = corpus.flows.samples();
 
     // The activity structure the AoS/columnar variants look up per sample.
@@ -314,7 +300,7 @@ pub fn bench_flows(config: ScenarioConfig, reps: usize) -> FlowsBench {
     // One-time enrichment cost at all cores (best of reps).
     let mut enrich_wall_ns = u64::MAX;
     let mut built = None;
-    for _ in 0..reps {
+    for _ in 0..reps.max(1) {
         let t0 = Instant::now();
         let b = black_box(ColumnarFlows::build_enriched(
             &corpus.updates,
@@ -345,23 +331,13 @@ pub fn bench_flows(config: ScenarioConfig, reps: usize) -> FlowsBench {
     let gallop = bench_gallop(&cols, reps);
     let answers_identical = scans_identical && bitset.answers_identical && gallop.answers_identical;
 
-    let time_best = |f: &dyn Fn() -> DropProvenance| -> u64 {
-        let mut best = u64::MAX;
-        for _ in 0..reps {
-            let t0 = Instant::now();
-            black_box(f());
-            best = best.min(t0.elapsed().as_nanos() as u64);
-        }
-        best
-    };
-
     let mut timings = Vec::new();
     let mut aos_one_wall = 0u64;
     let mut enriched_one_wall = 1u64;
     for &workers in &worker_counts {
-        let aos_wall = time_best(&|| aos_scan(samples, &lpm, workers));
-        let columnar_wall = time_best(&|| columnar_scan(&cols, &lpm, workers));
-        let enriched_wall = time_best(&|| drop_provenance(&cols, workers));
+        let aos_wall = best_of_ns(reps, &|| aos_scan(samples, &lpm, workers));
+        let columnar_wall = best_of_ns(reps, &|| columnar_scan(&cols, &lpm, workers));
+        let enriched_wall = best_of_ns(reps, &|| drop_provenance(&cols, workers));
         if workers == 1 {
             aos_one_wall = aos_wall;
             enriched_one_wall = enriched_wall;
@@ -382,10 +358,7 @@ pub fn bench_flows(config: ScenarioConfig, reps: usize) -> FlowsBench {
     }
 
     FlowsBench {
-        scenario: config,
-        samples: samples.len(),
         dropped: reference.dropped_packets as usize,
-        reps,
         answers_identical,
         enrich_wall_ns,
         timings,
@@ -395,17 +368,65 @@ pub fn bench_flows(config: ScenarioConfig, reps: usize) -> FlowsBench {
     }
 }
 
+impl Bench for FlowsBench {
+    fn summary(&self) -> String {
+        let mut out = format!(
+            "flow-store kernel scans ({} dropped samples, enrich {:.2} ms once):\n",
+            self.dropped,
+            self.enrich_wall_ns as f64 / 1e6
+        );
+        for t in &self.timings {
+            out += &format!(
+                "  {:<9} {:>3} worker(s): {:>8.2} ms  {:>12.0} samples/s  {:.2}x vs aos\n",
+                t.variant,
+                t.workers,
+                t.best_wall_ns as f64 / 1e6,
+                t.samples_per_sec,
+                t.speedup_vs_aos
+            );
+        }
+        for m in [&self.bitset, &self.gallop] {
+            out += &format!(
+                "  {:<18} vs {:<18}: {:>8.3} ms vs {:>8.3} ms  {:.2}x\n",
+                m.kernel,
+                m.baseline,
+                m.kernel_wall_ns as f64 / 1e6,
+                m.baseline_wall_ns as f64 / 1e6,
+                m.speedup
+            );
+        }
+        out + &format!(
+            "  enriched speedup vs aos (1 worker): {:.2}x (floor {ENRICHED_SPEEDUP_FLOOR:.2}x)   \
+             answers identical: {}",
+            self.enriched_speedup, self.answers_identical
+        )
+    }
+
+    fn failures(&self) -> Vec<String> {
+        let mut failures = Vec::new();
+        if !self.answers_identical {
+            failures.push("flow-store kernel variants diverged".to_string());
+        }
+        if self.enriched_speedup < ENRICHED_SPEEDUP_FLOOR {
+            failures.push(format!(
+                "enriched-kernel speedup {:.2}x is below the {ENRICHED_SPEEDUP_FLOOR:.2}x floor",
+                self.enriched_speedup
+            ));
+        }
+        failures
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn bench_flows_cross_checks_and_serializes() {
-        let bench = bench_flows(ScenarioConfig::tiny(), 1);
+        let bench = bench_flows(crate::tiny_corpus(), 1);
         assert!(bench.answers_identical);
         assert!(bench.bitset.answers_identical);
         assert!(bench.gallop.answers_identical);
-        assert!(bench.samples > 0);
         assert!(bench.dropped > 0);
         assert_eq!(bench.timings.len() % 3, 0);
         let one_worker: Vec<_> = bench.timings.iter().filter(|t| t.workers == 1).collect();
@@ -414,6 +435,22 @@ mod tests {
         // The result must serialize (it is written verbatim to
         // BENCH_flows.json).
         rtbh_json::to_string(&bench);
+    }
+
+    #[test]
+    fn a_slow_or_divergent_record_fails() {
+        let mut bench = bench_flows(crate::tiny_corpus(), 1);
+        bench.enriched_speedup = ENRICHED_SPEEDUP_FLOOR * 2.0;
+        assert!(bench.failures().is_empty());
+
+        let mut slow = bench.clone();
+        slow.enriched_speedup = ENRICHED_SPEEDUP_FLOOR - 0.01;
+        let failures = slow.failures();
+        assert_eq!(failures.len(), 1, "{failures:?}");
+        assert!(failures[0].contains("5.00x floor"), "{failures:?}");
+
+        bench.answers_identical = false;
+        assert_eq!(bench.failures(), ["flow-store kernel variants diverged"]);
     }
 }
 
@@ -429,7 +466,6 @@ rtbh_json::impl_json! {
 
 rtbh_json::impl_json! {
     serialize struct FlowsBench {
-        scenario, samples, dropped, reps, answers_identical, enrich_wall_ns,
-        timings, enriched_speedup, bitset, gallop,
+        dropped, answers_identical, enrich_wall_ns, timings, enriched_speedup, bitset, gallop,
     }
 }

@@ -11,17 +11,18 @@
 //! worker and at all cores by the `prepare:index` rows of
 //! `BENCH_pipeline.json`.
 //!
-//! Regenerate with `scripts/bench_pipeline.sh` or directly:
+//! Regenerate with:
 //!
 //! ```text
-//! cargo run --release -p rtbh-bench --bin pipeline_bench -- --scale 0.25 --reps 3
+//! cargo run --release -p rtbh-bench --bin pipeline_bench -- index
 //! ```
 
 use std::hint::black_box;
-use std::time::Instant;
 
 use rtbh_net::{FrozenLpm, PrefixTrie};
-use rtbh_sim::ScenarioConfig;
+use rtbh_sim::Corpus;
+
+use crate::{best_of_ns, Bench};
 
 /// Best-of-reps timing of one lookup structure over the full sample scan.
 #[derive(Debug, Clone)]
@@ -40,18 +41,12 @@ pub struct LookupTiming {
 /// (the content of `BENCH_index.json`).
 #[derive(Debug, Clone)]
 pub struct IndexBench {
-    /// The scenario that generated the corpus.
-    pub scenario: ScenarioConfig,
     /// BGP updates in the corpus.
     pub updates: usize,
-    /// Flow samples scanned per repetition.
-    pub samples: usize,
     /// Distinct blackholed prefixes in the LPM structures.
     pub prefixes: usize,
     /// Stride-8 tables the frozen LPM compiled to.
     pub frozen_tables: usize,
-    /// Timing repetitions (the best run is reported).
-    pub reps: usize,
     /// Whether trie and frozen LPM answered identically on every sample.
     pub lookups_identical: bool,
     /// Trie lookup timing.
@@ -62,13 +57,11 @@ pub struct IndexBench {
     pub lookup_speedup: f64,
 }
 
-/// Simulates `config` and runs the lookup micro-benchmark, `reps`
-/// repetitions per structure, keeping the best wall time.
-pub fn bench_index(config: ScenarioConfig, reps: usize) -> IndexBench {
-    let reps = reps.max(1);
-    let out = rtbh_sim::run(&config);
-    let updates = &out.corpus.updates;
-    let samples = out.corpus.flows.samples();
+/// Runs the lookup micro-benchmark over `corpus`, `reps` repetitions per
+/// structure, keeping the best wall time.
+pub fn bench_index(corpus: &Corpus, reps: usize) -> IndexBench {
+    let updates = &corpus.updates;
+    let samples = corpus.flows.samples();
 
     // The same dedup the real index build performs.
     let mut trie = PrefixTrie::new();
@@ -88,16 +81,7 @@ pub fn bench_index(config: ScenarioConfig, reps: usize) -> IndexBench {
     });
 
     let lookups = samples.len() * 2;
-    let time_lookups = |probe: &dyn Fn() -> usize| -> u64 {
-        let mut best = u64::MAX;
-        for _ in 0..reps {
-            let t0 = Instant::now();
-            black_box(probe());
-            best = best.min(t0.elapsed().as_nanos() as u64);
-        }
-        best
-    };
-    let trie_wall = time_lookups(&|| {
+    let trie_wall = best_of_ns(reps, &|| {
         samples
             .iter()
             .filter(|s| {
@@ -106,7 +90,7 @@ pub fn bench_index(config: ScenarioConfig, reps: usize) -> IndexBench {
             })
             .count()
     });
-    let frozen_wall = time_lookups(&|| {
+    let frozen_wall = best_of_ns(reps, &|| {
         samples
             .iter()
             .filter(|s| {
@@ -119,11 +103,8 @@ pub fn bench_index(config: ScenarioConfig, reps: usize) -> IndexBench {
 
     IndexBench {
         updates: updates.len(),
-        samples: samples.len(),
         prefixes: lpm.len(),
         frozen_tables: lpm.table_count(),
-        scenario: config,
-        reps,
         lookups_identical,
         trie: LookupTiming {
             structure: "trie",
@@ -141,17 +122,46 @@ pub fn bench_index(config: ScenarioConfig, reps: usize) -> IndexBench {
     }
 }
 
+impl Bench for IndexBench {
+    fn summary(&self) -> String {
+        let mut out = format!(
+            "LPM lookups ({} prefixes, {} stride-8 tables):\n",
+            self.prefixes, self.frozen_tables
+        );
+        for t in [&self.trie, &self.frozen] {
+            out += &format!(
+                "  {:<8} {:>10.1} ns/lookup  ({} lookups)\n",
+                t.structure, t.ns_per_lookup, t.lookups
+            );
+        }
+        out + &format!(
+            "  frozen speedup: {:.2}x   answers identical: {}",
+            self.lookup_speedup, self.lookups_identical
+        )
+    }
+
+    fn failures(&self) -> Vec<String> {
+        let mut failures = Vec::new();
+        if !self.lookups_identical {
+            failures.push("trie and frozen LPM answers diverged".to_string());
+        }
+        failures
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn bench_index_cross_checks_and_serializes() {
-        let bench = bench_index(ScenarioConfig::tiny(), 1);
+        let corpus = crate::tiny_corpus();
+        let bench = bench_index(corpus, 1);
         assert!(bench.lookups_identical);
+        assert!(bench.failures().is_empty());
         assert!(bench.prefixes > 0);
         assert!(bench.frozen_tables > 0);
-        assert_eq!(bench.trie.lookups, bench.samples * 2);
+        assert_eq!(bench.trie.lookups, corpus.flows.len() * 2);
         // The result must serialize (it is written verbatim to
         // BENCH_index.json).
         rtbh_json::to_string(&bench);
@@ -164,7 +174,6 @@ rtbh_json::impl_json! {
 
 rtbh_json::impl_json! {
     serialize struct IndexBench {
-        scenario, updates, samples, prefixes, frozen_tables, reps,
-        lookups_identical, trie, frozen, lookup_speedup,
+        updates, prefixes, frozen_tables, lookups_identical, trie, frozen, lookup_speedup,
     }
 }

@@ -12,7 +12,8 @@
 //! connection and compares every reply byte-for-byte; only then do the
 //! timed passes run, at 1, 2 and all-cores client concurrency, recording
 //! per-request latency for p50/p99 and aggregate queries/sec
-//! (`BENCH_serve.json`, `pipeline_bench --serve`).
+//! (`BENCH_serve.json`, `pipeline_bench serve`). Every level is held to
+//! [`QPS_FLOOR`].
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -23,7 +24,14 @@ use rtbh_core::serve::{
     Response, Section, ServeOptions, ServeState, Server,
 };
 use rtbh_core::shard;
-use rtbh_sim::ScenarioConfig;
+use rtbh_sim::Corpus;
+
+use crate::Bench;
+
+/// The least queries/sec any client level may show. Loopback serves
+/// thousands even on 2-core hosts, so the floor only trips on a real
+/// regression: a lost cache, a serialization storm, an accept-loop stall.
+pub const QPS_FLOOR: f64 = 200.0;
 
 /// One timed concurrency level.
 #[derive(Debug, Clone)]
@@ -51,14 +59,8 @@ rtbh_json::impl_json! {
 /// The full serve-bench record (`BENCH_serve.json`).
 #[derive(Debug, Clone)]
 pub struct ServeBench {
-    /// Scenario label (days/members/seed).
-    pub scenario: String,
-    /// Samples in the corpus.
-    pub samples: usize,
     /// Distinct queries in the canonical list.
     pub distinct_queries: usize,
-    /// Repetitions per concurrency level (best-of).
-    pub reps: usize,
     /// True iff every response matched its batch-derived expectation
     /// byte-for-byte before timing.
     pub answers_identical: bool,
@@ -72,8 +74,7 @@ pub struct ServeBench {
 
 rtbh_json::impl_json! {
     serialize struct ServeBench {
-        scenario, samples, distinct_queries, reps, answers_identical,
-        cache_hit_ratio, server_workers, levels,
+        distinct_queries, answers_identical, cache_hit_ratio, server_workers, levels,
     }
 }
 
@@ -178,19 +179,12 @@ fn percentile(sorted: &[u64], pct: usize) -> u64 {
     sorted[(sorted.len() * pct / 100).min(sorted.len() - 1)]
 }
 
-/// Simulates `config`, spins up an in-process `rtbhd`, cross-checks every
+/// Spins up an in-process `rtbhd` over `corpus`, cross-checks every
 /// canonical query byte-for-byte against the batch answers, then times
 /// the query mix at 1, 2 and all-cores client concurrency.
-pub fn bench_serve(config: ScenarioConfig, reps: usize) -> ServeBench {
-    let reps = reps.max(1);
-    let out = rtbh_sim::run(&config);
-    let samples = out.corpus.flows.len();
-    let scenario = format!(
-        "{} days, {} members, seed {:#x}",
-        config.days, config.members, config.seed
-    );
-    let analyzer_config = AnalyzerConfig::for_corpus(&out.corpus);
-    let state = Arc::new(ServeState::new(Analyzer::new(out.corpus, analyzer_config)));
+pub fn bench_serve(corpus: &Corpus, reps: usize) -> ServeBench {
+    let analyzer = Analyzer::new(corpus.clone(), AnalyzerConfig::for_corpus(corpus));
+    let state = Arc::new(ServeState::new(analyzer));
     let queries = canonical_queries(&state);
 
     let server_workers = shard::resolve_workers(0);
@@ -229,7 +223,7 @@ pub fn bench_serve(config: ScenarioConfig, reps: usize) -> ServeBench {
     for clients in client_levels {
         let mut best_wall = u64::MAX;
         let mut best_lats: Vec<u64> = Vec::new();
-        for _ in 0..reps {
+        for _ in 0..reps.max(1) {
             let (wall, lats) = timed_rep(addr, &queries, clients);
             if wall < best_wall {
                 best_wall = wall;
@@ -250,13 +244,94 @@ pub fn bench_serve(config: ScenarioConfig, reps: usize) -> ServeBench {
 
     handle.shutdown().expect("drain in-process daemon");
     ServeBench {
-        scenario,
-        samples,
         distinct_queries: queries.len(),
-        reps,
         answers_identical,
         cache_hit_ratio: state.stats_report().cache_hit_ratio,
         server_workers,
         levels,
+    }
+}
+
+impl Bench for ServeBench {
+    fn summary(&self) -> String {
+        let mut out = format!(
+            "rtbhd: {} distinct queries ({} server workers, cache hit ratio {:.2}):\n",
+            self.distinct_queries, self.server_workers, self.cache_hit_ratio
+        );
+        for l in &self.levels {
+            out += &format!(
+                "  {:>3} client(s): {:>10.0} q/s  p50 {:>9.1} us  p99 {:>9.1} us  \
+                 ({} requests)\n",
+                l.clients,
+                l.queries_per_sec,
+                l.p50_ns as f64 / 1e3,
+                l.p99_ns as f64 / 1e3,
+                l.requests
+            );
+        }
+        out + &format!(
+            "  floor {QPS_FLOOR:.0} q/s   answers identical to batch report: {}",
+            self.answers_identical
+        )
+    }
+
+    fn failures(&self) -> Vec<String> {
+        let mut failures = Vec::new();
+        if !self.answers_identical {
+            failures.push("rtbhd responses diverged from the batch report".to_string());
+        }
+        let slowest = self
+            .levels
+            .iter()
+            .min_by(|a, b| a.queries_per_sec.total_cmp(&b.queries_per_sec));
+        if let Some(l) = slowest.filter(|l| l.queries_per_sec < QPS_FLOOR) {
+            failures.push(format!(
+                "rtbhd throughput {:.0} q/s at {} client(s) is below the {QPS_FLOOR:.0} q/s floor",
+                l.queries_per_sec, l.clients
+            ));
+        }
+        failures
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn level(clients: usize, queries_per_sec: f64) -> LevelTiming {
+        LevelTiming {
+            clients,
+            requests: 100,
+            best_wall_ns: 1_000_000,
+            queries_per_sec,
+            p50_ns: 1_000,
+            p99_ns: 5_000,
+        }
+    }
+
+    #[test]
+    fn a_slow_or_divergent_record_fails() {
+        let mut bench = ServeBench {
+            distinct_queries: 33,
+            answers_identical: true,
+            cache_hit_ratio: 0.9,
+            server_workers: 2,
+            levels: vec![level(1, QPS_FLOOR * 5.0), level(2, QPS_FLOOR * 8.0)],
+        };
+        assert!(bench.failures().is_empty());
+
+        let mut slow = bench.clone();
+        for l in &mut slow.levels {
+            l.queries_per_sec = QPS_FLOOR - 1.0;
+        }
+        let failures = slow.failures();
+        assert_eq!(failures.len(), 1, "{failures:?}");
+        assert!(failures[0].contains("200 q/s floor"), "{failures:?}");
+
+        bench.answers_identical = false;
+        assert_eq!(
+            bench.failures(),
+            ["rtbhd responses diverged from the batch report"]
+        );
     }
 }

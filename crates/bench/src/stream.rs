@@ -8,12 +8,19 @@
 //! `reps` times, keeps the best ingest wall time, and records events/sec.
 //! A level is only recorded after its finalized `FullReport` matched the
 //! batch report byte-for-byte (`BENCH_stream.json`,
-//! `pipeline_bench --stream`).
+//! `pipeline_bench stream`). Every level is held to
+//! [`EVENTS_PER_SEC_FLOOR`].
 
 use rtbh_core::pipeline::{Analyzer, AnalyzerConfig};
 use rtbh_core::shard;
 use rtbh_core::stream::{StreamConfig, StreamDriver};
-use rtbh_sim::ScenarioConfig;
+use rtbh_sim::Corpus;
+
+use crate::Bench;
+
+/// The least ingest events/sec any worker level may show. Ingest runs
+/// above 2M events/s, so the floor only trips on a real regression.
+pub const EVENTS_PER_SEC_FLOOR: f64 = 100_000.0;
 
 /// One timed worker level.
 #[derive(Debug, Clone)]
@@ -45,51 +52,35 @@ rtbh_json::impl_json! {
 /// The full stream-bench record (`BENCH_stream.json`).
 #[derive(Debug, Clone)]
 pub struct StreamBench {
-    /// Scenario label (days/members/seed).
-    pub scenario: String,
-    /// Samples in the corpus.
-    pub samples: usize,
     /// BGP updates in the corpus.
     pub updates: usize,
     /// Feed batch size used for ingest.
     pub batch_size: usize,
-    /// Repetitions per level (best-of).
-    pub reps: usize,
     /// True iff every level's report matched batch byte-for-byte.
     pub answers_identical: bool,
     /// Live verdicts journaled per replay.
     pub verdicts: u64,
     /// Timings at 1, 2 and all-cores finalizer workers.
     pub levels: Vec<StreamLevel>,
-    /// Minimum events/sec across levels (the CI floor gate).
+    /// Minimum events/sec across levels (held to
+    /// [`EVENTS_PER_SEC_FLOOR`]).
     pub min_events_per_sec: f64,
 }
 
 rtbh_json::impl_json! {
     serialize struct StreamBench {
-        scenario, samples, updates, batch_size, reps, answers_identical,
-        verdicts, levels, min_events_per_sec,
+        updates, batch_size, answers_identical, verdicts, levels, min_events_per_sec,
     }
 }
 
 /// Feed batch size for the timed replays (the CLI default).
 const BATCH_SIZE: usize = 4096;
 
-/// Simulates `config`, computes the batch reference report once, then for
-/// each worker level replays the interleaved feed through the streaming
-/// analyzer `reps` times, byte-compares the finalized report against batch
-/// and records ingest events/sec.
-pub fn bench_stream(config: ScenarioConfig, reps: usize) -> StreamBench {
-    let reps = reps.max(1);
-    let out = rtbh_sim::run(&config);
-    let corpus = out.corpus;
-    let scenario = format!(
-        "{} days, {} members, seed {:#x}",
-        config.days, config.members, config.seed
-    );
-    let samples = corpus.flows.len();
-    let updates = corpus.updates.len();
-
+/// For each worker level, computes the batch reference report over
+/// `corpus`, replays the interleaved feed through the streaming analyzer
+/// `reps` times, byte-compares the finalized report against batch and
+/// records ingest events/sec.
+pub fn bench_stream(corpus: &Corpus, reps: usize) -> StreamBench {
     let all_workers = shard::resolve_workers(0);
     let mut worker_levels = vec![1, 2, all_workers];
     worker_levels.sort_unstable();
@@ -99,22 +90,22 @@ pub fn bench_stream(config: ScenarioConfig, reps: usize) -> StreamBench {
     let mut verdicts = 0u64;
     let mut levels = Vec::new();
     for workers in worker_levels {
-        let analyzer_config = AnalyzerConfig::for_corpus(&corpus).with_workers(workers);
+        let analyzer_config = AnalyzerConfig::for_corpus(corpus).with_workers(workers);
         // Batch reference for THIS worker count (reports are byte-identical
         // across workers, but compare like-for-like anyway).
         let expected =
             rtbh_json::to_vec_pretty(&Analyzer::new(corpus.clone(), analyzer_config).full());
         let stream_config = StreamConfig {
             analyzer: analyzer_config,
-            ..StreamConfig::for_corpus(&corpus)
+            ..StreamConfig::for_corpus(corpus)
         };
         let driver = StreamDriver::new(BATCH_SIZE);
         let mut best_ingest = u64::MAX;
         let mut finalize_ns = 0u64;
         let mut events = 0u64;
         let mut report_identical = true;
-        for _ in 0..reps {
-            let run = driver.replay(&corpus, stream_config);
+        for _ in 0..reps.max(1) {
+            let run = driver.replay(corpus, stream_config);
             // Correctness BEFORE the numbers count: a fast-but-wrong
             // stream path must fail the bench, not win it.
             if rtbh_json::to_vec_pretty(&run.report) != expected {
@@ -151,14 +142,90 @@ pub fn bench_stream(config: ScenarioConfig, reps: usize) -> StreamBench {
         .map(|l| l.events_per_sec)
         .fold(f64::INFINITY, f64::min);
     StreamBench {
-        scenario,
-        samples,
-        updates,
+        updates: corpus.updates.len(),
         batch_size: BATCH_SIZE,
-        reps,
         answers_identical,
         verdicts,
         levels,
         min_events_per_sec,
+    }
+}
+
+impl Bench for StreamBench {
+    fn summary(&self) -> String {
+        let events = self.levels.first().map_or(0, |l| l.events);
+        let mut out = format!(
+            "stream: {} events ({} updates), batch size {}, {} live verdicts per replay:\n",
+            events, self.updates, self.batch_size, self.verdicts
+        );
+        for l in &self.levels {
+            out += &format!(
+                "  {:>3} worker(s): {:>12.0} events/s ingest  \
+                 (finalize {:>8.2} ms, report identical: {})\n",
+                l.workers,
+                l.events_per_sec,
+                l.finalize_ns as f64 / 1e6,
+                l.report_identical
+            );
+        }
+        out + &format!(
+            "  floor {EVENTS_PER_SEC_FLOOR:.0} events/s   finalized reports identical to batch: {}",
+            self.answers_identical
+        )
+    }
+
+    fn failures(&self) -> Vec<String> {
+        let mut failures = Vec::new();
+        if !self.answers_identical {
+            failures.push("stream-finalized report diverged from batch".to_string());
+        }
+        if self.min_events_per_sec < EVENTS_PER_SEC_FLOOR {
+            failures.push(format!(
+                "stream ingest {:.0} events/s is below the {EVENTS_PER_SEC_FLOOR:.0} events/s floor",
+                self.min_events_per_sec
+            ));
+        }
+        failures
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_slow_or_divergent_record_fails() {
+        let level = StreamLevel {
+            workers: 1,
+            events: 1_000,
+            best_ingest_ns: 1_000_000,
+            events_per_sec: 1e6,
+            finalize_ns: 5_000_000,
+            report_identical: true,
+        };
+        let mut bench = StreamBench {
+            updates: 100,
+            batch_size: BATCH_SIZE,
+            answers_identical: true,
+            verdicts: 10,
+            levels: vec![level],
+            min_events_per_sec: 1e6,
+        };
+        assert!(bench.failures().is_empty());
+
+        let mut slow = bench.clone();
+        slow.min_events_per_sec = EVENTS_PER_SEC_FLOOR - 1.0;
+        let failures = slow.failures();
+        assert_eq!(failures.len(), 1, "{failures:?}");
+        assert!(
+            failures[0].contains("100000 events/s floor"),
+            "{failures:?}"
+        );
+
+        bench.answers_identical = false;
+        assert_eq!(
+            bench.failures(),
+            ["stream-finalized report diverged from batch"]
+        );
     }
 }

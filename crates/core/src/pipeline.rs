@@ -389,15 +389,6 @@ impl Analyzer {
         self.kernel_workers
     }
 
-    /// Stage stats of the preparation kernels recorded by [`Analyzer::new`],
-    /// always the five rows `clean` (pass 1: internal samples and offset
-    /// votes), `align` (the offset scan), `events`, `enrich` (pass 2:
-    /// sealing with the clock shift) and `index`. Also attached to every
-    /// [`PipelineProfile`] as [`PipelineProfile::prepare`].
-    pub fn prepare_profile(&self) -> &[StageStats] {
-        &self.prepare
-    }
-
     /// Fig. 3 (+§3.2): signaling load.
     pub fn load(&self) -> LoadAnalysis {
         analyze_load(

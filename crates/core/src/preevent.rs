@@ -18,10 +18,6 @@ use crate::index::SampleIndex;
 /// Number of traffic features examined.
 pub const FEATURES: usize = 5;
 
-/// Human-readable feature names, in index order.
-pub const FEATURE_NAMES: [&str; FEATURES] =
-    ["packets", "flows", "src_ips", "dst_ports", "non_tcp_flows"];
-
 /// Configuration of the pre-event analysis.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PreEventConfig {

@@ -90,11 +90,6 @@ pub struct StageStats {
 }
 
 impl StageStats {
-    /// Wall time in (fractional) milliseconds.
-    pub fn wall_ms(&self) -> f64 {
-        self.wall_ns as f64 / 1e6
-    }
-
     /// Scan throughput: flow samples per second of stage wall time
     /// (0 when the stage scanned no samples).
     pub fn samples_per_sec(&self) -> f64 {

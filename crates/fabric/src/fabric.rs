@@ -93,12 +93,6 @@ impl Fabric {
         self.by_asn.get(&asn).map(|id| self.member(*id))
     }
 
-    /// Registers `member` as the egress for routes originated by `origin`
-    /// (the member itself or an AS in its customer cone).
-    pub fn set_origin_member(&mut self, origin: Asn, member: MemberId) {
-        self.origin_member.insert(origin, member);
-    }
-
     /// The egress member for an origin AS, if registered.
     pub fn origin_member(&self, origin: Asn) -> Option<MemberId> {
         self.origin_member.get(&origin).copied()

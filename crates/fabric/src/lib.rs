@@ -17,14 +17,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod acl;
 pub mod fabric;
 pub mod flow;
 pub mod member;
 pub mod sampler;
 pub mod wire;
 
-pub use acl::{FilteringFabric, PacketTuple};
 pub use fabric::{Fabric, ForwardOutcome};
 pub use flow::{FlowLog, FlowSample};
 pub use member::{Member, MemberId, RouterPort};

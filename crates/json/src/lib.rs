@@ -213,11 +213,6 @@ pub fn from_slice<T: FromJson>(bytes: &[u8]) -> Result<T, JsonError> {
     from_str(text)
 }
 
-/// Converts a [`Json`] tree into a value.
-pub fn from_value<T: FromJson>(value: &Json) -> Result<T, JsonError> {
-    T::from_json(value)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

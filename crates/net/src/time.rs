@@ -67,11 +67,6 @@ impl TimeDelta {
     pub const fn abs(self) -> Self {
         Self(self.0.abs())
     }
-
-    /// Scales the span by a float factor (rounding to nearest ms).
-    pub fn mul_f64(self, factor: f64) -> Self {
-        Self((self.0 as f64 * factor).round() as i64)
-    }
 }
 
 impl fmt::Display for TimeDelta {

@@ -7,7 +7,6 @@
 //!   2.5·SD above the weighted mean, full window required);
 //! * [`mod@quantile`] — quantiles, medians and empirical CDFs for the drop-rate
 //!   and participation analyses (Figs. 6, 14, 15, 18);
-//! * [`moments`] — streaming mean/variance/min/max accumulators;
 //! * [`offset`] — the maximum-likelihood control/data-plane clock-offset
 //!   estimator of §3.1 (Fig. 2), a difference-array vote over the offset grid
 //!   that batch alignment and the streaming analyzer share;
@@ -21,16 +20,12 @@
 #![warn(missing_docs)]
 
 pub mod ewma;
-pub mod histogram;
-pub mod moments;
 pub mod offset;
 pub mod quantile;
 pub mod radviz;
 pub mod topk;
 
 pub use ewma::{EwmaConfig, EwmaDetector, EwmaVerdict};
-pub use histogram::{Histogram, LogHistogram};
-pub use moments::Moments;
 pub use offset::{OffsetScan, OffsetVotes};
 pub use quantile::{quantile, Ecdf};
 pub use radviz::{radviz_project, RadvizPoint};

@@ -170,11 +170,6 @@ impl AmplifierPool {
         }
     }
 
-    /// Number of origin ASes in the pool.
-    pub fn origin_count(&self) -> usize {
-        self.groups.len()
-    }
-
     /// The participation probability of an origin by rank (for tests and
     /// calibration reports).
     pub fn participation(&self, rank: usize) -> Option<f64> {

@@ -24,8 +24,7 @@
 //! on one thread. The report is byte-identical for every N. With
 //! `--timings` it additionally prints the per-stage wall-time table
 //! (preparation kernels included) with the schedule that ran (`sequential`
-//! or `parallel`) and writes the profile as machine-readable JSON to
-//! `BENCH_pipeline.json` in the working directory (see the README's
+//! or `parallel`) and the sealed-chunk statistics (see the README's
 //! "Performance" section).
 //! `stream` replays the corpus through the event-driven analyzer
 //! (`rtbh_core::stream`): the two logs are interleaved into one
@@ -450,22 +449,6 @@ fn analyze(args: Vec<String>) {
             cs.chunks_probed,
             cs.pruned_ratio * 100.0
         );
-        let payload = rtbh_json::Json::Obj(vec![
-            ("corpus".to_string(), path.to_json()),
-            (
-                "updates".to_string(),
-                analyzer.corpus().updates.len().to_json(),
-            ),
-            (
-                "samples".to_string(),
-                analyzer.clean_report().total.to_json(),
-            ),
-            ("events".to_string(), analyzer.events().len().to_json()),
-            ("profile".to_string(), profile.to_json()),
-        ]);
-        std::fs::write("BENCH_pipeline.json", rtbh_json::to_vec_pretty(&payload))
-            .expect("write BENCH_pipeline.json");
-        eprintln!("wrote BENCH_pipeline.json");
     }
     if let Some(out) = json_out {
         struct JsonOut {

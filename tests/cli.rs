@@ -140,7 +140,8 @@ fn analyze_threads_pick_the_schedule_not_the_report() {
         ("3", "parallel, 7 worker threads"),
     ] {
         let json = dir.join(format!("threads-{threads}.json"));
-        // `--timings` writes BENCH_pipeline.json to the working directory.
+        // Run in the scratch directory: `--timings` must print, not write
+        // a bench file there.
         let out = Command::new(env!("CARGO_BIN_EXE_rtbh"))
             .args(["analyze", corpus_str, "--timings", "--threads", threads])
             .args(["--json", json.to_str().unwrap()])
@@ -156,6 +157,10 @@ fn analyze_threads_pick_the_schedule_not_the_report() {
         reports.push(std::fs::read(&json).unwrap());
     }
     assert_eq!(reports[0], reports[1], "--threads moved the report bytes");
+    assert!(
+        !dir.join("BENCH_pipeline.json").exists(),
+        "--timings wrote BENCH_pipeline.json"
+    );
 
     std::fs::remove_dir_all(&dir).ok();
 }
