@@ -11,34 +11,48 @@
 //!   attack residue and collateral damage (§5.5/§7.2).
 //!
 //! ```text
-//! ablate [--scale F] [threshold|delta|sampling|strategy ...]
+//! ablate [--scale F] [threshold | delta | sampling | strategy]...
 //! ```
+//!
+//! Without names every section runs. Sections print in the order above;
+//! the default scale is 0.12. An unknown name or flag, or a `--scale`
+//! that is not a finite factor above zero, exits 2 with the usage text.
+
+use std::cell::LazyCell;
 
 use rtbh_core::preevent::PreEventConfig;
 use rtbh_core::Analyzer;
 use rtbh_net::{AmplificationProtocol, TimeDelta};
-use rtbh_sim::ScenarioConfig;
+use rtbh_sim::{Corpus, ScenarioConfig};
 use rtbh_stats::EwmaConfig;
 
+/// Every section by name, in the order they print.
+const SECTIONS: [&str; 4] = ["threshold", "delta", "sampling", "strategy"];
+
+fn usage() -> ! {
+    eprintln!("usage: ablate [--scale F] [{}]...", SECTIONS.join(" | "));
+    std::process::exit(2);
+}
+
 fn main() {
-    let mut args = std::env::args().skip(1).peekable();
-    let mut scale = 0.12;
+    let mut config = ScenarioConfig::scaled(0.12);
     let mut wanted: Vec<String> = Vec::new();
+    let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--scale" => {
-                scale = args
+                config = args
                     .next()
                     .and_then(|v| v.parse().ok())
-                    .expect("--scale needs a float");
+                    .and_then(ScenarioConfig::try_scaled)
+                    .unwrap_or_else(|| usage());
             }
-            other => wanted.push(other.to_string()),
+            name if SECTIONS.contains(&name) => wanted.push(arg),
+            _ => usage(),
         }
     }
-    let all = wanted.is_empty();
-    let run = |name: &str| all || wanted.iter().any(|w| w == name);
+    let run = |name: &str| wanted.is_empty() || wanted.iter().any(|w| w == name);
 
-    let config = ScenarioConfig::scaled(scale);
     eprintln!(
         "scenario: {} days, {} members, {} events",
         config.days,
@@ -46,25 +60,27 @@ fn main() {
         config.total_events()
     );
 
+    // One simulation serves threshold, delta and strategy, and one default
+    // analyzer of it threshold and strategy; sampling simulates per rate.
+    let corpus = LazyCell::new(|| rtbh_sim::run(&config).corpus);
+    let analyzer = LazyCell::new(|| Analyzer::with_defaults(corpus.clone()));
     if run("threshold") {
-        ablate_threshold(&config);
+        ablate_threshold(&analyzer);
     }
     if run("delta") {
-        ablate_delta(&config);
+        ablate_delta(&corpus);
     }
     if run("sampling") {
         ablate_sampling(&config);
     }
     if run("strategy") {
-        ablate_strategy(&config);
+        ablate_strategy(&analyzer);
     }
 }
 
 /// §5.3: the anomaly classification must be stable from 2.5·SD to 10·SD.
-fn ablate_threshold(config: &ScenarioConfig) {
+fn ablate_threshold(analyzer: &Analyzer) {
     println!("\n== ablation: EWMA anomaly threshold ==");
-    let out = rtbh_sim::run(config);
-    let analyzer = Analyzer::with_defaults(out.corpus);
     println!(
         "{:>9} {:>10} {:>14} {:>10}",
         "k·SD", "no-data", "data-no-anom", "anomaly"
@@ -88,19 +104,17 @@ fn ablate_threshold(config: &ScenarioConfig) {
 }
 
 /// Fig. 10: Δ sweep and its effect on the anomaly-correlated share.
-fn ablate_delta(config: &ScenarioConfig) {
+fn ablate_delta(corpus: &Corpus) {
     println!("\n== ablation: event merge threshold Δ ==");
-    let out = rtbh_sim::run(config);
     println!(
         "{:>8} {:>8} {:>10} {:>10}",
         "Δ (min)", "events", "fraction", "anomaly%"
     );
     for minutes in [1i64, 5, 10, 30] {
-        let mut cfg = rtbh_core::pipeline::AnalyzerConfig::for_corpus(&out.corpus);
+        let mut cfg = rtbh_core::pipeline::AnalyzerConfig::for_corpus(corpus);
         cfg.merge_delta = TimeDelta::minutes(minutes);
-        let analyzer = Analyzer::new(out.corpus.clone(), cfg);
-        let announcements = out
-            .corpus
+        let analyzer = Analyzer::new(corpus.clone(), cfg);
+        let announcements = corpus
             .updates
             .blackholes()
             .filter(|u| u.is_announce())
@@ -137,10 +151,8 @@ fn ablate_sampling(config: &ScenarioConfig) {
 }
 
 /// §5.5/§7.2: RTBH vs fine-grained filtering vs source blacklists.
-fn ablate_strategy(config: &ScenarioConfig) {
+fn ablate_strategy(analyzer: &Analyzer) {
     println!("\n== ablation: mitigation strategy ==");
-    let out = rtbh_sim::run(config);
-    let analyzer = Analyzer::with_defaults(out.corpus);
     let pre = analyzer.preevents();
     let filtering = analyzer.filtering(&pre);
     let cols = analyzer.columns();

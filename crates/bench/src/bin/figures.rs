@@ -40,7 +40,7 @@ fn main() {
                     .unwrap_or_else(|| usage())
                     .parse()
                     .unwrap_or_else(|_| usage());
-                config = ScenarioConfig::scaled(f);
+                config = ScenarioConfig::try_scaled(f).unwrap_or_else(|| usage());
             }
             "--seed" => {
                 config.seed = args

@@ -70,7 +70,9 @@ fn main() {
         match arg.as_str() {
             "--tiny" => config = ScenarioConfig::tiny(),
             "--paper" => config = ScenarioConfig::paper(),
-            "--scale" => config = ScenarioConfig::scaled(value(&mut args)),
+            "--scale" => {
+                config = ScenarioConfig::try_scaled(value(&mut args)).unwrap_or_else(|| usage())
+            }
             "--seed" => config.seed = value(&mut args),
             "--reps" => reps = value(&mut args),
             name => match BENCHES.iter().find(|(n, _)| *n == name) {

@@ -14,10 +14,10 @@
 //!    chunk scanned (isolates what masking alone buys);
 //! 3. **masked_pruned**: the shipped kernel
 //!    ([`rtbh_core::filter::filter_aggregate`]) — the same masks
-//!    behind `TimeBuckets` chunk-header pruning, and per-prefix joins
-//!    scattered from the sample index's sorted id lists
-//!    ([`rtbh_core::index::SampleIndex::towards`]) instead of masking the
-//!    `dst_pid` column.
+//!    behind chunk pruning on each chunk's first and last timestamps,
+//!    and per-prefix joins scattered from the sample index's sorted id
+//!    lists ([`rtbh_core::index::SampleIndex::towards`]) instead of
+//!    masking the `dst_pid` column.
 //!
 //! Every variant's answers are byte-checked (serialized JSON compared)
 //! against the naive reference before anything is timed — a

@@ -76,25 +76,22 @@ rtbh_json::impl_json! {
 /// Feed batch size for the timed replays (the CLI default).
 const BATCH_SIZE: usize = 4096;
 
-/// For each worker level, computes the batch reference report over
-/// `corpus`, replays the interleaved feed through the streaming analyzer
-/// `reps` times, byte-compares the finalized report against batch and
-/// records ingest events/sec.
+/// Computes the batch reference report over `corpus` once, then for each
+/// worker level replays the interleaved feed through the streaming
+/// analyzer `reps` times, byte-compares the finalized report against the
+/// reference and records ingest events/sec.
 pub fn bench_stream(corpus: &Corpus, reps: usize) -> StreamBench {
     let all_workers = shard::resolve_workers(0);
     let mut worker_levels = vec![1, 2, all_workers];
     worker_levels.sort_unstable();
     worker_levels.dedup();
 
+    let expected = rtbh_json::to_vec_pretty(&Analyzer::with_defaults(corpus.clone()).full());
     let mut answers_identical = true;
     let mut verdicts = 0u64;
     let mut levels = Vec::new();
     for workers in worker_levels {
         let analyzer_config = AnalyzerConfig::for_corpus(corpus).with_workers(workers);
-        // Batch reference for THIS worker count (reports are byte-identical
-        // across workers, but compare like-for-like anyway).
-        let expected =
-            rtbh_json::to_vec_pretty(&Analyzer::new(corpus.clone(), analyzer_config).full());
         let stream_config = StreamConfig {
             analyzer: analyzer_config,
             ..StreamConfig::for_corpus(corpus)

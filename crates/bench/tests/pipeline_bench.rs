@@ -75,12 +75,19 @@ fn unknown_names_and_removed_flags_exit_2_with_the_usage() {
         "--serve-floor",
         "--stream-floor",
     ];
-    for arg in removed.into_iter().chain(["bogus", "BENCH_index.json"]) {
-        let out = pipeline_bench(&dir, &["--tiny", arg]);
-        assert_eq!(out.status.code(), Some(2), "{arg}: {out:?}");
+    let mut cases: Vec<Vec<&str>> = removed
+        .into_iter()
+        .chain(["bogus", "BENCH_index.json"])
+        .map(|arg| vec!["--tiny", arg])
+        .collect();
+    // --scale takes only a finite factor above zero.
+    cases.extend(["0", "-1", "NaN", "inf"].map(|f| vec!["--scale", f, "index"]));
+    for args in cases {
+        let out = pipeline_bench(&dir, &args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {out:?}");
         assert!(
             String::from_utf8_lossy(&out.stderr).starts_with("usage: pipeline_bench"),
-            "{arg}: {out:?}"
+            "{args:?}: {out:?}"
         );
     }
     assert!(files_in(&dir).is_empty(), "a usage error wrote files");

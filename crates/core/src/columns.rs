@@ -12,7 +12,7 @@
 //! timestamp as it seals, so no cleaned or shifted copy of the log exists.
 //! The per-sample ids are:
 //!
-//! * ingress/egress member ASN (from the member directory, a
+//! * the ingress (handover) member ASN (from the member directory, a
 //!   [`MacResolver`]), interned into a sorted ASN table;
 //! * the origin AS of the source address (an [`OriginTable`] LPM),
 //!   interned into the same table;
@@ -60,11 +60,11 @@
 //!
 //! # Window queries
 //!
-//! Samples are time-sorted, so each chunk's `min_at`/`max_at` header
-//! brackets its rows and the per-chunk `max_at` sequence is
-//! non-decreasing. [`TimeBuckets`] keeps that header sequence; a window
-//! bound first *prunes* to the one chunk that can contain the boundary
-//! (binary search over headers), then binary-searches only inside it.
+//! Samples are time-sorted, so a chunk's first and last timestamps
+//! bracket its rows and the chunks' last timestamps never decrease. A
+//! window bound first *prunes* to the one chunk that can contain the
+//! boundary (a binary search over the chunks' last timestamps), then
+//! binary-searches only inside it.
 //! [`ColumnarFlows::window_ids`] then intersects the window with a sorted
 //! sample-id list via [`gallop_partition_point`] — exponential search that
 //! is O(log d) in the *distance* to the answer, not the list length.
@@ -87,7 +87,7 @@ pub const NONE: u32 = u32::MAX;
 /// `docs/CHUNK_ABI.md` (a unit test asserts the two agree).
 pub mod abi {
     /// Version of the in-memory chunk layout this module implements.
-    pub const ABI_VERSION: u32 = 1;
+    pub const ABI_VERSION: u32 = 2;
     /// Default chunk capacity (rows per chunk), a power of two.
     pub const DEFAULT_CHUNK_CAPACITY: usize = 1 << 16;
     /// Smallest accepted chunk capacity; requests below are clamped up.
@@ -100,7 +100,7 @@ pub mod abi {
     /// `(name, element width in bytes)` of every value column, in ABI
     /// order. Id columns use [`super::NONE`] (`u32::MAX`) as the "no
     /// value" sentinel.
-    pub const VALUE_COLUMNS: [(&str, usize); 13] = [
+    pub const VALUE_COLUMNS: [(&str, usize); 12] = [
         ("at", 8),
         ("src_ip", 4),
         ("dst_ip", 4),
@@ -109,7 +109,6 @@ pub mod abi {
         ("protocol", 1),
         ("packet_len", 4),
         ("ingress", 4),
-        ("egress", 4),
         ("origin", 4),
         ("dst_pid", 4),
         ("src_pid", 4),
@@ -118,7 +117,7 @@ pub mod abi {
     /// Names of the per-flag bitset columns, in ABI order.
     pub const FLAG_COLUMNS: [&str; 3] = ["fragment", "dropped", "active"];
     /// `(name, width in bytes)` of the chunk-header fields, in ABI order.
-    pub const HEADER_FIELDS: [(&str, usize); 3] = [("start", 8), ("min_at", 8), ("max_at", 8)];
+    pub const HEADER_FIELDS: [(&str, usize); 1] = [("start", 8)];
     /// Ids per sync block in a dictionary-encoded sorted id list
     /// ([`crate::filter::IdDict`]): every block stores its first id and
     /// stream offset in the sync tables, so a gallop over the sync ids
@@ -173,10 +172,6 @@ pub mod abi {
 pub struct SealedChunk {
     /// Global index of this chunk's row 0.
     start: usize,
-    /// Smallest timestamp (ms) in the chunk.
-    min_at: i64,
-    /// Largest timestamp (ms) in the chunk.
-    max_at: i64,
     at: Vec<i64>,
     src_ip: Vec<u32>,
     dst_ip: Vec<u32>,
@@ -185,7 +180,6 @@ pub struct SealedChunk {
     protocol: Vec<u8>,
     packet_len: Vec<u32>,
     ingress: Vec<u32>,
-    egress: Vec<u32>,
     origin: Vec<u32>,
     dst_pid: Vec<u32>,
     src_pid: Vec<u32>,
@@ -216,18 +210,17 @@ impl SealedChunk {
         self.start
     }
 
-    /// Header: smallest timestamp (ms) in the chunk — with the store's
-    /// time-sorted samples, the timestamp of row 0.
+    /// Smallest timestamp (ms) in the chunk: samples are time-sorted, so
+    /// the timestamp of row 0. No build seals an empty chunk.
     #[inline]
     pub fn min_at_millis(&self) -> i64 {
-        self.min_at
+        self.at[0]
     }
 
-    /// Header: largest timestamp (ms) in the chunk — with time-sorted
-    /// samples, the timestamp of the last row.
+    /// Largest timestamp (ms) in the chunk: the timestamp of the last row.
     #[inline]
     pub fn max_at_millis(&self) -> i64 {
-        self.max_at
+        self.at[self.at.len() - 1]
     }
 
     /// The millisecond-timestamp column.
@@ -240,12 +233,6 @@ impl SealedChunk {
     #[inline]
     pub fn src_ip_raw(&self) -> &[u32] {
         &self.src_ip
-    }
-
-    /// The raw `u32` destination-address column.
-    #[inline]
-    pub fn dst_ip_raw(&self) -> &[u32] {
-        &self.dst_ip
     }
 
     /// The source-port column.
@@ -278,12 +265,6 @@ impl SealedChunk {
         &self.ingress
     }
 
-    /// Interned egress member-ASN ids ([`NONE`] for dropped samples).
-    #[inline]
-    pub fn egress_ids(&self) -> &[u32] {
-        &self.egress
-    }
-
     /// Interned origin-AS ids of the source addresses ([`NONE`] =
     /// unrouted).
     #[inline]
@@ -307,7 +288,7 @@ impl SealedChunk {
         &self.src_pid
     }
 
-    /// Ids (into [`ColumnarFlows::active_prefixes`]) of the
+    /// Ids ([`ColumnarFlows::active_prefix_lookup`]) of the
     /// interval-holding prefix covering each destination ([`NONE`] where
     /// uncovered).
     #[inline]
@@ -364,135 +345,65 @@ impl SealedChunk {
     pub fn active(&self, r: usize) -> bool {
         self.active_bits[r >> 6] >> (r & 63) & 1 == 1
     }
-}
 
-/// One fully enriched row, ready to append to a chunk: what the sample
-/// enricher makes of one kept sample for the sealing kernel (prepare's
-/// pass 2 and `build_enriched_with_capacity`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ChunkRow {
-    /// Sample timestamp, milliseconds.
-    pub at: i64,
-    /// Source address, raw `u32`.
-    pub src_ip: u32,
-    /// Destination address, raw `u32`.
-    pub dst_ip: u32,
-    /// Source port.
-    pub src_port: u16,
-    /// Destination port.
-    pub dst_port: u16,
-    /// Wire protocol number.
-    pub protocol: u8,
-    /// Sampled packet length (widened to `u32` per the ABI).
-    pub packet_len: u32,
-    /// Interned ingress member-ASN id ([`NONE`] = unknown).
-    pub ingress: u32,
-    /// Interned egress member-ASN id ([`NONE`] for dropped samples).
-    pub egress: u32,
-    /// Interned origin-AS id of the source ([`NONE`] = unrouted).
-    pub origin: u32,
-    /// Dense blackhole-prefix id covering the destination ([`NONE`] =
-    /// uncovered).
-    pub dst_pid: u32,
-    /// Dense blackhole-prefix id covering the source ([`NONE`] =
-    /// uncovered).
-    pub src_pid: u32,
-    /// Id of the interval-holding prefix covering the destination
-    /// ([`NONE`] = uncovered).
-    pub active_pid: u32,
-    /// Was the sample an IP fragment?
-    pub fragment: bool,
-    /// Was the sample delivered to the blackhole next hop?
-    pub dropped: bool,
-    /// Did the sample arrive during an active blackhole of its covering
-    /// prefix?
-    pub active: bool,
-}
-
-/// Work-in-progress columns of one chunk; [`ChunkBuilder::seal`] freezes
-/// them into a [`SealedChunk`] with computed headers.
-struct ChunkBuilder {
-    chunk: SealedChunk,
-}
-
-impl ChunkBuilder {
-    /// A builder for a chunk of exactly `rows` rows starting at global row
-    /// `start`; the bitsets are sized for that count.
-    fn new(start: usize, rows: usize) -> Self {
+    /// An empty chunk with room for exactly `rows` rows starting at global
+    /// row `start`; the bitsets are sized for that count.
+    fn with_rows(start: usize, rows: usize) -> Self {
         let words = rows.div_ceil(abi::FLAG_WORD_BITS);
         Self {
-            chunk: SealedChunk {
-                start,
-                min_at: i64::MAX,
-                max_at: i64::MIN,
-                at: Vec::with_capacity(rows),
-                src_ip: Vec::with_capacity(rows),
-                dst_ip: Vec::with_capacity(rows),
-                src_port: Vec::with_capacity(rows),
-                dst_port: Vec::with_capacity(rows),
-                protocol: Vec::with_capacity(rows),
-                packet_len: Vec::with_capacity(rows),
-                ingress: Vec::with_capacity(rows),
-                egress: Vec::with_capacity(rows),
-                origin: Vec::with_capacity(rows),
-                dst_pid: Vec::with_capacity(rows),
-                src_pid: Vec::with_capacity(rows),
-                active_pid: Vec::with_capacity(rows),
-                fragment_bits: vec![0; words],
-                dropped_bits: vec![0; words],
-                active_bits: vec![0; words],
-            },
+            start,
+            at: Vec::with_capacity(rows),
+            src_ip: Vec::with_capacity(rows),
+            dst_ip: Vec::with_capacity(rows),
+            src_port: Vec::with_capacity(rows),
+            dst_port: Vec::with_capacity(rows),
+            protocol: Vec::with_capacity(rows),
+            packet_len: Vec::with_capacity(rows),
+            ingress: Vec::with_capacity(rows),
+            origin: Vec::with_capacity(rows),
+            dst_pid: Vec::with_capacity(rows),
+            src_pid: Vec::with_capacity(rows),
+            active_pid: Vec::with_capacity(rows),
+            fragment_bits: vec![0; words],
+            dropped_bits: vec![0; words],
+            active_bits: vec![0; words],
         }
     }
 
+    /// Appends `s` with its timestamp moved by `offset` and its ids looked
+    /// up in `enricher`, or nothing when `s` is internal traffic. The
+    /// bitsets are sized by [`SealedChunk::with_rows`], so no more rows
+    /// than it was given may be appended.
     #[inline]
-    fn set_bit(bits: &mut [u64], r: usize) {
-        bits[r >> 6] |= 1u64 << (r & 63);
-    }
-
-    /// Appends one enriched row. The bitset vectors are pre-sized by
-    /// `new`, so `r` must stay below the row count `new` was given.
-    #[inline]
-    fn push_row(&mut self, row: ChunkRow) {
-        let r = self.chunk.at.len();
-        if row.fragment {
-            Self::set_bit(&mut self.chunk.fragment_bits, r);
-        }
-        if row.dropped {
-            Self::set_bit(&mut self.chunk.dropped_bits, r);
-        }
-        if row.active {
-            Self::set_bit(&mut self.chunk.active_bits, r);
-        }
-        self.chunk.at.push(row.at);
-        self.chunk.src_ip.push(row.src_ip);
-        self.chunk.dst_ip.push(row.dst_ip);
-        self.chunk.src_port.push(row.src_port);
-        self.chunk.dst_port.push(row.dst_port);
-        self.chunk.protocol.push(row.protocol);
-        self.chunk.packet_len.push(row.packet_len);
-        self.chunk.ingress.push(row.ingress);
-        self.chunk.egress.push(row.egress);
-        self.chunk.origin.push(row.origin);
-        self.chunk.dst_pid.push(row.dst_pid);
-        self.chunk.src_pid.push(row.src_pid);
-        self.chunk.active_pid.push(row.active_pid);
-    }
-
-    fn seal(mut self) -> SealedChunk {
-        let (min_at, max_at) = self
-            .chunk
-            .at
-            .iter()
-            .fold((i64::MAX, i64::MIN), |(lo, hi), &t| (lo.min(t), hi.max(t)));
-        self.chunk.min_at = min_at;
-        self.chunk.max_at = max_at;
-        self.chunk
+    fn push(&mut self, s: &FlowSample, offset: TimeDelta, enricher: &SampleEnricher) {
+        let Some(ingress) = enricher.ingress(s) else {
+            return;
+        };
+        let at = s.at + offset;
+        let dst_pid = enricher.blackhole(s.dst_ip);
+        let active_pid = enricher.active_id(dst_pid);
+        let (word, bit) = (self.at.len() >> 6, self.at.len() & 63);
+        self.fragment_bits[word] |= u64::from(s.fragment) << bit;
+        self.dropped_bits[word] |= u64::from(s.is_dropped()) << bit;
+        self.active_bits[word] |= u64::from(enricher.active_at(active_pid, at)) << bit;
+        self.at.push(at.as_millis());
+        self.src_ip.push(s.src_ip.to_u32());
+        self.dst_ip.push(s.dst_ip.to_u32());
+        self.src_port.push(s.src_port);
+        self.dst_port.push(s.dst_port);
+        self.protocol.push(s.protocol.number());
+        self.packet_len.push(u32::from(s.packet_len));
+        self.ingress.push(ingress);
+        self.origin.push(enricher.origin(s.src_ip));
+        self.dst_pid.push(dst_pid);
+        self.src_pid.push(enricher.blackhole(s.src_ip));
+        self.active_pid.push(active_pid);
     }
 }
 
 /// The sealed-chunk columnar flow store. See the module docs and
 /// `docs/CHUNK_ABI.md` for layout and determinism notes.
+#[derive(Clone)]
 pub struct ColumnarFlows {
     chunks: Vec<SealedChunk>,
     /// Total samples across all chunks.
@@ -504,7 +415,6 @@ pub struct ColumnarFlows {
     asns: Vec<Asn>,
     /// Interval-holding prefixes, in `BTreeMap` (prefix) order.
     active_prefixes: Vec<Prefix>,
-    buckets: TimeBuckets,
     /// Window-query observability counters (not part of the value: cloned
     /// as a snapshot, ignored by equality, never serialized).
     stats: WindowStats,
@@ -517,7 +427,7 @@ struct WindowStats {
     /// two per call).
     queries: AtomicU64,
     /// Lookups that needed an in-chunk binary search (the rest were
-    /// answered by chunk headers alone).
+    /// answered by the chunks' first and last timestamps alone).
     probes: AtomicU64,
 }
 
@@ -540,20 +450,6 @@ impl std::fmt::Debug for ColumnarFlows {
     }
 }
 
-impl Clone for ColumnarFlows {
-    fn clone(&self) -> Self {
-        Self {
-            chunks: self.chunks.clone(),
-            len: self.len,
-            cap_shift: self.cap_shift,
-            asns: self.asns.clone(),
-            active_prefixes: self.active_prefixes.clone(),
-            buckets: self.buckets.clone(),
-            stats: self.stats.clone(),
-        }
-    }
-}
-
 /// Equality is over the stored value (chunks, tables, capacity) — the
 /// observability counters are excluded, so two stores that answered
 /// different query mixes still compare equal.
@@ -564,7 +460,6 @@ impl PartialEq for ColumnarFlows {
             && self.chunks == other.chunks
             && self.asns == other.asns
             && self.active_prefixes == other.active_prefixes
-            && self.buckets == other.buckets
     }
 }
 
@@ -597,9 +492,9 @@ pub struct ChunkStats {
     /// Window-bound lookups answered so far.
     pub window_queries: u64,
     /// Lookups that binary-searched inside a chunk (the remainder were
-    /// resolved by the min/max headers alone).
+    /// resolved by the chunks' first and last timestamps alone).
     pub chunks_probed: u64,
-    /// Share of per-query chunk work avoided by header pruning: of the
+    /// Share of per-query chunk work avoided by chunk pruning: of the
     /// `window_queries * chunks` chunk visits a naive scan would make,
     /// the fraction that never happened.
     pub pruned_ratio: f64,
@@ -716,14 +611,13 @@ impl ColumnarFlows {
         let (capacity, cap_shift) = normalize_capacity(chunk_capacity);
         let n = samples.len() - removed.len();
         let seal = |start: usize, rows: usize| -> SealedChunk {
-            let mut b = ChunkBuilder::new(start, rows);
-            let raw = samples[raw_row(removed, start)..]
-                .iter()
-                .filter_map(|s| enricher.row(s, offset));
-            for row in raw.take(rows) {
-                b.push_row(row);
+            let mut chunk = SealedChunk::with_rows(start, rows);
+            let mut raw = samples[raw_row(removed, start)..].iter();
+            while chunk.len() < rows {
+                let s = raw.next().expect("pass 1 counted every kept row");
+                chunk.push(s, offset, &enricher);
             }
-            b.seal()
+            chunk
         };
 
         // The worker count only distributes whole chunks over threads.
@@ -743,7 +637,6 @@ impl ColumnarFlows {
         };
 
         let tables = enricher.into_tables();
-        let buckets = TimeBuckets::build(&chunks);
         EnrichedBuild {
             columns: ColumnarFlows {
                 chunks,
@@ -751,7 +644,6 @@ impl ColumnarFlows {
                 cap_shift,
                 asns: tables.asns,
                 active_prefixes: tables.active_prefixes,
-                buckets,
                 stats: WindowStats::default(),
             },
             blackholes: tables.blackholes,
@@ -895,13 +787,6 @@ impl ColumnarFlows {
         self.asn_lookup(c.ingress[r])
     }
 
-    /// The egress member ASN of sample `i` (None for dropped samples).
-    #[inline]
-    pub fn egress(&self, i: usize) -> Option<Asn> {
-        let (c, r) = self.loc(i);
-        self.asn_lookup(c.egress[r])
-    }
-
     /// The origin AS of sample `i`'s source address, if routed.
     #[inline]
     pub fn origin(&self, i: usize) -> Option<Asn> {
@@ -909,8 +794,7 @@ impl ColumnarFlows {
         self.asn_lookup(c.origin[r])
     }
 
-    /// Resolves an interned ASN id (from an `ingress`/`egress`/`origin`
-    /// id column) against the intern table; [`NONE`] maps to `None`.
+    /// Resolves an interned ASN id (from an `ingress`/`origin` id column) against the intern table; [`NONE`] maps to `None`.
     #[inline]
     pub fn asn_lookup(&self, id: u32) -> Option<Asn> {
         (id != NONE).then(|| self.asns[id as usize])
@@ -932,32 +816,29 @@ impl ColumnarFlows {
         self.active_prefixes[pid as usize]
     }
 
-    /// The interval-holding prefixes, indexed by `active_pid`.
-    pub fn active_prefixes(&self) -> &[Prefix] {
-        &self.active_prefixes
-    }
-
-    /// The sorted ASN intern table.
-    pub fn asns(&self) -> &[Asn] {
-        &self.asns
-    }
-
     /// Global index range `[lo, hi)` of samples with
-    /// `start <= at < end`, answered by chunk-header pruning plus at most
-    /// one in-chunk binary search per bound.
+    /// `start <= at < end`, answered by pruning on the chunks' first and
+    /// last timestamps plus at most one in-chunk binary search per bound.
     pub fn time_range(&self, start: Timestamp, end: Timestamp) -> (usize, usize) {
         (self.bound(start.as_millis()), self.bound(end.as_millis()))
     }
 
     /// One window bound (`partition_point` of the virtual concatenated
-    /// timestamp column), with observability counters.
+    /// timestamp column), with observability counters. The first chunk
+    /// whose last timestamp is `>= t` is the only one that can hold the
+    /// boundary; a bound on or before its first timestamp is answered
+    /// without searching it.
     fn bound(&self, t: i64) -> usize {
         self.stats.queries.fetch_add(1, Ordering::Relaxed);
-        let (idx, probed) = self.buckets.lower_bound_impl(&self.chunks, self.len, t);
-        if probed {
-            self.stats.probes.fetch_add(1, Ordering::Relaxed);
+        let c = self.chunks.partition_point(|c| c.max_at_millis() < t);
+        let Some(chunk) = self.chunks.get(c) else {
+            return self.len;
+        };
+        if t <= chunk.min_at_millis() {
+            return chunk.start();
         }
-        idx
+        self.stats.probes.fetch_add(1, Ordering::Relaxed);
+        chunk.start() + chunk.at_millis().partition_point(|&x| x < t)
     }
 
     /// Restricts a sorted sample-id slice (e.g. a
@@ -966,8 +847,8 @@ impl ColumnarFlows {
     ///
     /// Equivalent to filtering `ids` by each sample's timestamp — because
     /// both `ids` and the timestamp column are sorted, the time window
-    /// maps to one contiguous id range. The window bounds come from
-    /// chunk-header pruning ([`TimeBuckets`]); the id list is then joined
+    /// maps to one contiguous id range. The window bounds come from chunk
+    /// pruning ([`ColumnarFlows::time_range`]); the id list is then joined
     /// against them with [`gallop_partition_point`], which costs
     /// O(log distance) rather than O(log len) per bound.
     pub fn window_ids<'a>(&self, ids: &'a [u32], start: Timestamp, end: Timestamp) -> &'a [u32] {
@@ -1040,95 +921,6 @@ pub fn gallop_partition_point(ids: &[u32], from: usize, bound: u32) -> usize {
     }
     let hi = (lo + step + 1).min(n);
     lo + 1 + ids[lo + 1..hi].partition_point(|&x| x < bound)
-}
-
-/// Chunk-pruning window index over the sealed chunks' timestamp headers.
-///
-/// With time-sorted samples the per-chunk `max_at` sequence is
-/// non-decreasing, so the chunk containing a window bound is found by a
-/// binary search over headers ([`TimeBuckets::prune`]); only that single
-/// chunk's timestamp slab is then binary-searched. Bounds that fall
-/// between chunks (or before/after the corpus) are answered by headers
-/// alone, without touching any column data.
-///
-/// # Example
-///
-/// ```
-/// use rtbh_core::columns::{ColumnarFlows, TimeBuckets};
-/// use rtbh_fabric::{FlowLog, FlowSample};
-/// use rtbh_net::{MacAddr, Protocol, Timestamp};
-///
-/// # let samples: Vec<FlowSample> = (0..100)
-/// #     .map(|i| FlowSample {
-/// #         at: Timestamp(i * 1_000),
-/// #         src_mac: MacAddr::from_id(1),
-/// #         dst_mac: MacAddr::from_id(2),
-/// #         src_ip: "192.0.2.1".parse().unwrap(),
-/// #         dst_ip: "198.51.100.9".parse().unwrap(),
-/// #         protocol: Protocol::Udp,
-/// #         src_port: 53,
-/// #         dst_port: 4444,
-/// #         packet_len: 512,
-/// #         fragment: false,
-/// #     })
-/// #     .collect();
-/// // 100 samples, one second apart, in chunks of 64 rows.
-/// let cols = ColumnarFlows::from_log_with_capacity(&FlowLog::from_samples(samples), 64);
-/// let buckets = TimeBuckets::build(cols.chunks());
-/// // t = 70 s: chunk 0 (max 63 s) is pruned by its header alone; only
-/// // chunk 1's timestamps are searched.
-/// assert_eq!(buckets.prune(70_000), 1);
-/// assert_eq!(buckets.lower_bound(cols.chunks(), 70_000), 70);
-/// ```
-#[derive(Debug, Clone, PartialEq)]
-pub struct TimeBuckets {
-    /// `max_at` header of each chunk; non-decreasing for time-sorted
-    /// samples.
-    chunk_max: Vec<i64>,
-}
-
-impl TimeBuckets {
-    /// Builds the pruning index from the chunks' `max_at` headers.
-    pub fn build(chunks: &[SealedChunk]) -> Self {
-        Self {
-            chunk_max: chunks.iter().map(|c| c.max_at_millis()).collect(),
-        }
-    }
-
-    /// The index of the first chunk whose `max_at >= t` — the only chunk
-    /// that can contain the boundary `partition_point(|&x| x < t)`.
-    /// Returns the chunk count when every chunk ends before `t`.
-    pub fn prune(&self, t: i64) -> usize {
-        self.chunk_max.partition_point(|&m| m < t)
-    }
-
-    /// The global index of the first sample with timestamp `>= t` (i.e.
-    /// `partition_point(|&x| x < t)` over the virtual concatenation of all
-    /// chunk timestamp columns). `chunks` must be the slice this index was
-    /// built over.
-    pub fn lower_bound(&self, chunks: &[SealedChunk], t: i64) -> usize {
-        let len = chunks.last().map_or(0, |c| c.start() + c.len());
-        self.lower_bound_impl(chunks, len, t).0
-    }
-
-    /// [`TimeBuckets::lower_bound`] plus whether an in-chunk binary search
-    /// was needed (false = answered by headers alone).
-    fn lower_bound_impl(&self, chunks: &[SealedChunk], len: usize, t: i64) -> (usize, bool) {
-        let c = self.prune(t);
-        if c == chunks.len() {
-            return (len, false);
-        }
-        let chunk = &chunks[c];
-        if t <= chunk.min_at_millis() {
-            // The bound falls on or before this chunk's first row — every
-            // earlier chunk is entirely below `t` by its header.
-            return (chunk.start(), false);
-        }
-        (
-            chunk.start() + chunk.at_millis().partition_point(|&x| x < t),
-            true,
-        )
-    }
 }
 
 #[cfg(test)]
@@ -1215,7 +1007,6 @@ mod tests {
             assert_eq!(cols.fragment(i), s.fragment);
             assert_eq!(cols.is_dropped(i), s.is_dropped());
             assert_eq!(cols.ingress(i), Some(Asn(201)));
-            assert_eq!(cols.egress(i), (!s.is_dropped()).then_some(Asn(202)));
             assert_eq!(cols.origin(i), Some(Asn(300)));
         }
         // 10.0.0.7 is covered by the /32 (longest match) for the sample
@@ -1245,6 +1036,36 @@ mod tests {
             cols.active_prefix(0).unwrap().0,
             "10.0.0.7/32".parse().unwrap()
         );
+    }
+
+    #[test]
+    fn sealing_stamps_the_offset_and_skips_internal_rows() {
+        // The /24 is blackholed over [0, 100) ms.
+        let updates = UpdateLog::from_updates(vec![update(0, "10.0.0.0/24", UpdateKind::Announce)]);
+        let internal = MacAddr::from_id(9);
+        let mut samples: Vec<FlowSample> = [-5, 0, 95]
+            .into_iter()
+            .map(|ms| FlowSample {
+                at: Timestamp(ms),
+                ..sample(0, "20.1.0.5", "10.0.0.9", false)
+            })
+            .collect();
+        samples[1].dst_mac = internal;
+        let enricher =
+            SampleEnricher::new(test_resolver().map(), &[internal], &OriginTable::build(&[]))
+                .with_blackholes(&updates, Timestamp(100));
+        let (removed, _) = enricher.scan(&samples, None, 1);
+        assert_eq!(removed, [1]);
+        let cols =
+            ColumnarFlows::seal(&samples, &removed, TimeDelta::millis(10), enricher, 1, 0).columns;
+        // The internal row is skipped; the others are stamped 10 ms later,
+        // and activity reads the stamped time: -5 ms was before the
+        // announcement, 5 ms is inside it, and 105 ms is past its end.
+        let prefix: Prefix = "10.0.0.0/24".parse().unwrap();
+        assert_eq!(cols.len(), 2);
+        assert_eq!([cols.at(0), cols.at(1)], [Timestamp(5), Timestamp(105)]);
+        assert_eq!(cols.active_prefix(0), Some((prefix, true)));
+        assert_eq!(cols.active_prefix(1), Some((prefix, false)));
     }
 
     #[test]
@@ -1334,7 +1155,7 @@ mod tests {
     }
 
     #[test]
-    fn buckets_match_naive_partition_point_on_seeded_columns() {
+    fn window_bounds_match_naive_partition_point_on_seeded_columns() {
         let mut rng = ChaChaRng::seed_from_u64(0x000c_0ffe_ec01_u64);
         for case in 0..40 {
             // Mix densities and capacities: sparse multi-day spans, dense
@@ -1360,7 +1181,6 @@ mod tests {
                     .collect(),
             );
             let cols = ColumnarFlows::from_log_with_capacity(&flows, capacity);
-            let buckets = TimeBuckets::build(cols.chunks());
             let mut probes: Vec<i64> = (0..64)
                 .map(|_| (rng.next_u64() % (spread as u64 * 2)) as i64 - spread / 2)
                 .collect();
@@ -1372,10 +1192,11 @@ mod tests {
                     .iter()
                     .flat_map(|c| [c.min_at_millis(), c.max_at_millis(), c.max_at_millis() + 1]),
             );
+            let naive = |t: i64| at.partition_point(|&x| x < t);
             for t in probes {
                 assert_eq!(
-                    buckets.lower_bound(cols.chunks(), t),
-                    at.partition_point(|&x| x < t),
+                    cols.time_range(Timestamp(t), Timestamp(t + 1)),
+                    (naive(t), naive(t + 1)),
                     "case {case}, t {t}, n {n}, capacity {capacity}"
                 );
             }
@@ -1467,17 +1288,12 @@ mod tests {
         assert_eq!(widths["dst_port"], size_of::<u16>());
         assert_eq!(widths["protocol"], size_of::<u8>());
         assert_eq!(widths["packet_len"], size_of::<u32>());
-        for id_col in [
-            "ingress",
-            "egress",
-            "origin",
-            "dst_pid",
-            "src_pid",
-            "active_pid",
-        ] {
+        for id_col in ["ingress", "origin", "dst_pid", "src_pid", "active_pid"] {
             assert_eq!(widths[id_col], size_of::<u32>(), "{id_col}");
         }
-        assert_eq!(abi::VALUE_COLUMNS.len(), 13);
+        assert_eq!(abi::VALUE_COLUMNS.len(), 12);
+        assert_eq!(abi::HEADER_FIELDS, [("start", 8)]);
+        assert_eq!(abi::ABI_VERSION, 2);
         assert_eq!(abi::FLAG_WORD_BITS, u64::BITS as usize);
         assert!(abi::DEFAULT_CHUNK_CAPACITY.is_power_of_two());
         assert!(abi::MIN_CHUNK_CAPACITY.is_power_of_two());
@@ -1504,6 +1320,21 @@ mod tests {
                 "spec is missing header field `{name}`"
             );
         }
+        // The spec documents nothing the code lacks either: its table rows
+        // with a byte width are exactly the value columns and header fields.
+        let sized_rows = spec
+            .lines()
+            .filter(|l| l.starts_with("| `"))
+            .filter(|l| {
+                l.split('|')
+                    .nth(2)
+                    .is_some_and(|w| w.trim().parse::<usize>().is_ok())
+            })
+            .count();
+        assert_eq!(
+            sized_rows,
+            abi::VALUE_COLUMNS.len() + abi::HEADER_FIELDS.len()
+        );
         assert!(
             spec.contains(&abi::DEFAULT_CHUNK_CAPACITY.to_string()),
             "spec must state the default chunk capacity"

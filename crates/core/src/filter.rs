@@ -708,7 +708,8 @@ fn scatter_ids(ids: &mut &[u32], start: usize, end: usize, mask: &mut SelectionM
 }
 
 /// Masked, chunk-pruned filter evaluation. The window prunes whole
-/// chunks through `TimeBuckets` headers. The optional prefix conjunct
+/// chunks by their first and last timestamps
+/// ([`ColumnarFlows::time_range`]). The optional prefix conjunct
 /// `ids` is the sorted sample-id list of the resolved
 /// [`FilterQuery::prefix`] ([`SampleIndex::towards`]; the caller resolves
 /// the prefix so an unknown one can be reported before any scan): it is

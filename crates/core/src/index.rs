@@ -18,10 +18,10 @@ use std::collections::BTreeMap;
 
 use rtbh_bgp::{blackhole_intervals, UpdateLog};
 use rtbh_fabric::FlowSample;
-use rtbh_net::{Asn, FrozenLpm, Interval, Ipv4Addr, MacAddr, Prefix, TimeDelta, Timestamp};
+use rtbh_net::{Asn, FrozenLpm, Interval, Ipv4Addr, MacAddr, Prefix, Timestamp};
 use rtbh_stats::OffsetVotes;
 
-use crate::columns::{ChunkRow, NONE};
+use crate::columns::NONE;
 use crate::shard;
 
 /// Index over a columnar sample store keyed by the blackholed prefixes of
@@ -105,11 +105,6 @@ impl SampleIndex {
     /// The dense id of a prefix, if it ever carried a blackhole.
     pub fn prefix_id(&self, prefix: Prefix) -> Option<usize> {
         self.lpm.get(prefix).copied()
-    }
-
-    /// The most specific blackholed prefix covering an address.
-    pub fn covering(&self, addr: Ipv4Addr) -> Option<(Prefix, usize)> {
-        self.lpm.longest_match(addr).map(|(p, &id)| (p, id))
     }
 
     /// Sample indices towards a prefix (longest-prefix matched), time-sorted.
@@ -386,28 +381,24 @@ impl SampleEnricher {
         self
     }
 
-    /// The interned `(ingress, egress)` member ids of a sample ([`NONE`]
-    /// where unknown; egress is [`NONE`] for dropped samples), or `None`
-    /// when either MAC belongs to an internal device.
+    /// The interned ingress member id of a sample ([`NONE`] when its
+    /// source MAC is unknown), or `None` when either MAC belongs to an
+    /// internal device.
     #[inline]
-    pub fn members(&self, s: &FlowSample) -> Option<(u32, u32)> {
+    pub(crate) fn ingress(&self, s: &FlowSample) -> Option<u32> {
         let src = self.macs.get(s.src_mac);
-        let dst = self.macs.get(s.dst_mac);
-        if src == INTERNAL || dst == INTERNAL {
-            return None;
-        }
-        Some((src, if s.is_dropped() { NONE } else { dst }))
+        (src != INTERNAL && self.macs.get(s.dst_mac) != INTERNAL).then_some(src)
     }
 
     /// The interned origin-AS id of an address ([`NONE`] = unrouted).
     #[inline]
-    fn origin(&self, addr: Ipv4Addr) -> u32 {
+    pub(crate) fn origin(&self, addr: Ipv4Addr) -> u32 {
         self.origins.longest_match(addr).map_or(NONE, |(_, &id)| id)
     }
 
     /// The dense id of the longest blackholed prefix over an address.
     #[inline]
-    fn blackhole(&self, addr: Ipv4Addr) -> u32 {
+    pub(crate) fn blackhole(&self, addr: Ipv4Addr) -> u32 {
         self.blackholes
             .longest_match(addr)
             .map_or(NONE, |(_, &id)| id as u32)
@@ -416,7 +407,7 @@ impl SampleEnricher {
     /// The id of the longest interval-holding prefix over a destination
     /// whose longest blackholed prefix is `dst_pid`.
     #[inline]
-    fn active_id(&self, dst_pid: u32) -> u32 {
+    pub(crate) fn active_id(&self, dst_pid: u32) -> u32 {
         if dst_pid == NONE {
             NONE
         } else {
@@ -435,37 +426,15 @@ impl SampleEnricher {
         }
     }
 
-    /// Enriches one sample into a chunk row with its timestamp moved by
-    /// `offset`, or `None` when the sample is internal traffic.
+    /// Was the interval-holding prefix `aid` ([`NONE`] = none, never
+    /// active) announced at `at`?
     #[inline]
-    pub fn row(&self, s: &FlowSample, offset: TimeDelta) -> Option<ChunkRow> {
-        let (ingress, egress) = self.members(s)?;
-        let at = s.at + offset;
-        let dst_pid = self.blackhole(s.dst_ip);
-        let active_pid = self.active_id(dst_pid);
-        let active = active_pid != NONE && {
-            let ivs = &self.active_intervals[active_pid as usize];
+    pub(crate) fn active_at(&self, aid: u32, at: Timestamp) -> bool {
+        aid != NONE && {
+            let ivs = &self.active_intervals[aid as usize];
             let idx = ivs.partition_point(|iv| iv.start <= at);
             idx > 0 && ivs[idx - 1].contains(at)
-        };
-        Some(ChunkRow {
-            at: at.as_millis(),
-            src_ip: s.src_ip.to_u32(),
-            dst_ip: s.dst_ip.to_u32(),
-            src_port: s.src_port,
-            dst_port: s.dst_port,
-            protocol: s.protocol.number(),
-            packet_len: u32::from(s.packet_len),
-            ingress,
-            egress,
-            origin: self.origin(s.src_ip),
-            dst_pid,
-            src_pid: self.blackhole(s.src_ip),
-            active_pid,
-            fragment: s.fragment,
-            dropped: s.is_dropped(),
-            active,
-        })
+        }
     }
 
     /// Pass 1 of prepare, sharded over `workers` scoped threads: the
@@ -483,7 +452,7 @@ impl SampleEnricher {
             let mut removed = Vec::new();
             let mut votes = votes.cloned();
             for (i, s) in chunk.iter().enumerate() {
-                if self.members(s).is_none() {
+                if self.ingress(s).is_none() {
                     removed.push(u32::try_from(start + i).expect("sample ids are u32"));
                 } else if let Some(v) = votes.as_mut().filter(|_| s.is_dropped()) {
                     v.observe(s.at, self.intervals(s.dst_ip));
@@ -586,8 +555,6 @@ mod tests {
         // The unmatched sample is not indexed; the /32's one sample counts
         // once in each direction.
         assert_eq!(idx.total_ids(), 3);
-        let (covering, _) = idx.covering("10.0.0.7".parse().unwrap()).unwrap();
-        assert_eq!(covering, "10.0.0.7/32".parse().unwrap());
     }
 
     #[test]
@@ -658,13 +625,16 @@ mod tests {
         }
         assert_eq!(enricher.macs.get(MacAddr::from_id(0xF000)), INTERNAL);
         assert_eq!(enricher.macs.get(MacAddr::from_id(501)), NONE);
-        assert_eq!(enricher.members(&sample), Some((id(64_001), id(64_002))));
+        assert_eq!(enricher.ingress(&sample), Some(id(64_001)));
         sample.dst_mac = MacAddr::BLACKHOLE;
-        assert_eq!(enricher.members(&sample), Some((id(64_001), NONE)));
+        assert_eq!(enricher.ingress(&sample), Some(id(64_001)));
+        sample.dst_mac = MacAddr::from_id(0xF000);
+        assert_eq!(enricher.ingress(&sample), None);
+        sample.dst_mac = MacAddr::from_id(2);
         sample.src_mac = MacAddr::from_id(3);
-        assert_eq!(enricher.members(&sample), None);
+        assert_eq!(enricher.ingress(&sample), None);
         sample.src_mac = MacAddr::from_id(0xF001);
-        assert_eq!(enricher.members(&sample), Some((NONE, NONE)));
+        assert_eq!(enricher.ingress(&sample), Some(NONE));
     }
 
     #[test]
@@ -686,27 +656,26 @@ mod tests {
         let enricher = SampleEnricher::new(&BTreeMap::new(), &[], &OriginTable::build(&[]))
             .with_blackholes(&updates, Timestamp(100));
         assert_eq!(enricher.active_prefixes.len(), 1);
-        let row = |dst: &str, at: i64| {
-            let mut s = flow("8.8.8.8", dst);
-            s.at = Timestamp(at);
-            enricher.row(&s, TimeDelta::ZERO).unwrap()
+        // `(dst_pid, active_pid, active)` of a destination at 50 ms.
+        let walk = |dst: &str| {
+            let dst_pid = enricher.blackhole(dst.parse().unwrap());
+            let active_pid = enricher.active_id(dst_pid);
+            (
+                dst_pid,
+                active_pid,
+                enricher.active_at(active_pid, Timestamp(50)),
+            )
         };
-        let host = row("10.0.0.7", 50);
-        assert_eq!(enricher.blackhole_prefixes[host.dst_pid as usize].len(), 32);
-        assert_eq!(host.active_pid, 0);
-        assert!(host.active);
+        let (dst_pid, active_pid, active) = walk("10.0.0.7");
+        assert_eq!(enricher.blackhole_prefixes[dst_pid as usize].len(), 32);
+        assert_eq!(active_pid, 0);
+        assert!(active);
         assert_eq!(enricher.intervals("10.0.0.7".parse().unwrap()).len(), 1);
-        let outside = row("11.0.0.1", 50);
-        assert_ne!(outside.dst_pid, NONE);
-        assert_eq!(outside.active_pid, NONE);
-        assert!(!outside.active);
+        let (dst_pid, active_pid, active) = walk("11.0.0.1");
+        assert_ne!(dst_pid, NONE);
+        assert_eq!(active_pid, NONE);
+        assert!(!active);
         assert!(enricher.intervals("11.0.0.1".parse().unwrap()).is_empty());
-        assert_eq!(row("12.0.0.1", 50).dst_pid, NONE);
-        // The row's timestamp is the shifted one, and activity reads it.
-        let mut s = flow("8.8.8.8", "10.0.0.9");
-        s.at = Timestamp(-5);
-        let shifted = enricher.row(&s, TimeDelta::millis(10)).unwrap();
-        assert_eq!(shifted.at, 5);
-        assert!(shifted.active);
+        assert_eq!(walk("12.0.0.1").0, NONE);
     }
 }

@@ -564,8 +564,8 @@ pub fn window_aggregate_naive(cols: &ColumnarFlows, start_ms: i64, end_ms: i64) 
 }
 
 /// Event-window aggregate: [`filter::filter_aggregate`] with no prefix
-/// conjunct and no predicates, so `TimeBuckets` chunk pruning and the
-/// masked kernels answer it. Byte-identical to [`window_aggregate_naive`]
+/// conjunct and no predicates, so chunk pruning on the chunks' first and
+/// last timestamps and the masked kernels answer it. Byte-identical to [`window_aggregate_naive`]
 /// for every window (pinned by the `serve_engine` and `fuzz_serve`
 /// suites and the serve bench).
 pub fn window_aggregate(cols: &ColumnarFlows, start_ms: i64, end_ms: i64) -> FilterAggregate {

@@ -639,7 +639,7 @@ impl StreamAnalyzer {
 
     fn apply_sample(&mut self, s: FlowSample) {
         self.samples_ingested += 1;
-        if self.enricher.members(&s).is_none() {
+        if self.enricher.ingress(&s).is_none() {
             self.internal_removed += 1;
             return;
         }

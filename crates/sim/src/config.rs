@@ -118,6 +118,14 @@ impl ScenarioConfig {
         }
     }
 
+    /// [`ScenarioConfig::scaled`] for a factor read from a command line:
+    /// `None` unless `factor` is finite and above zero, because `scaled`
+    /// turns zero, negative and NaN factors into a minimal scenario and an
+    /// infinite one into `u32::MAX` events per kind.
+    pub fn try_scaled(factor: f64) -> Option<Self> {
+        (factor.is_finite() && factor > 0.0).then(|| Self::scaled(factor))
+    }
+
     /// A tiny preset for unit/integration tests: 9 days, a handful of
     /// events, small member count. Runs in well under a second even in
     /// debug builds.

@@ -7,10 +7,10 @@
 //!
 //! 1. `clean_flows_with_workers` → `estimate_offset_with_workers` →
 //!    `shift_flows_with_workers`;
-//! 2. row-wise lookups written here: `Corpus::mac_to_member` for ingress
-//!    and egress, a `PrefixTrie` over the route snapshot for the origin,
-//!    and `PrefixTrie`s over the blackholed and the interval-holding
-//!    prefixes for `dst_pid`, `src_pid`, `active_pid` and the `active` bit.
+//! 2. row-wise lookups written here: `Corpus::mac_to_member` for ingress,
+//!    a `PrefixTrie` over the route snapshot for the origin, and
+//!    `PrefixTrie`s over the blackholed and the interval-holding prefixes
+//!    for `dst_pid`, `src_pid`, `active_pid` and the `active` bit.
 //!
 //! Every case checks that the clean report and the alignment are equal,
 //! that every column value is equal row by row, and that the analyzer's
@@ -140,10 +140,6 @@ fn check_rows(corpus: &Corpus, analyzer: &Analyzer, shifted: &FlowLog, label: &s
                 members.get(&s.src_mac).copied(),
                 "{at}: ingress"
             );
-            let egress = (!s.is_dropped())
-                .then(|| members.get(&s.dst_mac).copied())
-                .flatten();
-            assert_eq!(cols.egress(i), egress, "{at}: egress");
             let origin = origins.longest_match(s.src_ip).map(|(_, &asn)| asn);
             assert_eq!(cols.origin(i), origin, "{at}: origin");
             assert_eq!(

@@ -109,12 +109,7 @@ fn simulate(args: Vec<String>) {
             "--tiny" => config = ScenarioConfig::tiny(),
             "--paper" => config = ScenarioConfig::paper(),
             "--scale" => {
-                let f: f64 = it
-                    .next()
-                    .unwrap_or_else(|| usage())
-                    .parse()
-                    .unwrap_or_else(|_| usage());
-                config = ScenarioConfig::scaled(f);
+                config = ScenarioConfig::try_scaled(flag_value(&mut it)).unwrap_or_else(|| usage())
             }
             "--seed" => {
                 config.seed = it

@@ -22,6 +22,9 @@ fn scratch_dir(name: &str) -> PathBuf {
 
 #[test]
 fn usage_errors_exit_2() {
+    let dir = scratch_dir("usage");
+    let corpus = dir.join("out.rtbh");
+    let corpus = corpus.to_str().unwrap();
     for args in [
         &[] as &[&str],
         &["frobnicate"],
@@ -30,6 +33,11 @@ fn usage_errors_exit_2() {
         &["info"],     // no corpus path
         &["analyze"],  // no corpus path
         &["analyze", "--threads", "not-a-number", "x.rtbh"],
+        // --scale takes only a finite factor above zero.
+        &["simulate", "--scale", "0", corpus],
+        &["simulate", "--scale", "-1", corpus],
+        &["simulate", "--scale", "NaN", corpus],
+        &["simulate", "--scale", "inf", corpus],
     ] {
         let out = rtbh(args);
         assert_eq!(out.status.code(), Some(2), "args {args:?}");
@@ -38,6 +46,12 @@ fn usage_errors_exit_2() {
             "args {args:?} should print usage"
         );
     }
+    assert_eq!(
+        std::fs::read_dir(&dir).unwrap().count(),
+        0,
+        "a rejected scale wrote a corpus"
+    );
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
