@@ -61,7 +61,8 @@ fn main() {
     );
 
     // One simulation serves threshold, delta and strategy, and one default
-    // analyzer of it threshold and strategy; sampling simulates per rate.
+    // analyzer of it threshold and strategy; sampling reads them for the
+    // scenario's own rate and simulates each other rate.
     let corpus = LazyCell::new(|| rtbh_sim::run(&config).corpus);
     let analyzer = LazyCell::new(|| Analyzer::with_defaults(corpus.clone()));
     if run("threshold") {
@@ -71,7 +72,7 @@ fn main() {
         ablate_delta(&corpus);
     }
     if run("sampling") {
-        ablate_sampling(&config);
+        ablate_sampling(&config, &corpus, &analyzer);
     }
     if run("strategy") {
         ablate_strategy(&analyzer);
@@ -131,20 +132,28 @@ fn ablate_delta(corpus: &Corpus) {
     println!("(paper: knee at 10 min; 400k announcements → 34k events = 8.5%)");
 }
 
-/// §6.3: sampling-rate sensitivity of the "no pre-event data" share.
-fn ablate_sampling(config: &ScenarioConfig) {
+/// §6.3: sampling-rate sensitivity of the "no pre-event data" share. The
+/// row at the scenario's own rate reads the shared `corpus` and
+/// `analyzer`, which a simulation at that rate would only repeat.
+fn ablate_sampling(config: &ScenarioConfig, corpus: &Corpus, analyzer: &Analyzer) {
     println!("\n== ablation: sampling rate vs pre-event visibility ==");
     println!(
         "{:>10} {:>10} {:>10} {:>12}",
         "rate 1:N", "samples", "no-data%", "anomaly%"
     );
     for rate in [1_000u32, 10_000, 100_000] {
-        let mut c = config.clone();
-        c.sampling_rate = rate;
-        let out = rtbh_sim::run(&c);
-        let flows = out.corpus.flows.len();
-        let analyzer = Analyzer::with_defaults(out.corpus);
-        let (no_data, _, anomaly) = analyzer.preevents().class_shares();
+        let (flows, pre) = if rate == config.sampling_rate {
+            (corpus.flows.len(), analyzer.preevents())
+        } else {
+            let mut c = config.clone();
+            c.sampling_rate = rate;
+            let corpus = rtbh_sim::run(&c).corpus;
+            (
+                corpus.flows.len(),
+                Analyzer::with_defaults(corpus).preevents(),
+            )
+        };
+        let (no_data, _, anomaly) = pre.class_shares();
         println!("{rate:>10} {flows:>10} {no_data:>10.3} {anomaly:>12.3}");
     }
     println!("(coarser sampling blinds the vantage point: more no-data pre-windows)");

@@ -4,23 +4,27 @@
 //! figures [--tiny | --scale F | --paper] [--seed N] [--json PATH] [ids...]
 //! ```
 //!
-//! Without ids, all experiments run. Stdout is the markdown document of
-//! EXPERIMENTS.md ([`rtbh_bench::render::document`]); progress goes to
-//! stderr. `--json` additionally writes the reports (including the
-//! paper-vs-measured checks) as JSON for machine consumption, so
-//! `figures --paper --json EXPERIMENTS.json > EXPERIMENTS.md` regenerates
-//! both committed files.
+//! Without ids, all experiments run; with ids, only those are computed.
+//! An unknown id exits 2 with the usage text before anything is
+//! simulated. Stdout is the markdown document of EXPERIMENTS.md
+//! ([`rtbh_bench::render::document`]); progress goes to stderr. `--json`
+//! additionally writes the reports (including the paper-vs-measured
+//! checks) as JSON for machine consumption, so `figures --paper --json
+//! EXPERIMENTS.json > EXPERIMENTS.md` regenerates both committed files.
 
 use std::io::Write;
 
+use rtbh_bench::figures::FIGURES;
 use rtbh_bench::render::document;
-use rtbh_bench::{all_figures, Context};
+use rtbh_bench::Context;
 use rtbh_sim::ScenarioConfig;
 
 fn usage() -> ! {
+    let ids: Vec<&str> = FIGURES.iter().map(|(id, _)| *id).collect();
     eprintln!(
         "usage: figures [--tiny | --scale F | --paper] [--seed N] [--json PATH] [ids...]\n\
-         ids: t1 f2 f3 f4 f5 f6 f7 f8 f9 f10 f11 f12 f13 t2 t3 f14 f15 f16 f17 t4 f18 f19 s31 s54"
+         ids: {}",
+        ids.join(" ")
     );
     std::process::exit(2);
 }
@@ -51,7 +55,7 @@ fn main() {
             }
             "--json" => json_path = Some(args.next().unwrap_or_else(|| usage())),
             "--help" | "-h" => usage(),
-            id if !id.starts_with('-') => wanted.push(id.to_string()),
+            id if FIGURES.iter().any(|(known, _)| *known == id) => wanted.push(arg),
             _ => usage(),
         }
     }
@@ -73,15 +77,11 @@ fn main() {
         t0.elapsed()
     );
 
-    let reports = all_figures(&ctx);
-    let selected: Vec<_> = reports
+    let selected: Vec<_> = FIGURES
         .iter()
-        .filter(|r| wanted.is_empty() || wanted.iter().any(|w| w == r.id))
+        .filter(|(id, _)| wanted.is_empty() || wanted.iter().any(|w| w == id))
+        .map(|(_, report)| report(&ctx))
         .collect();
-    if selected.is_empty() {
-        eprintln!("no experiment matches {wanted:?}");
-        usage();
-    }
     print!("{}", document(&ctx, &selected));
 
     if let Some(path) = json_path {

@@ -838,32 +838,40 @@ pub fn s54(ctx: &Context) -> FigureReport {
     r
 }
 
-/// Every experiment in order.
+/// One experiment: its report, computed on a prepared context.
+pub type Experiment = fn(&Context) -> FigureReport;
+
+/// Every experiment by id, in the order EXPERIMENTS.md prints them: the
+/// one list the `figures` binary builds its usage text from, checks ids
+/// against and runs.
+pub const FIGURES: [(&str, Experiment); 24] = [
+    ("t1", t1),
+    ("f2", f2),
+    ("f3", f3),
+    ("f4", f4),
+    ("f5", f5),
+    ("f6", f6),
+    ("f7", f7),
+    ("f8", f8),
+    ("f9", f9),
+    ("f10", f10),
+    ("f11", f11),
+    ("f12", f12),
+    ("f13", f13),
+    ("t2", t2),
+    ("t3", t3),
+    ("f14", f14),
+    ("f15", f15),
+    ("f16", f16),
+    ("f17", f17),
+    ("t4", t4),
+    ("f18", f18),
+    ("f19", f19),
+    ("s31", s31),
+    ("s54", s54),
+];
+
+/// Every experiment, in [`FIGURES`] order.
 pub fn all_figures(ctx: &Context) -> Vec<FigureReport> {
-    vec![
-        t1(ctx),
-        f2(ctx),
-        f3(ctx),
-        f4(ctx),
-        f5(ctx),
-        f6(ctx),
-        f7(ctx),
-        f8(ctx),
-        f9(ctx),
-        f10(ctx),
-        f11(ctx),
-        f12(ctx),
-        f13(ctx),
-        t2(ctx),
-        t3(ctx),
-        f14(ctx),
-        f15(ctx),
-        f16(ctx),
-        f17(ctx),
-        t4(ctx),
-        f18(ctx),
-        f19(ctx),
-        s31(ctx),
-        s54(ctx),
-    ]
+    FIGURES.iter().map(|(_, report)| report(ctx)).collect()
 }

@@ -2,8 +2,8 @@
 //!
 //! Prepares the corpus twice: a 1-worker [`Analyzer`], whose
 //! [`Analyzer::full_with_profile`] runs every stage inline on one thread,
-//! and an all-cores one, which runs the stage chains on scoped threads and
-//! shards the acceptance and provenance kernels. Each is timed for a
+//! and an all-cores one, which shards the prepare kernels and runs the
+//! five stage chains on `min(cores, 5)` threads. Each is timed for a
 //! configurable number of repetitions, keeping the best (lowest-wall)
 //! profile per analyzer. The result carries the corpus dimensions, both
 //! stage profiles, the speedup of the whole stage phase and a

@@ -113,7 +113,7 @@ impl Check {
 /// scenario, the tolerance rule and the summary count, one section per
 /// report, then every check outside the tolerance. It holds no date and
 /// no timing, so the same corpus always gives the same bytes.
-pub fn document(ctx: &Context, reports: &[&FigureReport]) -> String {
+pub fn document(ctx: &Context, reports: &[FigureReport]) -> String {
     let (mut total, mut deviations) = (0, Vec::new());
     for r in reports {
         for c in &r.checks {

@@ -1,6 +1,6 @@
-//! The command lines of `ablate` and `figures`: an unknown section name
-//! or a `--scale` that is not a finite factor above zero exits 2 with the
-//! usage text, before any scenario is simulated.
+//! The command lines of `ablate` and `figures`: an unknown section name or
+//! experiment id, or a `--scale` that is not a finite factor above zero,
+//! exits 2 with the usage text, before any scenario is simulated.
 
 use std::process::Command;
 
@@ -11,7 +11,10 @@ fn bad_names_and_scales_exit_2_with_the_usage() {
         .map(scale)
         .into_iter()
         .chain([vec!["bogus"]]);
-    let figures = ["0", "-1", "NaN", "inf"].map(scale);
+    let figures = ["0", "-1", "NaN", "inf"]
+        .map(scale)
+        .into_iter()
+        .chain([vec!["--tiny", "bogus"], vec!["--tiny", "f6", "f99"]]);
     let cases = ablate
         .map(|args| ("ablate", env!("CARGO_BIN_EXE_ablate"), args))
         .chain(figures.map(|args| ("figures", env!("CARGO_BIN_EXE_figures"), args)));
@@ -23,5 +26,11 @@ fn bad_names_and_scales_exit_2_with_the_usage() {
             "{name} {args:?}: {out:?}"
         );
         assert!(out.stdout.is_empty(), "{name} {args:?}: {out:?}");
+        // Nothing was simulated: `figures` prints its `corpus:` line only
+        // once the corpus exists.
+        assert!(
+            !String::from_utf8_lossy(&out.stderr).contains("corpus:"),
+            "{name} {args:?}: {out:?}"
+        );
     }
 }

@@ -18,7 +18,7 @@ use rtbh_net::{Asn, Prefix};
 use rtbh_peeringdb::{OrgType, Registry};
 use rtbh_stats::{top_k_by, Ecdf};
 
-use crate::columns::ColumnarFlows;
+use crate::columns::{ColumnarFlows, NONE};
 use crate::shard;
 
 /// Dropped/forwarded tallies.
@@ -84,7 +84,7 @@ impl DropTally {
 }
 
 /// The full acceptance analysis.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct AcceptanceAnalysis {
     /// Per prefix length: aggregate tallies over all active blackholes of
     /// that length (Fig. 5).
@@ -112,25 +112,15 @@ pub const MIN_SAMPLES_FOR_CDF: u64 = 5;
 /// remains. Blackhole-active samples are a small minority of the corpus,
 /// so the scan iterates the set bits of the `active` words directly
 /// (one `trailing_zeros` per hit, one test per word of misses) instead of
-/// visiting every row. Workers scan whole sealed chunks; per-chunk maps
-/// fold into `BTreeMap`s whose tallies are plain sums, so the result is
-/// identical for every worker count and chunk capacity.
+/// visiting every row. Each worker scans whole sealed chunks into dense
+/// tallies indexed by interval-holding prefix id and by ingress id; the
+/// workers' tallies add up, and the sums fold into the three maps once,
+/// so the result is identical for every worker count and chunk capacity.
 pub fn analyze_acceptance(cols: &ColumnarFlows, workers: usize) -> AcceptanceAnalysis {
-    struct Partial {
-        by_length: BTreeMap<u8, DropTally>,
-        by_prefix: BTreeMap<Prefix, DropTally>,
-        by_source_as_32: BTreeMap<Asn, DropTally>,
-        samples_during_blackhole: u64,
-    }
-
     let workers = shard::resolve_workers(workers);
-    let partials = shard::map_chunks(cols.chunks(), workers, |_, chunks| {
-        let mut p = Partial {
-            by_length: BTreeMap::new(),
-            by_prefix: BTreeMap::new(),
-            by_source_as_32: BTreeMap::new(),
-            samples_during_blackhole: 0,
-        };
+    let mut partials = shard::map_chunks(cols.chunks(), workers, |_, chunks| {
+        let mut by_pid = vec![DropTally::default(); cols.active_prefix_count()];
+        let mut by_ingress_32 = vec![DropTally::default(); cols.asn_count()];
         for c in chunks {
             let pids = c.active_prefix_ids();
             let lens = c.packet_lens();
@@ -142,51 +132,46 @@ pub fn analyze_acceptance(cols: &ColumnarFlows, workers: usize) -> AcceptanceAna
                 while bits != 0 {
                     let r = (w << 6) | bits.trailing_zeros() as usize;
                     bits &= bits - 1;
-                    let prefix = cols.active_prefix_lookup(pids[r]);
                     let dropped = dropped_word >> (r & 63) & 1 == 1;
-                    let len = lens[r];
-                    p.samples_during_blackhole += 1;
-                    p.by_length
-                        .entry(prefix.len())
-                        .or_default()
-                        .add(dropped, len);
-                    p.by_prefix.entry(prefix).or_default().add(dropped, len);
-                    if prefix.is_host() {
-                        if let Some(source) = cols.asn_lookup(ingress[r]) {
-                            p.by_source_as_32
-                                .entry(source)
-                                .or_default()
-                                .add(dropped, len);
-                        }
+                    by_pid[pids[r] as usize].add(dropped, lens[r]);
+                    if ingress[r] != NONE && cols.active_prefix_lookup(pids[r]).is_host() {
+                        by_ingress_32[ingress[r] as usize].add(dropped, lens[r]);
                     }
                 }
             }
         }
-        p
-    });
+        (by_pid, by_ingress_32)
+    })
+    .into_iter();
+    let (mut by_pid, mut by_ingress_32) = partials.next().expect("one partial per worker");
+    for (pids, ingress) in partials {
+        for (sum, t) in by_pid
+            .iter_mut()
+            .zip(&pids)
+            .chain(by_ingress_32.iter_mut().zip(&ingress))
+        {
+            sum.absorb(t);
+        }
+    }
 
-    let mut by_length: BTreeMap<u8, DropTally> = BTreeMap::new();
-    let mut by_prefix: BTreeMap<Prefix, DropTally> = BTreeMap::new();
-    let mut by_source_as_32: BTreeMap<Asn, DropTally> = BTreeMap::new();
-    let mut samples_during_blackhole = 0u64;
-    for p in partials {
-        samples_during_blackhole += p.samples_during_blackhole;
-        for (k, t) in &p.by_length {
-            by_length.entry(*k).or_default().absorb(t);
-        }
-        for (k, t) in &p.by_prefix {
-            by_prefix.entry(*k).or_default().absorb(t);
-        }
-        for (k, t) in &p.by_source_as_32 {
-            by_source_as_32.entry(*k).or_default().absorb(t);
-        }
+    let mut out = AcceptanceAnalysis::default();
+    for (pid, t) in by_pid.iter().enumerate().filter(|(_, t)| t.packets() > 0) {
+        let prefix = cols.active_prefix_lookup(pid as u32);
+        out.samples_during_blackhole += t.packets();
+        out.by_length.entry(prefix.len()).or_default().absorb(t);
+        out.by_prefix.insert(prefix, *t);
     }
-    AcceptanceAnalysis {
-        by_length,
-        by_prefix,
-        by_source_as_32,
-        samples_during_blackhole,
+    for (id, t) in by_ingress_32
+        .iter()
+        .enumerate()
+        .filter(|(_, t)| t.packets() > 0)
+    {
+        let source = cols
+            .asn_lookup(id as u32)
+            .expect("ingress ids are interned");
+        out.by_source_as_32.insert(source, *t);
     }
+    out
 }
 
 impl AcceptanceAnalysis {

@@ -76,7 +76,7 @@ use rtbh_bgp::UpdateLog;
 use rtbh_fabric::{FlowLog, FlowSample};
 use rtbh_net::{Asn, FrozenLpm, Ipv4Addr, Prefix, Protocol, TimeDelta, Timestamp};
 
-use crate::index::{MacResolver, OriginTable, SampleEnricher};
+use crate::index::{Activity, MacResolver, OriginTable, SampleEnricher};
 use crate::shard;
 
 /// Sentinel for "no value" in every `u32` id column (interned ASNs,
@@ -235,6 +235,12 @@ impl SealedChunk {
         &self.src_ip
     }
 
+    /// The raw `u32` destination-address column.
+    #[inline]
+    pub(crate) fn dst_ip_raw(&self) -> &[u32] {
+        &self.dst_ip
+    }
+
     /// The source-port column.
     #[inline]
     pub fn src_ports(&self) -> &[u16] {
@@ -370,12 +376,19 @@ impl SealedChunk {
         }
     }
 
-    /// Appends `s` with its timestamp moved by `offset` and its ids looked
-    /// up in `enricher`, or nothing when `s` is internal traffic. The
-    /// bitsets are sized by [`SealedChunk::with_rows`], so no more rows
-    /// than it was given may be appended.
+    /// Appends `s` with its timestamp moved by `offset`, its ids looked up
+    /// in `enricher` and its `active` bit read through `activity`, or
+    /// nothing when `s` is internal traffic. The bitsets are sized by
+    /// [`SealedChunk::with_rows`], so no more rows than it was given may be
+    /// appended.
     #[inline]
-    fn push(&mut self, s: &FlowSample, offset: TimeDelta, enricher: &SampleEnricher) {
+    fn push(
+        &mut self,
+        s: &FlowSample,
+        offset: TimeDelta,
+        enricher: &SampleEnricher,
+        activity: &mut Activity<'_>,
+    ) {
         let Some(ingress) = enricher.ingress(s) else {
             return;
         };
@@ -385,7 +398,7 @@ impl SealedChunk {
         let (word, bit) = (self.at.len() >> 6, self.at.len() & 63);
         self.fragment_bits[word] |= u64::from(s.fragment) << bit;
         self.dropped_bits[word] |= u64::from(s.is_dropped()) << bit;
-        self.active_bits[word] |= u64::from(enricher.active_at(active_pid, at)) << bit;
+        self.active_bits[word] |= u64::from(activity.at(active_pid, at)) << bit;
         self.at.push(at.as_millis());
         self.src_ip.push(s.src_ip.to_u32());
         self.dst_ip.push(s.dst_ip.to_u32());
@@ -599,7 +612,10 @@ impl ColumnarFlows {
     /// Chunk `k` holds kept rows `[k·C, (k+1)·C)`, so chunk bounds depend
     /// on the capacity alone; each chunk finds its first raw row from
     /// `removed` and enriches rows from there, skipping the internal ones
-    /// exactly as pass 1 marked them (both read the same MAC table).
+    /// exactly as pass 1 marked them (both read the same MAC table). Each
+    /// chunk reads its `active` bits through fresh cursors, one per
+    /// interval-holding prefix, which walk forward with the time-sorted
+    /// rows (and re-seek should a timestamp ever step back).
     pub(crate) fn seal(
         samples: &[FlowSample],
         removed: &[u32],
@@ -612,10 +628,11 @@ impl ColumnarFlows {
         let n = samples.len() - removed.len();
         let seal = |start: usize, rows: usize| -> SealedChunk {
             let mut chunk = SealedChunk::with_rows(start, rows);
+            let mut activity = enricher.activity();
             let mut raw = samples[raw_row(removed, start)..].iter();
             while chunk.len() < rows {
                 let s = raw.next().expect("pass 1 counted every kept row");
-                chunk.push(s, offset, &enricher);
+                chunk.push(s, offset, &enricher, &mut activity);
             }
             chunk
         };
@@ -809,6 +826,18 @@ impl ColumnarFlows {
         (pid != NONE).then(|| (self.active_prefixes[pid as usize], c.active(r)))
     }
 
+    /// Number of interned ASNs: `ingress`/`origin` ids lie below it.
+    #[inline]
+    pub(crate) fn asn_count(&self) -> usize {
+        self.asns.len()
+    }
+
+    /// Number of interval-holding prefixes: `active_pid` ids lie below it.
+    #[inline]
+    pub(crate) fn active_prefix_count(&self) -> usize {
+        self.active_prefixes.len()
+    }
+
     /// Resolves an interval-holding prefix id (from an `active_pid`
     /// column) to its prefix.
     #[inline]
@@ -928,7 +957,7 @@ mod tests {
     use super::*;
     use rtbh_bgp::{BgpUpdate, UpdateKind};
     use rtbh_net::{Community, MacAddr};
-    use rtbh_rng::{ChaChaRng, Rng};
+    use rtbh_rng::{ChaChaRng, Rng, SliceRandom};
 
     fn ts(min: i64) -> Timestamp {
         Timestamp(min * 60_000)
@@ -1066,6 +1095,62 @@ mod tests {
         assert_eq!([cols.at(0), cols.at(1)], [Timestamp(5), Timestamp(105)]);
         assert_eq!(cols.active_prefix(0), Some((prefix, true)));
         assert_eq!(cols.active_prefix(1), Some((prefix, false)));
+    }
+
+    #[test]
+    fn active_bits_of_a_shuffled_log_match_a_binary_search_per_row() {
+        // Every build seals a time-sorted log, so the activity cursors only
+        // ever step forward there. Shuffled rows make them step back and
+        // re-seek: the bits must still equal one binary search per row.
+        let mut rng = ChaChaRng::seed_from_u64(0x5eed_ac71_u64);
+        let prefixes = ["10.0.0.0/24", "10.0.0.7/32", "10.0.1.0/30", "10.0.2.9/32"];
+        let mut updates = Vec::new();
+        for p in prefixes {
+            // Alternating announcements and withdrawals: a few intervals
+            // per prefix, some left open until the corpus end.
+            let mut at = rng.gen_range(0..20i64);
+            for k in 0..rng.gen_range(1..=6usize) {
+                let kind = if k % 2 == 0 {
+                    UpdateKind::Announce
+                } else {
+                    UpdateKind::Withdraw
+                };
+                updates.push(update(at, p, kind));
+                at += rng.gen_range(1..=30i64);
+            }
+        }
+        let updates = UpdateLog::from_updates(updates);
+        let dsts = ["10.0.0.7", "10.0.0.9", "10.0.1.2", "10.0.2.9", "11.0.0.1"];
+        let mut samples: Vec<FlowSample> = (0..700)
+            .map(|_| {
+                let min = rng.gen_range(-5..=200i64);
+                let mut s = sample(min, "20.1.0.5", dsts.choose(&mut rng).unwrap(), false);
+                s.at += TimeDelta::millis(rng.gen_range(-1..=1i64));
+                s
+            })
+            .collect();
+        samples.shuffle(&mut rng);
+        let enricher = || {
+            SampleEnricher::new(test_resolver().map(), &[], &OriginTable::build(&[]))
+                .with_blackholes(&updates, ts(190))
+        };
+        let oracle = enricher();
+        for workers in [1, 3] {
+            let cols = ColumnarFlows::seal(&samples, &[], TimeDelta::ZERO, enricher(), workers, 64)
+                .columns;
+            assert_eq!(cols.chunks().len(), 11);
+            let bits = cols
+                .chunks()
+                .iter()
+                .flat_map(|c| (0..c.len()).map(|r| c.active(r)));
+            let mut active = 0;
+            for (s, bit) in samples.iter().zip(bits) {
+                let aid = oracle.active_id(oracle.blackhole(s.dst_ip));
+                assert_eq!(bit, oracle.active_at(aid, s.at), "{s:?}");
+                active += usize::from(bit);
+            }
+            assert!(0 < active && active < samples.len(), "{active} active rows");
+        }
     }
 
     #[test]

@@ -14,13 +14,13 @@
 use std::cmp::Reverse;
 use std::collections::BTreeMap;
 
-use rtbh_net::{Asn, Interval, Ipv4Addr, Prefix, Protocol, Service, TimeDelta};
+use rtbh_net::{Asn, Interval, Ipv4Addr, Prefix, Protocol, Service, TimeDelta, Timestamp};
 use rtbh_peeringdb::{OrgType, Registry};
 use rtbh_stats::{radviz_project, RadvizPoint};
 
-use crate::columns::ColumnarFlows;
+use crate::columns::{ColumnarFlows, SealedChunk};
 use crate::events::RtbhEvent;
-use crate::index::SampleIndex;
+use crate::index::{IntervalCursor, SampleIndex};
 
 /// Host classification outcome.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -165,11 +165,6 @@ fn exclusion_windows(events: &[RtbhEvent], reaction: TimeDelta) -> BTreeMap<Pref
     map
 }
 
-fn in_windows(windows: &[Interval], at: rtbh_net::Timestamp) -> bool {
-    let idx = windows.partition_point(|w| w.start <= at);
-    idx > 0 && windows[idx - 1].contains(at)
-}
-
 /// Runs the host analysis: one sorted sweep per blackholed prefix.
 ///
 /// `towards` and `from` are keyed by the same longest-prefix match, so every
@@ -195,8 +190,14 @@ pub fn analyze_hosts(
         let windows = exclusions.get(&prefix).map_or(&[][..], Vec::as_slice);
         let origin = origin_of.get(&prefix).copied().unwrap_or(Asn::RESERVED);
         let (towards, from) = (index.towards(pid), index.from(pid));
-        gather(&mut incoming, towards, windows, cols, ColumnarFlows::dst_ip);
-        gather(&mut outgoing, from, windows, cols, ColumnarFlows::src_ip);
+        gather(
+            &mut incoming,
+            towards,
+            windows,
+            cols,
+            SealedChunk::dst_ip_raw,
+        );
+        gather(&mut outgoing, from, windows, cols, SealedChunk::src_ip_raw);
 
         let (mut a, mut b) = (0, 0);
         while let Some(host) = [incoming.get(a), outgoing.get(b)]
@@ -265,27 +266,29 @@ struct Row {
 }
 
 /// Refills `rows` with the samples `ids` outside `windows`, sorted by
-/// host and, within a host, by id.
+/// host and, within a host, by id. Each id's chunk is located once, and
+/// one forward cursor walks `windows` as the ascending ids' times ascend.
 fn gather(
     rows: &mut Vec<Row>,
     ids: &[u32],
     windows: &[Interval],
     cols: &ColumnarFlows,
-    host: fn(&ColumnarFlows, usize) -> Ipv4Addr,
+    host: fn(&SealedChunk) -> &[u32],
 ) {
     rows.clear();
+    let mut excluded = IntervalCursor::NEW;
     for &id in ids {
-        let i = id as usize;
-        let at = cols.at(i);
-        if in_windows(windows, at) {
+        let (c, r) = cols.loc(id as usize);
+        let at = Timestamp(c.at_millis()[r]);
+        if excluded.contains(windows, at) {
             continue;
         }
         rows.push(Row {
-            host: host(cols, i).to_u32(),
+            host: host(c)[r],
             day: at.day(),
-            src_port: cols.src_port(i),
-            dst_port: cols.dst_port(i),
-            protocol: cols.protocol(i),
+            src_port: c.src_ports()[r],
+            dst_port: c.dst_ports()[r],
+            protocol: Protocol::from_number(c.protocols()[r]),
         });
     }
     // Stable: the ids ascend, so each host's run stays in id order.

@@ -301,6 +301,55 @@ pub(crate) struct SampleEnricher {
     active_intervals: Vec<Vec<Interval>>,
 }
 
+/// A forward cursor over intervals sorted by start, answering "does one
+/// of them contain `at`?" by the rule of a binary search: the last
+/// interval starting at or before `at` decides. Instants that ascend cost
+/// a step or two each; the first instant asked, and any that steps back,
+/// re-seek by binary search.
+#[derive(Clone, Copy)]
+pub(crate) struct IntervalCursor {
+    /// How many intervals start at or before the last instant asked
+    /// (`usize::MAX` before the first).
+    next: usize,
+}
+
+impl IntervalCursor {
+    /// A cursor that has not been asked yet.
+    pub(crate) const NEW: Self = Self { next: usize::MAX };
+
+    /// Does one of `ivs`, sorted by start, contain `at`? A cursor serves
+    /// one interval list only.
+    #[inline]
+    pub(crate) fn contains(&mut self, ivs: &[Interval], at: Timestamp) -> bool {
+        let mut i = self.next;
+        if i > ivs.len() || (i > 0 && ivs[i - 1].start > at) {
+            i = ivs.partition_point(|iv| iv.start <= at);
+        } else {
+            while i < ivs.len() && ivs[i].start <= at {
+                i += 1;
+            }
+        }
+        self.next = i;
+        i > 0 && ivs[i - 1].contains(at)
+    }
+}
+
+/// The `active` bit of sealed rows: one [`IntervalCursor`] per
+/// interval-holding prefix over its activity intervals.
+pub(crate) struct Activity<'a> {
+    intervals: &'a [Vec<Interval>],
+    cursors: Vec<IntervalCursor>,
+}
+
+impl Activity<'_> {
+    /// Was the interval-holding prefix `aid` ([`NONE`] = none, never
+    /// active) announced at `at`?
+    #[inline]
+    pub(crate) fn at(&mut self, aid: u32, at: Timestamp) -> bool {
+        aid != NONE && self.cursors[aid as usize].contains(&self.intervals[aid as usize], at)
+    }
+}
+
 /// The lookup tables a sealed build hands on: the ASN intern table and the
 /// interval-holding prefixes for [`crate::columns::ColumnarFlows`], the
 /// blackhole LPM and its id table for [`SampleIndex::from_columns`].
@@ -427,13 +476,22 @@ impl SampleEnricher {
     }
 
     /// Was the interval-holding prefix `aid` ([`NONE`] = none, never
-    /// active) announced at `at`?
-    #[inline]
+    /// active) announced at `at`? One binary search per call: the oracle
+    /// of [`Activity::at`].
+    #[cfg(test)]
     pub(crate) fn active_at(&self, aid: u32, at: Timestamp) -> bool {
         aid != NONE && {
             let ivs = &self.active_intervals[aid as usize];
             let idx = ivs.partition_point(|iv| iv.start <= at);
             idx > 0 && ivs[idx - 1].contains(at)
+        }
+    }
+
+    /// Fresh activity cursors, one per interval-holding prefix.
+    pub(crate) fn activity(&self) -> Activity<'_> {
+        Activity {
+            intervals: &self.active_intervals,
+            cursors: vec![IntervalCursor::NEW; self.active_intervals.len()],
         }
     }
 

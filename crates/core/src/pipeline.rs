@@ -9,29 +9,34 @@
 //!
 //! The per-analysis functions are pure over shared immutable state
 //! (`&SampleIndex`, `&ColumnarFlows`, `&[RtbhEvent]`), so [`Analyzer::full`]
-//! can execute the stage dependency DAG on scoped worker threads
-//! ([`std::thread::scope`] — no extra dependency, no `'static` bounds):
+//! runs the stage dependency DAG as five independent chains on scoped
+//! threads ([`std::thread::scope`] — no extra dependency, no `'static`
+//! bounds), longest chain first:
 //!
 //! ```text
 //! prepare (Analyzer::new: pass 1 clean+votes → align → infer events
 //!          → pass 2 enrich+seal → index)
-//!   ├─ load ─ provenance          (signal-load chain)
-//!   ├─ visibility
+//!   ├─ hosts ─ collateral
+//!   ├─ preevents ─ filtering ─ protocols
 //!   ├─ acceptance
-//!   ├─ preevents ─┬─ protocols    (inner scope, parallel pair)
-//!   │             └─ filtering
-//!   └─ hosts ─ collateral
+//!   ├─ load ─ provenance          (signal-load chain)
+//!   └─ visibility
 //! join ─ classification(preevents, protocols)
 //! ```
 //!
 //! The schedule follows the analyzer's kernel worker count
-//! ([`AnalyzerConfig::workers`]): above one worker each chain gets its own
-//! scoped thread; at one worker the same chains run inline on the calling
-//! thread, top to bottom, so `rtbh analyze --threads 1` runs the whole
-//! analysis on one thread. Both schedules produce byte-identical reports
-//! (asserted by the `determinism` and `report_identity` tests).
-//! [`Analyzer::full_with_profile`] additionally returns a
-//! [`PipelineProfile`] with per-stage wall times and input footprints.
+//! ([`AnalyzerConfig::workers`]): exactly `min(workers, 5)` threads — the
+//! calling thread plus scoped ones — claim the chains in that order, one
+//! at a time, through one shared cursor. At one worker the calling thread
+//! claims every chain itself, top to bottom, so `rtbh analyze --threads 1`
+//! runs the whole analysis on one thread through the same code. Every
+//! schedule produces byte-identical reports (asserted by the `determinism`
+//! and `report_identity` tests). [`Analyzer::full_with_profile`]
+//! additionally returns a [`PipelineProfile`] with per-stage wall times and
+//! input footprints.
+
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 use rtbh_fabric::FlowLog;
 use rtbh_net::TimeDelta;
@@ -54,11 +59,6 @@ use crate::profile::{self, ExecutionMode, Footprint, PipelineProfile, StageStats
 use crate::protocols::{analyze_event_traffic, ProtocolAnalysis};
 use crate::visibility::{visibility_series, VisibilityPoint};
 
-/// Scoped worker threads [`Analyzer::full`] spawns above one kernel worker:
-/// five independent stage chains plus the protocols/filtering pair forked
-/// after pre-events.
-const PARALLEL_WORKERS: usize = 7;
-
 /// All tunables of the pipeline, defaulting to the paper's choices.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AnalyzerConfig {
@@ -78,14 +78,17 @@ pub struct AnalyzerConfig {
     pub visibility_step: TimeDelta,
     /// Grid step of the load series (Fig. 3; paper: 1 minute).
     pub load_step: TimeDelta,
-    /// Worker threads for the data-parallel sample kernels (prepare's two
-    /// passes — clean with the offset votes, then enrichment with the
-    /// clock shift — the index build, acceptance and provenance): `0` =
-    /// one per available core. Above one worker the analysis stages also
-    /// run on scoped threads; at one, the whole analysis runs on the
-    /// calling thread. The kernels merge per-chunk results in chunk order
-    /// (or, for the offset votes, by exact integer sums), so every worker
-    /// count produces byte-identical reports (`rtbh analyze --threads N`).
+    /// Worker threads (`0` = one per available core). Prepare's two passes
+    /// (clean with the offset votes, then enrichment with the clock shift)
+    /// and the index build shard their samples over this many threads, as
+    /// do [`Analyzer::acceptance`] and [`Analyzer::provenance`] called on
+    /// their own. The stage phase of [`Analyzer::full`] runs its five
+    /// stage chains on `min(workers, 5)` threads, the calling thread
+    /// included, with every stage kernel at one worker; at one worker the
+    /// whole analysis runs on the calling thread. The kernels merge
+    /// per-chunk results in chunk order (or, for the offset votes, by
+    /// exact integer sums), so every worker count produces byte-identical
+    /// reports (`rtbh analyze --threads N`).
     pub workers: usize,
     /// Sealed-chunk capacity for the columnar flow store (rows per chunk;
     /// `0` = the ABI default, [`crate::columns::abi::DEFAULT_CHUNK_CAPACITY`]).
@@ -521,70 +524,79 @@ impl Analyzer {
     /// [`Analyzer::full`] plus the stage profile of the run (per-stage wall
     /// time and input footprint, serializable to JSON).
     ///
-    /// With more than one kernel worker each stage chain runs on its own
-    /// scoped thread and the profile says [`ExecutionMode::Parallel`]; at
-    /// one worker every chain runs inline, in the order written here, and
-    /// the profile says [`ExecutionMode::Sequential`].
+    /// The five stage chains, longest first by their one-worker times, are
+    /// claimed one at a time by `min(workers, 5)` threads: the calling
+    /// thread plus scoped ones. Each chain leaves its results in its own
+    /// [`OnceLock`]; `classification` runs after the last chain, on the
+    /// calling thread. The `acceptance` and `provenance` kernels run at one
+    /// worker here, since the other chains already occupy the threads.
+    /// With scoped threads the profile says [`ExecutionMode::Parallel`]; at
+    /// one worker the calling thread runs every chain in order and the
+    /// profile says [`ExecutionMode::Sequential`].
     pub fn full_with_profile(&self) -> (FullReport, PipelineProfile) {
         let t0 = std::time::Instant::now();
-        let workers = self.kernel_workers;
-        let parallel = workers > 1;
         let updates = self.footprint_updates();
         let updates_flows = self.footprint_updates_flows();
         let per_event = self.footprint_events();
         let hosts_input = self.footprint_hosts();
 
-        let (
-            (load, st_load, provenance, st_prov),
-            (visibility, st_vis),
-            (acceptance, st_acc),
-            (preevents, st_pre, protocols, st_proto, filtering, st_filt),
-            (hosts, st_hosts, collateral, st_coll),
-        ) = std::thread::scope(|s| {
-            let signal = fork(s, parallel, move || {
-                let (load, st_load) = profile::time_stage("load", updates, || self.load());
-                let (provenance, st_prov) =
-                    profile::time_stage_with_workers("provenance", updates_flows, workers, || {
-                        self.provenance()
-                    });
-                (load, st_load, provenance, st_prov)
-            });
-            let vis = fork(s, parallel, move || {
-                profile::time_stage("visibility", updates, || self.visibility())
-            });
-            let acc = fork(s, parallel, move || {
-                profile::time_stage_with_workers("acceptance", updates_flows, workers, || {
-                    self.acceptance()
-                })
-            });
-            let pre = fork(s, parallel, move || {
-                let (preevents, st_pre) =
-                    profile::time_stage("preevents", per_event, || self.preevents());
-                let ((protocols, st_proto), (filtering, st_filt)) = std::thread::scope(|s2| {
-                    let p = fork(s2, parallel, || {
-                        profile::time_stage("protocols", per_event, || self.protocols(&preevents))
-                    });
-                    let f = fork(s2, parallel, || {
-                        profile::time_stage("filtering", per_event, || self.filtering(&preevents))
-                    });
-                    (p.join(), f.join())
+        let host = OnceLock::new();
+        let pre = OnceLock::new();
+        let acc = OnceLock::new();
+        let signal = OnceLock::new();
+        let vis = OnceLock::new();
+        let chains: [&(dyn Fn() + Sync); 5] = [
+            &|| {
+                host.get_or_init(|| {
+                    let (hosts, st_hosts) =
+                        profile::time_stage("hosts", hosts_input, || self.hosts());
+                    let (collateral, st_coll) =
+                        profile::time_stage("collateral", per_event, || self.collateral(&hosts));
+                    (hosts, st_hosts, collateral, st_coll)
                 });
-                (preevents, st_pre, protocols, st_proto, filtering, st_filt)
-            });
-            let host = fork(s, parallel, move || {
-                let (hosts, st_hosts) = profile::time_stage("hosts", hosts_input, || self.hosts());
-                let (collateral, st_coll) =
-                    profile::time_stage("collateral", per_event, || self.collateral(&hosts));
-                (hosts, st_hosts, collateral, st_coll)
-            });
-            (
-                signal.join(),
-                vis.join(),
-                acc.join(),
-                pre.join(),
-                host.join(),
-            )
-        });
+            },
+            &|| {
+                pre.get_or_init(|| {
+                    let (preevents, st_pre) =
+                        profile::time_stage("preevents", per_event, || self.preevents());
+                    let (filtering, st_filt) =
+                        profile::time_stage("filtering", per_event, || self.filtering(&preevents));
+                    let (protocols, st_proto) =
+                        profile::time_stage("protocols", per_event, || self.protocols(&preevents));
+                    (preevents, st_pre, protocols, st_proto, filtering, st_filt)
+                });
+            },
+            &|| {
+                acc.get_or_init(|| {
+                    profile::time_stage("acceptance", updates_flows, || {
+                        analyze_acceptance(&self.columns, 1)
+                    })
+                });
+            },
+            &|| {
+                signal.get_or_init(|| {
+                    let (load, st_load) = profile::time_stage("load", updates, || self.load());
+                    let (provenance, st_prov) =
+                        profile::time_stage("provenance", updates_flows, || {
+                            drop_provenance(&self.columns, 1)
+                        });
+                    (load, st_load, provenance, st_prov)
+                });
+            },
+            &|| {
+                vis.get_or_init(|| {
+                    profile::time_stage("visibility", updates, || self.visibility())
+                });
+            },
+        ];
+        let worker_threads = run_chains(self.kernel_workers, &chains);
+        let ran = "every stage chain ran";
+        let (hosts, st_hosts, collateral, st_coll) = host.into_inner().expect(ran);
+        let (preevents, st_pre, protocols, st_proto, filtering, st_filt) =
+            pre.into_inner().expect(ran);
+        let (acceptance, st_acc) = acc.into_inner().expect(ran);
+        let (load, st_load, provenance, st_prov) = signal.into_inner().expect(ran);
+        let (visibility, st_vis) = vis.into_inner().expect(ran);
 
         let (classification, st_class) = profile::time_stage(
             "classification",
@@ -596,10 +608,10 @@ impl Analyzer {
             || self.classification(&preevents, &protocols),
         );
 
-        let (mode, worker_threads) = if parallel {
-            (ExecutionMode::Parallel, PARALLEL_WORKERS)
+        let mode = if worker_threads > 0 {
+            ExecutionMode::Parallel
         } else {
-            (ExecutionMode::Sequential, 0)
+            ExecutionMode::Sequential
         };
         let profile = PipelineProfile {
             mode,
@@ -629,37 +641,33 @@ impl Analyzer {
     }
 }
 
-/// A stage chain of [`Analyzer::full_with_profile`]: running on a scoped
-/// thread, or already finished on the calling thread.
-enum Forked<'scope, T> {
-    Spawned(std::thread::ScopedJoinHandle<'scope, T>),
-    Done(T),
-}
-
-impl<T> Forked<'_, T> {
-    /// The chain's result; a panic on its thread resumes on the caller's,
-    /// exactly as it would have inline.
-    fn join(self) -> T {
-        match self {
-            Self::Spawned(handle) => handle
-                .join()
-                .unwrap_or_else(|payload| std::panic::resume_unwind(payload)),
-            Self::Done(out) => out,
+/// Runs every chain exactly once on `threads.clamp(1, chains.len())`
+/// threads, the caller and scoped ones, which claim the chains in order
+/// through one shared cursor; returns the number of scoped threads it
+/// spawned. With one thread the caller runs the chains in order. A chain
+/// that panics on a scoped thread resumes its panic, payload and all, on
+/// the caller once every thread is done.
+fn run_chains(threads: usize, chains: &[&(dyn Fn() + Sync)]) -> usize {
+    // The cursor only hands out indices, each exactly once; the chains
+    // publish their results through their own `OnceLock`s and the scope's
+    // joins, so the claims need no ordering.
+    let cursor = AtomicUsize::new(0);
+    let claim = || {
+        while let Some(chain) = chains.get(cursor.fetch_add(1, Ordering::Relaxed)) {
+            chain();
         }
-    }
-}
-
-/// Spawns `f` on `scope` when `parallel`, otherwise runs it at once.
-fn fork<'scope, T: Send + 'scope>(
-    scope: &'scope std::thread::Scope<'scope, '_>,
-    parallel: bool,
-    f: impl FnOnce() -> T + Send + 'scope,
-) -> Forked<'scope, T> {
-    if parallel {
-        Forked::Spawned(scope.spawn(f))
-    } else {
-        Forked::Done(f())
-    }
+    };
+    let spawned = threads.clamp(1, chains.len().max(1)) - 1;
+    std::thread::scope(|s| {
+        let handles: Vec<_> = (0..spawned).map(|_| s.spawn(claim)).collect();
+        claim();
+        for handle in handles {
+            if let Err(payload) = handle.join() {
+                std::panic::resume_unwind(payload);
+            }
+        }
+    });
+    spawned
 }
 
 /// Every analysis result in one bundle.
@@ -744,6 +752,65 @@ impl FullReport {
             .get(&use_case)
             .copied()
             .unwrap_or(0.0)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::time::{Duration, Instant};
+
+    #[test]
+    fn surplus_threads_run_every_chain_exactly_once() {
+        let runs: Vec<AtomicUsize> = (0..5).map(|_| AtomicUsize::new(0)).collect();
+        let chain = |k: usize| {
+            let runs = &runs;
+            move || {
+                runs[k].fetch_add(1, Ordering::Relaxed);
+            }
+        };
+        let (c0, c1, c2, c3, c4) = (chain(0), chain(1), chain(2), chain(3), chain(4));
+        let chains: [&(dyn Fn() + Sync); 5] = [&c0, &c1, &c2, &c3, &c4];
+        for (threads, spawned) in [(1, 0), (2, 1), (5, 4), (8, 4), (64, 4)] {
+            assert_eq!(run_chains(threads, &chains), spawned, "{threads} threads");
+        }
+        // Five schedules, so every chain ran five times: once per run.
+        for (k, n) in runs.iter().enumerate() {
+            assert_eq!(n.load(Ordering::Relaxed), 5, "chain {k}");
+        }
+    }
+
+    #[test]
+    fn a_chain_panicking_on_a_scoped_thread_resumes_on_the_caller() {
+        // Each chain waits until both have started, so they run on two
+        // threads; the one not on the caller's thread panics with its own
+        // payload, which must come back out of `run_chains`.
+        let caller = std::thread::current().id();
+        let started = AtomicUsize::new(0);
+        let chain = |k: usize| {
+            let started = &started;
+            move || {
+                started.fetch_add(1, Ordering::SeqCst);
+                let t0 = Instant::now();
+                while started.load(Ordering::SeqCst) < 2 && t0.elapsed() < Duration::from_secs(10) {
+                    std::thread::yield_now();
+                }
+                if std::thread::current().id() != caller {
+                    std::panic::panic_any(k);
+                }
+            }
+        };
+        let (c0, c1) = (chain(0), chain(1));
+        let chains: [&(dyn Fn() + Sync); 2] = [&c0, &c1];
+        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            run_chains(4, &chains);
+        }))
+        .expect_err("the scoped chain panicked");
+        let k = *payload
+            .downcast::<usize>()
+            .expect("the chain's own payload");
+        assert!(k < 2);
+        assert_eq!(started.load(Ordering::SeqCst), 2);
     }
 }
 

@@ -1,9 +1,9 @@
 //! Concurrency regression gate: the scoped-thread stage schedule must be
 //! observationally identical to the inline one.
 //!
-//! `Analyzer::full` runs its stage chains inline at one kernel worker and
-//! on scoped threads above one, so a 1-worker analyzer is the sequential
-//! reference. Every analysis stage is a pure function of shared immutable
+//! `Analyzer::full` runs its five stage chains on `min(workers, 5)`
+//! threads, so a 1-worker analyzer, whose calling thread runs every chain,
+//! is the sequential reference. Every analysis stage is a pure function of shared immutable
 //! inputs (`&SampleIndex`, `&ColumnarFlows`, `&[RtbhEvent]`), and every map in
 //! the report types is a `BTreeMap`, so the two schedules must serialize
 //! to byte-identical JSON. Any divergence means a stage grew hidden
@@ -69,7 +69,8 @@ fn both_modes_profile_every_stage_in_canonical_order() {
     }
     assert_eq!(par.mode, ExecutionMode::Parallel);
     assert_eq!(seq.mode, ExecutionMode::Sequential);
-    assert!(par.worker_threads > 0);
+    // Two workers: the calling thread and one scoped thread.
+    assert_eq!(par.worker_threads, 1);
     assert_eq!(seq.worker_threads, 0);
     assert!(par.total_wall_ns > 0);
     assert!(seq.total_wall_ns > 0);
@@ -101,16 +102,28 @@ fn hosts_row_counts_each_indexed_id_once() {
 #[test]
 fn worker_counts_do_not_change_the_report() {
     // The data-parallel sample kernels (offset votes, clock shift, index
-    // build) merge per-chunk results exactly, so `--threads N` must
-    // produce a byte-identical report for every N.
+    // build) merge per-chunk results exactly, and the stage chains share
+    // no state, so `--threads N` must produce a byte-identical report for
+    // every N: fewer threads than chains, exactly as many, and more.
     let mut scenario = ScenarioConfig::tiny();
     scenario.seed = 0xC0FF_EE00;
     let out = rtbh_sim::run(&scenario);
 
     let reference = rtbh_json::to_string(&analyzer_at(&out.corpus, 1).full());
-    for workers in [2usize, 8] {
-        let report = rtbh_json::to_string(&analyzer_at(&out.corpus, workers).full());
-        assert_eq!(report, reference, "{workers}-worker report diverged");
+    for workers in [2usize, 3, 5, 6, 8] {
+        let (report, profile) = analyzer_at(&out.corpus, workers).full_with_profile();
+        assert_eq!(
+            rtbh_json::to_string(&report),
+            reference,
+            "{workers}-worker report diverged"
+        );
+        // The calling thread claims chains too, and no thread idles
+        // without a chain to claim.
+        assert_eq!(
+            profile.worker_threads,
+            workers.min(5) - 1,
+            "{workers} workers"
+        );
     }
 }
 
@@ -133,10 +146,11 @@ fn profiles_record_the_prepare_kernels() {
     assert_ne!(offset, rtbh_net::TimeDelta::ZERO);
 
     let (_, profile) = analyzer.full_with_profile();
-    // The two analysis stages that shard their kernel over the workers.
+    // The two analysis stages with a sharded kernel run it at one worker
+    // inside the stage phase, where the other chains hold the threads.
     for stage in ["acceptance", "provenance"] {
         let st = profile.stage(stage).expect("stage profiled");
-        assert_eq!(st.workers, 3, "stage {stage}");
+        assert_eq!(st.workers, 1, "stage {stage}");
     }
     let names: Vec<&str> = profile.prepare.iter().map(|s| s.stage.as_str()).collect();
     assert_eq!(names, ["clean", "align", "events", "enrich", "index"]);

@@ -1,8 +1,8 @@
 //! Differential suite for the stage kernels whose work follows changes and
 //! samples: the Fig. 4 visibility sweep, the pre-event kernel that the
-//! batch stage and the stream's anomaly backfill share, and the
-//! fine-grained filtering emulation. Each runs against the kernel it
-//! replaced, which lives on only here as the oracle:
+//! batch stage and the stream's anomaly backfill share, the fine-grained
+//! filtering emulation and the acceptance tallies. Each runs against the
+//! kernel it replaced, which lives on only here as the oracle:
 //!
 //! * visibility — the per-instant sweep: every grid instant walks every
 //!   active item and sorts all peers' shares for its three quantiles;
@@ -10,14 +10,16 @@
 //!   through five `EwmaDetector`s with a verdict at every slot;
 //! * stream backfill — a scan over every kept sample of the feed,
 //!   recomputed at each journaled verdict's start;
-//! * filtering — three `BTreeSet` inserts per during-event sample.
+//! * filtering — three `BTreeSet` inserts per during-event sample;
+//! * acceptance — up to three `BTreeMap` entries per blackhole-active row.
 //!
 //! Values must be equal and their JSON bytes identical. The generators aim
 //! at the edges of each shortcut: grid instants hit exactly and ±1 ms,
 //! peers that see nothing, windows with no rows, slot values exactly at
 //! the anomaly floor, detectors that never warm up, events just short of
-//! the filtering threshold. A last target runs all three on simulated
-//! corpora under fuzzed stage configurations.
+//! the filtering threshold, /32 rows from unknown ingress ports, prefixes
+//! that hold intervals but no active row. A last target runs them all on
+//! simulated corpora under fuzzed stage configurations.
 
 #[path = "common/seeds.rs"]
 #[allow(dead_code)]
@@ -26,6 +28,7 @@ mod seeds;
 use std::collections::{BTreeMap, BTreeSet, HashSet};
 
 use rtbh_bgp::{BgpUpdate, UpdateKind, UpdateLog};
+use rtbh_core::acceptance::{analyze_acceptance, AcceptanceAnalysis, DropTally};
 use rtbh_core::columns::ColumnarFlows;
 use rtbh_core::corpus::{Corpus, MemberInfo, Registry};
 use rtbh_core::events::RtbhEvent;
@@ -1249,7 +1252,165 @@ fn filtering_matches_the_tree_inserts_on_generated_events() {
 }
 
 // ---------------------------------------------------------------------
-// All three on simulated corpora.
+// Acceptance: up to three tree entries per blackhole-active row.
+// ---------------------------------------------------------------------
+
+fn oracle_acceptance(cols: &ColumnarFlows) -> AcceptanceAnalysis {
+    fn add(t: &mut DropTally, dropped: bool, len: u32) {
+        if dropped {
+            t.dropped_packets += 1;
+            t.dropped_bytes += u64::from(len);
+        } else {
+            t.forwarded_packets += 1;
+            t.forwarded_bytes += u64::from(len);
+        }
+    }
+    let mut a = AcceptanceAnalysis {
+        by_length: BTreeMap::new(),
+        by_prefix: BTreeMap::new(),
+        by_source_as_32: BTreeMap::new(),
+        samples_during_blackhole: 0,
+    };
+    for i in 0..cols.len() {
+        let Some((prefix, true)) = cols.active_prefix(i) else {
+            continue;
+        };
+        let (dropped, len) = (cols.is_dropped(i), cols.packet_len(i));
+        a.samples_during_blackhole += 1;
+        add(a.by_length.entry(prefix.len()).or_default(), dropped, len);
+        add(a.by_prefix.entry(prefix).or_default(), dropped, len);
+        if prefix.is_host() {
+            if let Some(source) = cols.ingress(i) {
+                add(a.by_source_as_32.entry(source).or_default(), dropped, len);
+            }
+        }
+    }
+    a
+}
+
+/// Blackholes for the acceptance target: nested /24 ⊃ /32s, a /30, a lone
+/// /32, and a /24 whose only interval lies after every sample.
+const ACCEPT_PREFIXES: [&str; 6] = [
+    "10.0.0.0/24",
+    "10.0.0.7/32",
+    "10.0.0.8/32",
+    "10.1.0.0/30",
+    "10.2.0.9/32",
+    "10.9.0.0/24",
+];
+
+#[test]
+fn acceptance_matches_the_tree_entries_on_generated_columns() {
+    let target = FuzzTarget {
+        package: "rtbh-testkit",
+        test_file: "stages_diff",
+        test_name: "acceptance_matches_the_tree_entries_on_generated_columns",
+        base_seed: seeds::FUZZ_STAGES_ACCEPTANCE,
+    };
+    // Member MACs 1..=4 resolve to ingress ASes; 5 and 6 are unknown.
+    let resolver = MacResolver::from_map(
+        (1..=4u32)
+            .map(|i| (MacAddr::from_id(i), Asn(64_500 + i)))
+            .collect(),
+    );
+    let (mut unknown_32, mut idle) = (0usize, 0usize);
+    target.run(300, |_, rng| {
+        let prefixes: Vec<Prefix> = ACCEPT_PREFIXES.iter().map(|p| p.parse().unwrap()).collect();
+        let mut updates = Vec::new();
+        for (k, &prefix) in prefixes.iter().enumerate() {
+            let update = |at: i64, kind| BgpUpdate {
+                at: Timestamp::from_millis(at),
+                peer: Asn(9),
+                prefix,
+                origin: Asn(9),
+                kind,
+                communities: vec![Community::BLACKHOLE],
+                next_hop: Ipv4Addr::new(198, 51, 100, 66),
+            };
+            if k + 1 == ACCEPT_PREFIXES.len() {
+                // Holds an interval, after the last sample.
+                updates.push(update(7 * HOUR_MS, UpdateKind::Announce));
+                updates.push(update(7 * HOUR_MS + 1, UpdateKind::Withdraw));
+                continue;
+            }
+            // Alternating announcements and withdrawals, some at the same
+            // instant (a degenerate interval), the last one maybe open.
+            let mut at = rng.gen_range(-HOUR_MS..HOUR_MS);
+            for n in 0..rng.gen_range(0..=6usize) {
+                let kind = if n % 2 == 0 {
+                    UpdateKind::Announce
+                } else {
+                    UpdateKind::Withdraw
+                };
+                updates.push(update(at, kind));
+                at += if rng.gen_ratio(1, 5) {
+                    0
+                } else {
+                    rng.gen_range(1..=2 * HOUR_MS)
+                };
+            }
+        }
+        let mut samples: Vec<FlowSample> = (0..rng.gen_range(0..=300usize))
+            .map(|_| {
+                let prefix = *prefixes.choose(rng).unwrap();
+                let dst = if prefix.is_host() {
+                    prefix.network()
+                } else {
+                    Ipv4Addr::from_u32(prefix.network().to_u32() | rng.gen_range(0..4u32))
+                };
+                FlowSample {
+                    at: Timestamp::from_millis(rng.gen_range(0..6 * HOUR_MS)),
+                    src_mac: MacAddr::from_id(rng.gen_range(1..=6u32)),
+                    dst_mac: if rng.gen_bool(0.5) {
+                        MacAddr::BLACKHOLE
+                    } else {
+                        MacAddr::from_id(rng.gen_range(1..=4u32))
+                    },
+                    src_ip: Ipv4Addr::new(198, 51, 100, 1),
+                    dst_ip: dst,
+                    protocol: arb_protocol(rng),
+                    src_port: rng.gen(),
+                    dst_port: rng.gen(),
+                    packet_len: rng.gen_range(40..=1500u16),
+                    fragment: false,
+                }
+            })
+            .collect();
+        samples.sort_by_key(|s| s.at);
+        let enriched = ColumnarFlows::build_enriched_with_capacity(
+            &UpdateLog::from_updates(updates),
+            &FlowLog::from_samples(samples),
+            &resolver,
+            &OriginTable::build(&[]),
+            Timestamp::from_millis(6 * HOUR_MS),
+            rng.gen_range(1..=3),
+            if rng.gen_bool(0.5) { 0 } else { 64 },
+        );
+        let cols = &enriched.columns;
+        let expected = oracle_acceptance(cols);
+        for workers in 1..=3 {
+            let what = format!("acceptance at {workers} workers");
+            assert_same_json(&analyze_acceptance(cols, workers), &expected, &what);
+        }
+        unknown_32 += (0..cols.len())
+            .filter(|&i| {
+                cols.active_prefix(i)
+                    .is_some_and(|(p, active)| active && p.is_host())
+                    && cols.ingress(i).is_none()
+            })
+            .count();
+        let last: Prefix = ACCEPT_PREFIXES[5].parse().unwrap();
+        idle += usize::from((0..cols.len()).any(|i| cols.active_prefix(i) == Some((last, false))));
+    });
+    assert!(unknown_32 > 0, "no active /32 row had an unknown ingress");
+    assert!(
+        idle > 0,
+        "no row met the interval-holding prefix without an active row"
+    );
+}
+
+// ---------------------------------------------------------------------
+// All of them on simulated corpora.
 // ---------------------------------------------------------------------
 
 #[test]
@@ -1304,5 +1465,13 @@ fn stage_kernels_match_their_oracles_on_simulated_corpora() {
             ),
             "filtering on a simulated corpus",
         );
+        let expected = oracle_acceptance(analyzer.columns());
+        for workers in 1..=3 {
+            assert_same_json(
+                &analyze_acceptance(analyzer.columns(), workers),
+                &expected,
+                &format!("acceptance at {workers} workers on a simulated corpus"),
+            );
+        }
     });
 }

@@ -151,7 +151,7 @@ fn analyze_threads_pick_the_schedule_not_the_report() {
     let mut reports = Vec::new();
     for (threads, schedule) in [
         ("1", "sequential, 0 worker threads"),
-        ("3", "parallel, 7 worker threads"),
+        ("3", "parallel, 2 worker threads"),
     ] {
         let json = dir.join(format!("threads-{threads}.json"));
         // Run in the scratch directory: `--timings` must print, not write

@@ -81,7 +81,8 @@ fn all_figures_render_on_tiny_corpus() {
     let reports = rtbh_bench::all_figures(&ctx);
     assert_eq!(reports.len(), 24, "one report per table/figure/section");
     let mut ids = std::collections::BTreeSet::new();
-    for r in &reports {
+    for ((id, _), r) in rtbh_bench::figures::FIGURES.iter().zip(&reports) {
+        assert_eq!(*id, r.id, "the table names each report by its own id");
         assert!(!r.render().is_empty());
         assert!(ids.insert(r.id), "duplicate experiment id {}", r.id);
         // Every report must carry either rendered lines or checks.
@@ -98,8 +99,7 @@ fn all_figures_render_on_tiny_corpus() {
     let golden = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden");
     let json = rtbh_json::to_string_pretty(&reports);
     rtbh_testkit::assert_snapshot(&golden.join("figures_tiny.json"), &json);
-    let selected: Vec<_> = reports.iter().collect();
-    let document = rtbh_bench::render::document(&ctx, &selected);
+    let document = rtbh_bench::render::document(&ctx, &reports);
     rtbh_testkit::assert_snapshot(&golden.join("experiments_tiny.md"), &document);
 }
 
