@@ -376,6 +376,71 @@ mod tests {
         assert!(report(back) == report(corpus), "reloaded report differs");
     }
 
+    /// FNV-1a over raw bytes.
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        })
+    }
+
+    /// One record per protocol byte 0–255: fragment set and clear, the
+    /// blackhole MAC and member MACs, ports and lengths 0 through 65535,
+    /// and timestamps at `i64::MIN`, below zero, in runs of equal values
+    /// (whose order the stable sort keeps) and at `i64::MAX`.
+    fn edge_case_flow_log() -> crate::fabric::FlowLog {
+        use crate::fabric::{FlowLog, FlowSample};
+        use crate::net::{Ipv4Addr, Protocol, Timestamp};
+        let samples = (0..=255u8)
+            .map(|b| {
+                let at = match b {
+                    0..=3 => i64::MIN,
+                    4..=63 => -1_000 * i64::from(b),
+                    252..=255 => i64::MAX,
+                    _ => 60_000 * i64::from(b / 8),
+                };
+                let wide = u16::from(b) * 257;
+                FlowSample {
+                    at: Timestamp::from_millis(at),
+                    src_mac: MacAddr::new([0x02, b, !b, 0, 1, b]),
+                    dst_mac: if b % 5 == 0 {
+                        MacAddr::BLACKHOLE
+                    } else {
+                        MacAddr::new([0x02, 0, 0, !b, b, 0xff])
+                    },
+                    src_ip: Ipv4Addr::from_u32(u32::from(b) << 24 | 0x00ab_cdef),
+                    dst_ip: Ipv4Addr::from_u32(u32::MAX - u32::from(b) * 0x0101_0101),
+                    protocol: Protocol::from_number(b),
+                    src_port: wide,
+                    dst_port: u16::MAX - wide,
+                    packet_len: wide.rotate_left(3),
+                    fragment: b % 2 == 1,
+                }
+            })
+            .collect();
+        FlowLog::from_samples(samples)
+    }
+
+    /// The corpus file format, pinned: the bytes `rtbh simulate --tiny`
+    /// writes and the IPFIX-lite bytes of an edge-case flow log must hash
+    /// to these constants. A codec rewrite must leave both untouched.
+    /// (`Corpus::digest` skips the MACs, the protocol and the fragment
+    /// flag, so it could not tell.)
+    #[test]
+    fn the_file_format_is_pinned() {
+        let tiny = to_bytes(&crate::sim::run(&ScenarioConfig::tiny()).corpus).unwrap();
+        assert_eq!(
+            (tiny.len(), format!("{:#018x}", fnv1a(&tiny))),
+            (1_292_688, "0x76320960428febb2".to_string()),
+            "--tiny corpus file"
+        );
+        let flows = rtbh_fabric::encode_flow_log(&edge_case_flow_log());
+        assert_eq!(
+            (flows.len(), format!("{:#018x}", fnv1a(&flows))),
+            (18 + 256 * 36, "0x32b2c1bb743f25f1".to_string()),
+            "edge-case flow log"
+        );
+    }
+
     #[test]
     fn file_round_trip() {
         let corpus = small_corpus();
