@@ -176,12 +176,24 @@ impl PipelineProfile {
         self.stage_sum_ns() as f64 / self.total_wall_ns.max(1) as f64
     }
 
-    /// Renders the profile as a fixed-width text table (what
-    /// `rtbh analyze --timings` prints): the prepare rows, the stage rows,
-    /// a `prepare` line summing the prepare rows and a `total` line for
-    /// the stage phase, so the two last lines account for the whole job
-    /// after corpus load.
+    /// Renders the profile as a fixed-width text table: the prepare rows,
+    /// the stage rows, a `prepare` line summing the prepare rows and a
+    /// `total` line for the stage phase.
     pub fn render(&self) -> String {
+        self.table(None)
+    }
+
+    /// [`Self::render`] for a whole `rtbh analyze` job (what `--timings`
+    /// prints): `load` as a `load:<stage>` row above the prepare rows
+    /// (`load:corpus`, the file read plus the container decode), and below
+    /// `total` an `end-to-end` line: `end_to_end_ns` of wall clock from the
+    /// start of the load to the end of the report render (`render_ns` of
+    /// it), so it covers load, prepare, the stage phase and the render.
+    pub fn render_job(&self, load: &StageStats, render_ns: u64, end_to_end_ns: u64) -> String {
+        self.table(Some((load, render_ns, end_to_end_ns)))
+    }
+
+    fn table(&self, job: Option<(&StageStats, u64, u64)>) -> String {
         let mut out = String::new();
         out.push_str(&format!(
             "{:<16} {:>12} {:>5} {:>12} {:>12} {:>9} {:>12}\n",
@@ -198,6 +210,9 @@ impl PipelineProfile {
                 s.events_touched,
                 format_rate(s.samples_per_sec()),
             ));
+        }
+        if let Some((load, _, _)) = job {
+            row(&mut out, &format!("load:{}", load.stage), load);
         }
         for s in &self.prepare {
             row(&mut out, &format!("prepare:{}", s.stage), s);
@@ -219,6 +234,14 @@ impl PipelineProfile {
             format_ns(self.stage_sum_ns()),
             self.concurrency_factor()
         ));
+        if let Some((_, render_ns, end_to_end_ns)) = job {
+            out.push_str(&format!(
+                "{:<16} {:>12}   (wall clock: load, prepare, stage phase and report render {})\n",
+                "end-to-end",
+                format_ns(end_to_end_ns),
+                format_ns(render_ns)
+            ));
+        }
         out
     }
 }
@@ -343,6 +366,35 @@ mod tests {
         assert!(lines[prepare + 1].starts_with("total"));
         assert!(lines[prepare + 1].contains("stage phase"));
         assert_eq!(prepare + 2, lines.len());
+    }
+
+    #[test]
+    fn render_job_frames_the_table_with_load_and_end_to_end() {
+        let profile = sample_profile();
+        let (_, load) = time_stage(
+            "corpus",
+            Footprint {
+                updates: 5,
+                samples: 2_000,
+                events: 0,
+            },
+            || (),
+        );
+        let text = profile.render_job(&load, 1_500, 9_000_000);
+        let lines: Vec<&str> = text.lines().collect();
+        // The load row opens the table, right under the header; the other
+        // rows and summary lines are `render`'s, in its order.
+        assert!(lines[1].starts_with("load:corpus "), "{text}");
+        assert!(lines[1].contains("2000"));
+        let plain = profile.render();
+        assert_eq!(
+            lines[2..lines.len() - 1],
+            plain.lines().skip(1).collect::<Vec<_>>()
+        );
+        let last = lines[lines.len() - 1];
+        assert!(last.starts_with("end-to-end "), "{text}");
+        assert!(last.contains("9.00 ms"));
+        assert!(last.contains("report render 1.5 us"));
     }
 
     #[test]

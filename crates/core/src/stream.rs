@@ -38,7 +38,9 @@
 //! first-announcement order; and a watermark advance visits only the runs
 //! whose merge-Δ expires under it, through an expiry queue keyed by `last
 //! span end + merge_delta` that every span-closing withdrawal feeds. Each
-//! kept sample is stored once, in the applied-sample log.
+//! kept sample is stored once, in the applied-sample log; beside it a
+//! column of destination addresses lets the anomaly backfill filter a
+//! window by prefix without reading the rows that do not match.
 //!
 //! # Determinism and the batch contract
 //!
@@ -380,6 +382,10 @@ pub struct StreamAnalyzer {
     /// Applied samples that survived cleaning, in applied order, so `at`
     /// never decreases.
     flows: FlowLog,
+    /// The destination address of each sample in `flows`, row for row:
+    /// the one column the anomaly backfill filters on, so it reads a
+    /// 40-byte row only when the destination matches.
+    dsts: Vec<u32>,
     internal_removed: usize,
     /// The normalized `chunk_capacity`: the unit retention drops in.
     chunk_capacity: usize,
@@ -445,6 +451,7 @@ impl StreamAnalyzer {
             late_dropped: 0,
             updates: UpdateLog::new(),
             flows: FlowLog::new(),
+            dsts: Vec::new(),
             internal_removed: 0,
             chunk_capacity: normalize_capacity(config.analyzer.chunk_capacity).0,
             retained_from: 0,
@@ -671,6 +678,7 @@ impl StreamAnalyzer {
         }
         // `FlowLog::push` asserts (in debug builds) that `at` never goes
         // back, which the backfill's binary search relies on.
+        self.dsts.push(s.dst_ip.to_u32());
         self.flows.push(s);
     }
 
@@ -687,14 +695,17 @@ impl StreamAnalyzer {
         let pcfg = &self.config.analyzer.preevent;
         let (ws, we) = (start - pcfg.pre_window, start);
         // Samples are applied in key order, so `at` never decreases and
-        // two binary searches bound the window.
-        let held = &self.flows.samples()[self.retained_from..];
-        let lo = held.partition_point(|s| s.at < ws);
-        let hi = lo + held[lo..].partition_point(|s| s.at < we);
-        let rows = held[lo..hi]
+        // two binary searches bound the window's rows, which index `flows`
+        // and `dsts` alike.
+        let all = self.flows.samples();
+        let lo = self.retained_from + all[self.retained_from..].partition_point(|s| s.at < ws);
+        let hi = lo + all[lo..].partition_point(|s| s.at < we);
+        let (mask, network) = (prefix.netmask().to_u32(), prefix.network().to_u32());
+        let rows = self.dsts[lo..hi]
             .iter()
-            .filter(|s| prefix.contains_addr(s.dst_ip))
-            .map(|s| WindowRow {
+            .zip(&all[lo..hi])
+            .filter(|&(&dst, _)| dst & mask == network)
+            .map(|(_, s)| WindowRow {
                 at: s.at.as_millis(),
                 src_ip: s.src_ip.to_u32(),
                 src_port: s.src_port,
@@ -791,8 +802,9 @@ impl StreamAnalyzer {
     /// and then the stages.
     ///
     /// Call [`StreamAnalyzer::finish`] first; this consumes the stream.
-    /// The live blackhole table, the prefix runs and the journal are freed
-    /// before the batch kernels run; the sample log is moved, not copied.
+    /// The live blackhole table, the prefix runs, the journal and the
+    /// backfill's destination column are freed before the batch kernels
+    /// run; the sample log is moved, not copied.
     pub fn into_analyzer(self) -> Analyzer {
         // Consumed in this scope, so every field not moved out is dropped
         // here rather than after preparation returns.
@@ -1488,10 +1500,13 @@ mod tests {
     fn a_nested_blackholed_host_backs_only_the_live_anomaly_flag() {
         // Quiet traffic to a host, then a burst in the last slot before its
         // /24 is blackholed; the host's own /32 is blackholed later.
+        // A neighbour's /32 inside the /24 is blackholed alongside it.
         let mut c = corpus(1);
         c.updates = UpdateLog::from_updates(vec![
             announce(300, "10.1.0.0/24", 64501),
+            announce(300, "10.1.0.8/32", 64501),
             withdraw(330, "10.1.0.0/24", 64501),
+            withdraw(330, "10.1.0.8/32", 64501),
             announce(400, "10.1.0.7/32", 64501),
             withdraw(410, "10.1.0.7/32", 64501),
         ]);
@@ -1512,10 +1527,15 @@ mod tests {
         };
         let slash24: Prefix = "10.1.0.0/24".parse().unwrap();
 
-        // Live: the backfill counts every row inside the /24.
+        // Live: the backfill counts every row inside the /24, and no row
+        // outside the neighbour's /32.
         let run = StreamDriver::new(16).replay(&c, config);
-        let live = run.journal.iter().find(|v| v.prefix == slash24);
-        assert!(live.expect("the /24 run is journaled").anomaly);
+        let live = |prefix: Prefix| {
+            let verdict = run.journal.iter().find(|v| v.prefix == prefix);
+            verdict.expect("every run is journaled").anomaly
+        };
+        assert!(live(slash24));
+        assert!(!live("10.1.0.8/32".parse().unwrap()));
 
         // Batch: the burst belongs to the /32, the /24's event sees nothing.
         let batch = Analyzer::new(c, config.analyzer);

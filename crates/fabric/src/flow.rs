@@ -72,6 +72,16 @@ impl FlowLog {
         Self { samples }
     }
 
+    /// Takes samples the caller has already checked to be in time order,
+    /// as they are (checked in debug builds).
+    pub(crate) fn from_sorted(samples: Vec<FlowSample>) -> Self {
+        debug_assert!(
+            samples.windows(2).all(|w| w[0].at <= w[1].at),
+            "samples must be in time order"
+        );
+        Self { samples }
+    }
+
     /// Appends a sample; callers must push in non-decreasing time order
     /// (checked in debug builds).
     pub fn push(&mut self, sample: FlowSample) {

@@ -2,7 +2,7 @@
 //!
 //! Real IPFIX is template-driven; the paper's collection exports one fixed
 //! record shape (§3.1: packet size, MACs, addresses, transport ports), so
-//! this codec uses a single fixed 34-byte layout with a small stream header:
+//! this codec uses a single fixed 36-byte layout with a small stream header:
 //!
 //! ```text
 //! stream  := magic "RTBHFLOW" | version u16 | count u64 | record*
@@ -13,15 +13,37 @@
 //!
 //! All integers are big-endian. Decoding is strict: trailing bytes, bad
 //! magic or record-count mismatches are errors.
+//!
+//! Both directions move whole records: the encoder writes one
+//! `[u8; RECORD_LEN]` per sample and the decoder reads each
+//! `&[u8; RECORD_LEN]` of the body, both at the fixed field offsets below.
+//! The decoder checks time order in the same pass and sorts (stably) only
+//! when a record goes back in time; the encoder writes every log in time
+//! order, so a file it wrote is taken as it is.
 
-use rtbh_net::cursor::{PutBytes, Reader};
+use std::ops::Range;
+
 use rtbh_net::{Ipv4Addr, MacAddr, Protocol, Timestamp};
 
 use crate::flow::{FlowLog, FlowSample};
 
 const MAGIC: &[u8; 8] = b"RTBHFLOW";
 const VERSION: u16 = 1;
+/// Magic, version and record count.
+const HEADER_LEN: usize = 8 + 2 + 8;
 const RECORD_LEN: usize = 8 + 6 + 6 + 4 + 4 + 1 + 2 + 2 + 2 + 1;
+
+// Field offsets within a record.
+const AT: Range<usize> = 0..8;
+const SRC_MAC: Range<usize> = 8..14;
+const DST_MAC: Range<usize> = 14..20;
+const SRC_IP: Range<usize> = 20..24;
+const DST_IP: Range<usize> = 24..28;
+const PROTO: usize = 28;
+const SRC_PORT: Range<usize> = 29..31;
+const DST_PORT: Range<usize> = 31..33;
+const PACKET_LEN: Range<usize> = 33..35;
+const FLAGS: usize = 35;
 
 /// A decoding failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -51,80 +73,97 @@ impl std::error::Error for FlowWireError {}
 
 /// Encodes a flow log into the IPFIX-lite stream format.
 pub fn encode_flow_log(log: &FlowLog) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(18 + log.len() * RECORD_LEN);
-    buf.put_slice(MAGIC);
-    buf.put_u16(VERSION);
-    buf.put_u64(log.len() as u64);
+    let mut buf = Vec::with_capacity(HEADER_LEN + log.len() * RECORD_LEN);
+    buf.extend_from_slice(MAGIC);
+    buf.extend_from_slice(&VERSION.to_be_bytes());
+    buf.extend_from_slice(&(log.len() as u64).to_be_bytes());
     for s in log.samples() {
-        buf.put_i64(s.at.as_millis());
-        buf.put_slice(&s.src_mac.octets());
-        buf.put_slice(&s.dst_mac.octets());
-        buf.put_u32(s.src_ip.to_u32());
-        buf.put_u32(s.dst_ip.to_u32());
-        buf.put_u8(s.protocol.number());
-        buf.put_u16(s.src_port);
-        buf.put_u16(s.dst_port);
-        buf.put_u16(s.packet_len);
-        buf.put_u8(s.fragment as u8);
+        buf.extend_from_slice(&encode_record(s));
     }
     buf
 }
 
+fn encode_record(s: &FlowSample) -> [u8; RECORD_LEN] {
+    let mut rec = [0u8; RECORD_LEN];
+    rec[AT].copy_from_slice(&s.at.as_millis().to_be_bytes());
+    rec[SRC_MAC].copy_from_slice(&s.src_mac.octets());
+    rec[DST_MAC].copy_from_slice(&s.dst_mac.octets());
+    rec[SRC_IP].copy_from_slice(&s.src_ip.to_u32().to_be_bytes());
+    rec[DST_IP].copy_from_slice(&s.dst_ip.to_u32().to_be_bytes());
+    rec[PROTO] = s.protocol.number();
+    rec[SRC_PORT].copy_from_slice(&s.src_port.to_be_bytes());
+    rec[DST_PORT].copy_from_slice(&s.dst_port.to_be_bytes());
+    rec[PACKET_LEN].copy_from_slice(&s.packet_len.to_be_bytes());
+    rec[FLAGS] = u8::from(s.fragment);
+    rec
+}
+
+/// The bytes of one field; always inlined, so `range` is one of the
+/// constant field ranges at every use.
+#[inline(always)]
+fn field<const N: usize>(rec: &[u8; RECORD_LEN], range: Range<usize>) -> [u8; N] {
+    rec[range]
+        .try_into()
+        .expect("field ranges match their widths")
+}
+
+fn decode_record(rec: &[u8; RECORD_LEN]) -> FlowSample {
+    FlowSample {
+        at: Timestamp::from_millis(i64::from_be_bytes(field(rec, AT))),
+        src_mac: MacAddr::new(field(rec, SRC_MAC)),
+        dst_mac: MacAddr::new(field(rec, DST_MAC)),
+        src_ip: Ipv4Addr::from_u32(u32::from_be_bytes(field(rec, SRC_IP))),
+        dst_ip: Ipv4Addr::from_u32(u32::from_be_bytes(field(rec, DST_IP))),
+        protocol: Protocol::from_number(rec[PROTO]),
+        src_port: u16::from_be_bytes(field(rec, SRC_PORT)),
+        dst_port: u16::from_be_bytes(field(rec, DST_PORT)),
+        packet_len: u16::from_be_bytes(field(rec, PACKET_LEN)),
+        fragment: rec[FLAGS] != 0,
+    }
+}
+
 /// Decodes an IPFIX-lite stream.
 pub fn decode_flow_log(buf: &[u8]) -> Result<FlowLog, FlowWireError> {
-    let mut buf = Reader::new(buf);
-    if buf.remaining() < 18 {
+    let Some((header, body)) = buf.split_first_chunk::<HEADER_LEN>() else {
         return Err(FlowWireError::Truncated);
-    }
-    let mut magic = [0u8; 8];
-    buf.copy_to_slice(&mut magic);
-    if &magic != MAGIC {
+    };
+    if header[..8] != MAGIC[..] {
         return Err(FlowWireError::BadMagic);
     }
-    let version = buf.get_u16();
+    let version = u16::from_be_bytes([header[8], header[9]]);
     if version != VERSION {
         return Err(FlowWireError::BadVersion(version));
     }
-    let count = usize::try_from(buf.get_u64()).map_err(|_| FlowWireError::Truncated)?;
+    let count = u64::from_be_bytes(header[10..].try_into().expect("eight count bytes"));
+    let count = usize::try_from(count).map_err(|_| FlowWireError::Truncated)?;
     // Checked: a hostile header can declare 2^64 records; the multiply must
     // not wrap into a small number that passes the bounds test.
     let body_len = count
         .checked_mul(RECORD_LEN)
         .ok_or(FlowWireError::Truncated)?;
-    if buf.remaining() < body_len {
+    if body.len() < body_len {
         return Err(FlowWireError::Truncated);
     }
-    let mut samples = Vec::with_capacity(count);
-    for _ in 0..count {
-        let at = Timestamp::from_millis(buf.get_i64());
-        let mut src_mac = [0u8; 6];
-        buf.copy_to_slice(&mut src_mac);
-        let mut dst_mac = [0u8; 6];
-        buf.copy_to_slice(&mut dst_mac);
-        let src_ip = Ipv4Addr::from_u32(buf.get_u32());
-        let dst_ip = Ipv4Addr::from_u32(buf.get_u32());
-        let protocol = Protocol::from_number(buf.get_u8());
-        let src_port = buf.get_u16();
-        let dst_port = buf.get_u16();
-        let packet_len = buf.get_u16();
-        let fragment = buf.get_u8() != 0;
-        samples.push(FlowSample {
-            at,
-            src_mac: MacAddr::new(src_mac),
-            dst_mac: MacAddr::new(dst_mac),
-            src_ip,
-            dst_ip,
-            protocol,
-            src_port,
-            dst_port,
-            packet_len,
-            fragment,
-        });
+    if body.len() > body_len {
+        return Err(FlowWireError::TrailingBytes(body.len() - body_len));
     }
-    if buf.has_remaining() {
-        return Err(FlowWireError::TrailingBytes(buf.remaining()));
-    }
-    Ok(FlowLog::from_samples(samples))
+    let mut prev = i64::MIN;
+    let mut in_order = true;
+    let samples: Vec<FlowSample> = body
+        .chunks_exact(RECORD_LEN)
+        .map(|rec| {
+            let sample = decode_record(rec.try_into().expect("chunks are whole records"));
+            let at = sample.at.as_millis();
+            in_order &= prev <= at;
+            prev = at;
+            sample
+        })
+        .collect();
+    Ok(if in_order {
+        FlowLog::from_sorted(samples)
+    } else {
+        FlowLog::from_samples(samples)
+    })
 }
 
 #[cfg(test)]
@@ -158,6 +197,28 @@ mod tests {
         let decoded = decode_flow_log(&bytes).unwrap();
         assert_eq!(decoded, log);
         assert_eq!(decoded.dropped().count(), log.dropped().count());
+    }
+
+    #[test]
+    fn fields_tile_a_36_byte_record() {
+        assert_eq!(RECORD_LEN, 36);
+        let ends = [
+            (AT.start, AT.end),
+            (SRC_MAC.start, SRC_MAC.end),
+            (DST_MAC.start, DST_MAC.end),
+            (SRC_IP.start, SRC_IP.end),
+            (DST_IP.start, DST_IP.end),
+            (PROTO, PROTO + 1),
+            (SRC_PORT.start, SRC_PORT.end),
+            (DST_PORT.start, DST_PORT.end),
+            (PACKET_LEN.start, PACKET_LEN.end),
+            (FLAGS, FLAGS + 1),
+        ];
+        assert_eq!(ends[0].0, 0);
+        for pair in ends.windows(2) {
+            assert_eq!(pair[0].1, pair[1].0, "fields must be contiguous");
+        }
+        assert_eq!(ends[ends.len() - 1].1, RECORD_LEN);
     }
 
     #[test]

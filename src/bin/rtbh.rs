@@ -23,8 +23,9 @@
 //! stages run on scoped threads, so `--threads 1` runs the whole analysis
 //! on one thread. The report is byte-identical for every N. With
 //! `--timings` it additionally prints the per-stage wall-time table
-//! (preparation kernels included) with the schedule that ran (`sequential`
-//! or `parallel`) and the sealed-chunk statistics (see the README's
+//! (the corpus load and the preparation kernels included) with the
+//! schedule that ran (`sequential` or `parallel`), the job's end-to-end
+//! wall clock and the sealed-chunk statistics (see the README's
 //! "Performance" section).
 //! `stream` replays the corpus through the event-driven analyzer
 //! (`rtbh_core::stream`): the two logs are interleaved into one
@@ -47,7 +48,9 @@
 //! `<`/`>` to keep the shell off them).
 
 use std::path::PathBuf;
+use std::time::Instant;
 
+use rtbh::core::profile::StageStats;
 use rtbh::core::Analyzer;
 use rtbh::sim::ScenarioConfig;
 use rtbh_json::ToJson;
@@ -141,6 +144,10 @@ fn simulate(args: Vec<String>) {
         result.corpus.flows.len(),
         truth_path.display()
     );
+}
+
+fn nanos_since(start: Instant) -> u64 {
+    u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
 
 fn load(path: &str) -> rtbh::core::Corpus {
@@ -405,18 +412,27 @@ fn analyze(args: Vec<String>) {
         }
     }
     let Some(path) = path else { usage() };
+    let job = Instant::now();
     let corpus = load(&path);
+    let loaded = StageStats {
+        stage: "corpus".to_string(),
+        wall_ns: nanos_since(job),
+        workers: 1,
+        updates_scanned: corpus.updates.len() as u64,
+        samples_scanned: corpus.flows.len() as u64,
+        events_touched: 0,
+    };
     let config = rtbh::core::pipeline::AnalyzerConfig::for_corpus(&corpus).with_workers(threads);
     let analyzer = Analyzer::new(corpus, config);
     let (report, profile) = analyzer.full_with_profile();
     let headline = report.headline();
-    print!(
-        "{}",
-        rtbh::core::report::render_report(&report, analyzer.corpus())
-    );
+    let render = Instant::now();
+    let text = rtbh::core::report::render_report(&report, analyzer.corpus());
+    let (render_ns, end_to_end_ns) = (nanos_since(render), nanos_since(job));
+    print!("{text}");
     if timings {
         println!();
-        print!("{}", profile.render());
+        print!("{}", profile.render_job(&loaded, render_ns, end_to_end_ns));
         // Sealed-chunk shape and window-query behaviour: the counters
         // accumulated over every stage's window queries during the run.
         let cs = analyzer.columns().chunk_stats();

@@ -137,9 +137,28 @@ fn simulate_info_analyze_and_corruption() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// The wall time a `--timings` line prints after its label, in ns, and
+/// half the unit of its last printed digit (the most rounding can hide).
+fn printed_ns(line: &str) -> (f64, f64) {
+    let mut words = line.split_whitespace().skip(1);
+    let (value, unit) = (words.next().unwrap(), words.next().unwrap());
+    let scale = match unit {
+        "ns" => 1.0,
+        "us" => 1e3,
+        "ms" => 1e6,
+        "s" => 1e9,
+        _ => panic!("no duration in {line:?}"),
+    };
+    let decimals = value.split_once('.').map_or(0, |(_, d)| d.len());
+    let half_unit = 0.5 * scale / 10f64.powi(decimals as i32);
+    (value.parse::<f64>().unwrap() * scale, half_unit)
+}
+
 /// `--threads` picks the stage schedule — inline at one worker, scoped
 /// threads above — but never the report: both schedules write the same
-/// `--json` bytes, and the `--timings` table names the one that ran.
+/// `--json` bytes, and the `--timings` table names the one that ran. The
+/// table covers the whole job: a `load:corpus` row opens it, and its last
+/// line, `end-to-end`, is at least load + prepare + stage phase.
 #[test]
 fn analyze_threads_pick_the_schedule_not_the_report() {
     let dir = scratch_dir("schedule");
@@ -167,6 +186,30 @@ fn analyze_threads_pick_the_schedule_not_the_report() {
         assert!(
             stdout.contains(schedule),
             "--threads {threads} must report {schedule:?}:\n{stdout}"
+        );
+        let line = |label: &str| {
+            let at = stdout
+                .lines()
+                .position(|l| l.split_whitespace().next() == Some(label))
+                .unwrap_or_else(|| panic!("no {label:?} line:\n{stdout}"));
+            (at, stdout.lines().nth(at).unwrap())
+        };
+        let (load_at, load) = line("load:corpus");
+        assert_eq!(line("prepare:clean").0, load_at + 1, "load opens the table");
+        let samples: u64 = load.split_whitespace().nth(5).unwrap().parse().unwrap();
+        assert!(
+            samples > 0,
+            "the load row counts the decoded samples: {load}"
+        );
+        let (end_at, end_to_end) = line("end-to-end");
+        assert_eq!(line("total").0 + 1, end_at, "end-to-end follows total");
+        let parts = [load, line("prepare").1, line("total").1].map(printed_ns);
+        let (whole, slack) = printed_ns(end_to_end);
+        let sum: f64 = parts.iter().map(|p| p.0).sum();
+        let rounding: f64 = slack + parts.iter().map(|p| p.1).sum::<f64>();
+        assert!(
+            whole + rounding >= sum,
+            "end-to-end below load + prepare + total:\n{stdout}"
         );
         reports.push(std::fs::read(&json).unwrap());
     }
