@@ -555,7 +555,7 @@ pub fn f15(ctx: &Context) -> FigureReport {
         f.handover_participation.len() as f64 / members as f64,
     );
     // Distinct origins of the route snapshot, one per prefix: a later
-    // route for a prefix replaces an earlier one, as in the origin LPM.
+    // route for a prefix replaces an earlier one, as in `OriginTable`.
     let per_prefix: BTreeMap<_, _> = ctx.analyzer.corpus().routes.iter().copied().collect();
     let advertised = per_prefix.values().collect::<BTreeSet<_>>().len().max(1);
     r.check(

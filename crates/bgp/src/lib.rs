@@ -34,4 +34,7 @@ pub use rib::{Forwarding, Rib};
 pub use route_server::RouteServer;
 pub use timeline::{active_count_series, blackhole_intervals, PrefixIntervals};
 pub use update::{BgpUpdate, UpdateKind, UpdateLog};
-pub use wire::{decode_update, decode_update_log, encode_update, encode_update_log, WireError};
+pub use wire::{
+    decode_update, decode_update_log, encode_update, encode_update_log, encode_update_log_into,
+    WireError,
+};

@@ -352,14 +352,34 @@ pub fn decode_update(msg: &[u8], at: Timestamp, peer: Asn) -> Result<Vec<BgpUpda
 /// The first update [`encode_update`] rejects.
 pub fn encode_update_log(log: &UpdateLog) -> Result<Vec<u8>, WireError> {
     let mut buf = Vec::new();
+    encode_update_log_into(log, &mut buf)?;
+    Ok(buf)
+}
+
+/// Appends the MRT-style encoding of an update log to `buf`: the bytes
+/// [`encode_update_log`] returns, written straight into a caller's buffer
+/// (a corpus container) with no copy.
+///
+/// # Errors
+///
+/// The first update [`encode_update`] rejects; `buf` is then left as it
+/// was.
+pub fn encode_update_log_into(log: &UpdateLog, buf: &mut Vec<u8>) -> Result<(), WireError> {
+    let start = buf.len();
     for u in log.updates() {
-        let msg = encode_update(u)?;
+        let msg = match encode_update(u) {
+            Ok(msg) => msg,
+            Err(e) => {
+                buf.truncate(start);
+                return Err(e);
+            }
+        };
         buf.put_i64(u.at.as_millis());
         buf.put_u32(u.peer.value());
         buf.put_u16(len16(msg.len()));
         buf.put_slice(&msg);
     }
-    Ok(buf)
+    Ok(())
 }
 
 /// Decodes an MRT-style stream back into an update log.

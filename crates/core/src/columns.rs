@@ -8,14 +8,17 @@
 //! slabs — timestamps, addresses, ports, protocol, packet length — plus
 //! per-sample ids a single parallel **enrichment pass** precomputes once.
 //! Prepare runs that pass straight over the raw corpus log: it skips the
-//! internal samples its first pass found and stamps the clock-corrected
-//! timestamp as it seals, so no cleaned or shifted copy of the log exists.
-//! The per-sample ids are:
+//! internal samples its first pass found, by their indices, and stamps the
+//! clock-corrected timestamp as it seals, so no cleaned or shifted copy of
+//! the log exists. A kept sample costs one source-MAC probe and one walk
+//! of the enricher's address table each for its destination and its
+//! source. The per-sample ids are:
 //!
 //! * the ingress (handover) member ASN (from the member directory, a
 //!   [`MacResolver`]), interned into a sorted ASN table;
-//! * the origin AS of the source address (an [`OriginTable`] LPM),
-//!   interned into the same table;
+//! * the origin AS of the source address (from the [`OriginTable`]
+//!   routes), interned into the same table — the source walk's second
+//!   answer;
 //! * the dense covering blackhole-prefix id for destination and source —
 //!   the very ids [`SampleIndex`](crate::index::SampleIndex) uses, so the
 //!   index build degrades to bucketing precomputed ids;
@@ -376,9 +379,10 @@ impl SealedChunk {
         }
     }
 
-    /// Appends `s` with its timestamp moved by `offset`, its ids looked up
-    /// in `enricher` and its `active` bit read through `activity`, or
-    /// nothing when `s` is internal traffic. The bitsets are sized by
+    /// Appends `s`, a sample pass 1 kept, with its timestamp moved by
+    /// `offset`, its ids looked up in `enricher` — one source-MAC probe
+    /// and one address walk each for destination and source — and its
+    /// `active` bit read through `activity`. The bitsets are sized by
     /// [`SealedChunk::with_rows`], so no more rows than it was given may be
     /// appended.
     #[inline]
@@ -389,11 +393,9 @@ impl SealedChunk {
         enricher: &SampleEnricher,
         activity: &mut Activity<'_>,
     ) {
-        let Some(ingress) = enricher.ingress(s) else {
-            return;
-        };
         let at = s.at + offset;
-        let dst_pid = enricher.blackhole(s.dst_ip);
+        let (dst_pid, _) = enricher.lookup(s.dst_ip);
+        let (src_pid, origin) = enricher.lookup(s.src_ip);
         let active_pid = enricher.active_id(dst_pid);
         let (word, bit) = (self.at.len() >> 6, self.at.len() & 63);
         self.fragment_bits[word] |= u64::from(s.fragment) << bit;
@@ -406,10 +408,10 @@ impl SealedChunk {
         self.dst_port.push(s.dst_port);
         self.protocol.push(s.protocol.number());
         self.packet_len.push(u32::from(s.packet_len));
-        self.ingress.push(ingress);
-        self.origin.push(enricher.origin(s.src_ip));
+        self.ingress.push(enricher.member(s.src_mac));
+        self.origin.push(origin);
         self.dst_pid.push(dst_pid);
-        self.src_pid.push(enricher.blackhole(s.src_ip));
+        self.src_pid.push(src_pid);
         self.active_pid.push(active_pid);
     }
 }
@@ -611,11 +613,12 @@ impl ColumnarFlows {
     ///
     /// Chunk `k` holds kept rows `[k·C, (k+1)·C)`, so chunk bounds depend
     /// on the capacity alone; each chunk finds its first raw row from
-    /// `removed` and enriches rows from there, skipping the internal ones
-    /// exactly as pass 1 marked them (both read the same MAC table). Each
-    /// chunk reads its `active` bits through fresh cursors, one per
-    /// interval-holding prefix, which walk forward with the time-sorted
-    /// rows (and re-seek should a timestamp ever step back).
+    /// `removed` and enriches the runs of kept rows between removed
+    /// indices from there, so no MAC is probed to tell a removed row and
+    /// each kept row costs one source-MAC probe. Each chunk reads its
+    /// `active` bits through fresh cursors, one per interval-holding
+    /// prefix, which walk forward with the time-sorted rows (and re-seek
+    /// should a timestamp ever step back).
     pub(crate) fn seal(
         samples: &[FlowSample],
         removed: &[u32],
@@ -629,10 +632,16 @@ impl ColumnarFlows {
         let seal = |start: usize, rows: usize| -> SealedChunk {
             let mut chunk = SealedChunk::with_rows(start, rows);
             let mut activity = enricher.activity();
-            let mut raw = samples[raw_row(removed, start)..].iter();
+            let mut raw = raw_row(removed, start);
+            // `removed[gone]` is the first removed row at or after `raw`.
+            let mut gone = raw - start;
             while chunk.len() < rows {
-                let s = raw.next().expect("pass 1 counted every kept row");
-                chunk.push(s, offset, &enricher, &mut activity);
+                let next = removed.get(gone).map_or(samples.len(), |&r| r as usize);
+                let take = (next - raw).min(rows - chunk.len());
+                for s in &samples[raw..raw + take] {
+                    chunk.push(s, offset, &enricher, &mut activity);
+                }
+                (raw, gone) = (next + 1, gone + 1);
             }
             chunk
         };
@@ -1145,7 +1154,7 @@ mod tests {
                 .flat_map(|c| (0..c.len()).map(|r| c.active(r)));
             let mut active = 0;
             for (s, bit) in samples.iter().zip(bits) {
-                let aid = oracle.active_id(oracle.blackhole(s.dst_ip));
+                let aid = oracle.active_id(oracle.lookup(s.dst_ip).0);
                 assert_eq!(bit, oracle.active_at(aid, s.at), "{s:?}");
                 active += usize::from(bit);
             }

@@ -7,12 +7,17 @@
 //! sample lists, and a prefix→origin table from the route-server snapshot.
 //!
 //! Every per-sample lookup happens once, in the sample enricher that
-//! prepare compiles per corpus (`SampleEnricher`): one MAC-table probe per
-//! MAC, one origin walk, and one blackhole walk each for destination and
-//! source — the destination walk also yields the covering
-//! interval-holding prefix. The sealed chunks record the resulting ids
-//! ([`crate::columns::ColumnarFlows`]), and [`SampleIndex`] is then built
-//! from those id columns alone ([`SampleIndex::from_columns`]).
+//! prepare compiles per corpus (`SampleEnricher`). Its one address table
+//! covers the route prefixes and the blackholed prefixes together, each
+//! valued by the longest blackholed prefix and the longest route over it,
+//! so one walk per address answers both questions. Pass 1 probes both
+//! MACs of every sample and walks the destination of each kept dropped
+//! one; pass 2 probes the source MAC of each kept sample and walks its
+//! destination and source once each — the destination walk also yields
+//! the covering interval-holding prefix. The sealed chunks record the
+//! resulting ids ([`crate::columns::ColumnarFlows`]), and [`SampleIndex`]
+//! is then built from those id columns alone
+//! ([`SampleIndex::from_columns`]).
 
 use std::collections::BTreeMap;
 
@@ -268,29 +273,43 @@ impl MacTable {
     }
 }
 
+/// What one address walk answers: the dense id of the longest blackholed
+/// prefix and the interned origin-AS id of the longest route over an
+/// address, each [`NONE`] when no such prefix covers it.
+type AddrIds = (u32, u32);
+
 /// The per-corpus lookup tables of sample enrichment, compiled once and
 /// shared by batch prepare, stream ingest and stream finalize:
 ///
 /// * a MAC table answering "interned member id, internal device or
 ///   unknown" in one probe;
-/// * an origin LPM over the route snapshot whose values are already
-///   interned ASN ids;
-/// * the blackhole LPM with its dense prefix ids, plus `active_of`, which
-///   maps each id to the covering interval-holding prefix. Prefixes with
-///   intervals come from BLACKHOLE announcements, so they are blackholed
-///   prefixes too; the longest one over an address is therefore the
-///   longest one over the longest blackholed prefix, and one destination
-///   walk yields `dst_pid`, `active_pid` and the intervals the offset
-///   votes and the `active` bit read.
+/// * one address table (a stride-8 [`FrozenLpm`]) over the route prefixes
+///   and the blackholed prefixes together, valued by [`AddrIds`]: the
+///   longest key over an address lies inside the longest blackholed
+///   prefix and the longest route over it, so its value answers both;
+/// * the blackholed prefixes with their dense ids, plus `active_of`,
+///   which maps each id to the covering interval-holding prefix. Prefixes
+///   with intervals come from BLACKHOLE announcements, so they are
+///   blackholed prefixes too; the longest one over an address is therefore
+///   the longest one over the longest blackholed prefix, and one
+///   destination walk yields `dst_pid`, `active_pid` and the intervals the
+///   offset votes and the `active` bit read.
 ///
-/// The ASN intern table is the sorted union of member ASNs and route
-/// origins, so interned ids depend on the member directory and the routes
-/// alone: the stream, which compiles its enricher before any update
-/// arrives, interns exactly as batch prepare does.
+/// [`SampleEnricher::new`] compiles the MAC table alone; the address
+/// table waits for the blackholed prefixes ([`SampleEnricher::with_blackholes`]),
+/// so the stream, which only cleans on ingest, never builds one it would
+/// rebuild at finalization. The ASN intern table is the sorted union of
+/// member ASNs and route origins, so interned ids depend on the member
+/// directory and the routes alone: the stream, which compiles its
+/// enricher before any update arrives, interns exactly as batch prepare
+/// does.
 pub(crate) struct SampleEnricher {
     macs: MacTable,
-    origins: FrozenLpm<u32>,
     asns: Vec<Asn>,
+    /// The route snapshot with interned origin ids, in prefix order; the
+    /// address table consumes it.
+    routes: Vec<(Prefix, u32)>,
+    addrs: FrozenLpm<AddrIds>,
     blackholes: FrozenLpm<usize>,
     blackhole_prefixes: Vec<Prefix>,
     /// Per blackhole-prefix id: the id of the longest interval-holding
@@ -360,11 +379,47 @@ pub(crate) struct EnricherTables {
     pub blackhole_prefixes: Vec<Prefix>,
 }
 
+/// Compiles the address table over the route and the blackholed prefixes
+/// in one ancestor-stack sweep. Prefix order lists every prefix after all
+/// of its supernets, so the stack holds exactly the stored supernets of
+/// the prefix at hand, and each prefix inherits whichever of its two ids
+/// it does not carry itself from the nearest of them.
+fn address_table(routes: &[(Prefix, u32)], blackholes: &FrozenLpm<usize>) -> FrozenLpm<AddrIds> {
+    // Both lists are sorted and free of duplicates; merge them into one
+    // list of `(prefix, own ids)`.
+    let mut own: Vec<(Prefix, AddrIds)> = Vec::with_capacity(routes.len() + blackholes.len());
+    let mut bh = blackholes.iter().map(|(p, &id)| (p, id as u32)).peekable();
+    for &(p, origin) in routes {
+        while let Some((q, id)) = bh.next_if(|&(q, _)| q < p) {
+            own.push((q, (id, NONE)));
+        }
+        let id = bh.next_if(|&(q, _)| q == p).map_or(NONE, |(_, id)| id);
+        own.push((p, (id, origin)));
+    }
+    own.extend(bh.map(|(q, id)| (q, (id, NONE))));
+
+    let mut stack: Vec<(Prefix, AddrIds)> = Vec::new();
+    for (p, ids) in &mut own {
+        while stack.last().is_some_and(|&(q, _)| !q.covers(*p)) {
+            stack.pop();
+        }
+        let (up_bh, up_origin) = stack.last().map_or((NONE, NONE), |&(_, up)| up);
+        if ids.0 == NONE {
+            ids.0 = up_bh;
+        }
+        if ids.1 == NONE {
+            ids.1 = up_origin;
+        }
+        stack.push((*p, *ids));
+    }
+    FrozenLpm::from_entries(own)
+}
+
 impl SampleEnricher {
-    /// Compiles the MAC table and the origin LPM. `members` maps member
-    /// ports to their ASes; a MAC also listed in `internal` reads as
-    /// internal. The blackhole tables start empty (see
-    /// [`SampleEnricher::with_blackholes`]).
+    /// Compiles the MAC table and interns the route origins. `members`
+    /// maps member ports to their ASes; a MAC also listed in `internal`
+    /// reads as internal. The address and blackhole tables start empty
+    /// (see [`SampleEnricher::with_blackholes`]).
     pub fn new(
         members: &BTreeMap<MacAddr, Asn>,
         internal: &[MacAddr],
@@ -385,12 +440,13 @@ impl SampleEnricher {
         for &mac in internal {
             macs.insert(mac, INTERNAL);
         }
-        let origins = FrozenLpm::from_entries(origins.lpm.iter().map(|(p, a)| (p, intern(a))));
+        let routes = origins.lpm.iter().map(|(p, a)| (p, intern(a))).collect();
         Self {
             macs,
-            origins,
             asns,
-            blackholes: FrozenLpm::from_entries([]),
+            routes,
+            addrs: FrozenLpm::new(),
+            blackholes: FrozenLpm::new(),
             blackhole_prefixes: Vec::new(),
             active_of: Vec::new(),
             active_prefixes: Vec::new(),
@@ -398,9 +454,10 @@ impl SampleEnricher {
         }
     }
 
-    /// Compiles the blackhole tables of an update log: the blackholed
+    /// Compiles the blackhole tables of an update log — the blackholed
     /// prefixes with their dense ids, and the activity intervals (open
-    /// announcements close at `corpus_end`).
+    /// announcements close at `corpus_end`) — and the address table over
+    /// those prefixes and the routes. Called once per enricher.
     pub fn with_blackholes(mut self, updates: &UpdateLog, corpus_end: Timestamp) -> Self {
         let (blackholes, blackhole_prefixes) = compile_blackhole_prefixes(updates);
         let intervals = blackhole_intervals(updates.updates().iter(), corpus_end);
@@ -425,6 +482,7 @@ impl SampleEnricher {
                 NONE
             })
             .collect();
+        self.addrs = address_table(&std::mem::take(&mut self.routes), &blackholes);
         self.blackholes = blackholes;
         self.blackhole_prefixes = blackhole_prefixes;
         self
@@ -439,18 +497,22 @@ impl SampleEnricher {
         (src != INTERNAL && self.macs.get(s.dst_mac) != INTERNAL).then_some(src)
     }
 
-    /// The interned origin-AS id of an address ([`NONE`] = unrouted).
+    /// The interned member id of a MAC that is not an internal device's
+    /// ([`NONE`] when unknown): the ingress id of a sample that pass 1
+    /// kept, from its source MAC alone.
     #[inline]
-    pub(crate) fn origin(&self, addr: Ipv4Addr) -> u32 {
-        self.origins.longest_match(addr).map_or(NONE, |(_, &id)| id)
+    pub(crate) fn member(&self, mac: MacAddr) -> u32 {
+        self.macs.get(mac)
     }
 
-    /// The dense id of the longest blackholed prefix over an address.
+    /// One walk of the address table: the longest blackholed prefix's id
+    /// and the longest route's interned origin id over `addr`.
     #[inline]
-    pub(crate) fn blackhole(&self, addr: Ipv4Addr) -> u32 {
-        self.blackholes
-            .longest_match(addr)
-            .map_or(NONE, |(_, &id)| id as u32)
+    pub(crate) fn lookup(&self, addr: Ipv4Addr) -> AddrIds {
+        self.addrs
+            .longest_value(addr)
+            .copied()
+            .unwrap_or((NONE, NONE))
     }
 
     /// The id of the longest interval-holding prefix over a destination
@@ -469,7 +531,7 @@ impl SampleEnricher {
     /// against.
     #[inline]
     fn intervals(&self, dst: Ipv4Addr) -> &[Interval] {
-        match self.active_id(self.blackhole(dst)) {
+        match self.active_id(self.lookup(dst).0) {
             NONE => &[],
             aid => &self.active_intervals[aid as usize],
         }
@@ -657,13 +719,89 @@ mod tests {
         let members = BTreeMap::from([(MacAddr::from_id(1), Asn(150))]);
         let enricher = SampleEnricher::new(&members, &[], &table);
         assert_eq!(enricher.asns, [Asn(100), Asn(150), Asn(200)]);
+        // The address table waits for the blackholed prefixes.
+        assert!(enricher.addrs.is_empty());
+        let enricher = enricher.with_blackholes(&UpdateLog::new(), Timestamp::EPOCH);
         let origin = |addr: &str| {
-            let id = enricher.origin(addr.parse().unwrap());
+            let (bh, id) = enricher.lookup(addr.parse().unwrap());
+            assert_eq!(bh, NONE);
             (id != NONE).then(|| enricher.asns[id as usize])
         };
         assert_eq!(origin("20.1.0.5"), Some(Asn(200)));
         assert_eq!(origin("20.2.0.5"), Some(Asn(100)));
         assert_eq!(origin("21.0.0.1"), None);
+    }
+
+    /// The address table against one trie per question, on seeded tables
+    /// where routes and blackholed prefixes nest both ways, share
+    /// prefixes, and include /0 and /32s; probes hit every prefix's first
+    /// and last address and their outside neighbours.
+    #[test]
+    fn one_address_walk_answers_both_tries() {
+        use rtbh_net::PrefixTrie;
+        use rtbh_rng::{ChaChaRng, Rng};
+        let mut rng = ChaChaRng::seed_from_u64(0xadd2_7ab1_u64);
+        for case in 0..60 {
+            // Prefixes from a few /16s, so they nest and collide often.
+            let bases = [0x0a00_0000u32, 0x0a01_0000, 0xc633_6400];
+            let draw = |rng: &mut ChaChaRng| {
+                let base = bases[rng.gen_range(0..bases.len())];
+                let len = [0u8, 8, 12, 16, 20, 24, 28, 30, 31, 32][rng.gen_range(0..10usize)];
+                let addr = Ipv4Addr::from_u32(base | rng.gen_range(0..0x1_0000u32));
+                Prefix::new(addr, len).unwrap()
+            };
+            let routes: Vec<(Prefix, Asn)> = (0..rng.gen_range(0..=12usize))
+                .map(|i| (draw(&mut rng), Asn(100 + i as u32)))
+                .collect();
+            let mut announced: Vec<Prefix> = (0..rng.gen_range(0..=12usize))
+                .map(|_| draw(&mut rng))
+                .collect();
+            if case % 2 == 0 && !routes.is_empty() {
+                // A route that is also a blackholed prefix.
+                announced.push(routes[rng.gen_range(0..routes.len())].0);
+            }
+            let updates =
+                UpdateLog::from_updates(announced.iter().map(|p| bh(&p.to_string())).collect());
+            let origins = OriginTable::build(&routes);
+            let enricher = SampleEnricher::new(&BTreeMap::new(), &[], &origins)
+                .with_blackholes(&updates, Timestamp::EPOCH);
+
+            let mut route_trie = PrefixTrie::new();
+            for &(p, asn) in &routes {
+                route_trie.insert(p, asn);
+            }
+            let mut bh_trie = PrefixTrie::new();
+            for p in &announced {
+                bh_trie.insert(*p, ());
+            }
+            let mut probes: Vec<Ipv4Addr> = (0..32)
+                .map(|_| Ipv4Addr::from_u32(bases[case % 3] | rng.gen_range(0..0x1_0000u32)))
+                .collect();
+            for p in routes.iter().map(|r| r.0).chain(announced.iter().copied()) {
+                probes.extend([
+                    p.network(),
+                    p.last_addr(),
+                    p.network().wrapping_add(u32::MAX),
+                    p.last_addr().wrapping_add(1),
+                ]);
+            }
+            for addr in probes {
+                let (bh_id, origin_id) = enricher.lookup(addr);
+                let bh_prefix =
+                    (bh_id != NONE).then(|| enricher.blackhole_prefixes[bh_id as usize]);
+                let origin = (origin_id != NONE).then(|| enricher.asns[origin_id as usize]);
+                assert_eq!(
+                    bh_prefix,
+                    bh_trie.longest_match(addr).map(|(p, _)| p),
+                    "case {case}: blackhole of {addr}"
+                );
+                assert_eq!(
+                    origin,
+                    route_trie.longest_match(addr).map(|(_, &asn)| asn),
+                    "case {case}: origin of {addr}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -716,7 +854,7 @@ mod tests {
         assert_eq!(enricher.active_prefixes.len(), 1);
         // `(dst_pid, active_pid, active)` of a destination at 50 ms.
         let walk = |dst: &str| {
-            let dst_pid = enricher.blackhole(dst.parse().unwrap());
+            let dst_pid = enricher.lookup(dst.parse().unwrap()).0;
             let active_pid = enricher.active_id(dst_pid);
             (
                 dst_pid,

@@ -3,7 +3,7 @@
 
 use std::collections::BTreeMap;
 
-use rtbh_net::{AmplificationProtocol, Protocol, TimeDelta};
+use rtbh_net::{AmplificationProtocol, Protocol, TimeDelta, AMPLIFICATION_PROTOCOLS};
 
 use crate::columns::ColumnarFlows;
 use crate::events::RtbhEvent;
@@ -167,6 +167,11 @@ fn classify_protocol(p: Protocol) -> usize {
 }
 
 /// Aggregates during-event traffic for every event.
+///
+/// Each during-event row's chunk is located once; its protocol and its
+/// amplification entry ([`AmplificationProtocol::classify`], a `match` on
+/// the source port) are tallied into dense per-event arrays, and only the
+/// non-zero amplification counts become map entries.
 pub fn analyze_event_traffic(
     events: &[RtbhEvent],
     index: &SampleIndex,
@@ -186,26 +191,31 @@ pub fn analyze_event_traffic(
                 .prefix_id(event.prefix)
                 .map(|id| index.towards(id))
                 .unwrap_or(&[]);
-            let mut traffic = EventTraffic {
-                event_id: event.id,
-                packets: 0,
-                by_protocol: [0; 4],
-                amplification: BTreeMap::new(),
-                preceded_by_anomaly,
-            };
-            for &id in cols.window_ids(ids, cover.start, cover.end) {
-                let i = id as usize;
-                traffic.packets += 1;
-                traffic.by_protocol[classify_protocol(cols.protocol(i))] += 1;
-                if let Some(p) = AmplificationProtocol::classify(
-                    cols.protocol(i),
-                    cols.src_port(i),
-                    cols.fragment(i),
-                ) {
-                    *traffic.amplification.entry(p).or_insert(0) += 1;
+            let during = cols.window_ids(ids, cover.start, cover.end);
+            let mut by_protocol = [0u64; 4];
+            let mut amplification = [0u64; AMPLIFICATION_PROTOCOLS.len()];
+            for &id in during {
+                let (c, r) = cols.loc(id as usize);
+                let protocol = Protocol::from_number(c.protocols()[r]);
+                by_protocol[classify_protocol(protocol)] += 1;
+                if let Some(p) =
+                    AmplificationProtocol::classify(protocol, c.src_ports()[r], c.fragment(r))
+                {
+                    amplification[p as usize] += 1;
                 }
             }
-            traffic
+            EventTraffic {
+                event_id: event.id,
+                packets: during.len() as u64,
+                by_protocol,
+                amplification: AMPLIFICATION_PROTOCOLS
+                    .iter()
+                    .zip(amplification)
+                    .filter(|&(_, count)| count > 0)
+                    .map(|(&p, count)| (p, count))
+                    .collect(),
+                preceded_by_anomaly,
+            }
         })
         .collect();
     ProtocolAnalysis { per_event }

@@ -368,9 +368,10 @@ pub struct StreamAnalyzer {
     /// with **empty** logs — the accumulated logs replace them at
     /// finalization.
     template: Corpus,
-    /// The batch enricher's MAC table and origin LPM (compiled from the
-    /// template alone, so its interned ids equal the batch ones); the
-    /// finalizer adds the blackhole tables of the applied updates.
+    /// The batch enricher's MAC table and interned routes (compiled from
+    /// the template alone, so its interned ids equal the batch ones); the
+    /// finalizer adds the blackhole tables of the applied updates and the
+    /// address table.
     enricher: SampleEnricher,
     pending: ReorderBuffer,
     max_seen_ms: Option<i64>,

@@ -27,4 +27,4 @@ pub use fabric::{Fabric, ForwardOutcome};
 pub use flow::{FlowLog, FlowSample};
 pub use member::{Member, MemberId, RouterPort};
 pub use sampler::Sampler;
-pub use wire::{decode_flow_log, encode_flow_log, FlowWireError};
+pub use wire::{decode_flow_log, encode_flow_log, encode_flow_log_into, FlowWireError};

@@ -73,14 +73,22 @@ impl std::error::Error for FlowWireError {}
 
 /// Encodes a flow log into the IPFIX-lite stream format.
 pub fn encode_flow_log(log: &FlowLog) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(HEADER_LEN + log.len() * RECORD_LEN);
+    let mut buf = Vec::new();
+    encode_flow_log_into(log, &mut buf);
+    buf
+}
+
+/// Appends the IPFIX-lite encoding of a flow log to `buf`, after reserving
+/// room for all of it: the bytes [`encode_flow_log`] returns, written
+/// straight into a caller's buffer (a corpus container) with no copy.
+pub fn encode_flow_log_into(log: &FlowLog, buf: &mut Vec<u8>) {
+    buf.reserve(HEADER_LEN + log.len() * RECORD_LEN);
     buf.extend_from_slice(MAGIC);
     buf.extend_from_slice(&VERSION.to_be_bytes());
     buf.extend_from_slice(&(log.len() as u64).to_be_bytes());
     for s in log.samples() {
         buf.extend_from_slice(&encode_record(s));
     }
-    buf
 }
 
 fn encode_record(s: &FlowSample) -> [u8; RECORD_LEN] {

@@ -155,6 +155,11 @@ impl AmplificationProtocol {
     /// Classifies a sampled packet's (protocol, source port) against the
     /// catalogue. Fragments must be pre-marked by the capture pipeline with
     /// source port 0 and `fragment = true`.
+    ///
+    /// One `match` on the source port: the inverse of
+    /// [`AmplificationProtocol::source_port`] over the UDP entries, pinned
+    /// against a catalogue scan on every port by a unit test.
+    #[inline]
     pub fn classify(protocol: Protocol, src_port: Port, fragment: bool) -> Option<Self> {
         if fragment {
             return Some(Self::Fragmentation);
@@ -162,9 +167,26 @@ impl AmplificationProtocol {
         if protocol != Protocol::Udp {
             return None;
         }
-        ALL.iter()
-            .copied()
-            .find(|p| *p != Self::Fragmentation && p.source_port() == src_port)
+        Some(match src_port {
+            17 => Qotd,
+            19 => Chargen,
+            53 => Dns,
+            69 => Tftp,
+            123 => Ntp,
+            138 => Netbios,
+            161 => Snmp,
+            389 => Cldap,
+            520 => Rip,
+            1900 => Ssdp,
+            3478 => Stun,
+            3659 => Game3659,
+            5060 => Sip,
+            6881 => Bittorrent,
+            11211 => Memcached,
+            27005 => Game27005,
+            28960 => Game28960,
+            _ => return None,
+        })
     }
 }
 
@@ -201,7 +223,9 @@ const ALL: [AmplificationProtocol; 18] = [
     Fragmentation,
 ];
 
-/// All 18 catalogue entries, in the paper's footnote order.
+/// All 18 catalogue entries, in the paper's footnote order, which is also
+/// declaration order: `AMPLIFICATION_PROTOCOLS[p as usize] == p`, so a
+/// dense per-protocol array can be indexed by `p as usize`.
 pub const AMPLIFICATION_PROTOCOLS: &[AmplificationProtocol] = &ALL;
 
 #[cfg(test)]
@@ -218,6 +242,9 @@ mod tests {
         ports.sort_unstable();
         ports.dedup();
         assert_eq!(ports.len(), 18, "ports must be unique");
+        for (i, &p) in AMPLIFICATION_PROTOCOLS.iter().enumerate() {
+            assert_eq!(p as usize, i, "{p} is out of declaration order");
+        }
     }
 
     #[test]
@@ -254,6 +281,50 @@ mod tests {
             AmplificationProtocol::classify(Protocol::Other(17), 0, true),
             Some(AmplificationProtocol::Fragmentation)
         );
+    }
+
+    /// The port `match` against a scan of the catalogue, on every
+    /// (protocol, source port, fragment) input the analysis can meet:
+    /// all 65,536 ports under UDP, TCP, ICMP and `Other(n)`, with and
+    /// without the fragment flag.
+    #[test]
+    fn classify_matches_a_catalogue_scan_on_every_port() {
+        let scan = |protocol: Protocol, port: Port, fragment: bool| {
+            if fragment {
+                Some(Fragmentation)
+            } else if protocol != Protocol::Udp {
+                None
+            } else {
+                ALL.iter()
+                    .copied()
+                    .find(|p| *p != Fragmentation && p.source_port() == port)
+            }
+        };
+        let protocols = [
+            Protocol::Udp,
+            Protocol::Tcp,
+            Protocol::Icmp,
+            Protocol::Other(0),
+            Protocol::Other(17),
+            Protocol::Other(47),
+            Protocol::Other(255),
+        ];
+        let mut hits = 0;
+        for protocol in protocols {
+            for port in 0..=Port::MAX {
+                for fragment in [false, true] {
+                    let got = AmplificationProtocol::classify(protocol, port, fragment);
+                    assert_eq!(
+                        got,
+                        scan(protocol, port, fragment),
+                        "{protocol:?} port {port} fragment {fragment}"
+                    );
+                    hits += usize::from(got.is_some() && !fragment);
+                }
+            }
+        }
+        // Every UDP catalogue port, and nothing else, hits unfragmented.
+        assert_eq!(hits, ALL.len() - 1);
     }
 
     #[test]

@@ -254,24 +254,40 @@ impl<T> FrozenLpm<T> {
     ///
     /// At most four slot reads; agrees with [`PrefixTrie::longest_match`].
     pub fn longest_match(&self, addr: Ipv4Addr) -> Option<(Prefix, &T)> {
-        let bits = addr.to_u32();
-        let mut best: Option<(u32, u8)> = None;
+        let slot = self.walk(addr.to_u32());
+        (slot.value != NONE).then(|| {
+            let prefix = Prefix::new(addr, slot.value_len).expect("stored prefix length <= 32");
+            (prefix, &self.values[slot.value as usize])
+        })
+    }
+
+    /// The value of the most specific stored prefix containing `addr`:
+    /// the walk of [`FrozenLpm::longest_match`] without rebuilding the
+    /// matched prefix, for callers that only need the value.
+    #[inline]
+    pub fn longest_value(&self, addr: Ipv4Addr) -> Option<&T> {
+        let slot = self.walk(addr.to_u32());
+        (slot.value != NONE).then(|| &self.values[slot.value as usize])
+    }
+
+    /// The deepest slot on `bits`' path that holds a value (or an empty
+    /// slot when none does): at most four slot reads.
+    #[inline]
+    fn walk(&self, bits: u32) -> Slot {
+        let mut best = Slot::EMPTY;
         let mut table = 0usize;
         for d in 0..4 {
             let byte = ((bits >> (24 - 8 * d)) & 0xFF) as usize;
             let slot = self.slots[table * TABLE_SLOTS + byte];
             if slot.value != NONE {
-                best = Some((slot.value, slot.value_len));
+                best = slot;
             }
             if slot.child == NONE {
                 break;
             }
             table = slot.child as usize;
         }
-        best.map(|(value, len)| {
-            let prefix = Prefix::new(addr, len).expect("stored prefix length <= 32");
-            (prefix, &self.values[value as usize])
-        })
+        best
     }
 
     /// Iterates over all `(prefix, value)` pairs in lexicographic
@@ -344,12 +360,16 @@ mod tests {
             lpm.longest_match(a("8.8.8.8")).unwrap(),
             (p("0.0.0.0/0"), &"default")
         );
+        assert_eq!(lpm.longest_value(a("203.0.113.7")), Some(&"host"));
+        assert_eq!(lpm.longest_value(a("203.0.113.8")), Some(&"net"));
+        assert_eq!(lpm.longest_value(a("8.8.8.8")), Some(&"default"));
     }
 
     #[test]
     fn no_default_no_match() {
         let lpm = FrozenLpm::from_entries([(p("10.0.0.0/8"), ())]);
         assert!(lpm.longest_match(a("11.0.0.0")).is_none());
+        assert!(lpm.longest_value(a("11.0.0.0")).is_none());
         assert!(lpm.longest_match(a("10.1.2.3")).is_some());
     }
 

@@ -148,7 +148,8 @@ pub fn check_lpm_against_trie<T: Clone + PartialEq + std::fmt::Debug>(
 
 /// `lpm` must hold exactly the trie's entries — same count, same per-prefix
 /// `get`, the same `iter` sequence — and give the same `longest_match`
-/// for every probe address.
+/// for every probe address, whose value the value-only walk
+/// (`longest_value`) must return too.
 pub fn check_lpm_equal<T: Clone + PartialEq + std::fmt::Debug>(
     trie: &PrefixTrie<T>,
     lpm: &FrozenLpm<T>,
@@ -173,6 +174,11 @@ pub fn check_lpm_equal<T: Clone + PartialEq + std::fmt::Debug>(
             from_lpm.map(|(p, v)| (p, v.clone())),
             from_trie.map(|(p, v)| (p, v.clone())),
             "longest_match({addr}) diverged"
+        );
+        assert_eq!(
+            lpm.longest_value(addr),
+            from_lpm.map(|(_, v)| v),
+            "longest_value({addr}) diverged from longest_match"
         );
     }
 }

@@ -3,7 +3,9 @@
 //! fuzzed (random sizes, overlapping prefixes, removals, duplicate
 //! inserts); probes mix uniform addresses with the boundary addresses of
 //! every inserted prefix — first/last covered address and their
-//! out-of-prefix neighbours, where stride-boundary bugs live.
+//! out-of-prefix neighbours, where stride-boundary bugs live. At every
+//! probe the value-only walk (`FrozenLpm::longest_value`) must return the
+//! value of `longest_match` (`oracle::check_lpm_equal`).
 
 #[path = "common/seeds.rs"]
 #[allow(dead_code)]

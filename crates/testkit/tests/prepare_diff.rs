@@ -21,7 +21,11 @@
 //! internal device, every row internal, none internal, zero skew, an
 //! invalid offset grid and no dropped samples — plus a blackholed prefix
 //! that holds no interval inside one that does, where one destination walk
-//! must still find the covering interval-holding prefix.
+//! must still find the covering interval-holding prefix. A generated case
+//! aims at the one address table that answers both the blackhole and the
+//! origin question: routes and blackholed prefixes nest both ways, a
+//! prefix is both, a /0 route and /32 routes are present, and samples hit
+//! every prefix's first and last address and their outside neighbours.
 
 #[path = "common/seeds.rs"]
 #[allow(dead_code)]
@@ -325,4 +329,102 @@ fn a_prefix_without_intervals_inside_one_with_them() {
         cols.active_prefix(row).map(|(p, _)| p),
         Some(Prefix::new(dst, 16).unwrap())
     );
+}
+
+/// Routes and blackholed prefixes drawn around a few sampled addresses at
+/// lengths /0 to /32, so they nest both ways; one prefix is both a route
+/// and a blackholed prefix, a /0 and /32 routes are always present, and
+/// rows are rewritten to hit every prefix's first and last address (and
+/// the addresses just outside) as destination and as source.
+#[test]
+fn routes_and_blackholes_that_nest_both_ways() {
+    let target = FuzzTarget {
+        package: "rtbh-testkit",
+        test_file: "prepare_diff",
+        test_name: "routes_and_blackholes_that_nest_both_ways",
+        base_seed: seeds::FUZZ_PREPARE_ADDRS,
+    };
+    target.run_capped(1, 6, |_seed, rng| {
+        let mut corpus = corpus(rng.next_u64(), -10 * i64::from(rng.gen_range(1..=40u32)));
+        let mut samples = corpus.flows.samples().to_vec();
+        let n = samples.len();
+        let anchors: Vec<Ipv4Addr> = (0..4)
+            .map(|k| {
+                let s = &samples[rng.gen_range(0..n)];
+                if k % 2 == 0 {
+                    s.dst_ip
+                } else {
+                    s.src_ip
+                }
+            })
+            .collect();
+        let asn = |k: usize| Asn(65_100 + k as u32);
+        let mut routes = vec![
+            (Prefix::DEFAULT, asn(0)),
+            (Prefix::host(anchors[0]), asn(1)),
+        ];
+        let both = Prefix::new(anchors[1], 24).unwrap();
+        routes.push((both, asn(2)));
+        let mut blackholed = vec![both, Prefix::host(anchors[2])];
+        for &anchor in &anchors {
+            for len in [8u8, 16, 20, 24, 28, 30, 31, 32] {
+                let p = Prefix::new(anchor, len).unwrap();
+                match rng.gen_range(0..4u32) {
+                    0 => routes.push((p, asn(routes.len()))),
+                    1 => blackholed.push(p),
+                    2 => {
+                        routes.push((p, asn(routes.len())));
+                        blackholed.push(p);
+                    }
+                    _ => {}
+                }
+            }
+        }
+        corpus.routes.extend(routes.iter().copied());
+
+        // Each blackholed prefix is announced at a random instant, and
+        // withdrawn later for about half of them.
+        let (start, end) = (
+            corpus.period.start.as_millis(),
+            corpus.period.end.as_millis(),
+        );
+        let mut updates = corpus.updates.updates().to_vec();
+        for &prefix in &blackholed {
+            let at = rng.gen_range(start..end);
+            let update = |at: i64, kind: UpdateKind| BgpUpdate {
+                at: rtbh_net::Timestamp::from_millis(at),
+                peer: Asn(64_999),
+                prefix,
+                origin: Asn(64_999),
+                kind,
+                communities: vec![Community::BLACKHOLE],
+                next_hop: Ipv4Addr::new(198, 51, 100, 66),
+            };
+            updates.push(update(at, UpdateKind::Announce));
+            if rng.gen_bool(0.5) {
+                updates.push(update(rng.gen_range(at..=end), UpdateKind::Withdraw));
+            }
+        }
+        corpus.updates = UpdateLog::from_updates(updates);
+
+        let edges = routes.iter().map(|r| r.0).chain(blackholed.iter().copied());
+        for prefix in edges.collect::<Vec<_>>() {
+            for addr in [
+                prefix.network(),
+                prefix.last_addr(),
+                prefix.network().wrapping_add(u32::MAX),
+                prefix.last_addr().wrapping_add(1),
+            ] {
+                samples[rng.gen_range(0..n)].dst_ip = addr;
+                samples[rng.gen_range(0..n)].src_ip = addr;
+            }
+        }
+        corpus.flows = FlowLog::from_samples(samples);
+
+        for capacity in [64, 0] {
+            for workers in 1..=3 {
+                check(&corpus, workers, capacity, |_| {});
+            }
+        }
+    });
 }

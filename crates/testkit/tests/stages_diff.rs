@@ -11,15 +11,19 @@
 //! * stream backfill — a scan over every kept sample of the feed,
 //!   recomputed at each journaled verdict's start;
 //! * filtering — three `BTreeSet` inserts per during-event sample;
+//! * protocols — a `BTreeMap` entry per amplification-matched
+//!   during-event sample, found by a scan of the catalogue;
 //! * acceptance — up to three `BTreeMap` entries per blackhole-active row.
 //!
 //! Values must be equal and their JSON bytes identical. The generators aim
 //! at the edges of each shortcut: grid instants hit exactly and ±1 ms,
 //! peers that see nothing, windows with no rows, slot values exactly at
 //! the anomaly floor, detectors that never warm up, events just short of
-//! the filtering threshold, /32 rows from unknown ingress ports, prefixes
-//! that hold intervals but no active row. A last target runs them all on
-//! simulated corpora under fuzzed stage configurations.
+//! the filtering threshold, fragments of every protocol, every catalogue
+//! port and ports 0 and 65535, events whose coverage holds no row, /32
+//! rows from unknown ingress ports, prefixes that hold intervals but no
+//! active row. A last target runs them all on simulated corpora under
+//! fuzzed stage configurations.
 
 #[path = "common/seeds.rs"]
 #[allow(dead_code)]
@@ -39,13 +43,14 @@ use rtbh_core::preevent::{
     analyze_event, analyze_preevents, AnomalyHit, PreClass, PreEventAnalysis, PreEventConfig,
     PreEventResult, FEATURES,
 };
+use rtbh_core::protocols::{analyze_event_traffic, EventTraffic, ProtocolAnalysis};
 use rtbh_core::stream::{Retention, StreamAnalyzer, StreamConfig, StreamEvent};
 use rtbh_core::visibility::{visibility_series, VisibilityPoint};
 use rtbh_core::Analyzer;
 use rtbh_fabric::{FlowLog, FlowSample};
 use rtbh_net::{
     AmplificationProtocol, Asn, Community, Interval, Ipv4Addr, MacAddr, Prefix, Protocol,
-    TimeDelta, Timestamp,
+    TimeDelta, Timestamp, AMPLIFICATION_PROTOCOLS,
 };
 use rtbh_rng::{ChaChaRng, Rng, SliceRandom};
 use rtbh_sim::ScenarioConfig;
@@ -1252,6 +1257,211 @@ fn filtering_matches_the_tree_inserts_on_generated_events() {
 }
 
 // ---------------------------------------------------------------------
+// Protocols: a tree entry per amplification-matched sample.
+// ---------------------------------------------------------------------
+
+/// The replaced `analyze_event_traffic`: per during-event sample, the
+/// protocol slot and a `BTreeMap` entry for the catalogue entry a scan
+/// finds (fragments first, then UDP source ports).
+fn oracle_protocols(
+    events: &[RtbhEvent],
+    index: &SampleIndex,
+    cols: &ColumnarFlows,
+    preevents: &PreEventAnalysis,
+) -> ProtocolAnalysis {
+    let horizon = preevents.config.anomaly_horizon;
+    let per_event = events
+        .iter()
+        .map(|event| {
+            let preceded_by_anomaly = preevents
+                .per_event
+                .get(event.id)
+                .is_some_and(|r| r.class == PreClass::DataAnomaly && r.anomaly_within(horizon));
+            let cover = event.coverage();
+            let ids = index
+                .prefix_id(event.prefix)
+                .map(|id| index.towards(id))
+                .unwrap_or(&[]);
+            let mut traffic = EventTraffic {
+                event_id: event.id,
+                packets: 0,
+                by_protocol: [0; 4],
+                amplification: BTreeMap::new(),
+                preceded_by_anomaly,
+            };
+            for &id in cols.window_ids(ids, cover.start, cover.end) {
+                let i = id as usize;
+                traffic.packets += 1;
+                let slot = match cols.protocol(i) {
+                    Protocol::Udp => 0,
+                    Protocol::Tcp => 1,
+                    Protocol::Icmp => 2,
+                    Protocol::Other(_) => 3,
+                };
+                traffic.by_protocol[slot] += 1;
+                let hit = if cols.fragment(i) {
+                    Some(AmplificationProtocol::Fragmentation)
+                } else if cols.protocol(i) != Protocol::Udp {
+                    None
+                } else {
+                    AMPLIFICATION_PROTOCOLS.iter().copied().find(|p| {
+                        *p != AmplificationProtocol::Fragmentation
+                            && p.source_port() == cols.src_port(i)
+                    })
+                };
+                if let Some(p) = hit {
+                    *traffic.amplification.entry(p).or_insert(0) += 1;
+                }
+            }
+            traffic
+        })
+        .collect();
+    ProtocolAnalysis { per_event }
+}
+
+#[test]
+fn protocols_match_the_tree_tally_on_generated_events() {
+    let target = FuzzTarget {
+        package: "rtbh-testkit",
+        test_file: "stages_diff",
+        test_name: "protocols_match_the_tree_tally_on_generated_events",
+        base_seed: seeds::FUZZ_STAGES_PROTOCOLS,
+    };
+    // Every catalogue source port (Fragmentation's is 0), plus the ends
+    // of the port range.
+    let ports: Vec<u16> = AMPLIFICATION_PROTOCOLS
+        .iter()
+        .map(|p| p.source_port())
+        .chain([0, 1, 65_535])
+        .collect();
+    let resolver = MacResolver::from_map(BTreeMap::from([(MacAddr::from_id(1), Asn(64_501))]));
+    let (mut matched, mut empty) = (0usize, 0usize);
+    target.run(300, |_, rng| {
+        let prefixes: Vec<Prefix> = FILTER_PREFIXES.iter().map(|p| p.parse().unwrap()).collect();
+        let updates: Vec<BgpUpdate> = prefixes
+            .iter()
+            .map(|&prefix| BgpUpdate {
+                at: Timestamp::EPOCH,
+                peer: Asn(9),
+                prefix,
+                origin: Asn(9),
+                kind: UpdateKind::Announce,
+                communities: vec![Community::BLACKHOLE],
+                next_hop: Ipv4Addr::new(198, 51, 100, 66),
+            })
+            .collect();
+        let fragment_share = *[0.0, 0.2, 0.9].choose(rng).unwrap();
+        let samples: Vec<FlowSample> = (0..rng.gen_range(0..=200usize))
+            .map(|_| {
+                let prefix = *prefixes.choose(rng).unwrap();
+                let dst = Ipv4Addr::from_u32(prefix.network().to_u32() | rng.gen_range(0..2u32));
+                // Fragments of every protocol, not only UDP ones.
+                let fragment = rng.gen_bool(fragment_share);
+                FlowSample {
+                    at: Timestamp::from_millis(rng.gen_range(0..6 * HOUR_MS)),
+                    src_mac: MacAddr::from_id(1),
+                    dst_mac: MacAddr::BLACKHOLE,
+                    src_ip: Ipv4Addr::new(203, 0, 113, rng.gen_range(0..8u32) as u8),
+                    dst_ip: dst,
+                    protocol: arb_protocol(rng),
+                    src_port: if rng.gen_bool(0.7) {
+                        *ports.choose(rng).unwrap()
+                    } else {
+                        rng.gen()
+                    },
+                    dst_port: *ports.choose(rng).unwrap(),
+                    packet_len: 500,
+                    fragment,
+                }
+            })
+            .collect();
+        let mut events = Vec::new();
+        // Unannounced prefixes too: their events have no index list.
+        for prefix in prefixes
+            .iter()
+            .copied()
+            .chain(["10.2.0.0/24".parse().unwrap()])
+        {
+            for _ in 0..rng.gen_range(0..=3usize) {
+                // Some coverages lie past every sample.
+                let start = rng.gen_range(0..8 * HOUR_MS);
+                let len = if rng.gen_ratio(1, 4) {
+                    rng.gen_range(1..=50i64)
+                } else {
+                    rng.gen_range(1..=2 * HOUR_MS)
+                };
+                let mut spans = vec![Interval::new(
+                    Timestamp::from_millis(start),
+                    Timestamp::from_millis(start + len),
+                )];
+                if rng.gen_ratio(1, 3) {
+                    let next = start + len + rng.gen_range(0..=HOUR_MS);
+                    spans.push(Interval::new(
+                        Timestamp::from_millis(next),
+                        Timestamp::from_millis(next + rng.gen_range(1..=HOUR_MS)),
+                    ));
+                }
+                events.push(RtbhEvent {
+                    id: events.len(),
+                    prefix,
+                    spans,
+                    trigger_peer: Asn(9),
+                    origin: Asn(9),
+                    open_ended: false,
+                });
+            }
+        }
+        // Random classes, some with an anomaly inside the horizon; some
+        // events have no pre-event result at all.
+        let mut per_event: Vec<PreEventResult> = events
+            .iter()
+            .map(|e| {
+                let mut r = result_of(
+                    e.id,
+                    *[PreClass::DataAnomaly, PreClass::DataNoAnomaly]
+                        .choose(rng)
+                        .unwrap(),
+                );
+                if rng.gen_bool(0.5) {
+                    r.anomalies.push(AnomalyHit {
+                        before_start: TimeDelta::minutes(rng.gen_range(0..=120i64)),
+                        level: 1,
+                    });
+                }
+                r
+            })
+            .collect();
+        per_event.truncate(rng.gen_range(0..=per_event.len()));
+        let preevents = PreEventAnalysis {
+            per_event,
+            config: PreEventConfig::PAPER,
+        };
+        let enriched = ColumnarFlows::build_enriched_with_capacity(
+            &UpdateLog::from_updates(updates),
+            &FlowLog::from_samples(samples),
+            &resolver,
+            &OriginTable::build(&[]),
+            Timestamp::from_millis(7 * HOUR_MS),
+            1,
+            if rng.gen_bool(0.5) { 0 } else { 64 },
+        );
+        let cols = &enriched.columns;
+        let index =
+            SampleIndex::from_columns(enriched.blackholes, enriched.blackhole_prefixes, cols, 1);
+        let analysis = analyze_event_traffic(&events, &index, cols, &preevents);
+        let expected = oracle_protocols(&events, &index, cols, &preevents);
+        assert_same_json(&analysis, &expected, "protocol analysis");
+        matched += analysis
+            .per_event
+            .iter()
+            .filter(|e| !e.amplification.is_empty())
+            .count();
+        empty += analysis.per_event.iter().filter(|e| e.packets == 0).count();
+    });
+    assert!(matched > 0 && empty > 0, "{matched} matched, {empty} empty");
+}
+
+// ---------------------------------------------------------------------
 // Acceptance: up to three tree entries per blackhole-active row.
 // ---------------------------------------------------------------------
 
@@ -1464,6 +1674,16 @@ fn stage_kernels_match_their_oracles_on_simulated_corpora() {
                 &preevents,
             ),
             "filtering on a simulated corpus",
+        );
+        assert_same_json(
+            &analyzer.protocols(&preevents),
+            &oracle_protocols(
+                analyzer.events(),
+                analyzer.index(),
+                analyzer.columns(),
+                &preevents,
+            ),
+            "protocols on a simulated corpus",
         );
         let expected = oracle_acceptance(analyzer.columns());
         for workers in 1..=3 {

@@ -88,19 +88,33 @@ pub fn to_bytes(corpus: &Corpus) -> Result<Vec<u8>, CorpusIoError> {
         routes: corpus.routes.clone(),
     };
     let meta_json = rtbh_json::to_vec(&meta);
-    let mrt = rtbh_bgp::encode_update_log(&corpus.updates).map_err(CorpusIoError::Updates)?;
-    let flows = rtbh_fabric::encode_flow_log(&corpus.flows);
 
-    let mut buf = Vec::with_capacity(34 + meta_json.len() + mrt.len() + flows.len());
+    // The two logs are encoded straight into the container, each behind a
+    // length field patched once the section is written.
+    let mut buf = Vec::with_capacity(34 + meta_json.len());
     buf.put_slice(MAGIC);
     buf.put_u16(VERSION);
     buf.put_u64(meta_json.len() as u64);
     buf.put_slice(&meta_json);
-    buf.put_u64(mrt.len() as u64);
-    buf.put_slice(&mrt);
-    buf.put_u64(flows.len() as u64);
-    buf.put_slice(&flows);
+    put_section(&mut buf, |buf| {
+        rtbh_bgp::encode_update_log_into(&corpus.updates, buf)
+    })
+    .map_err(CorpusIoError::Updates)?;
+    put_section(&mut buf, |buf| {
+        rtbh_fabric::encode_flow_log_into(&corpus.flows, buf)
+    });
     Ok(buf)
+}
+
+/// Appends a section: a u64 length field, then the body `write` appends,
+/// whose length is patched into the field afterwards.
+fn put_section<T>(buf: &mut Vec<u8>, write: impl FnOnce(&mut Vec<u8>) -> T) -> T {
+    let at = buf.len();
+    buf.put_u64(0);
+    let out = write(buf);
+    let len = (buf.len() - at - 8) as u64;
+    buf[at..at + 8].copy_from_slice(&len.to_be_bytes());
+    out
 }
 
 fn take_section<'a>(buf: &mut Reader<'a>, what: &str) -> Result<&'a [u8], CorpusIoError> {
