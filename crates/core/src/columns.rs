@@ -7,12 +7,13 @@
 //! immutable **sealed chunks** ([`SealedChunk`]): fixed-capacity column
 //! slabs — timestamps, addresses, ports, protocol, packet length — plus
 //! per-sample ids a single parallel **enrichment pass** precomputes once.
-//! Prepare runs that pass straight over the raw corpus log: it skips the
-//! internal samples its first pass found, by their indices, and stamps the
-//! clock-corrected timestamp as it seals, so no cleaned or shifted copy of
-//! the log exists. A kept sample costs one source-MAC probe and one walk
-//! of the enricher's address table each for its destination and its
-//! source. The per-sample ids are:
+//! Prepare runs that pass straight over the raw sample log, in place (one
+//! slice for a batch corpus, a finalized stream's fixed-size blocks): it
+//! skips the internal samples its first pass found, by their indices, and
+//! stamps the clock-corrected timestamp as it seals, so no cleaned,
+//! shifted or joined copy of the log exists. A kept sample costs one
+//! source-MAC probe and one walk of the enricher's address table each for
+//! its destination and its source. The per-sample ids are:
 //!
 //! * the ingress (handover) member ASN (from the member directory, a
 //!   [`MacResolver`]), interned into a sorted ASN table;
@@ -491,6 +492,19 @@ pub struct EnrichedBuild {
     pub blackhole_prefixes: Vec<Prefix>,
 }
 
+/// Result of prepare's sealing pass: the columns plus the blackholed
+/// prefixes' dense ids, as the sorted table [`SampleIndex`] is built from
+/// (prepare compiles no longest-prefix table for them).
+///
+/// [`SampleIndex`]: crate::index::SampleIndex
+pub(crate) struct Sealed {
+    pub columns: ColumnarFlows,
+    /// `(prefix, dense id)` of every blackholed prefix, sorted by prefix.
+    pub blackholes: Vec<(Prefix, u32)>,
+    /// Dense id → blackholed prefix, first-announcement order.
+    pub blackhole_prefixes: Vec<Prefix>,
+}
+
 /// Snapshot of the store's shape and window-query behaviour, rendered by
 /// `rtbh analyze --timings`.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -596,39 +610,53 @@ impl ColumnarFlows {
     ) -> EnrichedBuild {
         let enricher =
             SampleEnricher::new(resolver.map(), &[], origins).with_blackholes(updates, corpus_end);
-        Self::seal(
-            flows.samples(),
+        let sealed = Self::seal(
+            &[flows.samples()],
             &[],
             TimeDelta::ZERO,
             enricher,
             workers,
             chunk_capacity,
-        )
+        );
+        EnrichedBuild {
+            columns: sealed.columns,
+            blackholes: FrozenLpm::from_entries(
+                sealed
+                    .blackholes
+                    .into_iter()
+                    .map(|(p, id)| (p, id as usize)),
+            ),
+            blackhole_prefixes: sealed.blackhole_prefixes,
+        }
     }
 
-    /// Pass 2 of prepare: seals the raw samples minus the `removed` ones
+    /// Pass 2 of prepare: seals the raw log minus the `removed` rows
     /// (sorted raw indices, as pass 1 found them) straight into enriched
-    /// chunks, with every timestamp moved by `offset`. No intermediate
-    /// sample log is built.
+    /// chunks, with every timestamp moved by `offset`. The log is read in
+    /// place as its parts laid end to end — one slice for a batch corpus,
+    /// the fixed-size blocks of a finalized stream — so no intermediate
+    /// sample log is built and none is joined.
     ///
     /// Chunk `k` holds kept rows `[k·C, (k+1)·C)`, so chunk bounds depend
     /// on the capacity alone; each chunk finds its first raw row from
     /// `removed` and enriches the runs of kept rows between removed
-    /// indices from there, so no MAC is probed to tell a removed row and
-    /// each kept row costs one source-MAC probe. Each chunk reads its
-    /// `active` bits through fresh cursors, one per interval-holding
-    /// prefix, which walk forward with the time-sorted rows (and re-seek
-    /// should a timestamp ever step back).
+    /// indices from there, each run split where a part ends, so no MAC is
+    /// probed to tell a removed row and each kept row costs one source-MAC
+    /// probe. Each chunk reads its `active` bits through fresh cursors, one
+    /// per interval-holding prefix, which walk forward with the time-sorted
+    /// rows (and re-seek should a timestamp ever step back).
     pub(crate) fn seal(
-        samples: &[FlowSample],
+        log: &[&[FlowSample]],
         removed: &[u32],
         offset: TimeDelta,
         enricher: SampleEnricher,
         workers: usize,
         chunk_capacity: usize,
-    ) -> EnrichedBuild {
+    ) -> Sealed {
         let (capacity, cap_shift) = normalize_capacity(chunk_capacity);
-        let n = samples.len() - removed.len();
+        let log = shard::Concat::new(log);
+        let total = log.len();
+        let n = total - removed.len();
         let seal = |start: usize, rows: usize| -> SealedChunk {
             let mut chunk = SealedChunk::with_rows(start, rows);
             let mut activity = enricher.activity();
@@ -636,10 +664,12 @@ impl ColumnarFlows {
             // `removed[gone]` is the first removed row at or after `raw`.
             let mut gone = raw - start;
             while chunk.len() < rows {
-                let next = removed.get(gone).map_or(samples.len(), |&r| r as usize);
+                let next = removed.get(gone).map_or(total, |&r| r as usize);
                 let take = (next - raw).min(rows - chunk.len());
-                for s in &samples[raw..raw + take] {
-                    chunk.push(s, offset, &enricher, &mut activity);
+                for (_, run) in log.runs(raw, raw + take) {
+                    for s in run {
+                        chunk.push(s, offset, &enricher, &mut activity);
+                    }
                 }
                 (raw, gone) = (next + 1, gone + 1);
             }
@@ -663,7 +693,7 @@ impl ColumnarFlows {
         };
 
         let tables = enricher.into_tables();
-        EnrichedBuild {
+        Sealed {
             columns: ColumnarFlows {
                 chunks,
                 len: n,
@@ -1092,10 +1122,11 @@ mod tests {
         let enricher =
             SampleEnricher::new(test_resolver().map(), &[internal], &OriginTable::build(&[]))
                 .with_blackholes(&updates, Timestamp(100));
-        let (removed, _) = enricher.scan(&samples, None, 1);
+        let (removed, _) = enricher.scan(&[&samples], None, 1);
         assert_eq!(removed, [1]);
         let cols =
-            ColumnarFlows::seal(&samples, &removed, TimeDelta::millis(10), enricher, 1, 0).columns;
+            ColumnarFlows::seal(&[&samples], &removed, TimeDelta::millis(10), enricher, 1, 0)
+                .columns;
         // The internal row is skipped; the others are stamped 10 ms later,
         // and activity reads the stamped time: -5 ms was before the
         // announcement, 5 ms is inside it, and 105 ms is past its end.
@@ -1104,6 +1135,47 @@ mod tests {
         assert_eq!([cols.at(0), cols.at(1)], [Timestamp(5), Timestamp(105)]);
         assert_eq!(cols.active_prefix(0), Some((prefix, true)));
         assert_eq!(cols.active_prefix(1), Some((prefix, false)));
+    }
+
+    #[test]
+    fn a_log_in_parts_seals_like_one_slice() {
+        // Internal rows on both sides of part edges, and parts shorter than
+        // a chunk and longer than one.
+        let internal = MacAddr::from_id(9);
+        let samples: Vec<FlowSample> = (0..300)
+            .map(|i| {
+                let mut s = sample(i / 3, "20.1.0.5", "10.0.0.7", i % 5 == 0);
+                if [0, 63, 64, 99, 100, 101, 250, 299].contains(&i) {
+                    s.src_mac = internal;
+                }
+                s
+            })
+            .collect();
+        let enricher = || {
+            SampleEnricher::new(test_resolver().map(), &[internal], &OriginTable::build(&[]))
+                .with_blackholes(&test_updates(), ts(100))
+        };
+        let (removed, _) = enricher().scan(&[&samples], None, 1);
+        let offset = TimeDelta::millis(-7);
+        let whole = ColumnarFlows::seal(&[&samples], &removed, offset, enricher(), 1, 64).columns;
+        assert_eq!(whole.len(), 292);
+        for cuts in [vec![100], vec![64, 101, 102], vec![1, 2, 250, 299]] {
+            let mut parts: Vec<&[FlowSample]> = Vec::new();
+            let mut start = 0;
+            for &cut in cuts.iter().chain([&samples.len()]) {
+                parts.push(&samples[start..cut]);
+                start = cut;
+            }
+            for workers in [1, 3] {
+                assert_eq!(
+                    enricher().scan(&parts, None, workers).0,
+                    removed,
+                    "{cuts:?}"
+                );
+                let split = ColumnarFlows::seal(&parts, &removed, offset, enricher(), workers, 64);
+                assert_eq!(split.columns, whole, "cuts {cuts:?}, {workers} workers");
+            }
+        }
     }
 
     #[test]
@@ -1145,8 +1217,9 @@ mod tests {
         };
         let oracle = enricher();
         for workers in [1, 3] {
-            let cols = ColumnarFlows::seal(&samples, &[], TimeDelta::ZERO, enricher(), workers, 64)
-                .columns;
+            let cols =
+                ColumnarFlows::seal(&[&samples], &[], TimeDelta::ZERO, enricher(), workers, 64)
+                    .columns;
             assert_eq!(cols.chunks().len(), 11);
             let bits = cols
                 .chunks()

@@ -73,12 +73,30 @@ pub fn infer_events(
     corpus_end: Timestamp,
 ) -> Vec<RtbhEvent> {
     let intervals = blackhole_intervals(updates.updates().iter(), corpus_end);
+    events_from_intervals(
+        updates,
+        intervals.iter().map(|(&p, ivs)| (p, ivs.as_slice())),
+        delta,
+        corpus_end,
+    )
+}
+
+/// [`infer_events`] over activity intervals already computed from
+/// `updates` by [`blackhole_intervals`] (with the same `corpus_end`), in
+/// its prefix order: prepare passes the intervals its sample enricher
+/// holds instead of computing them a second time.
+pub(crate) fn events_from_intervals<'a>(
+    updates: &UpdateLog,
+    intervals: impl IntoIterator<Item = (Prefix, &'a [Interval])>,
+    delta: TimeDelta,
+    corpus_end: Timestamp,
+) -> Vec<RtbhEvent> {
     let meta = prefix_meta(updates);
     let mut events = Vec::new();
     for (prefix, spans) in intervals {
         let (trigger_peer, origin) = meta[&prefix];
         let mut current: Vec<Interval> = Vec::new();
-        for span in spans {
+        for &span in spans {
             let belongs = current
                 .last()
                 .is_some_and(|last| span.start - last.end <= delta);

@@ -2,9 +2,9 @@
 //!
 //! Several analyses ask, for every sample, "which blackholed prefix covers
 //! this destination (or source)?". This module builds the lookup structures
-//! once: a stride-8 longest-prefix table ([`FrozenLpm`]) over all prefixes
-//! that ever appeared in a blackhole announcement, per-prefix time-sorted
-//! sample lists, and a prefix→origin table from the route-server snapshot.
+//! once: the dense ids of all prefixes that ever appeared in a blackhole
+//! announcement, per-prefix time-sorted sample lists, and a prefix→origin
+//! table from the route-server snapshot.
 //!
 //! Every per-sample lookup happens once, in the sample enricher that
 //! prepare compiles per corpus (`SampleEnricher`). Its one address table
@@ -32,9 +32,10 @@ use crate::shard;
 /// Index over a columnar sample store keyed by the blackholed prefixes of
 /// a corpus.
 pub struct SampleIndex {
-    /// Frozen LPM index over every prefix that ever carried a blackhole
-    /// announcement; the payload is the dense prefix id.
-    lpm: FrozenLpm<usize>,
+    /// Every prefix that ever carried a blackhole announcement with its
+    /// dense id, sorted by prefix: [`SampleIndex::prefix_id`] is one binary
+    /// search, and no lookup walks the prefixes by address.
+    ids: Vec<(Prefix, u32)>,
     /// Dense id → prefix.
     prefixes: Vec<Prefix>,
     /// Per prefix id: indices (into the sample store) of samples *towards*
@@ -53,16 +54,30 @@ impl SampleIndex {
     /// `lpm` and `prefixes` must be the pair the columns were enriched with
     /// (see `compile_blackhole_prefixes` via
     /// [`crate::columns::ColumnarFlows::build_enriched`]), so the dense ids
-    /// line up. Workers bucket whole sealed chunks and the partials merge
-    /// in chunk order, so each list stays sorted by sample index (= capture
-    /// time) and the index is identical for every worker count and every
-    /// chunk capacity.
+    /// line up; only the table's entries are kept. Workers bucket whole
+    /// sealed chunks and the partials merge in chunk order, so each list
+    /// stays sorted by sample index (= capture time) and the index is
+    /// identical for every worker count and every chunk capacity.
     pub fn from_columns(
         lpm: FrozenLpm<usize>,
         prefixes: Vec<Prefix>,
         cols: &crate::columns::ColumnarFlows,
         workers: usize,
     ) -> Self {
+        let ids = lpm.iter().map(|(p, &id)| (p, id as u32)).collect();
+        Self::from_table(ids, prefixes, cols, workers)
+    }
+
+    /// [`SampleIndex::from_columns`] over the sorted `(prefix, dense id)`
+    /// table prepare's enricher compiles, so prepare builds no
+    /// longest-prefix table for the blackholed prefixes at all.
+    pub(crate) fn from_table(
+        ids: Vec<(Prefix, u32)>,
+        prefixes: Vec<Prefix>,
+        cols: &crate::columns::ColumnarFlows,
+        workers: usize,
+    ) -> Self {
+        debug_assert!(ids.windows(2).all(|w| w[0].0 < w[1].0), "sorted by prefix");
         let n = prefixes.len();
         let workers = shard::resolve_workers(workers);
         let partials = shard::map_chunks(cols.chunks(), workers, |_, chunks| {
@@ -95,7 +110,7 @@ impl SampleIndex {
             }
         }
         Self {
-            lpm,
+            ids,
             prefixes,
             towards,
             from,
@@ -109,7 +124,8 @@ impl SampleIndex {
 
     /// The dense id of a prefix, if it ever carried a blackhole.
     pub fn prefix_id(&self, prefix: Prefix) -> Option<usize> {
-        self.lpm.get(prefix).copied()
+        let i = self.ids.binary_search_by_key(&prefix, |&(p, _)| p).ok()?;
+        Some(self.ids[i].1 as usize)
     }
 
     /// Sample indices towards a prefix (longest-prefix matched), time-sorted.
@@ -167,22 +183,22 @@ impl OriginTable {
     }
 }
 
-/// Compiles the deduplicated blackholed-prefix set of an update log into an
-/// LPM table whose payload is the dense prefix id, plus the id → prefix
+/// Compiles the deduplicated blackholed-prefix set of an update log into
+/// a table of `(prefix, dense id)` sorted by prefix, plus the id → prefix
 /// table (first-announcement order). The sample enricher compiles it, and
-/// the sealed chunks hand the pair on to [`SampleIndex::from_columns`], so
-/// both agree on prefix ids. The stream grows its live table the same way,
-/// one first announcement at a time.
-fn compile_blackhole_prefixes(updates: &UpdateLog) -> (FrozenLpm<usize>, Vec<Prefix>) {
-    let mut lpm = FrozenLpm::new();
+/// the sealed build hands the pair on to [`SampleIndex`], so both agree on
+/// prefix ids. The stream grows its live table the same way, one first
+/// announcement at a time.
+fn compile_blackhole_prefixes(updates: &UpdateLog) -> (Vec<(Prefix, u32)>, Vec<Prefix>) {
+    let mut ids = BTreeMap::new();
     let mut prefixes = Vec::new();
     for u in updates.blackholes() {
-        if lpm.get(u.prefix).is_none() {
-            lpm.insert(u.prefix, prefixes.len());
+        ids.entry(u.prefix).or_insert_with(|| {
             prefixes.push(u.prefix);
-        }
+            (prefixes.len() - 1) as u32
+        });
     }
-    (lpm, prefixes)
+    (ids.into_iter().collect(), prefixes)
 }
 
 /// The MAC → member-AS directory of a corpus, as handed to
@@ -287,8 +303,10 @@ type AddrIds = (u32, u32);
 ///   and the blackholed prefixes together, valued by [`AddrIds`]: the
 ///   longest key over an address lies inside the longest blackholed
 ///   prefix and the longest route over it, so its value answers both;
-/// * the blackholed prefixes with their dense ids, plus `active_of`,
-///   which maps each id to the covering interval-holding prefix. Prefixes
+/// * the blackholed prefixes with their dense ids (a sorted table, not a
+///   longest-prefix one: the address table answers every walk), plus
+///   `active_of`, which maps each id to the covering interval-holding
+///   prefix. Prefixes
 ///   with intervals come from BLACKHOLE announcements, so they are
 ///   blackholed prefixes too; the longest one over an address is therefore
 ///   the longest one over the longest blackholed prefix, and one
@@ -310,7 +328,8 @@ pub(crate) struct SampleEnricher {
     /// address table consumes it.
     routes: Vec<(Prefix, u32)>,
     addrs: FrozenLpm<AddrIds>,
-    blackholes: FrozenLpm<usize>,
+    /// `(prefix, dense id)` of every blackholed prefix, sorted by prefix.
+    blackholes: Vec<(Prefix, u32)>,
     blackhole_prefixes: Vec<Prefix>,
     /// Per blackhole-prefix id: the id of the longest interval-holding
     /// prefix covering it, or [`NONE`].
@@ -371,11 +390,11 @@ impl Activity<'_> {
 
 /// The lookup tables a sealed build hands on: the ASN intern table and the
 /// interval-holding prefixes for [`crate::columns::ColumnarFlows`], the
-/// blackhole LPM and its id table for [`SampleIndex::from_columns`].
+/// sorted blackhole table and its id → prefix table for [`SampleIndex`].
 pub(crate) struct EnricherTables {
     pub asns: Vec<Asn>,
     pub active_prefixes: Vec<Prefix>,
-    pub blackholes: FrozenLpm<usize>,
+    pub blackholes: Vec<(Prefix, u32)>,
     pub blackhole_prefixes: Vec<Prefix>,
 }
 
@@ -384,11 +403,11 @@ pub(crate) struct EnricherTables {
 /// of its supernets, so the stack holds exactly the stored supernets of
 /// the prefix at hand, and each prefix inherits whichever of its two ids
 /// it does not carry itself from the nearest of them.
-fn address_table(routes: &[(Prefix, u32)], blackholes: &FrozenLpm<usize>) -> FrozenLpm<AddrIds> {
+fn address_table(routes: &[(Prefix, u32)], blackholes: &[(Prefix, u32)]) -> FrozenLpm<AddrIds> {
     // Both lists are sorted and free of duplicates; merge them into one
     // list of `(prefix, own ids)`.
     let mut own: Vec<(Prefix, AddrIds)> = Vec::with_capacity(routes.len() + blackholes.len());
-    let mut bh = blackholes.iter().map(|(p, &id)| (p, id as u32)).peekable();
+    let mut bh = blackholes.iter().copied().peekable();
     for &(p, origin) in routes {
         while let Some((q, id)) = bh.next_if(|&(q, _)| q < p) {
             own.push((q, (id, NONE)));
@@ -446,7 +465,7 @@ impl SampleEnricher {
             asns,
             routes,
             addrs: FrozenLpm::new(),
-            blackholes: FrozenLpm::new(),
+            blackholes: Vec::new(),
             blackhole_prefixes: Vec::new(),
             active_of: Vec::new(),
             active_prefixes: Vec::new(),
@@ -557,25 +576,42 @@ impl SampleEnricher {
         }
     }
 
+    /// The activity intervals of every interval-holding prefix, in prefix
+    /// order: what [`rtbh_bgp::blackhole_intervals`] returned for the
+    /// update log [`SampleEnricher::with_blackholes`] compiled.
+    pub(crate) fn intervals_by_prefix(&self) -> impl Iterator<Item = (Prefix, &[Interval])> {
+        self.active_prefixes
+            .iter()
+            .zip(&self.active_intervals)
+            .map(|(&p, ivs)| (p, ivs.as_slice()))
+    }
+
     /// Pass 1 of prepare, sharded over `workers` scoped threads: the
     /// sorted indices of the internal samples, plus one partial of `votes`
     /// per shard (in shard order) counting the kept dropped samples
     /// against their destination's activity intervals. `votes` is `None`
     /// for an invalid offset grid, and then no shard votes.
+    ///
+    /// The log is read in place as its parts laid end to end, and indices
+    /// count across them; the shards split the rows, not the parts, into
+    /// near-equal ranges.
     pub fn scan(
         &self,
-        samples: &[FlowSample],
+        log: &[&[FlowSample]],
         votes: Option<&OffsetVotes>,
         workers: usize,
     ) -> (Vec<u32>, Vec<OffsetVotes>) {
-        let shards = shard::map_chunks(samples, workers, |start, chunk| {
+        let log = shard::Concat::new(log);
+        let shards = shard::map_ranges(log.len(), workers, |lo, hi| {
             let mut removed = Vec::new();
             let mut votes = votes.cloned();
-            for (i, s) in chunk.iter().enumerate() {
-                if self.ingress(s).is_none() {
-                    removed.push(u32::try_from(start + i).expect("sample ids are u32"));
-                } else if let Some(v) = votes.as_mut().filter(|_| s.is_dropped()) {
-                    v.observe(s.at, self.intervals(s.dst_ip));
+            for (start, run) in log.runs(lo, hi) {
+                for (i, s) in run.iter().enumerate() {
+                    if self.ingress(s).is_none() {
+                        removed.push(u32::try_from(start + i).expect("sample ids are u32"));
+                    } else if let Some(v) = votes.as_mut().filter(|_| s.is_dropped()) {
+                        v.observe(s.at, self.intervals(s.dst_ip));
+                    }
                 }
             }
             (removed, votes)

@@ -38,7 +38,7 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
-use rtbh_fabric::FlowLog;
+use rtbh_fabric::FlowSample;
 use rtbh_net::TimeDelta;
 use rtbh_stats::OffsetVotes;
 
@@ -49,7 +49,7 @@ use crate::clean::CleanReport;
 use crate::collateral::{analyze_collateral, CollateralAnalysis};
 use crate::columns::ColumnarFlows;
 use crate::corpus::Corpus;
-use crate::events::{infer_events, RtbhEvent};
+use crate::events::{events_from_intervals, RtbhEvent};
 use crate::filtering::{analyze_filtering, FilteringAnalysis};
 use crate::hosts::{analyze_hosts, HostAnalysis, HostConfig};
 use crate::index::{OriginTable, SampleEnricher, SampleIndex};
@@ -189,15 +189,18 @@ impl Analyzer {
     /// Preparation consumes the corpus's sample log: once it returns, the
     /// samples live only in [`Analyzer::columns`], and
     /// [`Analyzer::corpus`] keeps the static context and the update log.
-    pub fn new(corpus: Corpus, config: AnalyzerConfig) -> Self {
-        Self::prepare(corpus, config, None)
+    pub fn new(mut corpus: Corpus, config: AnalyzerConfig) -> Self {
+        let log = vec![std::mem::take(&mut corpus.flows).into_samples()];
+        Self::prepare(corpus, log, config, None)
     }
 
-    /// Prepares a corpus whose flow log is **already cleaned** (internal
-    /// IXP traffic removed), with the enricher the samples were cleaned
-    /// by, exactly as [`Analyzer::new`] would: pass 1 then finds nothing
-    /// to remove, and `clean_report` stands in for its counts. The log is
-    /// read in place and released, not copied.
+    /// Prepares a corpus whose sample log is **already cleaned** (internal
+    /// IXP traffic removed) and given apart from it as consecutive blocks,
+    /// with the enricher the samples were cleaned by, exactly as
+    /// [`Analyzer::new`] would prepare the blocks laid end to end: pass 1
+    /// then finds nothing to remove, and `clean_report` stands in for its
+    /// counts. The blocks are read in place and released, never joined or
+    /// copied.
     ///
     /// This is the finalizer path of the streaming analyzer
     /// ([`crate::stream`]): the stream cleans samples on ingest while
@@ -206,25 +209,29 @@ impl Analyzer {
     /// [`FullReport`] byte-for-byte (pinned by the `stream_diff` suite).
     pub(crate) fn from_cleaned(
         corpus: Corpus,
+        blocks: Vec<Vec<FlowSample>>,
         config: AnalyzerConfig,
         clean_report: CleanReport,
         enricher: SampleEnricher,
     ) -> Self {
-        Self::prepare(corpus, config, Some((clean_report, enricher)))
+        Self::prepare(corpus, blocks, config, Some((clean_report, enricher)))
     }
 
     /// The one preparation path: pass 1 (`clean`), `align`, `events`,
-    /// pass 2 (`enrich`) and `index`. `cleaned` carries the stream's
-    /// ingest counters and enricher; without it the corpus's own log is
-    /// cleaned here and the enricher compiled from the corpus.
+    /// pass 2 (`enrich`) and `index`, over the raw sample log `log` read as
+    /// its parts laid end to end (`corpus.flows` is empty). `cleaned`
+    /// carries the stream's ingest counters and enricher; without it the
+    /// log is cleaned here and the enricher compiled from the corpus.
     fn prepare(
-        mut corpus: Corpus,
+        corpus: Corpus,
+        log: Vec<Vec<FlowSample>>,
         config: AnalyzerConfig,
         cleaned: Option<(CleanReport, SampleEnricher)>,
     ) -> Self {
         let workers = crate::shard::resolve_workers(config.workers);
         let updates_total = corpus.updates.len() as u64;
-        let fed = corpus.flows.len();
+        let parts: Vec<&[FlowSample]> = log.iter().map(Vec::as_slice).collect();
+        let fed: usize = parts.iter().map(|p| p.len()).sum();
         let (ingest, enricher) = cleaned.unzip();
         let mut prepare = Vec::new();
 
@@ -244,8 +251,7 @@ impl Analyzer {
                     })
                     .with_blackholes(&corpus.updates, corpus.period.end);
                 let votes = OffsetVotes::new(config.offset_half_range, config.offset_step);
-                let (removed, votes) =
-                    enricher.scan(corpus.flows.samples(), votes.as_ref(), workers);
+                let (removed, votes) = enricher.scan(&parts, votes.as_ref(), workers);
                 (enricher, removed, votes)
             },
         );
@@ -271,6 +277,8 @@ impl Analyzer {
             .as_ref()
             .map_or(TimeDelta::ZERO, Alignment::estimated_offset);
 
+        // The enricher already holds the activity intervals of every
+        // prefix; the events merge them rather than recompute them.
         let (events, st) = profile::time_stage(
             "events",
             Footprint {
@@ -278,7 +286,14 @@ impl Analyzer {
                 samples: 0,
                 events: 0,
             },
-            || infer_events(&corpus.updates, config.merge_delta, corpus.period.end),
+            || {
+                events_from_intervals(
+                    &corpus.updates,
+                    enricher.intervals_by_prefix(),
+                    config.merge_delta,
+                    corpus.period.end,
+                )
+            },
         );
         prepare.push(st);
 
@@ -296,7 +311,7 @@ impl Analyzer {
             workers,
             || {
                 ColumnarFlows::seal(
-                    corpus.flows.samples(),
+                    &parts,
                     &removed,
                     offset,
                     enricher,
@@ -306,7 +321,8 @@ impl Analyzer {
             },
         );
         prepare.push(st);
-        corpus.flows = FlowLog::new();
+        drop(parts);
+        drop(log);
         let columns = enriched.columns;
 
         let (index, st) = profile::time_stage_with_workers(
@@ -318,7 +334,7 @@ impl Analyzer {
             },
             workers,
             || {
-                SampleIndex::from_columns(
+                SampleIndex::from_table(
                     enriched.blackholes,
                     enriched.blackhole_prefixes,
                     &columns,

@@ -66,17 +66,30 @@ where
     T: Sync,
     R: Send,
 {
-    let bounds = chunk_bounds(items.len(), workers);
+    map_ranges(items.len(), workers, |start, end| {
+        f(start, &items[start..end])
+    })
+}
+
+/// Maps `f` over the near-equal ranges [`chunk_bounds`] cuts `0..len`
+/// into, on up to `workers` scoped threads, and returns the results in
+/// range order. `f` receives `(start, end)`; one range runs inline.
+pub(crate) fn map_ranges<R: Send>(
+    len: usize,
+    workers: usize,
+    f: impl Fn(usize, usize) -> R + Sync,
+) -> Vec<R> {
+    let bounds = chunk_bounds(len, workers);
     if bounds.len() == 1 {
         let (start, end) = bounds[0];
-        return vec![f(start, &items[start..end])];
+        return vec![f(start, end)];
     }
     std::thread::scope(|s| {
         let handles: Vec<_> = bounds
             .into_iter()
             .map(|(start, end)| {
                 let f = &f;
-                s.spawn(move || f(start, &items[start..end]))
+                s.spawn(move || f(start, end))
             })
             .collect();
         handles
@@ -84,6 +97,50 @@ where
             .map(|h| h.join().expect("kernel chunk panicked"))
             .collect()
     })
+}
+
+/// Slices read end to end as one sequence and addressed by its indices:
+/// prepare's raw sample log is one slice for a batch corpus and the
+/// fixed-size blocks of a finalized stream.
+pub(crate) struct Concat<'a, T> {
+    parts: &'a [&'a [T]],
+    /// Per part: the sequence index one past its last element.
+    ends: Vec<usize>,
+}
+
+impl<'a, T> Concat<'a, T> {
+    pub(crate) fn new(parts: &'a [&'a [T]]) -> Self {
+        let ends = parts
+            .iter()
+            .scan(0, |end, part| {
+                *end += part.len();
+                Some(*end)
+            })
+            .collect();
+        Self { parts, ends }
+    }
+
+    /// Elements in all parts together.
+    pub(crate) fn len(&self) -> usize {
+        self.ends.last().copied().unwrap_or(0)
+    }
+
+    /// The stretches of the parts that hold indices `lo..hi`, in order,
+    /// each with the index of its first element: a stretch ends where its
+    /// part does, and the first one is found by binary search.
+    pub(crate) fn runs(&self, lo: usize, hi: usize) -> impl Iterator<Item = (usize, &'a [T])> + '_ {
+        let first = self.ends.partition_point(|&end| end <= lo);
+        self.parts[first..]
+            .iter()
+            .zip(&self.ends[first..])
+            .map_while(move |(&part, &end)| {
+                let start = end - part.len();
+                (start < hi).then(|| {
+                    let from = lo.max(start);
+                    (from, &part[from - start..hi.min(end) - start])
+                })
+            })
+    }
 }
 
 #[cfg(test)]
@@ -145,6 +202,31 @@ mod tests {
         });
         let flat: Vec<usize> = offsets.into_iter().flatten().collect();
         assert_eq!(flat, (0..100).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn concat_runs_match_slicing_the_joined_sequence() {
+        let joined: Vec<u32> = (0..23).collect();
+        for cuts in [vec![], vec![0], vec![5], vec![5, 5, 12], vec![1, 2, 3, 22]] {
+            let mut parts = Vec::new();
+            let mut start = 0;
+            for &cut in cuts.iter().chain([&joined.len()]) {
+                parts.push(&joined[start..cut]);
+                start = cut;
+            }
+            let concat = Concat::new(&parts);
+            assert_eq!(concat.len(), joined.len());
+            for lo in 0..=joined.len() {
+                for hi in lo..=joined.len() {
+                    let mut read = Vec::new();
+                    for (start, run) in concat.runs(lo, hi) {
+                        assert_eq!(run.first().map_or(start, |&x| x as usize), start);
+                        read.extend_from_slice(run);
+                    }
+                    assert_eq!(read, &joined[lo..hi], "cuts {cuts:?}, {lo}..{hi}");
+                }
+            }
+        }
     }
 
     #[test]

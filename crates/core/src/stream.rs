@@ -5,7 +5,7 @@
 //!
 //! * the log of applied samples that survived cleaning, which the
 //!   finalizer prepares and the anomaly backfill reads (its [`Retention`]
-//!   is one index into that log);
+//!   is one index into that log), kept in fixed blocks of 2^16 samples;
 //! * incremental per-prefix blackhole *runs* (the streaming counterpart of
 //!   batch Δ-merged [`RtbhEvent`](crate::events::RtbhEvent)s) with EWMA
 //!   anomaly backfill over the retained samples at run start;
@@ -42,18 +42,29 @@
 //! column of destination addresses lets the anomaly backfill filter a
 //! window by prefix without reading the rows that do not match.
 //!
+//! The log grows in blocks of exactly [`abi::DEFAULT_CHUNK_CAPACITY`]
+//! (2^16) samples, each block with its destinations beside them. A block
+//! is allocated once at full size (about 2.6 MB) and never regrown, so
+//! pushing a sample never copies the log, and no allocation of the log
+//! comes near the 32 MiB above which glibc maps fresh pages for every
+//! allocation and unmaps them at every free: a log grown by doubling to
+//! 840,360 samples would end in a 40 MiB buffer re-mapped and re-faulted
+//! on every replay. Rows are addressed by block index and offset.
+//!
 //! # Determinism and the batch contract
 //!
 //! Ingest cleans each sample with the batch prepare's own sample enricher
 //! (one MAC-table probe per MAC), so it drops exactly the samples batch
-//! cleaning drops. The stream accumulates the applied updates and the
-//! cleaned samples into ordinary [`UpdateLog`]/[`FlowLog`]s alongside its
-//! live state. The finalizer ([`StreamAnalyzer::into_analyzer`]) drops the
-//! live state and moves those logs — plus the [`CleanReport`] counters
+//! cleaning drops. The stream accumulates the applied updates into an
+//! ordinary [`UpdateLog`] and the cleaned samples into its blocks,
+//! alongside its live state. The finalizer
+//! ([`StreamAnalyzer::into_analyzer`]) drops the live state and moves the
+//! update log and the blocks — plus the [`CleanReport`] counters
 //! accumulated on ingest and the enricher — into the batch [`Analyzer`]'s
-//! one preparation path. For any feed that delivers every event within the
-//! lateness bound, the accumulated logs are byte-equal to the batch
-//! pipeline's cleaned inputs, so **the finalized [`FullReport`] is
+//! one preparation path, which reads the blocks in place as one log. For
+//! any feed that delivers every event within the lateness bound, the
+//! accumulated logs are byte-equal to the batch pipeline's cleaned inputs,
+//! so **the finalized [`FullReport`] is
 //! byte-identical to `Analyzer::full`'s** (pinned across chunk
 //! capacities, feed batch sizes and worker counts by the `stream_diff`
 //! differential suite).
@@ -80,12 +91,55 @@ use rtbh_stats::OffsetVotes;
 
 use crate::classify::UseCase;
 use crate::clean::CleanReport;
-use crate::columns::normalize_capacity;
+use crate::columns::{abi, normalize_capacity};
 use crate::corpus::Corpus;
 use crate::index::{OriginTable, SampleEnricher};
 use crate::pipeline::{Analyzer, AnalyzerConfig, FullReport};
 use crate::preevent::{window_result, PreClass, PreEventScratch, WindowRow};
 use crate::profile::{ExecutionMode, PipelineProfile, StageStats};
+
+/// Samples per block of the applied-sample log. A constant: it must not
+/// follow `chunk_capacity`, which may be 2^30.
+const BLOCK_ROWS: usize = abi::DEFAULT_CHUNK_CAPACITY;
+
+/// One block of the applied-sample log: up to [`BLOCK_ROWS`] samples in
+/// applied order and, row for row, their destination addresses — the one
+/// column the anomaly backfill filters on, so it reads a 40-byte row only
+/// when the destination matches. Both vectors are allocated at full size
+/// when the block opens and never grow past it.
+struct SampleBlock {
+    samples: Vec<FlowSample>,
+    dsts: Vec<u32>,
+}
+
+impl SampleBlock {
+    fn new() -> Self {
+        Self {
+            samples: Vec::with_capacity(BLOCK_ROWS),
+            dsts: Vec::with_capacity(BLOCK_ROWS),
+        }
+    }
+}
+
+/// The rows `lo..hi` of the applied-sample log, one `(destinations,
+/// samples)` pair of slices per block they touch, in applied order: row
+/// `r` lives in block `r / BLOCK_ROWS` at offset `r % BLOCK_ROWS`, so a
+/// range splits at block edges.
+fn block_rows(
+    blocks: &[SampleBlock],
+    lo: usize,
+    hi: usize,
+) -> impl Iterator<Item = (&[u32], &[FlowSample])> {
+    let first = lo / BLOCK_ROWS;
+    blocks[first..hi.div_ceil(BLOCK_ROWS).max(first)]
+        .iter()
+        .zip(first..)
+        .map(move |(block, k)| {
+            let base = k * BLOCK_ROWS;
+            let (from, to) = (lo.max(base) - base, hi.min(base + BLOCK_ROWS) - base);
+            (&block.dsts[from..to], &block.samples[from..to])
+        })
+}
 
 /// One event of the interleaved control/data-plane feed.
 #[derive(Debug, Clone, PartialEq)]
@@ -380,18 +434,16 @@ pub struct StreamAnalyzer {
     /// Applied updates, in applied order (equals the source log for any
     /// feed within the lateness bound).
     updates: UpdateLog,
-    /// Applied samples that survived cleaning, in applied order, so `at`
-    /// never decreases.
-    flows: FlowLog,
-    /// The destination address of each sample in `flows`, row for row:
-    /// the one column the anomaly backfill filters on, so it reads a
-    /// 40-byte row only when the destination matches.
-    dsts: Vec<u32>,
+    /// The applied-sample log: the samples that survived cleaning, in
+    /// applied order, so `at` never decreases along it. Every block but
+    /// the last holds exactly [`BLOCK_ROWS`] samples, and no block is empty.
+    blocks: Vec<SampleBlock>,
     internal_removed: usize,
     /// The normalized `chunk_capacity`: the unit retention drops in.
     chunk_capacity: usize,
-    /// Index of the first sample in `flows` the backfill still reads; a
-    /// multiple of `chunk_capacity`.
+    /// Row of the first sample the backfill still reads (block
+    /// `retained_from / BLOCK_ROWS`, offset `retained_from % BLOCK_ROWS`);
+    /// a multiple of `chunk_capacity`.
     retained_from: usize,
     /// Set by [`StreamAnalyzer::finish`], after which a partial tail
     /// chunk counts in [`StreamStatus::ring_chunks`].
@@ -451,8 +503,7 @@ impl StreamAnalyzer {
             watermark_ms: None,
             late_dropped: 0,
             updates: UpdateLog::new(),
-            flows: FlowLog::new(),
-            dsts: Vec::new(),
+            blocks: Vec::new(),
             internal_removed: 0,
             chunk_capacity: normalize_capacity(config.analyzer.chunk_capacity).0,
             retained_from: 0,
@@ -522,14 +573,45 @@ impl StreamAnalyzer {
         if let Retention::Window(w) = self.config.retention {
             // `at` never decreases, so a chunk's newest sample is its last.
             let cutoff = wm.saturating_sub(w.as_millis());
-            let samples = self.flows.samples();
-            while samples
-                .get(self.retained_from + self.chunk_capacity - 1)
+            while self
+                .sample(self.retained_from + self.chunk_capacity - 1)
                 .is_some_and(|last| last.at.as_millis() < cutoff)
             {
                 self.retained_from += self.chunk_capacity;
             }
         }
+    }
+
+    /// Kept samples applied so far.
+    fn kept(&self) -> usize {
+        self.blocks.last().map_or(0, |b| {
+            (self.blocks.len() - 1) * BLOCK_ROWS + b.samples.len()
+        })
+    }
+
+    /// The applied sample at `row`, if applied yet.
+    fn sample(&self, row: usize) -> Option<&FlowSample> {
+        let block = self.blocks.get(row / BLOCK_ROWS)?;
+        block.samples.get(row % BLOCK_ROWS)
+    }
+
+    /// The number of applied samples before `t`: a `partition_point` over
+    /// the whole log, whose `at` never decreases, by a binary search over
+    /// the blocks' last samples and one inside the block holding the bound.
+    fn rows_before(&self, t: Timestamp) -> usize {
+        let k = self
+            .blocks
+            .partition_point(|b| b.samples[b.samples.len() - 1].at < t);
+        match self.blocks.get(k) {
+            Some(b) => k * BLOCK_ROWS + b.samples.partition_point(|s| s.at < t),
+            None => self.kept(),
+        }
+    }
+
+    /// The rows `lo..hi` of the retained samples with `ws <= at < we`.
+    fn window_rows(&self, ws: Timestamp, we: Timestamp) -> (usize, usize) {
+        let lo = self.rows_before(ws).max(self.retained_from);
+        (lo, self.rows_before(we).max(lo))
     }
 
     /// Emits verdicts for runs whose merge-Δ has expired under the
@@ -651,7 +733,7 @@ impl StreamAnalyzer {
             self.internal_removed += 1;
             return;
         }
-        let covering = self.blackholes.longest_match(s.dst_ip).map(|(_, &id)| id);
+        let covering = self.blackholes.longest_value(s.dst_ip).copied();
         if let Some(id) = covering {
             let st = &mut self.state[id];
             match st.open_since {
@@ -677,10 +759,24 @@ impl StreamAnalyzer {
             };
             votes.observe(s.at, intervals);
         }
-        // `FlowLog::push` asserts (in debug builds) that `at` never goes
-        // back, which the backfill's binary search relies on.
-        self.dsts.push(s.dst_ip.to_u32());
-        self.flows.push(s);
+        // The backfill's binary searches rely on `at` never going back.
+        debug_assert!(
+            self.blocks
+                .last()
+                .and_then(|b| b.samples.last())
+                .map_or(true, |last| last.at <= s.at),
+            "samples are applied in time order"
+        );
+        if self
+            .blocks
+            .last()
+            .map_or(true, |b| b.samples.len() == BLOCK_ROWS)
+        {
+            self.blocks.push(SampleBlock::new());
+        }
+        let block = self.blocks.last_mut().expect("a block with room");
+        block.dsts.push(s.dst_ip.to_u32());
+        block.samples.push(s);
     }
 
     /// EWMA anomaly backfill at run start: feeds the retained samples
@@ -694,18 +790,17 @@ impl StreamAnalyzer {
     /// blackholed /32 nested in it (see [`VerdictRecord`]).
     fn preevent_backfill(&mut self, prefix: Prefix, start: Timestamp) -> bool {
         let pcfg = &self.config.analyzer.preevent;
-        let (ws, we) = (start - pcfg.pre_window, start);
         // Samples are applied in key order, so `at` never decreases and
-        // two binary searches bound the window's rows, which index `flows`
-        // and `dsts` alike.
-        let all = self.flows.samples();
-        let lo = self.retained_from + all[self.retained_from..].partition_point(|s| s.at < ws);
-        let hi = lo + all[lo..].partition_point(|s| s.at < we);
+        // two binary searches bound the window's rows.
+        let (lo, hi) = self.window_rows(start - pcfg.pre_window, start);
         let (mask, network) = (prefix.netmask().to_u32(), prefix.network().to_u32());
-        let rows = self.dsts[lo..hi]
-            .iter()
-            .zip(&all[lo..hi])
-            .filter(|&(&dst, _)| dst & mask == network)
+        // Each block's rows are filtered in one tight loop over its
+        // destination column; only a match leaves it.
+        let rows = block_rows(&self.blocks, lo, hi)
+            .flat_map(|(dsts, samples)| {
+                let inside = move |&(&dst, _): &(&u32, &FlowSample)| dst & mask == network;
+                dsts.iter().zip(samples).filter(inside)
+            })
             .map(|(_, s)| WindowRow {
                 at: s.at.as_millis(),
                 src_ip: s.src_ip.to_u32(),
@@ -804,12 +899,13 @@ impl StreamAnalyzer {
     ///
     /// Call [`StreamAnalyzer::finish`] first; this consumes the stream.
     /// The live blackhole table, the prefix runs, the journal and the
-    /// backfill's destination column are freed before the batch kernels
-    /// run; the sample log is moved, not copied.
+    /// backfill's destination columns are freed before the batch kernels
+    /// run; the sample blocks are moved, never joined or copied, and
+    /// prepare reads them in place.
     pub fn into_analyzer(self) -> Analyzer {
         // Consumed in this scope, so every field not moved out is dropped
         // here rather than after preparation returns.
-        let (corpus, config, clean_report, enricher) = {
+        let (corpus, blocks, config, clean_report, enricher) = {
             let stream = self;
             let clean_report = CleanReport {
                 total: usize::try_from(stream.samples_ingested)
@@ -818,18 +914,19 @@ impl StreamAnalyzer {
             };
             let corpus = Corpus {
                 updates: stream.updates,
-                flows: stream.flows,
                 caches: Default::default(),
                 ..stream.template
             };
+            let blocks = stream.blocks.into_iter().map(|b| b.samples).collect();
             (
                 corpus,
+                blocks,
                 stream.config.analyzer,
                 clean_report,
                 stream.enricher,
             )
         };
-        Analyzer::from_cleaned(corpus, config, clean_report, enricher)
+        Analyzer::from_cleaned(corpus, blocks, config, clean_report, enricher)
     }
 
     /// The verdict journal emitted so far (post-[`resume_from`] floor).
@@ -846,7 +943,8 @@ impl StreamAnalyzer {
 
     /// A snapshot of every live counter.
     pub fn status(&self) -> StreamStatus {
-        let held = self.flows.len() - self.retained_from;
+        let kept = self.kept();
+        let held = kept - self.retained_from;
         let chunks = if self.finished {
             held.div_ceil(self.chunk_capacity)
         } else {
@@ -855,7 +953,7 @@ impl StreamAnalyzer {
         StreamStatus {
             updates_ingested: self.updates_ingested,
             samples_ingested: self.samples_ingested,
-            samples_kept: self.flows.len() as u64,
+            samples_kept: kept as u64,
             internal_removed: self.internal_removed as u64,
             late_dropped: self.late_dropped,
             pending: self.pending.len() as u64,
@@ -1114,7 +1212,7 @@ mod tests {
         assert_eq!(status.late_dropped, 1);
         stream.finish();
         assert_eq!(stream.status().samples_ingested, 2);
-        assert_eq!(stream.flows.len(), 2);
+        assert_eq!(stream.kept(), 2);
     }
 
     #[test]
@@ -1153,10 +1251,8 @@ mod tests {
         stream.finish();
         let status = stream.status();
         assert_eq!(status.late_dropped, 0);
-        let ats: Vec<i64> = stream
-            .flows
-            .samples()
-            .iter()
+        let ats: Vec<i64> = block_rows(&stream.blocks, 0, stream.kept())
+            .flat_map(|(_, samples)| samples)
             .map(|s| s.at.as_millis() / MINUTE)
             .collect();
         assert_eq!(ats, vec![10, 20, 25], "applied in timestamp order");
@@ -1481,6 +1577,87 @@ mod tests {
         c.flows = FlowLog::from_samples(quiet.chain(burst).chain([late]).collect());
         assert!(anomaly(&c, Retention::Unbounded));
         assert!(anomaly(&c, short));
+    }
+
+    #[test]
+    fn backfill_window_rows_over_blocks_match_the_joined_log() {
+        // Two full blocks and a partial third, in runs of equal timestamps
+        // that straddle both block edges.
+        let c = corpus(1);
+        let mut config = StreamConfig::for_corpus(&c);
+        config.analyzer.chunk_capacity = 64;
+        let mut stream = StreamAnalyzer::new(&c, config);
+        let n = 2 * BLOCK_ROWS + 37;
+        let at = |i: usize| -> i64 {
+            // Ten rows around each block edge share one timestamp.
+            let (i, edge) = (i as i64, BLOCK_ROWS as i64);
+            let near = [edge, 2 * edge]
+                .into_iter()
+                .find(|e| (e - 5..e + 5).contains(&i));
+            3 * near.map_or(i, |e| e - 5)
+        };
+        for i in 0..n {
+            let mut s = sample_at_ms(at(i));
+            s.dst_ip = Ipv4Addr::from_u32(0x0a00_0000 | i as u32);
+            stream.apply_sample(s);
+        }
+        assert_eq!(stream.blocks.len(), 3);
+        assert!(stream
+            .blocks
+            .iter()
+            .all(|b| b.samples.capacity() == BLOCK_ROWS));
+        let joined: Vec<FlowSample> = stream
+            .blocks
+            .iter()
+            .flat_map(|b| b.samples.clone())
+            .collect();
+        assert_eq!(joined.len(), n);
+        let mut probes: Vec<i64> = vec![i64::MIN, -1, 0, 1, 2, at(n - 1), at(n - 1) + 1, i64::MAX];
+        for edge in [BLOCK_ROWS, 2 * BLOCK_ROWS] {
+            for i in edge - 7..edge + 7 {
+                probes.extend([at(i) - 1, at(i), at(i) + 1]);
+            }
+        }
+        for retained_from in [
+            0,
+            64,
+            BLOCK_ROWS - 64,
+            BLOCK_ROWS,
+            BLOCK_ROWS + 64,
+            2 * BLOCK_ROWS,
+        ] {
+            stream.retained_from = retained_from;
+            for &ws in &probes {
+                for &we in &probes {
+                    let (ws, we) = (Timestamp::from_millis(ws), Timestamp::from_millis(we));
+                    // The bounds as one log would give them.
+                    let lo = retained_from + joined[retained_from..].partition_point(|s| s.at < ws);
+                    let hi = lo + joined[lo..].partition_point(|s| s.at < we);
+                    assert_eq!(stream.window_rows(ws, we), (lo, hi), "from {retained_from}");
+                }
+            }
+        }
+        // The rows of a range, read across block edges, are the joined
+        // log's, each beside its own destination.
+        let b = BLOCK_ROWS;
+        for (lo, hi) in [
+            (0, 0),
+            (0, n),
+            (b - 3, b + 3),
+            (b - 1, b),
+            (b, b),
+            (b, 2 * b),
+            (2 * b - 1, 2 * b + 1),
+            (2 * b + 1, n),
+            (n, n),
+        ] {
+            let rows = block_rows(&stream.blocks, lo, hi).flat_map(|(d, s)| d.iter().zip(s));
+            let expected = joined[lo..hi].iter().map(|s| (s.dst_ip.to_u32(), s));
+            assert!(
+                rows.map(|(&dst, s)| (dst, s)).eq(expected),
+                "rows {lo}..{hi}"
+            );
+        }
     }
 
     #[test]

@@ -82,21 +82,14 @@ impl FlowLog {
         Self { samples }
     }
 
-    /// Appends a sample; callers must push in non-decreasing time order
-    /// (checked in debug builds).
-    pub fn push(&mut self, sample: FlowSample) {
-        debug_assert!(
-            self.samples
-                .last()
-                .map_or(true, |last| last.at <= sample.at),
-            "samples must be pushed in time order"
-        );
-        self.samples.push(sample);
-    }
-
     /// All samples in time order.
     pub fn samples(&self) -> &[FlowSample] {
         &self.samples
+    }
+
+    /// Gives up the samples, in time order, without copying them.
+    pub fn into_samples(self) -> Vec<FlowSample> {
+        self.samples
     }
 
     /// Number of samples.

@@ -62,7 +62,9 @@ fn bitset_columns_match_recomputed_flags_byte() {
         test_name: "bitset_columns_match_recomputed_flags_byte",
         base_seed: seeds::FUZZ_COLUMNS_BITSET,
     };
-    target.run(8, |_seed, rng| {
+    // One case simulates and seals a whole corpus, so deep runs are capped
+    // like every other corpus-per-case target.
+    target.run_capped(8, 64, |_seed, rng| {
         let mut config = ScenarioConfig::tiny();
         config.seed = rng.next_u64();
         let corpus = rtbh_sim::run(&config).corpus;

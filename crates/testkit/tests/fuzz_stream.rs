@@ -4,9 +4,9 @@
 //! The contract under fire: a hostile event feed — arbitrarily shuffled,
 //! duplicated, clock-skewed, burst-laden, or woven from pure generator
 //! noise — must never panic the consumer. The stream applies samples in
-//! time order, which its anomaly backfill's binary search relies on;
-//! `FlowLog::push` asserts that order in this suite's debug build, and the
-//! finalized columns are checked for it. On top of no-panic: the verdict
+//! time order, which its anomaly backfill's binary searches rely on; it
+//! asserts that order in this suite's debug build, and the finalized
+//! columns are checked for it. On top of no-panic: the verdict
 //! journal must stay strictly sequential and the ingest and retention
 //! counters must balance.
 //!

@@ -27,16 +27,19 @@
 #[allow(dead_code)]
 mod seeds;
 
-use rtbh_bgp::UpdateLog;
+use rtbh_bgp::{BgpUpdate, UpdateKind, UpdateLog};
 use rtbh_core::corpus::{Corpus, MemberInfo, Registry};
-use rtbh_core::pipeline::AnalyzerConfig;
+use rtbh_core::pipeline::{AnalyzerConfig, FullReport};
+use rtbh_core::preevent::PreClass;
 use rtbh_core::stream::{
     interleave, parse_journal, render_journal, Retention, StreamAnalyzer, StreamConfig,
-    StreamDriver, StreamEvent,
+    StreamDriver, StreamEvent, StreamStatus, VerdictRecord,
 };
 use rtbh_core::Analyzer;
-use rtbh_fabric::FlowLog;
-use rtbh_net::{Asn, Interval, MacAddr, TimeDelta, Timestamp};
+use rtbh_fabric::{FlowLog, FlowSample};
+use rtbh_net::{
+    Asn, Community, Interval, Ipv4Addr, MacAddr, Prefix, Protocol, TimeDelta, Timestamp,
+};
 use rtbh_rng::{ChaChaRng, Rng};
 use rtbh_sim::ScenarioConfig;
 use rtbh_testkit::streamgen::{arb_feed, shuffle_bounded, FeedConfig, FeedItem};
@@ -318,5 +321,473 @@ fn truncated_journal_recovery_resumes_without_gaps_or_duplicates() {
             recovered, full_journal,
             "recovery at byte {cut} lost or duplicated verdicts (seed {seed:#x})"
         );
+    });
+}
+
+/// Rows per block of the stream's applied-sample log.
+const BLOCK: usize = rtbh_core::columns::abi::DEFAULT_CHUNK_CAPACITY;
+/// One event per second: every event of a block-edge feed has its own
+/// timestamp, so each push moves the watermark past all earlier events.
+const TICK_MS: i64 = 1_000;
+/// The backfill's pre-window in the block-edge feeds, and the retention
+/// window: a minute longer, so retention never cuts into a window the
+/// backfill reads, yet evicts over feeds 18 to 36 hours long.
+const PRE_WINDOW_MIN: i64 = 120;
+const RETENTION_MIN: i64 = 121;
+
+/// One blackhole run of a block-edge feed.
+struct EdgeRun {
+    prefix: Prefix,
+    /// Kept-row index before which each of the run's updates is applied:
+    /// announce, withdraw, announce, withdraw… (an odd count leaves the
+    /// run open until the period end).
+    updates: Vec<usize>,
+    /// Whether the rows just before the announcement burst towards it.
+    burst: bool,
+}
+
+/// A synthetic in-order feed keeping exactly `kept` samples, one event per
+/// second: background traffic to hosts no run covers, a trickle towards
+/// the runs' victims, internal-MAC rows the stream cleans away, and
+/// blackhole runs announced at the block edges and around them (so the
+/// backfill windows straddle them), some after a burst towards the victim
+/// and with dropped rows inside the announcement.
+fn block_edge_feed(rng: &mut ChaChaRng, kept: usize) -> Vec<StreamEvent> {
+    let mut starts: Vec<usize> = Vec::new();
+    for edge in [BLOCK, 2 * BLOCK] {
+        for delta in [-1800i64, -2, 0, 1, 3, 900] {
+            starts.push((edge as i64 + delta + rng.gen_range(-1..=1i64)) as usize);
+        }
+    }
+    starts.extend((0..3).map(|_| rng.gen_range(4000..kept)));
+    // A run starts inside the feed; its later updates due at or past the
+    // last row never come, and the run stays open.
+    starts.retain(|&s| (4000..kept).contains(&s));
+    starts.sort_unstable();
+    starts.dedup_by(|a, b| a.abs_diff(*b) < 2);
+    let runs: Vec<EdgeRun> = starts
+        .iter()
+        .enumerate()
+        .map(|(r, &start)| {
+            let prefix = if r == 0 {
+                "10.9.0.0/24".parse().unwrap()
+            } else {
+                Prefix::new(Ipv4Addr::new(10, 0, r as u8, 7), 32).unwrap()
+            };
+            let len = rng.gen_range(300..=3000usize);
+            let updates = match rng.gen_range(0..5u32) {
+                // Left open until the period end.
+                0 => vec![start],
+                // Re-announced inside the merge Δ: one run of two spans.
+                1 => vec![start, start + len, start + len + 120, start + len + 400],
+                _ => vec![start, start + len],
+            };
+            EdgeRun {
+                prefix,
+                updates,
+                burst: rng.gen_bool(0.5),
+            }
+        })
+        .collect();
+    // A host of each run's prefix, and the kept rows that target it.
+    let victim = |run: &EdgeRun| match run.prefix.len() {
+        32 => run.prefix.network(),
+        _ => run.prefix.network().wrapping_add(7),
+    };
+    let mut dst: Vec<Ipv4Addr> = (0..kept)
+        .map(|_| Ipv4Addr::new(192, 0, 2, rng.gen_range(1..=254u8)))
+        .collect();
+    for d in &mut dst {
+        if rng.gen_range(0..150u32) == 0 && !runs.is_empty() {
+            *d = victim(&runs[rng.gen_range(0..runs.len())]);
+        }
+    }
+    for run in runs.iter().filter(|r| r.burst) {
+        for d in &mut dst[run.updates[0] - 40..run.updates[0]] {
+            *d = victim(run);
+        }
+    }
+    // Updates due before each kept row.
+    let mut due: Vec<(usize, usize, UpdateKind)> = Vec::new();
+    for (r, run) in runs.iter().enumerate() {
+        for (k, &row) in run.updates.iter().enumerate() {
+            let kind = if k % 2 == 0 {
+                UpdateKind::Announce
+            } else {
+                UpdateKind::Withdraw
+            };
+            due.push((row, r, kind));
+        }
+    }
+    due.sort_by_key(|&(row, r, _)| (row, r));
+    // Inside an announcement, with five rows of margin on both sides: a
+    // dropped row there is explained at every grid offset.
+    let announced_at = |row: usize| {
+        runs.iter().find_map(|run| {
+            run.updates.chunks(2).find_map(|span| {
+                let end = span.get(1).copied().unwrap_or(usize::MAX);
+                (span[0] + 5 <= row && row + 5 < end).then_some(run.prefix)
+            })
+        })
+    };
+
+    let mut events = Vec::new();
+    let mut tick = 0i64;
+    let mut next_at = || {
+        tick += 1;
+        Timestamp::from_millis(tick * TICK_MS)
+    };
+    let mut pending = due.iter().peekable();
+    let sample = |rng: &mut ChaChaRng, at: Timestamp, dst: Ipv4Addr| FlowSample {
+        at,
+        src_mac: MacAddr::from_id(rng.gen_range(1..=8u32)),
+        dst_mac: MacAddr::from_id(rng.gen_range(1..=8u32)),
+        src_ip: Ipv4Addr::new(203, 0, 113, rng.gen_range(1..=254u8)),
+        dst_ip: dst,
+        protocol: [Protocol::Udp, Protocol::Tcp][rng.gen_range(0..2usize)],
+        src_port: [53u16, 123, 443, 50_000][rng.gen_range(0..4usize)],
+        dst_port: rng.gen_range(1..=2048u16),
+        packet_len: rng.gen_range(64..=1500u16),
+        fragment: rng.gen_range(0..100u32) == 0,
+    };
+    for (i, &d) in dst.iter().enumerate() {
+        while let Some(&(_, r, kind)) = pending.next_if(|&&(row, _, _)| row == i) {
+            let run = &runs[r];
+            events.push(StreamEvent::Update(BgpUpdate {
+                at: next_at(),
+                peer: Asn(64501 + r as u32 % 8),
+                prefix: run.prefix,
+                origin: Asn(64501 + r as u32 % 8),
+                kind,
+                communities: match kind {
+                    UpdateKind::Announce => vec![Community::BLACKHOLE],
+                    UpdateKind::Withdraw => Vec::new(),
+                },
+                next_hop: Ipv4Addr::new(198, 51, 100, 66),
+            }));
+        }
+        if rng.gen_range(0..40u32) == 0 {
+            // An internal row: either MAC may be the IXP's own device.
+            let mut s = sample(rng, next_at(), d);
+            if rng.gen_bool(0.5) {
+                s.src_mac = MacAddr::from_id(0xF00);
+            } else {
+                s.dst_mac = MacAddr::from_id(0xF00);
+            }
+            events.push(StreamEvent::Sample(s));
+        }
+        let mut s = sample(rng, next_at(), d);
+        if announced_at(i).is_some_and(|p| p.contains_addr(d)) && rng.gen_bool(0.5) {
+            s.dst_mac = MacAddr::BLACKHOLE;
+        }
+        events.push(StreamEvent::Sample(s));
+    }
+    events
+}
+
+/// The ring counters of a flat applied-sample log fed alongside a stream
+/// with zero lateness and a distinct timestamp per event: pushing an event
+/// applies every earlier one, then runs retention with the pushed event's
+/// timestamp as the watermark.
+struct FlatRing {
+    internal: MacAddr,
+    capacity: usize,
+    window: Option<TimeDelta>,
+    /// Timestamps of the kept samples applied so far.
+    kept_at: Vec<i64>,
+    /// The timestamp of the last event pushed, if a kept sample: it waits
+    /// for the next push, or for `finish`.
+    waiting: Option<i64>,
+    retained: usize,
+}
+
+impl FlatRing {
+    fn new(template: &Corpus, config: &StreamConfig) -> Self {
+        Self {
+            internal: template.internal_macs[0],
+            capacity: config.analyzer.chunk_capacity,
+            window: match config.retention {
+                Retention::Window(w) => Some(w),
+                Retention::Unbounded => None,
+            },
+            kept_at: Vec::new(),
+            waiting: None,
+            retained: 0,
+        }
+    }
+
+    fn is_kept(&self, s: &FlowSample) -> bool {
+        s.src_mac != self.internal && s.dst_mac != self.internal
+    }
+
+    fn push(&mut self, e: &StreamEvent) {
+        self.kept_at.extend(self.waiting.take());
+        if let Some(w) = self.window {
+            let cutoff = e.at().as_millis() - w.as_millis();
+            while self
+                .kept_at
+                .get(self.retained + self.capacity - 1)
+                .is_some_and(|&at| at < cutoff)
+            {
+                self.retained += self.capacity;
+            }
+        }
+        if let StreamEvent::Sample(s) = e {
+            self.waiting = self.is_kept(s).then_some(s.at.as_millis());
+        }
+    }
+
+    fn finish(&mut self) {
+        self.kept_at.extend(self.waiting.take());
+    }
+
+    /// `(samples_kept, ring_chunks, ring_rows, ring_evicted_chunks,
+    /// ring_evicted_rows)`; a partial tail chunk counts once `finished`.
+    fn counters(&self, finished: bool) -> (u64, u64, u64, u64, u64) {
+        let held = self.kept_at.len() - self.retained;
+        let chunks = if finished {
+            held.div_ceil(self.capacity)
+        } else {
+            held / self.capacity
+        };
+        (
+            self.kept_at.len() as u64,
+            chunks as u64,
+            held as u64,
+            (self.retained / self.capacity) as u64,
+            self.retained as u64,
+        )
+    }
+}
+
+/// [`FlatRing::counters`] as a stream reports them.
+fn ring_counters(status: &StreamStatus) -> (u64, u64, u64, u64, u64) {
+    (
+        status.samples_kept,
+        status.ring_chunks,
+        status.ring_rows,
+        status.ring_evicted_chunks,
+        status.ring_evicted_rows,
+    )
+}
+
+/// The status the stream must report after `finish`: the ring counters of
+/// `ring` (fed every event and finished), and every other counter from the
+/// feed itself and the batch-derived verdicts.
+fn finished_status(
+    events: &[StreamEvent],
+    ring: &FlatRing,
+    verdicts: usize,
+    prefixes: usize,
+) -> StreamStatus {
+    let samples: Vec<&FlowSample> = events
+        .iter()
+        .filter_map(|e| match e {
+            StreamEvent::Sample(s) => Some(s),
+            StreamEvent::Update(_) => None,
+        })
+        .collect();
+    let (kept, ring_chunks, ring_rows, ring_evicted_chunks, ring_evicted_rows) =
+        ring.counters(true);
+    // Every kept dropped row lies well inside an announcement, so each grid
+    // offset explains it and the tie goes to zero.
+    let dropped_kept = samples.iter().any(|s| ring.is_kept(s) && s.is_dropped());
+    StreamStatus {
+        updates_ingested: (events.len() - samples.len()) as u64,
+        samples_ingested: samples.len() as u64,
+        samples_kept: kept,
+        internal_removed: samples.len() as u64 - kept,
+        late_dropped: 0,
+        pending: 0,
+        watermark_ms: events.last().map(|e| e.at().as_millis()),
+        live_offset_ms: dropped_kept.then_some(0),
+        blackhole_prefixes: prefixes as u64,
+        open_runs: 0,
+        verdicts: verdicts as u64,
+        ring_chunks,
+        ring_rows,
+        ring_evicted_chunks,
+        ring_evicted_rows,
+    }
+}
+
+/// The journal the live verdicts must equal, derived from batch: one
+/// verdict per batch event (no run nests in another, and retention keeps
+/// every backfill window whole), closed when the watermark passes its end
+/// plus Δ, and the runs still waiting at the end of the feed at `finish`,
+/// in first-announcement order.
+fn batch_journal(
+    batch: &Analyzer,
+    report: &FullReport,
+    events: &[StreamEvent],
+    config: &AnalyzerConfig,
+) -> Vec<VerdictRecord> {
+    let first_announced: Vec<Prefix> = {
+        let mut seen = Vec::new();
+        for u in batch.corpus().updates.blackholes() {
+            if !seen.contains(&u.prefix) {
+                seen.push(u.prefix);
+            }
+        }
+        seen
+    };
+    let last_at = events.last().map_or(Timestamp::EPOCH, StreamEvent::at);
+    let mut closing: Vec<((bool, i64, usize), VerdictRecord)> = batch
+        .events()
+        .iter()
+        .map(|e| {
+            let (start, end) = (e.start(), e.end());
+            let during = events
+                .iter()
+                .filter(|ev| match ev {
+                    StreamEvent::Sample(s) => {
+                        s.src_mac != MacAddr::from_id(0xF00)
+                            && s.dst_mac != MacAddr::from_id(0xF00)
+                            && e.prefix.contains_addr(s.dst_ip)
+                            && start <= s.at
+                            && s.at < end
+                    }
+                    StreamEvent::Update(_) => false,
+                })
+                .count() as u64;
+            let anomaly = report.preevents.per_event[e.id].class == PreClass::DataAnomaly;
+            let duration = end - start;
+            let expires = end + config.merge_delta;
+            let id = first_announced.iter().position(|&p| p == e.prefix).unwrap();
+            let key = if expires < last_at {
+                (false, expires.as_millis(), id)
+            } else {
+                (true, 0, id)
+            };
+            let verdict = VerdictRecord {
+                seq: 0,
+                prefix: e.prefix,
+                use_case: config.classify.use_case(
+                    anomaly,
+                    e.prefix,
+                    duration,
+                    during,
+                    e.open_ended,
+                ),
+                trigger_peer: e.trigger_peer,
+                origin: e.origin,
+                start,
+                end,
+                duration,
+                spans: e.spans.len(),
+                open_ended: e.open_ended,
+                during_packets: during,
+                anomaly,
+            };
+            (key, verdict)
+        })
+        .collect();
+    closing.sort_by_key(|(key, _)| *key);
+    closing
+        .into_iter()
+        .enumerate()
+        .map(|(seq, (_, v))| VerdictRecord {
+            seq: seq as u64,
+            ..v
+        })
+        .collect()
+}
+
+#[test]
+fn block_edge_feeds_match_batch_journals_statuses_and_reports() {
+    let target = FuzzTarget {
+        package: "rtbh-testkit",
+        test_file: "stream_diff",
+        test_name: "block_edge_feeds_match_batch_journals_statuses_and_reports",
+        base_seed: seeds::FUZZ_STREAM_BLOCKS,
+    };
+    // One case is four feeds of up to 2^17 + 1 kept samples, one batch
+    // run and three stream runs each; deep runs stay capped.
+    target.run_capped(1, 4, |seed, rng| {
+        let (mut anomalies, mut evictions) = (0, 0);
+        for kept in [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1] {
+            let events = block_edge_feed(rng, kept);
+            let minutes = events.last().unwrap().at().as_millis() / 60_000 + 60;
+            let template = feed_template(minutes);
+            let mut analyzer = AnalyzerConfig::for_corpus(&template).with_workers(1);
+            analyzer.preevent.slot = TimeDelta::minutes(5);
+            analyzer.preevent.pre_window = TimeDelta::minutes(PRE_WINDOW_MIN);
+            analyzer.preevent.ewma.span = 20;
+            analyzer.preevent.anomaly_horizon = TimeDelta::minutes(10);
+            let batch_corpus = Corpus {
+                updates: UpdateLog::from_updates(
+                    events
+                        .iter()
+                        .filter_map(|e| match e {
+                            StreamEvent::Update(u) => Some(u.clone()),
+                            StreamEvent::Sample(_) => None,
+                        })
+                        .collect(),
+                ),
+                flows: FlowLog::from_samples(
+                    events
+                        .iter()
+                        .filter_map(|e| match e {
+                            StreamEvent::Sample(s) => Some(*s),
+                            StreamEvent::Update(_) => None,
+                        })
+                        .collect(),
+                ),
+                ..template.clone()
+            };
+            let batch = Analyzer::new(batch_corpus, analyzer);
+            let report = batch.full();
+            let reference = rtbh_json::to_string(&report);
+            let verdicts = batch_journal(&batch, &report, &events, &analyzer);
+            anomalies += verdicts.iter().filter(|v| v.anomaly).count();
+            let journal = render_journal(&verdicts);
+            let prefixes = batch.index().prefixes().len();
+            for (capacity, workers) in [(64, 1), (BLOCK, 2), (2 * BLOCK, 3)] {
+                let config = StreamConfig {
+                    analyzer: AnalyzerConfig {
+                        chunk_capacity: capacity,
+                        workers,
+                        ..analyzer
+                    },
+                    lateness: TimeDelta::ZERO,
+                    retention: Retention::Window(TimeDelta::minutes(RETENTION_MIN)),
+                };
+                let label = format!("seed {seed:#x}, {kept} kept, capacity {capacity}");
+                let mut stream = StreamAnalyzer::new(&template, config);
+                let mut ring = FlatRing::new(&template, &config);
+                // The ring counters match the flat log's after every batch,
+                // not only once the feed is done.
+                for batch in events.chunks(4096) {
+                    stream.push_batch(batch.iter().cloned());
+                    batch.iter().for_each(|e| ring.push(e));
+                    let at = batch.last().unwrap().at();
+                    assert_eq!(
+                        ring_counters(&stream.status()),
+                        ring.counters(false),
+                        "ring at {at:?}: {label}"
+                    );
+                }
+                stream.finish();
+                ring.finish();
+                let status = stream.status();
+                evictions += status.ring_evicted_chunks;
+                assert_eq!(
+                    render_journal(stream.journal()),
+                    journal,
+                    "journal: {label}"
+                );
+                let expected = finished_status(&events, &ring, verdicts.len(), prefixes);
+                assert_eq!(
+                    rtbh_json::to_string(&status),
+                    rtbh_json::to_string(&expected),
+                    "status: {label}"
+                );
+                let streamed = rtbh_json::to_string(&stream.into_analyzer().full());
+                assert_eq!(streamed, reference, "report: {label}");
+            }
+        }
+        // Not vacuous: some runs rest on a burst, and retention evicted.
+        assert!(anomalies > 0, "seed {seed:#x}: no anomaly-backed run");
+        assert!(evictions > 0, "seed {seed:#x}: retention never evicted");
     });
 }
