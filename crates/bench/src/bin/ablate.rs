@@ -164,7 +164,7 @@ fn ablate_strategy(analyzer: &Analyzer) {
     println!("\n== ablation: mitigation strategy ==");
     let pre = analyzer.preevents();
     let filtering = analyzer.filtering(&pre);
-    let cols = analyzer.columns();
+    let (index, cols) = (analyzer.index(), analyzer.columns());
 
     // For every qualifying attack event, compare three strategies on its
     // during-event traffic: (1) RTBH drops everything; (2) a port ACL drops
@@ -182,12 +182,7 @@ fn ablate_strategy(analyzer: &Analyzer) {
     for emu in &filtering.per_event {
         let event = &analyzer.events()[emu.event_id];
         let cover = event.coverage();
-        let ids = analyzer
-            .index()
-            .prefix_id(event.prefix)
-            .map(|id| analyzer.index().towards(id))
-            .unwrap_or(&[]);
-        for &i in cols.window_ids(ids, cover.start, cover.end) {
+        for &i in index.towards_within(event.prefix, cols, cover.start, cover.end) {
             let i = i as usize;
             total_attack += 1;
             // RTBH's *realized* effect: only traffic whose carrier accepted

@@ -3,7 +3,7 @@
 //! Three implementations of the same representative stage kernel — drop
 //! provenance (count dropped packets/bytes and the subset explained by an
 //! active route-server blackhole) — are timed on one simulated corpus at
-//! 1, 2 and all-cores worker counts:
+//! one worker, the only configuration the shipped kernel has:
 //!
 //! 1. **aos**: the pre-columnar baseline — scan the array-of-structs
 //!    [`rtbh_fabric::FlowSample`] log and, per dropped sample, do an LPM
@@ -16,11 +16,11 @@
 //!    precomputed once by the enrichment pass, so the scan touches only
 //!    the flags and packet-length columns.
 //!
-//! All variants are cross-checked for identical answers at every worker
-//! count before anything is timed — a fast-but-wrong kernel fails the
-//! bench, it does not win it. The one-time enrichment cost is reported
-//! alongside (it is paid once and amortized over every stage that
-//! consumes the columns, not per kernel).
+//! All variants are cross-checked for identical answers before anything
+//! is timed — a fast-but-wrong kernel fails the bench, it does not win
+//! it. The one-time enrichment cost is reported alongside (it is paid
+//! once and amortized over every stage that consumes the columns, not per
+//! kernel).
 //!
 //! Two further **micro-benches** isolate the sealed-chunk kernels the
 //! enriched scan is built from:
@@ -59,18 +59,18 @@ use crate::{best_of_ns, Bench};
 /// (where CI takes the best of 3 reps to keep the timing out of the noise).
 pub const ENRICHED_SPEEDUP_FLOOR: f64 = 5.0;
 
-/// Best-of-reps timing of one kernel variant at one worker count.
+/// Best-of-reps timing of one kernel variant.
 #[derive(Debug, Clone)]
 pub struct VariantTiming {
     /// Kernel variant: `"aos"`, `"columnar"` or `"enriched"`.
     pub variant: &'static str,
-    /// Worker threads the scan was sharded over.
+    /// Worker threads the scan ran on (always one).
     pub workers: usize,
     /// Best (lowest) wall time of one repetition, in nanoseconds.
     pub best_wall_ns: u64,
     /// Flow samples scanned per second in the best repetition.
     pub samples_per_sec: f64,
-    /// Speedup over the AoS baseline at the same worker count.
+    /// Speedup over the AoS baseline.
     pub speedup_vs_aos: f64,
 }
 
@@ -98,15 +98,15 @@ pub struct MicroBench {
 pub struct FlowsBench {
     /// Dropped samples among the flow samples scanned.
     pub dropped: usize,
-    /// Whether every variant agreed at every worker count (micro-bench
-    /// cross-checks included).
+    /// Whether every variant agreed (micro-bench cross-checks included).
     pub answers_identical: bool,
-    /// One-time cost of `ColumnarFlows::build_enriched` at all cores, in
-    /// nanoseconds (amortized over every stage, not per kernel).
+    /// One-time cost of `ColumnarFlows::build_enriched_with_capacity` at
+    /// all cores, in nanoseconds (amortized over every stage, not per
+    /// kernel).
     pub enrich_wall_ns: u64,
-    /// All variant × worker-count timings.
+    /// One timing per variant.
     pub timings: Vec<VariantTiming>,
-    /// Headline: AoS wall / enriched wall at one worker.
+    /// Headline: AoS wall / enriched wall.
     pub enriched_speedup: f64,
     /// Popcount-over-flag-words kernel vs rowwise bit tests.
     pub bitset: MicroBench,
@@ -123,17 +123,6 @@ fn empty_provenance() -> DropProvenance {
     }
 }
 
-fn merge(partials: Vec<DropProvenance>) -> DropProvenance {
-    let mut out = empty_provenance();
-    for p in partials {
-        out.dropped_packets += p.dropped_packets;
-        out.dropped_bytes += p.dropped_bytes;
-        out.explained_packets += p.explained_packets;
-        out.explained_bytes += p.explained_bytes;
-    }
-    out
-}
-
 fn explained(lpm: &FrozenLpm<Vec<Interval>>, dst: Ipv4Addr, at: Timestamp) -> bool {
     lpm.longest_match(dst).is_some_and(|(_, ivs)| {
         let idx = ivs.partition_point(|iv| iv.start <= at);
@@ -143,52 +132,34 @@ fn explained(lpm: &FrozenLpm<Vec<Interval>>, dst: Ipv4Addr, at: Timestamp) -> bo
 
 /// The pre-columnar baseline: AoS scan with per-sample LPM + interval
 /// lookups.
-fn aos_scan(
-    samples: &[FlowSample],
-    lpm: &FrozenLpm<Vec<Interval>>,
-    workers: usize,
-) -> DropProvenance {
-    merge(shard::map_chunks(samples, workers, |_, chunk| {
-        let mut p = empty_provenance();
-        for s in chunk {
-            if !s.is_dropped() {
-                continue;
-            }
-            p.dropped_packets += 1;
-            p.dropped_bytes += s.packet_len as u64;
-            if explained(lpm, s.dst_ip, s.at) {
-                p.explained_packets += 1;
-                p.explained_bytes += s.packet_len as u64;
-            }
+fn aos_scan(samples: &[FlowSample], lpm: &FrozenLpm<Vec<Interval>>) -> DropProvenance {
+    let mut p = empty_provenance();
+    for s in samples.iter().filter(|s| s.is_dropped()) {
+        p.dropped_packets += 1;
+        p.dropped_bytes += s.packet_len as u64;
+        if explained(lpm, s.dst_ip, s.at) {
+            p.explained_packets += 1;
+            p.explained_bytes += s.packet_len as u64;
         }
-        p
-    }))
+    }
+    p
 }
 
 /// The layout-only variant: SoA base columns, same per-sample lookups.
-fn columnar_scan(
-    cols: &ColumnarFlows,
-    lpm: &FrozenLpm<Vec<Interval>>,
-    workers: usize,
-) -> DropProvenance {
-    merge(shard::map_chunks(cols.chunks(), workers, |_, chunks| {
-        let mut p = empty_provenance();
-        for c in chunks {
-            for r in 0..c.len() {
-                if !c.dropped(r) {
-                    continue;
-                }
-                let i = c.start() + r;
-                p.dropped_packets += 1;
-                p.dropped_bytes += cols.packet_len(i) as u64;
-                if explained(lpm, cols.dst_ip(i), cols.at(i)) {
-                    p.explained_packets += 1;
-                    p.explained_bytes += cols.packet_len(i) as u64;
-                }
+fn columnar_scan(cols: &ColumnarFlows, lpm: &FrozenLpm<Vec<Interval>>) -> DropProvenance {
+    let mut p = empty_provenance();
+    for c in cols.chunks() {
+        for r in (0..c.len()).filter(|&r| c.dropped(r)) {
+            let i = c.start() + r;
+            p.dropped_packets += 1;
+            p.dropped_bytes += cols.packet_len(i) as u64;
+            if explained(lpm, cols.dst_ip(i), cols.at(i)) {
+                p.explained_packets += 1;
+                p.explained_bytes += cols.packet_len(i) as u64;
             }
         }
-        p
-    }))
+    }
+    p
 }
 
 /// Bitset micro-bench: dropped/explained *packet counts* (the pure bitset
@@ -285,7 +256,7 @@ fn bench_gallop(cols: &ColumnarFlows, reps: usize) -> MicroBench {
 }
 
 /// Times the three kernel variants over `corpus`, `reps` repetitions each
-/// at 1, 2 and all-cores workers, keeping the best wall time per cell.
+/// at one worker, keeping the best wall time per variant.
 pub fn bench_flows(corpus: &Corpus, reps: usize) -> FlowsBench {
     let samples = corpus.flows.samples();
 
@@ -293,7 +264,6 @@ pub fn bench_flows(corpus: &Corpus, reps: usize) -> FlowsBench {
     let intervals = blackhole_intervals(corpus.updates.updates().iter(), corpus.period.end);
     let lpm: FrozenLpm<Vec<Interval>> = FrozenLpm::from_entries(intervals);
 
-    let cores = shard::resolve_workers(0);
     let resolver = MacResolver::build(corpus);
     let origins = OriginTable::build(&corpus.routes);
 
@@ -302,67 +272,53 @@ pub fn bench_flows(corpus: &Corpus, reps: usize) -> FlowsBench {
     let mut built = None;
     for _ in 0..reps.max(1) {
         let t0 = Instant::now();
-        let b = black_box(ColumnarFlows::build_enriched(
+        let b = black_box(ColumnarFlows::build_enriched_with_capacity(
             &corpus.updates,
             &corpus.flows,
             &resolver,
             &origins,
             corpus.period.end,
-            cores,
+            shard::resolve_workers(0),
+            0,
         ));
         enrich_wall_ns = enrich_wall_ns.min(t0.elapsed().as_nanos() as u64);
         built = Some(b);
     }
     let cols = built.expect("reps >= 1").columns;
 
-    let mut worker_counts = vec![1, 2, cores];
-    worker_counts.sort_unstable();
-    worker_counts.dedup();
-
     // Cross-check before timing: identical answers everywhere.
-    let reference = aos_scan(samples, &lpm, 1);
-    let scans_identical = worker_counts.iter().all(|&w| {
-        aos_scan(samples, &lpm, w) == reference
-            && columnar_scan(&cols, &lpm, w) == reference
-            && drop_provenance(&cols, w) == reference
-    });
+    let reference = aos_scan(samples, &lpm);
+    let scans_identical =
+        columnar_scan(&cols, &lpm) == reference && drop_provenance(&cols) == reference;
 
     let bitset = bench_bitset(&cols, reps);
     let gallop = bench_gallop(&cols, reps);
     let answers_identical = scans_identical && bitset.answers_identical && gallop.answers_identical;
 
-    let mut timings = Vec::new();
-    let mut aos_one_wall = 0u64;
-    let mut enriched_one_wall = 1u64;
-    for &workers in &worker_counts {
-        let aos_wall = best_of_ns(reps, &|| aos_scan(samples, &lpm, workers));
-        let columnar_wall = best_of_ns(reps, &|| columnar_scan(&cols, &lpm, workers));
-        let enriched_wall = best_of_ns(reps, &|| drop_provenance(&cols, workers));
-        if workers == 1 {
-            aos_one_wall = aos_wall;
-            enriched_one_wall = enriched_wall;
-        }
-        for (variant, wall) in [
-            ("aos", aos_wall),
-            ("columnar", columnar_wall),
-            ("enriched", enriched_wall),
-        ] {
-            timings.push(VariantTiming {
-                variant,
-                workers,
-                best_wall_ns: wall,
-                samples_per_sec: samples.len() as f64 / (wall.max(1) as f64 / 1e9),
-                speedup_vs_aos: aos_wall as f64 / wall.max(1) as f64,
-            });
-        }
-    }
+    let aos_wall = best_of_ns(reps, &|| aos_scan(samples, &lpm));
+    let columnar_wall = best_of_ns(reps, &|| columnar_scan(&cols, &lpm));
+    let enriched_wall = best_of_ns(reps, &|| drop_provenance(&cols));
+    let timings = [
+        ("aos", aos_wall),
+        ("columnar", columnar_wall),
+        ("enriched", enriched_wall),
+    ]
+    .into_iter()
+    .map(|(variant, wall)| VariantTiming {
+        variant,
+        workers: 1,
+        best_wall_ns: wall,
+        samples_per_sec: samples.len() as f64 / (wall.max(1) as f64 / 1e9),
+        speedup_vs_aos: aos_wall as f64 / wall.max(1) as f64,
+    })
+    .collect();
 
     FlowsBench {
         dropped: reference.dropped_packets as usize,
         answers_identical,
         enrich_wall_ns,
         timings,
-        enriched_speedup: aos_one_wall as f64 / enriched_one_wall.max(1) as f64,
+        enriched_speedup: aos_wall as f64 / enriched_wall.max(1) as f64,
         bitset,
         gallop,
     }
@@ -428,10 +384,9 @@ mod tests {
         assert!(bench.bitset.answers_identical);
         assert!(bench.gallop.answers_identical);
         assert!(bench.dropped > 0);
-        assert_eq!(bench.timings.len() % 3, 0);
-        let one_worker: Vec<_> = bench.timings.iter().filter(|t| t.workers == 1).collect();
-        assert_eq!(one_worker.len(), 3);
-        assert!((one_worker[0].speedup_vs_aos - 1.0).abs() < 1e-12);
+        assert_eq!(bench.timings.len(), 3);
+        assert!(bench.timings.iter().all(|t| t.workers == 1));
+        assert!((bench.timings[0].speedup_vs_aos - 1.0).abs() < 1e-12);
         // The result must serialize (it is written verbatim to
         // BENCH_flows.json).
         rtbh_json::to_string(&bench);

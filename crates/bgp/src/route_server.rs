@@ -48,16 +48,6 @@ impl RouteServer {
         self.peers.len()
     }
 
-    /// Adds a member (idempotent).
-    pub fn add_peer(&mut self, peer: Asn) {
-        self.peers.insert(peer);
-    }
-
-    /// Removes a member.
-    pub fn remove_peer(&mut self, peer: Asn) {
-        self.peers.remove(&peer);
-    }
-
     /// The set of peers to which the route server re-announces `update`,
     /// honouring distribution-control communities. The submitting peer never
     /// receives its own route back.
@@ -168,16 +158,6 @@ mod tests {
         let rs = server();
         let u = update(1, vec![Community::BLACKHOLE]);
         assert!(!rs.is_visible_to(&u, Asn(99)));
-    }
-
-    #[test]
-    fn membership_changes_apply() {
-        let mut rs = server();
-        rs.add_peer(Asn(5));
-        rs.remove_peer(Asn(2));
-        let u = update(1, vec![Community::BLACKHOLE]);
-        assert_eq!(rs.recipients(&u), vec![Asn(3), Asn(4), Asn(5)]);
-        assert_eq!(rs.peer_count(), 4);
     }
 
     #[test]

@@ -107,39 +107,6 @@ pub fn active_count_series(
     series
 }
 
-/// Summary statistics of blackhole durations — used for the duration part of
-/// the final classification (Fig. 19 differentiates long-lived "zombie"
-/// blackholes from short mitigation blackholes).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DurationStats {
-    /// Number of intervals.
-    pub count: usize,
-    /// Total blackholed time across intervals.
-    pub total: TimeDelta,
-    /// Longest single interval.
-    pub longest: TimeDelta,
-}
-
-rtbh_json::impl_json! { struct DurationStats { count, total, longest } }
-
-/// Computes [`DurationStats`] for one prefix's intervals.
-pub fn duration_stats(intervals: &[Interval]) -> DurationStats {
-    let mut total = TimeDelta::ZERO;
-    let mut longest = TimeDelta::ZERO;
-    for iv in intervals {
-        let d = iv.duration();
-        total += d;
-        if d > longest {
-            longest = d;
-        }
-    }
-    DurationStats {
-        count: intervals.len(),
-        total,
-        longest,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -236,15 +203,6 @@ mod tests {
         let series = active_count_series(&ivs, ts(0), ts(8), TimeDelta::minutes(1));
         let counts: Vec<usize> = series.iter().map(|(_, c)| *c).collect();
         assert_eq!(counts, vec![1, 1, 2, 2, 1, 1, 0, 0]);
-    }
-
-    #[test]
-    fn duration_stats_aggregate() {
-        let ivs = vec![Interval::new(ts(0), ts(10)), Interval::new(ts(20), ts(50))];
-        let stats = duration_stats(&ivs);
-        assert_eq!(stats.count, 2);
-        assert_eq!(stats.total, TimeDelta::minutes(40));
-        assert_eq!(stats.longest, TimeDelta::minutes(30));
     }
 
     #[test]

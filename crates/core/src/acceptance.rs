@@ -19,7 +19,6 @@ use rtbh_peeringdb::{OrgType, Registry};
 use rtbh_stats::{top_k_by, Ecdf};
 
 use crate::columns::{ColumnarFlows, NONE};
-use crate::shard;
 
 /// Dropped/forwarded tallies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -45,8 +44,7 @@ impl DropTally {
         }
     }
 
-    /// Folds another tally in (all fields are sums, so merging per-chunk
-    /// tallies in any order gives the sequential result).
+    /// Folds another tally in (all fields are sums).
     fn absorb(&mut self, other: &DropTally) {
         self.dropped_packets += other.dropped_packets;
         self.forwarded_packets += other.forwarded_packets;
@@ -102,8 +100,7 @@ pub struct AcceptanceAnalysis {
 /// Minimum samples for a prefix to enter a drop-rate CDF.
 pub const MIN_SAMPLES_FOR_CDF: u64 = 5;
 
-/// Attributes flows to active blackholes and aggregates the tallies,
-/// chunk-parallel over `workers` scoped threads (`0` = one per core).
+/// Attributes flows to active blackholes and aggregates the tallies.
 ///
 /// Consumes the enrichment pass's precomputed columns: the covering
 /// interval-holding prefix id, the `active` bitset (was that prefix's
@@ -112,45 +109,30 @@ pub const MIN_SAMPLES_FOR_CDF: u64 = 5;
 /// remains. Blackhole-active samples are a small minority of the corpus,
 /// so the scan iterates the set bits of the `active` words directly
 /// (one `trailing_zeros` per hit, one test per word of misses) instead of
-/// visiting every row. Each worker scans whole sealed chunks into dense
-/// tallies indexed by interval-holding prefix id and by ingress id; the
-/// workers' tallies add up, and the sums fold into the three maps once,
-/// so the result is identical for every worker count and chunk capacity.
-pub fn analyze_acceptance(cols: &ColumnarFlows, workers: usize) -> AcceptanceAnalysis {
-    let workers = shard::resolve_workers(workers);
-    let mut partials = shard::map_chunks(cols.chunks(), workers, |_, chunks| {
-        let mut by_pid = vec![DropTally::default(); cols.active_prefix_count()];
-        let mut by_ingress_32 = vec![DropTally::default(); cols.asn_count()];
-        for c in chunks {
-            let pids = c.active_prefix_ids();
-            let lens = c.packet_lens();
-            let ingress = c.ingress_ids();
-            for (w, (&active, &dropped_word)) in
-                c.active_words().iter().zip(c.dropped_words()).enumerate()
-            {
-                let mut bits = active;
-                while bits != 0 {
-                    let r = (w << 6) | bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
-                    let dropped = dropped_word >> (r & 63) & 1 == 1;
-                    by_pid[pids[r] as usize].add(dropped, lens[r]);
-                    if ingress[r] != NONE && cols.active_prefix_lookup(pids[r]).is_host() {
-                        by_ingress_32[ingress[r] as usize].add(dropped, lens[r]);
-                    }
+/// visiting every row. It tallies into dense arrays indexed by
+/// interval-holding prefix id and by ingress id, and folds them into the
+/// three maps once; the tallies are integer sums, so the result does not
+/// depend on the chunk capacity.
+pub fn analyze_acceptance(cols: &ColumnarFlows) -> AcceptanceAnalysis {
+    let mut by_pid = vec![DropTally::default(); cols.active_prefix_count()];
+    let mut by_ingress_32 = vec![DropTally::default(); cols.asn_count()];
+    for c in cols.chunks() {
+        let pids = c.active_prefix_ids();
+        let lens = c.packet_lens();
+        let ingress = c.ingress_ids();
+        for (w, (&active, &dropped_word)) in
+            c.active_words().iter().zip(c.dropped_words()).enumerate()
+        {
+            let mut bits = active;
+            while bits != 0 {
+                let r = (w << 6) | bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let dropped = dropped_word >> (r & 63) & 1 == 1;
+                by_pid[pids[r] as usize].add(dropped, lens[r]);
+                if ingress[r] != NONE && cols.active_prefix_lookup(pids[r]).is_host() {
+                    by_ingress_32[ingress[r] as usize].add(dropped, lens[r]);
                 }
             }
-        }
-        (by_pid, by_ingress_32)
-    })
-    .into_iter();
-    let (mut by_pid, mut by_ingress_32) = partials.next().expect("one partial per worker");
-    for (pids, ingress) in partials {
-        for (sum, t) in by_pid
-            .iter_mut()
-            .zip(&pids)
-            .chain(by_ingress_32.iter_mut().zip(&ingress))
-        {
-            sum.absorb(t);
         }
     }
 
@@ -263,15 +245,16 @@ mod tests {
     /// Enriches with the test resolver, then runs the columnar kernel —
     /// the same call chain the pipeline makes.
     fn analyze(updates: &UpdateLog, flows: &FlowLog) -> AcceptanceAnalysis {
-        let built = ColumnarFlows::build_enriched(
+        let built = ColumnarFlows::build_enriched_with_capacity(
             updates,
             flows,
             &resolver(),
             &OriginTable::build(&[]),
             ts(1000),
             1,
+            0,
         );
-        analyze_acceptance(&built.columns, 1)
+        analyze_acceptance(&built.columns)
     }
 
     fn bh(min: i64, prefix: &str, kind: UpdateKind) -> BgpUpdate {

@@ -52,22 +52,10 @@ impl Alignment {
 }
 
 /// Estimates the clock offset between the flow log and the update log over
-/// the grid `[-half_range, +half_range]` in `step` increments.
-///
-/// Returns `None` when there are no dropped samples to align or the grid
-/// is invalid (see [`OffsetVotes::new`]).
-pub fn estimate_offset(
-    updates: &UpdateLog,
-    flows: &FlowLog,
-    corpus_end: Timestamp,
-    half_range: TimeDelta,
-    step: TimeDelta,
-) -> Option<Alignment> {
-    estimate_offset_with_workers(updates, flows, corpus_end, half_range, step, 1)
-}
-
-/// [`estimate_offset`] with the dropped samples voting on `workers` scoped
-/// threads (`0` = one per available core).
+/// the grid `[-half_range, +half_range]` in `step` increments, with the
+/// dropped samples voting on `workers` scoped threads (`0` = one per
+/// available core). Returns `None` when there are no dropped samples to
+/// align or the grid is invalid (see [`OffsetVotes::new`]).
 ///
 /// Each contiguous chunk of the log looks its dropped samples up in a
 /// [`FrozenLpm`] of the blackhole activity intervals and counts their
@@ -106,13 +94,8 @@ pub fn estimate_offset_with_workers(
 }
 
 /// Shifts every sample timestamp by `offset` (aligning the data plane onto
-/// the control-plane clock), on the calling thread.
-pub fn shift_flows(flows: &FlowLog, offset: TimeDelta) -> FlowLog {
-    shift_flows_with_workers(flows, offset, 1)
-}
-
-/// [`shift_flows`] sharded over `workers` scoped threads (`0` = one per
-/// available core).
+/// the control-plane clock), sharded over `workers` scoped threads (`0` =
+/// one per available core).
 ///
 /// A zero offset returns a plain clone of the input — no per-sample work,
 /// no re-sort. Otherwise each chunk of the time-sorted log is shifted
@@ -198,12 +181,13 @@ mod tests {
             .chain([100_000, 199_999])
             .collect();
         let flows = FlowLog::from_samples(true_times.iter().map(|t| dropped_at(t - 40)).collect());
-        let alignment = estimate_offset(
+        let alignment = estimate_offset_with_workers(
             &updates,
             &flows,
             ts(100_000),
             TimeDelta::millis(500),
             TimeDelta::millis(10),
+            1,
         )
         .unwrap();
         assert_eq!(alignment.estimated_offset(), TimeDelta::millis(40));
@@ -217,12 +201,13 @@ mod tests {
         let mut s = dropped_at(10);
         s.dst_mac = MacAddr::from_id(9); // forwarded, not dropped
         let flows = FlowLog::from_samples(vec![s]);
-        assert!(estimate_offset(
+        assert!(estimate_offset_with_workers(
             &updates,
             &flows,
             ts(1000),
             TimeDelta::millis(100),
-            TimeDelta::millis(10)
+            TimeDelta::millis(10),
+            1,
         )
         .is_none());
     }
@@ -230,7 +215,7 @@ mod tests {
     #[test]
     fn shift_moves_all_timestamps() {
         let flows = FlowLog::from_samples(vec![dropped_at(1000), dropped_at(2000)]);
-        let shifted = shift_flows(&flows, TimeDelta::millis(40));
+        let shifted = shift_flows_with_workers(&flows, TimeDelta::millis(40), 1);
         let ats: Vec<i64> = shifted.samples().iter().map(|s| s.at.as_millis()).collect();
         assert_eq!(ats, vec![1040, 2040]);
     }
@@ -238,7 +223,7 @@ mod tests {
     #[test]
     fn zero_offset_shift_returns_the_input_unchanged() {
         let flows = FlowLog::from_samples(vec![dropped_at(1000), dropped_at(2000)]);
-        assert_eq!(shift_flows(&flows, TimeDelta::ZERO), flows);
+        assert_eq!(shift_flows_with_workers(&flows, TimeDelta::ZERO, 1), flows);
         assert_eq!(shift_flows_with_workers(&flows, TimeDelta::ZERO, 8), flows);
     }
 
@@ -253,12 +238,13 @@ mod tests {
                 .map(|i| dropped_at(100_000 + i * 331 - 40))
                 .collect(),
         );
-        let reference = estimate_offset(
+        let reference = estimate_offset_with_workers(
             &updates,
             &flows,
             ts(100_000),
             TimeDelta::millis(500),
             TimeDelta::millis(10),
+            1,
         )
         .unwrap();
         for workers in [2, 5, 16] {
@@ -274,7 +260,7 @@ mod tests {
             assert_eq!(sharded, reference, "{workers} workers diverged");
             assert_eq!(
                 shift_flows_with_workers(&flows, TimeDelta::millis(40), workers),
-                shift_flows(&flows, TimeDelta::millis(40)),
+                shift_flows_with_workers(&flows, TimeDelta::millis(40), 1),
             );
         }
     }
@@ -289,12 +275,13 @@ mod tests {
         let mut stray = dropped_at(150_000);
         stray.dst_ip = "99.0.0.1".parse().unwrap();
         let flows = FlowLog::from_samples(vec![dropped_at(150_000), stray]);
-        let alignment = estimate_offset(
+        let alignment = estimate_offset_with_workers(
             &updates,
             &flows,
             ts(100_000),
             TimeDelta::ZERO,
             TimeDelta::millis(1),
+            1,
         )
         .unwrap();
         assert!((alignment.best_overlap() - 0.5).abs() < 1e-12);

@@ -31,15 +31,11 @@ impl CleanReport {
     }
 }
 
-/// Removes internal-device flows, returning the cleaned log and a report.
-pub fn clean_flows(corpus: &Corpus) -> (FlowLog, CleanReport) {
-    clean_flows_with_workers(corpus, 1)
-}
-
-/// [`clean_flows`] with the filter sharded over `workers` scoped threads
-/// (`0` = one per available core). Chunks are contiguous and concatenated
-/// in order, so the kept-sample order — and the resulting log — is
-/// identical for every worker count.
+/// Removes internal-device flows, returning the cleaned log and a report,
+/// with the filter sharded over `workers` scoped threads (`0` = one per
+/// available core). Chunks are contiguous and concatenated in order, so
+/// the kept-sample order — and the resulting log — is identical for every
+/// worker count.
 ///
 /// [`crate::pipeline::Analyzer`] no longer calls this: its prepare finds
 /// the internal samples in its first pass and skips them while sealing,
@@ -117,7 +113,7 @@ mod tests {
             ],
             vec![internal],
         );
-        let (clean, report) = clean_flows(&corpus);
+        let (clean, report) = clean_flows_with_workers(&corpus, 1);
         assert_eq!(clean.len(), 1);
         assert_eq!(report.total, 3);
         assert_eq!(report.internal_removed, 2);
@@ -130,7 +126,7 @@ mod tests {
             vec![sample(MacAddr::from_id(1), MacAddr::from_id(2))],
             Vec::new(),
         );
-        let (clean, report) = clean_flows(&corpus);
+        let (clean, report) = clean_flows_with_workers(&corpus, 1);
         assert_eq!(clean.len(), 1);
         assert_eq!(report.internal_removed, 0);
         assert_eq!(report.removed_share(), 0.0);
@@ -160,7 +156,7 @@ mod tests {
     #[test]
     fn empty_log_is_safe() {
         let corpus = corpus_with(Vec::new(), vec![MacAddr::from_id(5)]);
-        let (clean, report) = clean_flows(&corpus);
+        let (clean, report) = clean_flows_with_workers(&corpus, 1);
         assert!(clean.is_empty());
         assert_eq!(report.removed_share(), 0.0);
     }

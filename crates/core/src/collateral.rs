@@ -91,11 +91,7 @@ pub fn analyze_collateral(
             continue;
         };
         let cover = event.coverage();
-        let ids = index
-            .prefix_id(event.prefix)
-            .map(|id| index.towards(id))
-            .unwrap_or(&[]);
-        let during = cols.window_ids(ids, cover.start, cover.end);
+        let during = index.towards_within(event.prefix, cols, cover.start, cover.end);
         for (server, top) in servers {
             let mut to_top = 0u64;
             let mut dropped = 0u64;

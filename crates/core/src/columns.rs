@@ -479,8 +479,8 @@ impl PartialEq for ColumnarFlows {
     }
 }
 
-/// Result of [`ColumnarFlows::build_enriched`]: the columns plus the
-/// compiled blackhole-prefix LPM and id table, handed onward so
+/// Result of [`ColumnarFlows::build_enriched_with_capacity`]: the columns
+/// plus the compiled blackhole-prefix LPM and id table, handed onward so
 /// [`SampleIndex::from_columns`](crate::index::SampleIndex::from_columns)
 /// is guaranteed to use the same dense ids the columns were enriched with.
 pub struct EnrichedBuild {
@@ -564,41 +564,25 @@ fn raw_row(removed: &[u32], kept: usize) -> usize {
 
 impl ColumnarFlows {
     /// Builds sealed chunks **and** runs the one-pass enrichment over
-    /// `workers` scoped threads at the default chunk capacity
-    /// ([`abi::DEFAULT_CHUNK_CAPACITY`]): every per-sample id any stage
-    /// needs (interned member/origin ASNs, blackhole-prefix ids, activity
-    /// bit) is computed here, exactly once, in a single pass over the
-    /// samples.
+    /// `workers` scoped threads: every per-sample id any stage needs
+    /// (interned member/origin ASNs, blackhole-prefix ids, activity bit)
+    /// is computed here, exactly once, in a single pass over the samples.
     ///
     /// This is prepare's sealing kernel with no internal MACs, nothing
     /// removed and a zero clock offset: `flows` is taken as already
     /// cleaned and aligned. `Analyzer::new` seals the raw corpus log
     /// through the same kernel.
     ///
-    /// Byte-deterministic for every worker count: chunk boundaries are
-    /// fixed by the capacity alone, workers seal whole chunks, and the
+    /// `chunk_capacity` is the rows per chunk (`0` =
+    /// [`abi::DEFAULT_CHUNK_CAPACITY`]; clamped to a power of two in
+    /// `[MIN_CHUNK_CAPACITY, MAX_CHUNK_CAPACITY]`). The capacity changes
+    /// only how rows are sliced into slabs — never the row order or any
+    /// per-row value — so every downstream report is byte-identical for
+    /// every capacity (pinned by the `columns_diff` differential suite).
+    /// Byte-deterministic for every worker count too: chunk boundaries
+    /// are fixed by the capacity alone, workers seal whole chunks, and the
     /// chunks are reassembled in order. All lookup tables are built before
     /// the parallel section.
-    pub fn build_enriched(
-        updates: &UpdateLog,
-        flows: &FlowLog,
-        resolver: &MacResolver,
-        origins: &OriginTable,
-        corpus_end: Timestamp,
-        workers: usize,
-    ) -> EnrichedBuild {
-        Self::build_enriched_with_capacity(
-            updates, flows, resolver, origins, corpus_end, workers, 0,
-        )
-    }
-
-    /// [`ColumnarFlows::build_enriched`] with an explicit chunk capacity
-    /// (`0` = default; clamped to a power of two in
-    /// `[MIN_CHUNK_CAPACITY, MAX_CHUNK_CAPACITY]`). The
-    /// capacity changes only how rows are sliced into slabs — never the
-    /// row order or any per-row value — so every downstream report is
-    /// byte-identical for every capacity (pinned by the `columns_diff`
-    /// differential suite).
     pub fn build_enriched_with_capacity(
         updates: &UpdateLog,
         flows: &FlowLog,
@@ -707,15 +691,10 @@ impl ColumnarFlows {
         }
     }
 
-    /// Base columns only (empty enrichment tables) — for callers that need
-    /// the layout and the window index but no control-plane context, e.g.
-    /// micro-benches and unit tests.
-    pub fn from_log(flows: &FlowLog) -> Self {
-        Self::from_log_with_capacity(flows, 0)
-    }
-
-    /// [`ColumnarFlows::from_log`] with an explicit chunk capacity
-    /// (`0` = default).
+    /// Base columns only (empty enrichment tables), at an explicit chunk
+    /// capacity (`0` = default) — for callers that need the layout and the
+    /// window index but no control-plane context, e.g. micro-benches and
+    /// unit tests.
     pub fn from_log_with_capacity(flows: &FlowLog, chunk_capacity: usize) -> Self {
         Self::build_enriched_with_capacity(
             &UpdateLog::new(),
@@ -910,7 +889,7 @@ impl ColumnarFlows {
     }
 
     /// Restricts a sorted sample-id slice (e.g. a
-    /// [`SampleIndex`](crate::index::SampleIndex) `towards`/`from` list)
+    /// [`SampleIndex`](crate::index::SampleIndex) `towards` list)
     /// to ids whose sample time falls in `[start, end)`.
     ///
     /// Equivalent to filtering `ids` by each sample's timestamp — because
@@ -1056,8 +1035,15 @@ mod tests {
                 .collect(),
         );
         let origins = OriginTable::build(&[("20.0.0.0/8".parse().unwrap(), Asn(300))]);
-        let built =
-            ColumnarFlows::build_enriched(&updates, &flows, &test_resolver(), &origins, ts(100), 1);
+        let built = ColumnarFlows::build_enriched_with_capacity(
+            &updates,
+            &flows,
+            &test_resolver(),
+            &origins,
+            ts(100),
+            1,
+            0,
+        );
         (built, flows)
     }
 
@@ -1242,13 +1228,14 @@ mod tests {
         let origins = OriginTable::build(&[("20.0.0.0/8".parse().unwrap(), Asn(300))]);
         let updates = test_updates();
         for workers in [2, 3, 16] {
-            let sharded = ColumnarFlows::build_enriched(
+            let sharded = ColumnarFlows::build_enriched_with_capacity(
                 &updates,
                 &flows,
                 &test_resolver(),
                 &origins,
                 ts(100),
                 workers,
+                0,
             );
             assert_eq!(reference.columns, sharded.columns, "{workers} workers");
         }
@@ -1420,7 +1407,7 @@ mod tests {
 
     #[test]
     fn empty_log_is_safe() {
-        let cols = ColumnarFlows::from_log(&FlowLog::new());
+        let cols = ColumnarFlows::from_log_with_capacity(&FlowLog::new(), 0);
         assert!(cols.is_empty());
         assert!(cols.chunks().is_empty());
         assert_eq!(cols.time_range(ts(0), ts(100)), (0, 0));

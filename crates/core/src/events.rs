@@ -49,11 +49,6 @@ impl RtbhEvent {
     pub fn duration(&self) -> TimeDelta {
         self.end() - self.start()
     }
-
-    /// Number of announce/withdraw runs merged into the event.
-    pub fn announcement_runs(&self) -> usize {
-        self.spans.len()
-    }
 }
 
 /// Per-prefix metadata needed to label events.
@@ -220,7 +215,6 @@ mod tests {
         assert_eq!(events[0].spans.len(), 2);
         assert_eq!(events[0].coverage(), Interval::new(ts(0), ts(40)));
         assert_eq!(events[1].coverage(), Interval::new(ts(70), ts(90)));
-        assert_eq!(events[0].announcement_runs(), 2);
         assert!(!events[0].open_ended);
     }
 

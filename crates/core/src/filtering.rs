@@ -150,11 +150,7 @@ pub fn analyze_filtering(
             continue;
         }
         let cover = event.coverage();
-        let ids = index
-            .prefix_id(event.prefix)
-            .map(|id| index.towards(id))
-            .unwrap_or(&[]);
-        let during = cols.window_ids(ids, cover.start, cover.end);
+        let during = index.towards_within(event.prefix, cols, cover.start, cover.end);
         if during.len() < 5 {
             // Anomaly but (almost) nothing during the event — §5.4's third;
             // a handful of stray samples cannot support a filter verdict.

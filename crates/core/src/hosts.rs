@@ -174,13 +174,14 @@ fn exclusion_windows(events: &[RtbhEvent], reaction: TimeDelta) -> BTreeMap<Pref
 /// Runs the host analysis: one pass over the rows, then one sorted sweep
 /// per blackholed prefix.
 ///
-/// `towards` and `from` are keyed by the same longest-prefix match, so every
-/// host address belongs to exactly one prefix and per-prefix work is exact.
-/// The pass buckets the rows outside their prefix's exclusion windows per
-/// prefix, in row order (`bucket`); each prefix's rows are then stably
-/// sorted by host, which orders them by `(host, row)`, and each host's
-/// features come from one pass over its run of rows. The records are
-/// sorted by address at the end.
+/// A row's incoming host (its destination) and outgoing host (its source)
+/// are keyed by the same longest-prefix match, the sealed `dst`/`src`
+/// prefix-id columns, so every host address belongs to exactly one prefix
+/// and per-prefix work is exact. The pass buckets the rows outside their
+/// prefix's exclusion windows per prefix, in row order (`bucket`); each
+/// prefix's rows are then stably sorted by host, which orders them by
+/// `(host, row)`, and each host's features come from one pass over its
+/// run of rows. The records are sorted by address at the end.
 pub fn analyze_hosts(
     events: &[RtbhEvent],
     index: &SampleIndex,
@@ -302,9 +303,10 @@ impl Row {
 /// a row joins the incoming rows of its destination's prefix and the
 /// outgoing rows of its source's prefix. Nearly every row carries one of
 /// the two, so reading the columns in row order beats gathering each
-/// prefix's ids from all over the log. The vectors are sized by the
-/// index's lists, which bound them, and one forward cursor per prefix
-/// walks its windows as the time-sorted rows ascend.
+/// prefix's ids from all over the log. The incoming vectors are sized by
+/// the index's `towards` lists, which bound them; the outgoing ones grow.
+/// One forward cursor per prefix walks its windows as the time-sorted rows
+/// ascend.
 fn bucket(
     index: &SampleIndex,
     cols: &ColumnarFlows,
@@ -313,9 +315,7 @@ fn bucket(
     let mut incoming: Vec<Vec<Row>> = (0..windows.len())
         .map(|pid| Vec::with_capacity(index.towards(pid).len()))
         .collect();
-    let mut outgoing: Vec<Vec<Row>> = (0..windows.len())
-        .map(|pid| Vec::with_capacity(index.from(pid).len()))
-        .collect();
+    let mut outgoing: Vec<Vec<Row>> = (0..windows.len()).map(|_| Vec::new()).collect();
     let mut excluded = vec![IntervalCursor::NEW; windows.len()];
     let mut outside = |pid: usize, at: i64| !excluded[pid].contains(windows[pid], Timestamp(at));
     for c in cols.chunks() {
@@ -534,13 +534,14 @@ mod tests {
 
     fn build(flows: Vec<FlowSample>, events: Vec<RtbhEvent>) -> HostAnalysis {
         let updates = UpdateLog::from_updates(vec![bh("10.0.0.7/32")]);
-        let enriched = ColumnarFlows::build_enriched(
+        let enriched = ColumnarFlows::build_enriched_with_capacity(
             &updates,
             &FlowLog::from_samples(flows),
             &MacResolver::from_map(BTreeMap::new()),
             &OriginTable::build(&[]),
             Timestamp::EPOCH,
             1,
+            0,
         );
         let index = SampleIndex::from_columns(
             enriched.blackholes,

@@ -26,7 +26,7 @@ use rtbh_fabric::FlowSample;
 use rtbh_net::{Asn, FrozenLpm, Interval, Ipv4Addr, MacAddr, Prefix, Timestamp};
 use rtbh_stats::OffsetVotes;
 
-use crate::columns::NONE;
+use crate::columns::{ColumnarFlows, NONE};
 use crate::shard;
 
 /// Index over a columnar sample store keyed by the blackholed prefixes of
@@ -41,19 +41,17 @@ pub struct SampleIndex {
     /// Per prefix id: indices (into the sample store) of samples *towards*
     /// the prefix (matched by longest prefix), time-sorted.
     towards: Vec<Vec<u32>>,
-    /// Per prefix id: indices of samples *from* addresses inside the prefix.
-    from: Vec<Vec<u32>>,
 }
 
 impl SampleIndex {
-    /// Builds the index from prefix-id columns the enrichment pass already
-    /// computed ([`crate::columns::ColumnarFlows`]), skipping the two
-    /// per-sample LPM walks entirely: each worker only buckets the
-    /// precomputed `dst`/`src` prefix ids of its chunk.
+    /// Builds the index from the destination prefix-id column the
+    /// enrichment pass already computed ([`ColumnarFlows`]), skipping the
+    /// per-sample LPM walk entirely: each worker only buckets the
+    /// precomputed `dst` prefix ids of its chunks.
     ///
     /// `lpm` and `prefixes` must be the pair the columns were enriched with
     /// (see `compile_blackhole_prefixes` via
-    /// [`crate::columns::ColumnarFlows::build_enriched`]), so the dense ids
+    /// [`ColumnarFlows::build_enriched_with_capacity`]), so the dense ids
     /// line up; only the table's entries are kept. Workers bucket whole
     /// sealed chunks and the partials merge in chunk order, so each list
     /// stays sorted by sample index (= capture time) and the index is
@@ -61,7 +59,7 @@ impl SampleIndex {
     pub fn from_columns(
         lpm: FrozenLpm<usize>,
         prefixes: Vec<Prefix>,
-        cols: &crate::columns::ColumnarFlows,
+        cols: &ColumnarFlows,
         workers: usize,
     ) -> Self {
         let ids = lpm.iter().map(|(p, &id)| (p, id as u32)).collect();
@@ -74,7 +72,7 @@ impl SampleIndex {
     pub(crate) fn from_table(
         ids: Vec<(Prefix, u32)>,
         prefixes: Vec<Prefix>,
-        cols: &crate::columns::ColumnarFlows,
+        cols: &ColumnarFlows,
         workers: usize,
     ) -> Self {
         debug_assert!(ids.windows(2).all(|w| w[0].0 < w[1].0), "sorted by prefix");
@@ -82,38 +80,26 @@ impl SampleIndex {
         let workers = shard::resolve_workers(workers);
         let partials = shard::map_chunks(cols.chunks(), workers, |_, chunks| {
             let mut towards = vec![Vec::new(); n];
-            let mut from = vec![Vec::new(); n];
             for c in chunks {
                 let base = c.start() as u32;
                 for (r, &dst_pid) in c.dst_prefix_ids().iter().enumerate() {
-                    if dst_pid != crate::columns::NONE {
+                    if dst_pid != NONE {
                         towards[dst_pid as usize].push(base + r as u32);
                     }
                 }
-                for (r, &src_pid) in c.src_prefix_ids().iter().enumerate() {
-                    if src_pid != crate::columns::NONE {
-                        from[src_pid as usize].push(base + r as u32);
-                    }
-                }
             }
-            (towards, from)
+            towards
         });
-
         let mut towards = vec![Vec::new(); n];
-        let mut from = vec![Vec::new(); n];
-        for (chunk_towards, chunk_from) in partials {
-            for (id, mut ids) in chunk_towards.into_iter().enumerate() {
-                towards[id].append(&mut ids);
-            }
-            for (id, mut ids) in chunk_from.into_iter().enumerate() {
-                from[id].append(&mut ids);
+        for partial in partials {
+            for (list, mut ids) in towards.iter_mut().zip(partial) {
+                list.append(&mut ids);
             }
         }
         Self {
             ids,
             prefixes,
             towards,
-            from,
         }
     }
 
@@ -133,33 +119,30 @@ impl SampleIndex {
         &self.towards[id]
     }
 
-    /// Sample indices originating inside a prefix, time-sorted.
-    pub fn from(&self, id: usize) -> &[u32] {
-        &self.from[id]
+    /// The sample indices towards `prefix` whose sample time falls in
+    /// `[start, end)` ([`ColumnarFlows::window_ids`] over the prefix's
+    /// `towards` list); empty for a prefix the index does not hold.
+    pub fn towards_within<'a>(
+        &'a self,
+        prefix: Prefix,
+        cols: &ColumnarFlows,
+        start: Timestamp,
+        end: Timestamp,
+    ) -> &'a [u32] {
+        let ids = self
+            .prefix_id(prefix)
+            .map_or(&[][..], |id| self.towards(id));
+        cols.window_ids(ids, start, end)
     }
 
-    /// Total number of indexed sample references (towards + from) over
-    /// every prefix: the input footprint of a stage that walks each
-    /// prefix's lists once, like the host analysis.
-    pub fn total_ids(&self) -> u64 {
-        self.towards
-            .iter()
-            .chain(&self.from)
-            .map(|ids| ids.len() as u64)
-            .sum()
-    }
-
-    /// Total number of indexed sample references (towards + from) for the
-    /// prefixes of the given events, once per event — the input footprint
-    /// the per-event analyses traverse, reported by the pipeline's stage
-    /// profile.
+    /// Total length of the `towards` lists of the given events' prefixes,
+    /// once per event — the input footprint the per-event analyses
+    /// traverse, reported by the pipeline's stage profile.
     pub fn event_sample_footprint(&self, events: &[crate::events::RtbhEvent]) -> u64 {
         events
             .iter()
-            .map(|e| match self.prefix_id(e.prefix) {
-                Some(id) => (self.towards[id].len() + self.from[id].len()) as u64,
-                None => 0,
-            })
+            .filter_map(|e| self.prefix_id(e.prefix))
+            .map(|id| self.towards[id].len() as u64)
             .sum()
     }
 }
@@ -202,7 +185,7 @@ fn compile_blackhole_prefixes(updates: &UpdateLog) -> (Vec<(Prefix, u32)>, Vec<P
 }
 
 /// The MAC → member-AS directory of a corpus, as handed to
-/// [`crate::columns::ColumnarFlows::build_enriched`]. Lookups go through
+/// [`ColumnarFlows::build_enriched_with_capacity`]. Lookups go through
 /// the sample enricher compiled from it.
 pub struct MacResolver {
     map: BTreeMap<MacAddr, Asn>,
@@ -639,7 +622,6 @@ impl SampleEnricher {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::columns::ColumnarFlows;
     use rtbh_bgp::{BgpUpdate, UpdateKind};
     use rtbh_fabric::FlowLog;
     use rtbh_net::{Community, MacAddr, Protocol, Timestamp};
@@ -704,13 +686,9 @@ mod tests {
         assert_eq!(idx.prefixes().len(), 2);
         let id24 = idx.prefix_id("10.0.0.0/24".parse().unwrap()).unwrap();
         let id32 = idx.prefix_id("10.0.0.7/32".parse().unwrap()).unwrap();
-        assert_eq!(idx.towards(id32).len(), 1);
-        assert_eq!(idx.towards(id24).len(), 1);
-        assert_eq!(idx.from(id32).len(), 1);
-        assert_eq!(idx.from(id24).len(), 0);
-        // The unmatched sample is not indexed; the /32's one sample counts
-        // once in each direction.
-        assert_eq!(idx.total_ids(), 3);
+        // The sample *from* the /32 and the unmatched one are not indexed.
+        assert_eq!(idx.towards(id32), [0]);
+        assert_eq!(idx.towards(id24), [1]);
     }
 
     #[test]
@@ -739,7 +717,6 @@ mod tests {
             for id in 0..reference.prefixes().len() {
                 let label = format!("{workers} workers, capacity {capacity}");
                 assert_eq!(reference.towards(id), sharded.towards(id), "{label}");
-                assert_eq!(reference.from(id), sharded.from(id), "{label}");
             }
         }
     }

@@ -6,7 +6,6 @@ use rtbh_bgp::{active_count_series, blackhole_intervals, UpdateLog};
 use rtbh_net::{Interval, TimeDelta, Timestamp};
 
 use crate::columns::ColumnarFlows;
-use crate::shard;
 
 /// The control-plane load analysis (Fig. 3).
 #[derive(Debug, Clone, PartialEq)]
@@ -104,70 +103,42 @@ impl DropProvenance {
             self.explained_bytes as f64 / self.dropped_bytes as f64
         }
     }
-
-    /// Packet share explained by the route server.
-    pub fn packet_share(&self) -> f64 {
-        if self.dropped_packets == 0 {
-            0.0
-        } else {
-            self.explained_packets as f64 / self.dropped_packets as f64
-        }
-    }
 }
 
-/// Attributes each dropped sample to route-server blackholes (or not),
-/// sharded over `workers` scoped threads. The activity check was already
-/// done by the enrichment pass (the sealed chunks' `active` bitset), so
-/// this is a word-at-a-time bitset scan: packet counts are popcounts over
-/// the `dropped` words (and `dropped & active` for the explained share),
-/// and only the words with set bits are walked for the byte sums. Workers
-/// scan whole sealed chunks; per-chunk partial sums make the totals
-/// worker-count and chunk-capacity invariant.
-pub fn drop_provenance(cols: &ColumnarFlows, workers: usize) -> DropProvenance {
-    let workers = shard::resolve_workers(workers);
-    let partials = shard::map_chunks(cols.chunks(), workers, |_, chunks| {
-        let mut p = DropProvenance {
-            dropped_packets: 0,
-            dropped_bytes: 0,
-            explained_packets: 0,
-            explained_bytes: 0,
-        };
-        for c in chunks {
-            let lens = c.packet_lens();
-            for (w, (&dropped, &active)) in
-                c.dropped_words().iter().zip(c.active_words()).enumerate()
-            {
-                // Tail bits are zero by the chunk ABI, so whole-word
-                // popcounts are exact packet counts.
-                p.dropped_packets += u64::from(dropped.count_ones());
-                p.explained_packets += u64::from((dropped & active).count_ones());
-                let mut bits = dropped;
-                while bits != 0 {
-                    let r = (w << 6) | bits.trailing_zeros() as usize;
-                    let bytes = u64::from(lens[r]);
-                    p.dropped_bytes += bytes;
-                    if active >> (r & 63) & 1 == 1 {
-                        p.explained_bytes += bytes;
-                    }
-                    bits &= bits - 1;
-                }
-            }
-        }
-        p
-    });
-    let mut out = DropProvenance {
+/// Attributes each dropped sample to route-server blackholes (or not).
+/// The activity check was already done by the enrichment pass (the sealed
+/// chunks' `active` bitset), so this is a word-at-a-time bitset scan:
+/// packet counts are popcounts over the `dropped` words (and
+/// `dropped & active` for the explained share), and only the words with
+/// set bits are walked for the byte sums. The totals are integer sums, so
+/// they do not depend on the chunk capacity.
+pub fn drop_provenance(cols: &ColumnarFlows) -> DropProvenance {
+    let mut p = DropProvenance {
         dropped_packets: 0,
         dropped_bytes: 0,
         explained_packets: 0,
         explained_bytes: 0,
     };
-    for p in partials {
-        out.dropped_packets += p.dropped_packets;
-        out.dropped_bytes += p.dropped_bytes;
-        out.explained_packets += p.explained_packets;
-        out.explained_bytes += p.explained_bytes;
+    for c in cols.chunks() {
+        let lens = c.packet_lens();
+        for (w, (&dropped, &active)) in c.dropped_words().iter().zip(c.active_words()).enumerate() {
+            // Tail bits are zero by the chunk ABI, so whole-word
+            // popcounts are exact packet counts.
+            p.dropped_packets += u64::from(dropped.count_ones());
+            p.explained_packets += u64::from((dropped & active).count_ones());
+            let mut bits = dropped;
+            while bits != 0 {
+                let r = (w << 6) | bits.trailing_zeros() as usize;
+                let bytes = u64::from(lens[r]);
+                p.dropped_bytes += bytes;
+                if active >> (r & 63) & 1 == 1 {
+                    p.explained_bytes += bytes;
+                }
+                bits &= bits - 1;
+            }
+        }
     }
-    out
+    p
 }
 
 #[cfg(test)]
@@ -181,8 +152,10 @@ mod tests {
     fn provenance_of(updates: &UpdateLog, flows: &FlowLog, end: Timestamp) -> DropProvenance {
         let resolver = MacResolver::from_map(Default::default());
         let origins = OriginTable::build(&[]);
-        let built = ColumnarFlows::build_enriched(updates, flows, &resolver, &origins, end, 1);
-        drop_provenance(&built.columns, 1)
+        let built = ColumnarFlows::build_enriched_with_capacity(
+            updates, flows, &resolver, &origins, end, 1, 0,
+        );
+        drop_provenance(&built.columns)
     }
 
     fn ts(min: i64) -> Timestamp {
@@ -254,27 +227,6 @@ mod tests {
         assert_eq!(prov.dropped_bytes, 2000);
         assert_eq!(prov.explained_bytes, 1000);
         assert!((prov.byte_share() - 0.5).abs() < 1e-12);
-        assert!((prov.packet_share() - 1.0 / 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn provenance_is_worker_count_invariant() {
-        let log = UpdateLog::from_updates(vec![
-            update(0, 1, "10.0.0.1/32", UpdateKind::Announce),
-            update(10, 1, "10.0.0.1/32", UpdateKind::Withdraw),
-        ]);
-        let flows = FlowLog::from_samples(
-            (0..97)
-                .map(|k| dropped(k % 20, "10.0.0.1", 100 + k as u16))
-                .collect(),
-        );
-        let resolver = MacResolver::from_map(Default::default());
-        let origins = OriginTable::build(&[]);
-        let built = ColumnarFlows::build_enriched(&log, &flows, &resolver, &origins, ts(100), 1);
-        let reference = drop_provenance(&built.columns, 1);
-        for workers in [2, 3, 16] {
-            assert_eq!(reference, drop_provenance(&built.columns, workers));
-        }
     }
 
     #[test]

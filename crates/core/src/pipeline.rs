@@ -80,15 +80,14 @@ pub struct AnalyzerConfig {
     pub load_step: TimeDelta,
     /// Worker threads (`0` = one per available core). Prepare's two passes
     /// (clean with the offset votes, then enrichment with the clock shift)
-    /// and the index build shard their samples over this many threads, as
-    /// do [`Analyzer::acceptance`] and [`Analyzer::provenance`] called on
-    /// their own. The stage phase of [`Analyzer::full`] runs its five
-    /// stage chains on `min(workers, 5)` threads, the calling thread
-    /// included, with every stage kernel at one worker; at one worker the
-    /// whole analysis runs on the calling thread. The kernels merge
-    /// per-chunk results in chunk order (or, for the offset votes, by
-    /// exact integer sums), so every worker count produces byte-identical
-    /// reports (`rtbh analyze --threads N`).
+    /// and the index build shard their samples over this many threads. The
+    /// stage phase of [`Analyzer::full`] runs its five stage chains on
+    /// `min(workers, 5)` threads, the calling thread included; every stage
+    /// kernel is single-threaded, and at one worker the whole analysis
+    /// runs on the calling thread. The sharded kernels merge per-chunk
+    /// results in chunk order (or, for the offset votes, by exact integer
+    /// sums), so every worker count produces byte-identical reports
+    /// (`rtbh analyze --threads N`).
     pub workers: usize,
     /// Sealed-chunk capacity for the columnar flow store (rows per chunk;
     /// `0` = the ABI default, [`crate::columns::abi::DEFAULT_CHUNK_CAPACITY`]).
@@ -419,7 +418,7 @@ impl Analyzer {
 
     /// §3.1: drop provenance (route-server vs bilateral).
     pub fn provenance(&self) -> DropProvenance {
-        drop_provenance(&self.columns, self.kernel_workers)
+        drop_provenance(&self.columns)
     }
 
     /// Fig. 4: targeted-blackholing visibility percentiles.
@@ -435,7 +434,7 @@ impl Analyzer {
 
     /// Figs. 5–8: acceptance analysis.
     pub fn acceptance(&self) -> AcceptanceAnalysis {
-        analyze_acceptance(&self.columns, self.kernel_workers)
+        analyze_acceptance(&self.columns)
     }
 
     /// Figs. 11–13 + Table 2: pre-event analysis.
@@ -496,7 +495,7 @@ impl Analyzer {
     }
 
     /// Input footprint of the event-scoped stages: every inferred event plus
-    /// the indexed samples covering the event prefixes.
+    /// the indexed samples towards the event prefixes.
     fn footprint_events(&self) -> Footprint {
         Footprint {
             updates: 0,
@@ -505,13 +504,12 @@ impl Analyzer {
         }
     }
 
-    /// Input footprint of the host analysis: every indexed sample id, since
-    /// it walks each prefix's lists once, plus the events whose windows it
-    /// excludes.
+    /// Input footprint of the host analysis: every sealed row, since it
+    /// buckets them in one pass, plus the events whose windows it excludes.
     fn footprint_hosts(&self) -> Footprint {
         Footprint {
             updates: 0,
-            samples: self.index.total_ids(),
+            samples: self.columns.len() as u64,
             events: self.events.len() as u64,
         }
     }
@@ -544,11 +542,10 @@ impl Analyzer {
     /// claimed one at a time by `min(workers, 5)` threads: the calling
     /// thread plus scoped ones. Each chain leaves its results in its own
     /// [`OnceLock`]; `classification` runs after the last chain, on the
-    /// calling thread. The `acceptance` and `provenance` kernels run at one
-    /// worker here, since the other chains already occupy the threads.
-    /// With scoped threads the profile says [`ExecutionMode::Parallel`]; at
-    /// one worker the calling thread runs every chain in order and the
-    /// profile says [`ExecutionMode::Sequential`].
+    /// calling thread. With scoped threads the profile says
+    /// [`ExecutionMode::Parallel`]; at one worker the calling thread runs
+    /// every chain in order and the profile says
+    /// [`ExecutionMode::Sequential`].
     pub fn full_with_profile(&self) -> (FullReport, PipelineProfile) {
         let t0 = std::time::Instant::now();
         let updates = self.footprint_updates();
@@ -584,18 +581,14 @@ impl Analyzer {
             },
             &|| {
                 acc.get_or_init(|| {
-                    profile::time_stage("acceptance", updates_flows, || {
-                        analyze_acceptance(&self.columns, 1)
-                    })
+                    profile::time_stage("acceptance", updates_flows, || self.acceptance())
                 });
             },
             &|| {
                 signal.get_or_init(|| {
                     let (load, st_load) = profile::time_stage("load", updates, || self.load());
                     let (provenance, st_prov) =
-                        profile::time_stage("provenance", updates_flows, || {
-                            drop_provenance(&self.columns, 1)
-                        });
+                        profile::time_stage("provenance", updates_flows, || self.provenance());
                     (load, st_load, provenance, st_prov)
                 });
             },

@@ -445,13 +445,8 @@ pub fn analyze_preevents(
     let per_event = events
         .iter()
         .map(|event| {
-            let ids = index
-                .prefix_id(event.prefix)
-                .map(|id| index.towards(id))
-                .unwrap_or(&[]);
-            // Slice the (time-sorted) id list to the pre-window via the
-            // time-bucket index — two binary searches, no full scan.
-            let in_window = cols.window_ids(ids, event.start() - config.pre_window, event.start());
+            let (start, end) = (event.start() - config.pre_window, event.start());
+            let in_window = index.towards_within(event.prefix, cols, start, end);
             let rows = in_window.iter().map(|&id| WindowRow::of(cols, id));
             window_result(event.id, event.start(), rows, config, &mut scratch)
         })
@@ -510,7 +505,7 @@ mod tests {
     }
 
     fn cols_of(samples: Vec<FlowSample>) -> (ColumnarFlows, Vec<u32>) {
-        let cols = ColumnarFlows::from_log(&FlowLog::from_samples(samples));
+        let cols = ColumnarFlows::from_log_with_capacity(&FlowLog::from_samples(samples), 0);
         let ids: Vec<u32> = (0..cols.len() as u32).collect();
         (cols, ids)
     }

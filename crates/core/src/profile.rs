@@ -15,11 +15,11 @@
 //! The footprint counters are *input* sizes, not output sizes: they answer
 //! "how much data did this stage have to look at", which is the quantity
 //! that predicts wall time and guides further sharding. Event-scoped stages
-//! (pre-events, protocols, filtering, collateral) report the number of
-//! indexed samples covering the event prefixes, once per event, rather than
-//! the whole flow log; the host analysis reports every indexed sample id
-//! once, because it walks each prefix's lists once. Both are what the
-//! stages actually traverse via [`SampleIndex`](crate::index::SampleIndex).
+//! (pre-events, protocols, filtering, collateral) report the length of
+//! each event's [`SampleIndex`](crate::index::SampleIndex) `towards` list,
+//! once per event, rather than the whole flow log; the host analysis
+//! reports every sealed row once, because it buckets the rows in one pass.
+//! Both are what the stages actually traverse.
 //!
 //! # Example
 //!
@@ -65,8 +65,8 @@ impl ExecutionMode {
 pub struct Footprint {
     /// BGP updates scanned.
     pub updates: u64,
-    /// Flow samples scanned (for event-scoped stages: indexed samples
-    /// covering the event prefixes, not the whole flow log).
+    /// Flow samples scanned (for event-scoped stages: the samples indexed
+    /// towards the event prefixes, not the whole flow log).
     pub samples: u64,
     /// RTBH events touched.
     pub events: u64,

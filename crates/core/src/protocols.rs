@@ -34,15 +34,6 @@ impl EventTraffic {
         let floor = ((self.packets as f64 * 0.03).ceil() as u64).max(2);
         self.amplification.values().filter(|&&c| c >= floor).count()
     }
-
-    /// Share of packets matched by any amplification protocol.
-    pub fn amplification_share(&self) -> f64 {
-        if self.packets == 0 {
-            return 0.0;
-        }
-        let matched: u64 = self.amplification.values().sum();
-        matched as f64 / self.packets as f64
-    }
 }
 
 /// The corpus-wide during-event analysis.
@@ -187,11 +178,7 @@ pub fn analyze_event_traffic(
                 .get(event.id)
                 .is_some_and(|r| r.class == PreClass::DataAnomaly && r.anomaly_within(horizon));
             let cover = event.coverage();
-            let ids = index
-                .prefix_id(event.prefix)
-                .map(|id| index.towards(id))
-                .unwrap_or(&[]);
-            let during = cols.window_ids(ids, cover.start, cover.end);
+            let during = index.towards_within(event.prefix, cols, cover.start, cover.end);
             let mut by_protocol = [0u64; 4];
             let mut amplification = [0u64; AMPLIFICATION_PROTOCOLS.len()];
             for &id in during {
@@ -252,7 +239,6 @@ mod tests {
             true,
         );
         assert_eq!(e.distinct_amplification_protocols(), 2);
-        assert!((e.amplification_share() - 0.951).abs() < 1e-9);
     }
 
     #[test]

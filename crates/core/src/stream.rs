@@ -1383,12 +1383,13 @@ mod tests {
         c.updates = UpdateLog::from_updates(vec![announce(60, "10.0.0.7/32", 64500)]);
         c.flows = FlowLog::from_samples(vec![dropped]);
         let config = StreamConfig::for_corpus(&c);
-        let batch = crate::align::estimate_offset(
+        let batch = crate::align::estimate_offset_with_workers(
             &c.updates,
             &c.flows,
             c.period.end,
             config.analyzer.offset_half_range,
             config.analyzer.offset_step,
+            1,
         )
         .expect("one dropped sample");
         assert_eq!(batch.estimated_offset(), TimeDelta::ZERO);

@@ -77,33 +77,37 @@ fn both_modes_profile_every_stage_in_canonical_order() {
 }
 
 #[test]
-fn hosts_row_counts_each_indexed_id_once() {
-    // The host sweep walks every prefix's `towards` and `from` lists once,
-    // so its footprint is the index's total, not the per-event sum that
-    // counts a prefix again for each of its events.
+fn stage_footprints_count_the_samples_each_stage_reads() {
+    // The host analysis buckets every sealed row in one pass; the
+    // per-event stages read each event's `towards` list, once per event.
     let out = rtbh_sim::run(&ScenarioConfig::tiny());
-    let analyzer = analyzer_at(&out.corpus, 2);
-    let index = analyzer.index();
-    let total: u64 = (0..index.prefixes().len())
-        .map(|id| (index.towards(id).len() + index.from(id).len()) as u64)
-        .sum();
-    assert!(total > 0);
-    assert_eq!(index.total_ids(), total);
+    for workers in [1, 2] {
+        let analyzer = analyzer_at(&out.corpus, workers);
+        let index = analyzer.index();
+        let towards: u64 = analyzer
+            .events()
+            .iter()
+            .map(|e| index.towards(index.prefix_id(e.prefix).unwrap()).len() as u64)
+            .sum();
+        assert!(towards > 0);
 
-    let (_, par) = analyzer.full_with_profile();
-    let (_, seq) = analyzer_at(&out.corpus, 1).full_with_profile();
-    for profile in [par, seq] {
-        let hosts = profile.stages.iter().find(|s| s.stage == "hosts").unwrap();
-        assert_eq!(hosts.samples_scanned, total);
+        let (_, profile) = analyzer.full_with_profile();
+        let hosts = profile.stage("hosts").expect("stage profiled");
+        let rows = analyzer.columns().len() as u64;
+        assert_eq!(hosts.samples_scanned, rows, "{workers} workers");
         assert_eq!(hosts.events_touched, analyzer.events().len() as u64);
+        for stage in ["preevents", "protocols", "filtering", "collateral"] {
+            let st = profile.stage(stage).expect("stage profiled");
+            assert_eq!(st.samples_scanned, towards, "{stage} at {workers} workers");
+        }
     }
 }
 
 #[test]
 fn worker_counts_do_not_change_the_report() {
-    // The data-parallel sample kernels (offset votes, clock shift, index
-    // build) merge per-chunk results exactly, and the stage chains share
-    // no state, so `--threads N` must produce a byte-identical report for
+    // The data-parallel sample kernels (pass 1's offset votes, pass 2's
+    // sealing, the index build) merge per-chunk results exactly, and the
+    // stage chains share no state, so `--threads N` must produce a byte-identical report for
     // every N: fewer threads than chains, exactly as many, and more.
     let mut scenario = ScenarioConfig::tiny();
     scenario.seed = 0xC0FF_EE00;
@@ -146,11 +150,9 @@ fn profiles_record_the_prepare_kernels() {
     assert_ne!(offset, rtbh_net::TimeDelta::ZERO);
 
     let (_, profile) = analyzer.full_with_profile();
-    // The two analysis stages with a sharded kernel run it at one worker
-    // inside the stage phase, where the other chains hold the threads.
-    for stage in ["acceptance", "provenance"] {
-        let st = profile.stage(stage).expect("stage profiled");
-        assert_eq!(st.workers, 1, "stage {stage}");
+    // Every stage kernel is single-threaded, whatever the worker count.
+    for st in &profile.stages {
+        assert_eq!(st.workers, 1, "stage {}", st.stage);
     }
     let names: Vec<&str> = profile.prepare.iter().map(|s| s.stage.as_str()).collect();
     assert_eq!(names, ["clean", "align", "events", "enrich", "index"]);

@@ -76,20 +76,6 @@ impl PlannedEvent {
             .expect("event has spans")
             .start
     }
-
-    /// End of the last span.
-    pub fn last_end(&self) -> rtbh_net::Timestamp {
-        self.announcement_spans.last().expect("event has spans").end
-    }
-
-    /// Total number of BGP messages the event produces (announce +
-    /// withdraw per span; a final dangling span only announces).
-    pub fn message_count(&self, corpus_end: rtbh_net::Timestamp) -> u32 {
-        self.announcement_spans
-            .iter()
-            .map(|s| if s.end >= corpus_end { 1 } else { 2 })
-            .sum()
-    }
 }
 
 /// The full ledger.
@@ -158,19 +144,9 @@ mod tests {
     }
 
     #[test]
-    fn message_count_counts_withdrawals_only_when_closed() {
-        let corpus_end = Timestamp::EPOCH + TimeDelta::minutes(100);
-        let e = event(vec![iv(0, 10), iv(15, 30)]);
-        assert_eq!(e.message_count(corpus_end), 4);
-        let dangling = event(vec![iv(0, 10), iv(15, 100)]);
-        assert_eq!(dangling.message_count(corpus_end), 3);
-    }
-
-    #[test]
     fn first_and_last_span_accessors() {
         let e = event(vec![iv(5, 10), iv(20, 40)]);
         assert_eq!(e.first_announce(), Timestamp::EPOCH + TimeDelta::minutes(5));
-        assert_eq!(e.last_end(), Timestamp::EPOCH + TimeDelta::minutes(40));
     }
 
     #[test]

@@ -21,7 +21,7 @@ mod seeds;
 use std::collections::{BTreeMap, BTreeSet};
 
 use rtbh_bgp::{BgpUpdate, UpdateKind, UpdateLog};
-use rtbh_core::columns::ColumnarFlows;
+use rtbh_core::columns::{ColumnarFlows, NONE};
 use rtbh_core::events::RtbhEvent;
 use rtbh_core::hosts::{analyze_hosts, HostAnalysis, HostClass, HostConfig, HostRecord};
 use rtbh_core::index::{MacResolver, OriginTable, SampleIndex};
@@ -69,6 +69,8 @@ fn in_windows(windows: &[Interval], at: Timestamp) -> bool {
 
 /// The tree-map kernel: every sample outside its prefix's exclusion
 /// windows is inserted into its host's accumulator, keyed by address.
+/// Incoming samples come from the index's `towards` lists, outgoing ones
+/// from the sealed `src` prefix-id column.
 fn oracle(
     events: &[RtbhEvent],
     index: &SampleIndex,
@@ -77,6 +79,15 @@ fn oracle(
 ) -> HostAnalysis {
     let exclusions = exclusion_windows(events, config.reaction);
     let origin_of: BTreeMap<Prefix, Asn> = events.iter().map(|e| (e.prefix, e.origin)).collect();
+
+    let mut from = vec![Vec::new(); index.prefixes().len()];
+    for c in cols.chunks() {
+        for (r, &pid) in c.src_prefix_ids().iter().enumerate() {
+            if pid != NONE {
+                from[pid as usize].push(c.start() + r);
+            }
+        }
+    }
 
     let mut accums: BTreeMap<Ipv4Addr, (Prefix, HostAccum)> = BTreeMap::new();
     for (pid, prefix) in index.prefixes().iter().enumerate() {
@@ -101,8 +112,7 @@ fn oracle(
                     .or_insert(0) += 1;
             }
         }
-        for &id in index.from(pid) {
-            let i = id as usize;
+        for &i in &from[pid] {
             if in_windows(windows, cols.at(i)) {
                 continue;
             }

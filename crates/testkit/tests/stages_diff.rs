@@ -1597,11 +1597,11 @@ fn acceptance_matches_the_tree_entries_on_generated_columns() {
             if rng.gen_bool(0.5) { 0 } else { 64 },
         );
         let cols = &enriched.columns;
-        let expected = oracle_acceptance(cols);
-        for workers in 1..=3 {
-            let what = format!("acceptance at {workers} workers");
-            assert_same_json(&analyze_acceptance(cols, workers), &expected, &what);
-        }
+        assert_same_json(
+            &analyze_acceptance(cols),
+            &oracle_acceptance(cols),
+            "acceptance",
+        );
         unknown_32 += (0..cols.len())
             .filter(|&i| {
                 cols.active_prefix(i)
@@ -1685,13 +1685,10 @@ fn stage_kernels_match_their_oracles_on_simulated_corpora() {
             ),
             "protocols on a simulated corpus",
         );
-        let expected = oracle_acceptance(analyzer.columns());
-        for workers in 1..=3 {
-            assert_same_json(
-                &analyze_acceptance(analyzer.columns(), workers),
-                &expected,
-                &format!("acceptance at {workers} workers on a simulated corpus"),
-            );
-        }
+        assert_same_json(
+            &analyzer.acceptance(),
+            &oracle_acceptance(analyzer.columns()),
+            "acceptance on a simulated corpus",
+        );
     });
 }

@@ -17,11 +17,11 @@
 //! metadata + MRT update log + IPFIX-lite flows) and the ground truth as
 //! JSON next to it; `analyze` runs the full paper pipeline on a corpus file
 //! and prints the headline findings. `--threads N` sets the worker count
-//! (`0` = one per core, the default): the sample kernels (clean,
-//! clock-offset votes, clock shift, enrichment, index build, acceptance,
-//! provenance) shard over N threads, and above one worker the analysis
-//! stages run on scoped threads, so `--threads 1` runs the whole analysis
-//! on one thread. The report is byte-identical for every N. With
+//! (`0` = one per core, the default): prepare's sample kernels (clean with
+//! the clock-offset votes, enrichment with the clock shift, index build)
+//! shard over N threads, and above one worker the analysis stages run as
+//! five chains on `min(N, 5)` threads, each stage single-threaded, so
+//! `--threads 1` runs the whole analysis on one thread. The report is byte-identical for every N. With
 //! `--timings` it additionally prints the per-stage wall-time table
 //! (the corpus load and the preparation kernels included) with the
 //! schedule that ran (`sequential` or `parallel`), the job's end-to-end

@@ -109,14 +109,16 @@ fn analyzer_offset_correction_improves_alignment() {
     let analyzer = Analyzer::with_defaults(corpus.clone());
     let alignment = analyzer.alignment().expect("alignment available");
     // The corrected flows, re-scanned, should peak at ~zero offset.
-    let (cleaned, _) = rtbh::core::clean::clean_flows(&corpus);
-    let corrected = rtbh::core::align::shift_flows(&cleaned, alignment.estimated_offset());
-    let rescan = rtbh::core::align::estimate_offset(
+    let (cleaned, _) = rtbh::core::clean::clean_flows_with_workers(&corpus, 1);
+    let corrected =
+        rtbh::core::align::shift_flows_with_workers(&cleaned, alignment.estimated_offset(), 1);
+    let rescan = rtbh::core::align::estimate_offset_with_workers(
         &corpus.updates,
         &corrected,
         corpus.period.end,
         TimeDelta::millis(500),
         TimeDelta::millis(10),
+        1,
     )
     .expect("rescan works");
     assert!(
